@@ -10,19 +10,18 @@ evaluate are carried symbolically by :class:`LambdaValue`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 # Highest aleph index the symbolic universe admits.
 MAX_ALEPH_INDEX = 3
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Cardinal:
     """A natural number or an aleph with a small finite index.
 
-    Ordering: every finite cardinal precedes every aleph, finites order by
-    value, alephs order by index.  Instances are immutable and hashable.
+    The field order ``(infinite, value)`` is the cardinal order: every finite
+    cardinal precedes every aleph, finites order by value, alephs order by
+    index.  Instances are immutable and hashable.
     """
 
     infinite: bool
@@ -48,11 +47,6 @@ class Cardinal:
     @property
     def is_finite(self) -> bool:
         return not self.infinite
-
-    def __lt__(self, other: "Cardinal") -> bool:
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        return (self.infinite, self.value) < (other.infinite, other.value)
 
     def __str__(self) -> str:
         return f"aleph{self.value}" if self.infinite else str(self.value)
@@ -80,38 +74,11 @@ ZERO = Cardinal.finite(0)
 ONE = Cardinal.finite(1)
 
 
-def compare(a: Cardinal, b: Cardinal) -> int:
-    """Total-order comparison: -1, 0 or +1 for less / equal / greater."""
-    if a < b:
-        return -1
-    if b < a:
-        return 1
-    return 0
-
-
 def csum(a: Cardinal, b: Cardinal) -> Cardinal:
     """Cardinal addition: natural addition on finites, max otherwise."""
     if a.is_finite and b.is_finite:
         return Cardinal.finite(a.value + b.value)
     return max(a, b)
-
-
-def cdouble(a: Cardinal) -> Cardinal:
-    """Cardinal doubling: 2n on finites, identity on infinite cardinals."""
-    if a.is_finite:
-        return Cardinal.finite(2 * a.value)
-    return a
-
-
-def pfin_card(a: Cardinal) -> Cardinal:
-    """Cardinality of the collection of finite subsets of an infinite set.
-
-    Equal to the set's own cardinality.  Finite inputs are rejected: there
-    the collection has size 2^n and falls outside this symbolic universe.
-    """
-    if a.is_finite:
-        raise ValueError("pfin_card is only defined for infinite cardinals")
-    return a
 
 
 # Labels for family sizes the constructions name but never evaluate.

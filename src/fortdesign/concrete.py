@@ -236,20 +236,6 @@ class PointMap:
         pairs = ",".join(f"{a}->{b}" for a, b in self.exceptions)
         return f"{kind};{pairs}"
 
-    @classmethod
-    def parse(cls, text: str) -> "PointMap":
-        kind, _, body = text.strip().partition(";")
-        if kind not in ("align", "table"):
-            raise ValueError(f"point map must start with align or table, got {text!r}")
-        pairs = []
-        if body:
-            for chunk in body.split(","):
-                left, arrow, right = chunk.partition("->")
-                if arrow != "->":
-                    raise ValueError(f"malformed point map pair {chunk!r}")
-                pairs.append((int(left), int(right)))
-        return cls(kind == "align", tuple(pairs))
-
 
 def _rank(s: ConcreteSet, x: int, skip_zero: bool) -> int:
     """Number of members of s strictly below x, optionally ignoring 0."""

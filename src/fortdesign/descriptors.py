@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cardinal import Cardinal, ZERO, compare
+from .cardinal import Cardinal, ZERO
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,6 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
             f"max(size, cosize) must equal card(X)={x}, "
             f"got size={subset.size}, cosize={subset.cosize}"
         )
-    if subset.size > x:
-        violations.append(f"size={subset.size} exceeds card(X)={x}")
-    if subset.cosize > x:
-        violations.append(f"cosize={subset.cosize} exceeds card(X)={x}")
-    if subset.size < x and subset.cosize != x:
-        violations.append("size below card(X) forces cosize = card(X)")
-    if subset.cosize < x and subset.size != x:
-        violations.append("cosize below card(X) forces size = card(X)")
     if subset.size == ZERO and subset.contains_b:
         violations.append("the empty set cannot contain b")
     if subset.cosize == ZERO and not subset.contains_b:
@@ -152,7 +144,7 @@ def embeddable(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:
     in C without lying in D: an infinite copy of C carries its limit point
     with it.
     """
-    if compare(c.size, d.size) > 0:
+    if c.size > d.size:
         return False
     if c.size.is_finite:
         return True

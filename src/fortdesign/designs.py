@@ -5,6 +5,13 @@ returns a :class:`Verdict`: either existence together with a symbolic
 multiplicity and a witness block family, or non-existence with the name of
 the obstructing case.  Case tags are part of the wire format; the docstrings
 of the deciders list what each tag means.
+
+Validation contract: each public entry (``decide``, ``decide_type1`` ..
+``decide_type4``, ``crosscheck``) validates C and D against the space exactly
+once and then runs the private rules (``_type1`` .. ``_type4``,
+``_crosscheck``).  The rules assume valid, nonempty descriptors and call only
+each other, never a public entry.  ``sweep`` validates each grid descriptor
+once per space and calls the rules directly.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .cardinal import (
     LambdaValue,
     ZERO,
     ONE,
-    compare,
     csum,
 )
 from .descriptors import (
@@ -178,17 +184,12 @@ class Verdict:
         ]
 
 
-def _require_valid(
-    c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
-) -> None:
+def _require_valid(space: SpaceDescriptor, **shapes: SubsetDescriptor) -> None:
+    """Raise unless every named shape is a valid, nonempty descriptor."""
     violations = tuple(
-        [f"C: {msg}" for msg in validate(c, space)]
-        + [f"D: {msg}" for msg in validate(d, space)]
+        [f"{name}: {msg}" for name, s in shapes.items() for msg in validate(s, space)]
+        + [f"{name}: must be nonempty" for name, s in shapes.items() if s.size == ZERO]
     )
-    if c.size == ZERO:
-        violations += ("C: must be nonempty",)
-    if d.size == ZERO:
-        violations += ("D: must be nonempty",)
     if violations:
         raise DescriptorError("; ".join(violations), violations)
 
@@ -219,8 +220,12 @@ def decide_type1(
     * b in D, C infinite below card(X): the class of D works (``c2``).
     * b in D, everything at full size: design iff D is the space (``c3``).
     """
-    _require_valid(c, d, space)
-    if compare(c.size, d.size) > 0:
+    _require_valid(space, C=c, D=d)
+    return _type1(c, d, space)
+
+
+def _type1(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
+    if c.size > d.size:
         return Verdict.no(
             "remark-card", "card(C) > card(D): no copy of D can contain a copy of C"
         )
@@ -254,7 +259,7 @@ def decide_type1(
         )
     # b in D from here on.
     if c.size.is_finite:
-        if compare(csum(c.size, Cardinal.finite(2)), d.size) > 0:
+        if csum(c.size, Cardinal.finite(2)) > d.size:
             return Verdict.no(
                 "c1-bound", "finite C with b in D requires card(C) + 2 <= card(D)"
             )
@@ -291,7 +296,7 @@ def decide_type1(
 
 
 def _embedding_failure(c: SubsetDescriptor, d: SubsetDescriptor) -> Verdict:
-    if compare(c.size, d.size) > 0:
+    if c.size > d.size:
         return Verdict.no(
             "remark-card", "card(C) > card(D): C cannot be embedded into D"
         )
@@ -313,7 +318,11 @@ def decide_type2(
     carries over (``t2-small``); at full size a single block, the space with
     b removed unless D keeps it, suffices (``t2-full``).
     """
-    _require_valid(c, d, space)
+    _require_valid(space, C=c, D=d)
+    return _type2(c, d, space)
+
+
+def _type2(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
     if not embeddable(c, d):
         return _embedding_failure(c, d)
     if c.size.is_finite:
@@ -324,8 +333,10 @@ def decide_type2(
         )
         return Verdict.yes(lam, ClassL(d), "t2-finite")
     if c.size < space.size:
-        inner = decide_type1(c, d, space)
-        return Verdict.yes(inner.lambda_, inner.witness, "t2-small")
+        # the type-1 verdict here is a2 or c2: the class of D, card(W) blocks
+        return Verdict.yes(
+            LambdaValue.family_size(FAMILY_W), ClassW(d), "t2-small"
+        )
     member = _full_space(space) if d.contains_b else _space_minus_b(space)
     return Verdict.yes(LambdaValue.exact(Cardinal.finite(1)), Singleton(member), "t2-full")
 
@@ -341,10 +352,14 @@ def decide_type3(
     (``t3-case1`` .. ``t3-case4``); on success the class of D is the witness
     with the symbolic multiplicity card({E in W : C subset E}).
     """
-    _require_valid(c, d, space)
+    _require_valid(space, C=c, D=d)
+    return _type3(c, d, space)
+
+
+def _type3(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
     if c.contains_b and not d.contains_b:
         return Verdict.no("t3-case1", "b is in C but not in D")
-    if compare(size_minus_b(c), size_minus_b(d)) > 0:
+    if size_minus_b(c) > size_minus_b(d):
         if d.contains_b and not c.contains_b:
             return Verdict.no(
                 "t3-case3", "card(C \\ {b}) > card(D \\ {b}) with b in D only"
@@ -352,7 +367,7 @@ def decide_type3(
         return Verdict.no(
             "t3-case2", "card(C \\ {b}) > card(D \\ {b}) with b in both or neither"
         )
-    if compare(cosize_minus_b(d), cosize_minus_b(c)) > 0:
+    if cosize_minus_b(d) > cosize_minus_b(c):
         return Verdict.no(
             "t3-case4",
             "the part of X outside D and b is strictly larger than the part "
@@ -372,17 +387,22 @@ def decide_type4(
     weaker probe condition IV, so the verdict reuses the type-2 multiplicity
     and witness under the tag ``t4``.
     """
-    inner = decide_type2(c, d, space)
+    _require_valid(space, C=c, D=d)
+    return _type4(c, d, space)
+
+
+def _type4(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
+    inner = _type2(c, d, space)
     if inner.exists:
         return Verdict.yes(inner.lambda_, inner.witness, "t4")
     return inner
 
 
-_DECIDERS = {
-    DesignType.TYPE1: decide_type1,
-    DesignType.TYPE2: decide_type2,
-    DesignType.TYPE3: decide_type3,
-    DesignType.TYPE4: decide_type4,
+_RULES = {
+    DesignType.TYPE1: _type1,
+    DesignType.TYPE2: _type2,
+    DesignType.TYPE3: _type3,
+    DesignType.TYPE4: _type4,
 }
 
 
@@ -392,7 +412,9 @@ def decide(
     d: SubsetDescriptor,
     space: SpaceDescriptor,
 ) -> Verdict:
-    return _DECIDERS[DesignType(design_type)](c, d, space)
+    rule = _RULES[DesignType(design_type)]
+    _require_valid(space, C=c, D=d)
+    return rule(c, d, space)
 
 
 @dataclass(frozen=True)
@@ -432,11 +454,18 @@ def crosscheck(
     c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
 ) -> CrosscheckReport:
     """Evaluate the four-way non-existence equivalence for types 2 and 4."""
-    no2 = not decide_type2(c, d, space).exists
-    no4 = not decide_type4(c, d, space).exists
+    _require_valid(space, C=c, D=d)
+    return _crosscheck(c, d, space)
+
+
+def _crosscheck(
+    c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
+) -> CrosscheckReport:
+    no2 = not _type2(c, d, space).exists
+    no4 = not _type4(c, d, space).exists
     obstruction = (
         not c.size.is_finite and c.contains_b and not d.contains_b
-    ) or compare(c.size, d.size) > 0
+    ) or c.size > d.size
     return CrosscheckReport(no2, no4, obstruction, not embeddable(c, d))
 
 
@@ -491,7 +520,9 @@ def sweep(
 
     Per (C, D, space) triple: the four-way crosscheck, existence of type 1
     implying type 2 and type 3 implying type 4, card(C) <= card(D) for every
-    existence verdict, known case tags, and witness validity.
+    existence verdict, and witness validity; :class:`Verdict` itself rejects
+    unknown case tags.  An invalid grid descriptor raises
+    :class:`DescriptorError` before any case in its space runs.
     ``inject_fault`` deliberately flips the obstruction statement on a subset
     of cases so the harness can prove it detects violations.
     """
@@ -500,15 +531,14 @@ def sweep(
     for index in range(max_aleph + 1):
         space = SpaceDescriptor(Cardinal.aleph(index))
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
+        _require_valid(space, **{f"grid {s}": s for s in grid})
         for c in grid:
             for d in grid:
                 cases += 1
                 where = f"X={space.size} C={c} D={d}"
-                verdicts = {t: decide(t, c, d, space) for t in DesignType}
+                verdicts = {t: rule(c, d, space) for t, rule in _RULES.items()}
                 for t, v in verdicts.items():
-                    if v.case_tag not in CASE_TAGS:
-                        violations.append(f"{where}: unknown tag {v.case_tag}")
-                    if v.exists and compare(c.size, d.size) > 0:
+                    if v.exists and c.size > d.size:
                         violations.append(
                             f"{where}: type {t} exists with card(C) > card(D)"
                         )
@@ -519,7 +549,7 @@ def sweep(
                     violations.append(f"{where}: type 1 exists but type 2 does not")
                 if verdicts[DesignType.TYPE3].exists and not verdicts[DesignType.TYPE4].exists:
                     violations.append(f"{where}: type 3 exists but type 4 does not")
-                report = crosscheck(c, d, space)
+                report = _crosscheck(c, d, space)
                 if inject_fault and cases % 7 == 0:
                     report = CrosscheckReport(
                         report.no_type2,

@@ -3,15 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fortdesign.cardinal import (
-    ALEPH0,
-    Cardinal,
-    LambdaValue,
-    cdouble,
-    compare,
-    csum,
-    pfin_card,
-)
+from fortdesign.cardinal import ALEPH0, Cardinal, LambdaValue, csum
 
 GRID = [Cardinal.finite(n) for n in range(11)] + [Cardinal.aleph(i) for i in range(4)]
 
@@ -22,18 +14,30 @@ cardinals = st.one_of(
 
 
 def test_compare_examples():
-    assert compare(Cardinal.finite(3), Cardinal.finite(3)) == 0
-    assert compare(Cardinal.finite(10**9), ALEPH0) == -1
-    assert compare(ALEPH0, Cardinal.aleph(1)) == -1
+    assert Cardinal.finite(3) == Cardinal.finite(3)
+    assert Cardinal.finite(10**9) < ALEPH0
+    assert ALEPH0 < Cardinal.aleph(1)
+    assert max(Cardinal.finite(7), ALEPH0) == ALEPH0
 
 
 def test_compare_is_a_total_order_on_the_grid():
-    for a, b in itertools.product(GRID, repeat=2):
-        assert compare(a, b) == -compare(b, a)
-        assert (compare(a, b) == 0) == (a == b)
+    # GRID is listed in ascending order, so list position is the reference
+    for (i, a), (j, b) in itertools.product(enumerate(GRID), repeat=2):
+        assert (a < b) == (i < j)
+        assert (a <= b) == (i <= j)
+        assert (a > b) == (i > j)
+        assert (a >= b) == (i >= j)
+        assert (a == b) == (i == j)
+        assert max(a, b) == GRID[max(i, j)]
     for a, b, c in itertools.product(GRID, repeat=3):
-        if compare(a, b) <= 0 and compare(b, c) <= 0:
-            assert compare(a, c) <= 0
+        if a <= b and b <= c:
+            assert a <= c
+
+
+def test_every_finite_precedes_every_aleph():
+    for n in (0, 1, 10, 10**9):
+        for i in range(4):
+            assert Cardinal.finite(n) < Cardinal.aleph(i)
 
 
 def test_csum_examples():
@@ -53,24 +57,6 @@ def test_csum_is_max_when_infinite():
     for a, b in itertools.product(GRID, repeat=2):
         if not max(a, b).is_finite:
             assert csum(a, b) == max(a, b)
-
-
-def test_cdouble_examples():
-    assert cdouble(Cardinal.finite(4)) == Cardinal.finite(8)
-    assert cdouble(ALEPH0) == ALEPH0
-    assert cdouble(Cardinal.aleph(2)) == Cardinal.aleph(2)
-
-
-def test_cdouble_matches_self_sum_on_the_grid():
-    for a in GRID:
-        assert cdouble(a) == csum(a, a)
-
-
-def test_pfin_card():
-    assert pfin_card(ALEPH0) == ALEPH0
-    assert pfin_card(Cardinal.aleph(1)) == Cardinal.aleph(1)
-    with pytest.raises(ValueError):
-        pfin_card(Cardinal.finite(3))
 
 
 def test_construction_limits():

@@ -157,15 +157,6 @@ class TestHomeomorphisms:
             if m is not None:
                 assert check_homeomorphism(m, u, v), (u, v)
 
-    @given(
-        st.booleans(),
-        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=5),
-    )
-    def test_point_map_round_trip(self, aligned, pairs):
-        unique = {a: b for a, b in pairs}
-        m = PointMap(aligned, tuple(unique.items()))
-        assert PointMap.parse(m.to_text()) == m
-
 
 class TestRealize:
     def test_odd_tail_blocks(self):

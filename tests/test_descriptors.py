@@ -44,6 +44,34 @@ def test_validate_reports_each_violation():
     assert validate(sd(ALEPH1, True, ALEPH1), X0) != []  # size above card(X)
 
 
+def reference_conditions(s, space):
+    """The seven descriptor invariants, written out one by one."""
+    x = space.size
+    return [
+        max(s.size, s.cosize) == x,
+        not s.size > x,
+        not s.cosize > x,
+        not (s.size < x and s.cosize != x),
+        not (s.cosize < x and s.size != x),
+        not (s.size == F(0) and s.contains_b),
+        not (s.cosize == F(0) and not s.contains_b),
+    ]
+
+
+def test_validate_matches_the_seven_conditions():
+    sizes = [F(n) for n in range(5)] + [Cardinal.aleph(i) for i in range(4)]
+    triples = list(itertools.product(sizes, (True, False), sizes))
+    assert len(triples) == 162
+    checked = 0
+    for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(4)):
+        for size, b, cosize in triples:
+            s = sd(size, b, cosize)
+            expected = all(reference_conditions(s, space))
+            assert (validate(s, space) == []) == expected, (s, space)
+            checked += 1
+    assert checked == 648
+
+
 def test_complement_examples():
     s = sd(F(2), True, ALEPH0)
     assert complement(s, X0) == sd(ALEPH0, False, F(2))

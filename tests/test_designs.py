@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
 
 from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, LambdaValue
+from fortdesign import designs
 from fortdesign.descriptors import SpaceDescriptor, SubsetDescriptor, descriptor_grid
 from fortdesign.designs import (
     CASE_TAGS,
@@ -203,15 +205,41 @@ def test_witness_sanity_on_the_grid():
                 assert witness_violations(v.witness, d, X0) == []
 
 
-def test_invalid_inputs_are_rejected():
+PUBLIC_ENTRIES = [
+    *(
+        pytest.param(functools.partial(decide, t), id=f"decide-{t.name}")
+        for t in DesignType
+    ),
+    decide_type1,
+    decide_type2,
+    decide_type3,
+    decide_type4,
+    crosscheck,
+]
+VALID = sd(F(3), True, ALEPH0)
+INVALID_INPUTS = [
+    pytest.param(sd(ALEPH1, True, ALEPH1), VALID, "C: ", id="invalid-C"),
+    pytest.param(VALID, sd(F(3), True, F(5)), "D: ", id="invalid-D"),
+    pytest.param(sd(F(0), False, ALEPH0), VALID, "C: must be nonempty", id="empty-C"),
+]
+
+
+@pytest.mark.parametrize("c, d, expected", INVALID_INPUTS)
+@pytest.mark.parametrize("entry", PUBLIC_ENTRIES)
+def test_invalid_inputs_are_rejected(entry, c, d, expected):
+    with pytest.raises(DescriptorError) as caught:
+        entry(c, d, X0)
+    assert caught.value.violations
+    assert all(v.startswith(expected) for v in caught.value.violations)
+
+
+def test_sweep_rejects_an_invalid_grid_descriptor(monkeypatch):
+    def grid_with_an_invalid_descriptor(*args):
+        return descriptor_grid(*args) + [sd(F(3), True, F(5))]
+
+    monkeypatch.setattr(designs, "descriptor_grid", grid_with_an_invalid_descriptor)
     with pytest.raises(DescriptorError):
-        decide_type1(sd(F(0), False, ALEPH0), sd(F(3), True, ALEPH0), X0)
-    with pytest.raises(DescriptorError):
-        decide_type2(sd(F(3), True, F(5)), sd(F(3), True, ALEPH0), X0)
-    try:
-        decide_type3(sd(ALEPH1, True, ALEPH1), sd(F(3), True, ALEPH0), X0)
-    except DescriptorError as exc:
-        assert exc.violations
+        sweep()
 
 
 def test_verdict_record_shape():
