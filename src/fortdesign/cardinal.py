@@ -9,10 +9,15 @@ evaluate are carried symbolically by :class:`LambdaValue`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 # Highest aleph index the symbolic universe admits.
 MAX_ALEPH_INDEX = 3
+
+# What ``str`` prints: ASCII digits without leading zeros, so that no
+# other spelling is read as a cardinal.
+_CANONICAL = re.compile(r"(aleph)?(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True, order=True)
@@ -56,16 +61,13 @@ class Cardinal:
 
     @classmethod
     def parse(cls, text: str) -> "Cardinal":
-        """Inverse of ``str``: ``"3"`` or ``"aleph1"``."""
+        """Inverse of ``str``: ``"3"`` or ``"aleph1"``, in canonical ASCII."""
         text = text.strip()
-        if text.startswith("aleph"):
-            suffix = text[len("aleph"):]
-            if not suffix.isdigit():
-                raise ValueError(f"malformed cardinal {text!r}")
-            return cls.aleph(int(suffix))
-        if not text.isdigit():
+        match = _CANONICAL.fullmatch(text)
+        if match is None:
             raise ValueError(f"malformed cardinal {text!r}")
-        return cls.finite(int(text))
+        n = int(match[2])
+        return cls.aleph(n) if match[1] else cls.finite(n)
 
 
 ALEPH0 = Cardinal.aleph(0)

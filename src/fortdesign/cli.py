@@ -95,10 +95,12 @@ def _parse_subset(
         size = Cardinal.parse(fields[size_key])
     except ValueError as exc:
         raise QueryError(f"field {size_key}: {exc}") from exc
-    flag_key = f"{name}.contains_b" if f"{name}.contains_b" in fields else f"{name}.b"
-    if flag_key not in fields:
+    flag_keys = [key for key in (f"{name}.contains_b", f"{name}.b") if key in fields]
+    if not flag_keys:
         raise QueryError(f"missing field {name}.contains_b")
-    contains_b = _parse_bool(flag_key, fields[flag_key])
+    if len(flag_keys) > 1:
+        raise QueryError(f"fields {name}.contains_b and {name}.b: give only one")
+    contains_b = _parse_bool(flag_keys[0], fields[flag_keys[0]])
     cosize_key = f"{name}.cosize"
     if cosize_key in fields:
         try:

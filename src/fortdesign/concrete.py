@@ -3,10 +3,10 @@
 Finite and cofinite subsets are first-class values; the explicit odd-tail
 block family gets its own rule-based representation because its blocks are
 neither finite nor cofinite.  The functions here ground the symbolic
-classifiers: homeomorphisms are built and checked point by point, block
-families are enumerated over bounded windows, and containment counts are
-reported as exact-within-window or saturated lower bounds, never
-extrapolated.
+classifiers: homeomorphisms are built and checked exactly from the
+exception table, block families are enumerated over bounded windows, and
+containment counts are reported as exact-within-window or saturated lower
+bounds, never extrapolated.
 """
 
 from __future__ import annotations
@@ -200,6 +200,10 @@ class PointMap:
     sets contain it; the finite ``exceptions`` table overrides individual
     source points.  With ``aligned`` unset the exceptions table is the whole
     map.
+
+    Between sets of one kind that agree on b the aligned part is a
+    bijection, so the whole map is one exactly when the exceptions only
+    rearrange aligned images; :func:`check_homeomorphism` decides that.
     """
 
     aligned: bool = True
@@ -216,18 +220,7 @@ class PointMap:
         for a, b in self.exceptions:
             if a == x:
                 return b
-        if not self.aligned:
-            return None
-        if x not in source:
-            raise ValueError(f"{x} is not in the source set")
-        pin_b = 0 in source and 0 in target
-        if pin_b:
-            if x == 0:
-                return 0
-            rank = _rank(source, x, skip_zero=True)
-            return _nth_member(target, rank, skip_zero=True)
-        rank = _rank(source, x, skip_zero=False)
-        return _nth_member(target, rank, skip_zero=False)
+        return _aligned_image(x, source, target) if self.aligned else None
 
     def to_text(self) -> str:
         kind = "align" if self.aligned else "table"
@@ -235,6 +228,16 @@ class PointMap:
             return kind
         pairs = ",".join(f"{a}->{b}" for a, b in self.exceptions)
         return f"{kind};{pairs}"
+
+
+def _aligned_image(x: int, source: ConcreteSet, target: ConcreteSet) -> int | None:
+    """x's image under the order-aligned map, or None past the target's end."""
+    if x not in source:
+        raise ValueError(f"{x} is not in the source set")
+    pin_b = 0 in source and 0 in target
+    if pin_b and x == 0:
+        return 0
+    return _nth_member(target, _rank(source, x, skip_zero=pin_b), skip_zero=pin_b)
 
 
 def _rank(s: ConcreteSet, x: int, skip_zero: bool) -> int:
@@ -279,43 +282,33 @@ def canonical_homeomorphism(u: ConcreteSet, v: ConcreteSet) -> PointMap | None:
     return None
 
 
-def check_homeomorphism(
-    m: PointMap, u: ConcreteSet, v: ConcreteSet, prefix: int = 32
-) -> bool:
-    """Independently verify that a point map is a homeomorphism u -> v.
+def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
+    """Decide exactly whether a point map is a homeomorphism u -> v.
 
-    Finite pairs: plain bijectivity.  Infinite pairs: matching limit-point
-    structure (both sides contain b or neither does), injectivity of the
-    first ``prefix`` members into the target, and b pinned to b, without
-    which the image of a sequence converging to b stops converging.
+    u and v must be of one kind: finite pairs of equal size, cofinite pairs
+    that agree on membership of b.  The active exceptions are those whose
+    source lies in u.  The aligned part is a bijection u -> v, so an aligned
+    map is one exactly when the active targets are distinct members of v
+    and, as a set, the aligned images of the active sources.  A table-only
+    map needs a finite u and exactly v as its targets.  A cofinite u that
+    contains b must send b to b, without which the image of a sequence
+    converging to b stops converging.
     """
     if u.is_finite != v.is_finite:
         return False
-    if u.is_finite:
-        if len(u.support) != len(v.support):
-            return False
-        images = []
-        for x in u.support:
-            y = m.apply(x, u, v)
-            if y is None or y not in v:
-                return False
-            images.append(y)
-        return len(set(images)) == len(v.support)
-    here = limit_points(u).issubset(u)
-    there = limit_points(v).issubset(v)
-    if here != there:
+    if u.is_finite and len(u.support) != len(v.support):
         return False
-    images = []
-    for x in u.members(prefix):
-        y = m.apply(x, u, v)
-        if y is None or y not in v:
-            return False
-        images.append(y)
-    if len(set(images)) != len(images):
+    if u.cofinite and (0 in u) != (0 in v):
         return False
-    if 0 in u and 0 in v and m.apply(0, u, v) != 0:
-        return False
-    return True
+    active = [(a, b) for a, b in m.exceptions if a in u]
+    targets = {b for _, b in active}
+    # Distinct sources have distinct aligned images in v, so equal sets also
+    # make the targets distinct members of v.
+    if m.aligned:
+        bijective = targets == {_aligned_image(a, u, v) for a, _ in active}
+    else:
+        bijective = u.is_finite and targets == set(v.support)
+    return bijective and (u.is_finite or 0 not in u or m.apply(0, u, v) == 0)
 
 
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:

@@ -75,10 +75,23 @@ def test_string_format():
     assert str(Cardinal.finite(3)) == "3"
     assert str(ALEPH0) == "aleph0"
     assert str(Cardinal.aleph(1)) == "aleph1"
-    with pytest.raises(ValueError):
-        Cardinal.parse("alephx")
-    with pytest.raises(ValueError):
-        Cardinal.parse("-2")
+    assert Cardinal.parse(" aleph2\n") == Cardinal.aleph(2)
+    # only the canonical ASCII spelling; Arabic-Indic three and fullwidth zero
+    # would otherwise be read as 3 and 0
+    for text in ("alephx", "-2", "\u0663", "\uff10", "aleph01", "01", "aleph\u0663", "+3", ""):
+        with pytest.raises(ValueError, match="malformed cardinal"):
+            Cardinal.parse(text)
+    with pytest.raises(ValueError, match="exceeds the supported ladder"):
+        Cardinal.parse("aleph4")
+
+
+@given(st.text() | st.from_regex(r"\s*(aleph)?\d{1,3}\s*", fullmatch=True))
+def test_parse_accepts_only_what_str_prints(text):
+    try:
+        card = Cardinal.parse(text)
+    except ValueError:
+        return
+    assert str(card) == text.strip()
 
 
 def test_lambda_value():

@@ -108,6 +108,13 @@ class TestDecideCommand:
         err = capsys.readouterr().err
         assert "D.cosize" in err
 
+    def test_conflicting_b_fields_are_an_input_error(self, write, capsys):
+        path = write("q.txt", QUERY_C1_CASE2 + "C.b: false\n")
+        assert main(["decide", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "C.contains_b" in captured.err and "C.b" in captured.err
+
     def test_text_format(self, write, capsys):
         path = write("q.txt", QUERY_C1_CASE2)
         assert main(["decide", path, "--format", "text"]) == 0

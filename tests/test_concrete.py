@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fortdesign.cardinal import ALEPH0, Cardinal
 from fortdesign.concrete import (
@@ -119,6 +119,9 @@ class TestHomeomorphisms:
 
     def test_limit_point_mismatch_has_no_map(self):
         assert canonical_homeomorphism(Co((0,)), Co(())) is None
+        # the aligned map is a bijection either way, but only one side has b
+        assert not check_homeomorphism(PointMap(), Co((0,)), Co(()))
+        assert not check_homeomorphism(PointMap(), Co(()), Co((0,)))
 
     def test_infinite_alignment_pins_b(self):
         u, v = Co((1, 3)), Co(())
@@ -145,6 +148,57 @@ class TestHomeomorphisms:
 
     def test_kind_mismatch_fails(self):
         assert not check_homeomorphism(PointMap(), F((1,)), Co((0,)))
+
+    def test_collisions_far_from_zero_are_rejected(self):
+        # 1 and 1000 both go to 1000 and nothing reaches 1; then 40 and 1
+        # both go to 1 and nothing reaches 40
+        for exceptions in (((1, 1000),), ((40, 1),)):
+            assert not check_homeomorphism(PointMap(True, exceptions), Co(()), Co(()))
+
+    def test_swapped_aligned_images_are_accepted(self):
+        u, v = Co((3,)), Co((5, 7))
+        y40, y41 = (PointMap().apply(x, u, v) for x in (40, 41))
+        m = PointMap(True, ((40, y41), (41, y40)))
+        assert m.apply(40, u, v) == y41 and m.apply(41, u, v) == y40
+        assert check_homeomorphism(m, u, v)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_oracle_matches_a_reference_bijection_check(self, data):
+        def draw_set(cofinite, size=None):
+            # b = 0 is drawn often: whether a set holds b decides its topology
+            points = st.sets(st.just(0) | st.integers(1, 60), min_size=size or 0,
+                             max_size=6 if size is None else size)
+            return ConcreteSet(cofinite, tuple(data.draw(points)))
+
+        u = draw_set(data.draw(st.booleans()))
+        same_size = u.is_finite and data.draw(st.booleans())
+        v = draw_set(data.draw(st.booleans()), len(u.support) if same_size else None)
+        aligned = data.draw(st.booleans())
+        table = data.draw(st.dictionaries(st.integers(0, 60), st.integers(0, 60), max_size=4))
+        if aligned and u.is_finite == v.is_finite and data.draw(st.booleans()):
+            # rearrange the aligned images of some members: often a bijection
+            sources = [x for x in table if x in u]
+            images = [PointMap().apply(x, u, v) for x in sources]
+            if None not in images:
+                table.update(zip(sources, data.draw(st.permutations(images))))
+        m = PointMap(aligned, tuple(table.items()))
+
+        # Reference: the supports and exception points lie in [0, 60], so
+        # a collision or a missed point shows among small members.
+        expected = u.is_finite == v.is_finite
+        if expected:
+            domain = [x for x in range(200) if x in u]
+            images = [m.apply(x, u, v) for x in domain]
+            expected = (
+                len(set(images)) == len(images)
+                and all(y is not None and y in v for y in images)
+                and {y for y in range(100) if y in v} <= set(images)
+            )
+        if expected and u.cofinite:
+            # b is the limit point: it goes to b, and nothing else does
+            expected = all((x == 0) == (y == 0) for x, y in zip(domain, images))
+        assert check_homeomorphism(m, u, v) == expected
 
     def test_oracle_matches_descriptor_predicate_on_small_sets(self):
         panel = list(small_sets())
