@@ -15,9 +15,18 @@ from dataclasses import dataclass
 # Highest aleph index the symbolic universe admits.
 MAX_ALEPH_INDEX = 3
 
-# What ``str`` prints: ASCII digits without leading zeros, so that no
-# other spelling is read as a cardinal.
-_CANONICAL = re.compile(r"(aleph)?(0|[1-9][0-9]*)")
+# The one spelling of a natural number in text input, the one ``str``
+# prints: ASCII digits without leading zeros, so that no other spelling
+# (other scripts' digits, underscores, signs, leading zeros) is read as one.
+_NATURAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def parse_natural(text: str) -> int:
+    """Read a natural number in its canonical spelling, after ``.strip()``."""
+    digits = text.strip()
+    if _NATURAL.fullmatch(digits) is None:
+        raise ValueError(f"malformed natural number {text!r}")
+    return int(digits)
 
 
 @dataclass(frozen=True, order=True)
@@ -63,11 +72,15 @@ class Cardinal:
     def parse(cls, text: str) -> "Cardinal":
         """Inverse of ``str``: ``"3"`` or ``"aleph1"``, in canonical ASCII."""
         text = text.strip()
-        match = _CANONICAL.fullmatch(text)
-        if match is None:
+        index = text.removeprefix("aleph")
+        try:
+            n = parse_natural(index)
+        except ValueError:
+            n = None
+        # parse_natural strips, but "aleph 1" is not what str prints
+        if n is None or index[:1].isspace():
             raise ValueError(f"malformed cardinal {text!r}")
-        n = int(match[2])
-        return cls.aleph(n) if match[1] else cls.finite(n)
+        return cls.finite(n) if index == text else cls.aleph(n)
 
 
 ALEPH0 = Cardinal.aleph(0)
@@ -116,10 +129,6 @@ class LambdaValue:
     @classmethod
     def family_size(cls, label: str) -> "LambdaValue":
         return cls(family=label)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.value is not None
 
     def __str__(self) -> str:
         if self.value is not None:

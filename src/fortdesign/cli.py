@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .cardinal import ALEPH0, Cardinal, MAX_ALEPH_INDEX
+from .cardinal import ALEPH0, Cardinal, MAX_ALEPH_INDEX, parse_natural
 from .concrete import (
     ConcreteSet,
     FamilyEnumerationError,
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument(
         "probes", nargs="*", help="probes as fin:... / cofin:... strings"
     )
-    verify_p.add_argument("--cutoff", type=int, default=50)
+    verify_p.add_argument("--cutoff", type=parse_natural, default=50)
     verify_p.add_argument(
         "--refutation-demo",
         action="store_true",
@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     cross_p = sub.add_parser(
         "crosscheck", help="sweep the descriptor grid for consistency"
     )
-    cross_p.add_argument("--grid-max-aleph", type=int, default=1)
-    cross_p.add_argument("--max-finite", type=int, default=6)
+    cross_p.add_argument("--grid-max-aleph", type=parse_natural, default=1)
+    cross_p.add_argument("--max-finite", type=parse_natural, default=6)
     cross_p.add_argument("--finite-sizes-only", action="store_true")
     cross_p.add_argument(
         "--inject-fault",
@@ -338,9 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
         "brute", help="brute-force a finite instance file"
     )
     brute_p.add_argument("instance", help="instance file (n, c_size, d_size header)")
-    brute_p.add_argument("--t", type=int, default=None, help="override the probe size")
     brute_p.add_argument(
-        "--design-type", type=int, choices=(1, 2, 3, 4), default=2
+        "--t", type=parse_natural, default=None, help="override the probe size"
+    )
+    brute_p.add_argument(
+        "--design-type", type=parse_natural, choices=(1, 2, 3, 4), default=2
     )
     brute_p.set_defaults(handler=_cmd_brute)
     return parser

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .cardinal import ALEPH0, Cardinal
+from .cardinal import ALEPH0, Cardinal, parse_natural
 from .descriptors import (
     SpaceDescriptor,
     SubsetDescriptor,
@@ -128,7 +128,7 @@ class ConcreteSet:
             raise ValueError(f"concrete set must start with fin: or cofin:, got {text!r}")
         items = [part for part in body.split(",") if part.strip() != ""]
         try:
-            values = [int(part) for part in items]
+            values = [parse_natural(part) for part in items]
         except ValueError as exc:
             raise ValueError(f"malformed concrete set {text!r}") from exc
         return cls(head == "cofin", tuple(values))

@@ -39,24 +39,6 @@ class SubsetDescriptor:
     contains_b: bool
     cosize: Cardinal
 
-    def to_record(self) -> dict[str, str]:
-        return {
-            "size": str(self.size),
-            "contains_b": "true" if self.contains_b else "false",
-            "cosize": str(self.cosize),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict[str, str]) -> "SubsetDescriptor":
-        flag = record["contains_b"].strip().lower()
-        if flag not in ("true", "false"):
-            raise ValueError(f"contains_b must be true or false, got {flag!r}")
-        return cls(
-            size=Cardinal.parse(record["size"]),
-            contains_b=flag == "true",
-            cosize=Cardinal.parse(record["cosize"]),
-        )
-
     def __str__(self) -> str:
         b = "true" if self.contains_b else "false"
         return f"(size={self.size},b={b},cosize={self.cosize})"

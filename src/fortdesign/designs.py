@@ -3,15 +3,17 @@
 Given descriptors for the probe shape C and the block shape D, each decider
 returns a :class:`Verdict`: either existence together with a symbolic
 multiplicity and a witness block family, or non-existence with the name of
-the obstructing case.  Case tags are part of the wire format; the docstrings
-of the deciders list what each tag means.
+the obstructing case.  The decision rules are case tables, one ordered
+table of (tag, guard, outcome) rows per design type (``_TYPE1`` ..
+``_TYPE4``), run by one interpreter.  Case tags are part of the wire
+format; ``CASE_TAGS`` is read off the tables, and the rows say what each tag
+means.
 
 Validation contract: each public entry (``decide``, ``decide_type1`` ..
 ``decide_type4``, ``crosscheck``) validates C and D against the space exactly
-once and then runs the private rules (``_type1`` .. ``_type4``,
-``_crosscheck``).  The rules assume valid, nonempty descriptors and call only
-each other, never a public entry.  ``sweep`` validates each grid descriptor
-once per space and calls the rules directly.
+once and then runs the tables through ``_decide`` and ``_crosscheck``, which
+assume valid, nonempty descriptors and never call a public entry.  ``sweep``
+validates each grid descriptor once per space and calls them directly.
 """
 
 from __future__ import annotations
@@ -39,34 +41,6 @@ from .descriptors import (
     size_minus_b,
     validate,
 )
-
-CASE_TAGS = frozenset(
-    {
-        "remark-card",
-        "a1",
-        "a2",
-        "a3",
-        "b",
-        "c1-bound",
-        "c1-case1",
-        "c1-case2",
-        "c1-case3",
-        "c1-case4",
-        "c1-case5",
-        "c2",
-        "c3",
-        "t2-finite",
-        "t2-small",
-        "t2-full",
-        "t3",
-        "t4",
-        "t3-case1",
-        "t3-case2",
-        "t3-case3",
-        "t3-case4",
-    }
-)
-
 
 class DesignType(enum.IntEnum):
     """The four condition pairs a block family can satisfy.
@@ -202,109 +176,151 @@ def _space_minus_b(space: SpaceDescriptor) -> SubsetDescriptor:
     return SubsetDescriptor(space.size, False, ONE)
 
 
+_ONE_BLOCK = LambdaValue.exact(ONE)
+
+
+def _always(c: SubsetDescriptor, d: SubsetDescriptor, x: SpaceDescriptor) -> bool:
+    return True
+
+
+def _b_in_neither(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:
+    return not c.contains_b and not d.contains_b
+
+
+def _class_of_d(c: SubsetDescriptor, d: SubsetDescriptor, x: SpaceDescriptor):
+    return LambdaValue.family_size(FAMILY_W), ClassW(d)
+
+
+def _whole_space(c: SubsetDescriptor, d: SubsetDescriptor, x: SpaceDescriptor):
+    return _ONE_BLOCK, Singleton(_full_space(x))
+
+
+# The case tables.  Each is an ordered tuple of (tag, guard, outcome) rows
+# over valid, nonempty C and D in the space x.  The first row whose
+# guard(c, d, x) holds decides, so a guard may assume that every earlier
+# guard failed; the last row always holds.  An outcome is either the reason
+# no design exists, or a function of (c, d, x) returning the multiplicity
+# and the witness family.
+
+_TYPE1 = (
+    ("remark-card", lambda c, d, x: c.size > d.size,
+     "card(C) > card(D): no copy of D can contain a copy of C"),
+    ("a1", lambda c, d, x: _b_in_neither(c, d) and c.size.is_finite,
+     "C is finite and b is outside C and D: the b-containing copies "
+     "of C lie in no block pair-equivalent to D"),
+    ("a2", lambda c, d, x: _b_in_neither(c, d) and c.size < x.size, _class_of_d),
+    ("a3", lambda c, d, x: _b_in_neither(c, d) and d.cosize == ONE,
+     lambda c, d, x: (_ONE_BLOCK, Singleton(_space_minus_b(x)))),
+    ("a3", lambda c, d, x: _b_in_neither(c, d),
+     "with card(C) = card(D) = card(X) and b outside C and D, a design "
+     "exists only when D = X \\ {b}"),
+    ("b", lambda c, d, x: c.contains_b and not d.contains_b,
+     "b is in C but not in D: no block pair-equivalent to D contains b, "
+     "so C itself is uncovered"),
+    # b is in D from here on: finite C in the c1 rows, infinite C after them
+    ("c1-bound",
+     lambda c, d, x: c.size.is_finite and csum(c.size, Cardinal.finite(2)) > d.size,
+     "finite C with b in D requires card(C) + 2 <= card(D)"),
+    ("c1-case5", lambda c, d, x: c.size.is_finite and d.size.is_finite,
+     lambda c, d, x: (LambdaValue.exact(x.size), ClassW(d))),
+    ("c1-case4",
+     lambda c, d, x: c.size.is_finite and x.size == ALEPH0 and d.cosize == ZERO,
+     _whole_space),
+    ("c1-case3",
+     lambda c, d, x: c.size.is_finite and x.size == ALEPH0 and d.cosize.is_finite,
+     lambda c, d, x: (LambdaValue.exact(ALEPH0), ClassW(d))),
+    ("c1-case2", lambda c, d, x: c.size.is_finite and x.size == ALEPH0,
+     lambda c, d, x: (LambdaValue.exact(ALEPH0), OddTail())),
+    ("c1-case1", lambda c, d, x: c.size.is_finite, _class_of_d),
+    ("c2", lambda c, d, x: c.size < x.size, _class_of_d),
+    ("c3", lambda c, d, x: d.cosize == ZERO, _whole_space),
+    ("c3", _always,
+     "with card(C) = card(D) = card(X) and b in D, a design exists only "
+     "when D = X"),
+)
+
+_TYPE2 = (
+    ("remark-card", lambda c, d, x: c.size > d.size,
+     "card(C) > card(D): C cannot be embedded into D"),
+    ("b", lambda c, d, x: not embeddable(c, d),
+     "C is infinite and contains b while D does not: C cannot be embedded "
+     "into D"),
+    ("t2-finite", lambda c, d, x: c.size.is_finite,
+     lambda c, d, x: (
+         _ONE_BLOCK if c.size == d.size else LambdaValue.family_size(FAMILY_L),
+         ClassL(d),
+     )),
+    # the type-1 verdict here is a2 or c2: the class of D, card(W) blocks
+    ("t2-small", lambda c, d, x: c.size < x.size, _class_of_d),
+    # one block: the space, without b unless D keeps it
+    ("t2-full", _always,
+     lambda c, d, x: (
+         _ONE_BLOCK,
+         Singleton(_full_space(x) if d.contains_b else _space_minus_b(x)),
+     )),
+)
+
+_TYPE3 = (
+    ("t3-case1", lambda c, d, x: c.contains_b and not d.contains_b,
+     "b is in C but not in D"),
+    ("t3-case3",
+     lambda c, d, x: d.contains_b and not c.contains_b
+     and size_minus_b(c) > size_minus_b(d),
+     "card(C \\ {b}) > card(D \\ {b}) with b in D only"),
+    ("t3-case2", lambda c, d, x: size_minus_b(c) > size_minus_b(d),
+     "card(C \\ {b}) > card(D \\ {b}) with b in both or neither"),
+    ("t3-case4", lambda c, d, x: cosize_minus_b(d) > cosize_minus_b(c),
+     "the part of X outside D and b is strictly larger than the part "
+     "outside C and b"),
+    ("t3", _always,
+     lambda c, d, x: (LambdaValue.family_size(FAMILY_W_CONTAINING_C), ClassW(d))),
+)
+
+# Any type-2 witness also satisfies the weaker probe condition IV, so type 4
+# is type 2 with its existence rows relabelled.
+_TYPE4 = tuple(
+    (tag if isinstance(outcome, str) else "t4", guard, outcome)
+    for tag, guard, outcome in _TYPE2
+)
+
+_RULES = {
+    DesignType.TYPE1: _TYPE1,
+    DesignType.TYPE2: _TYPE2,
+    DesignType.TYPE3: _TYPE3,
+    DesignType.TYPE4: _TYPE4,
+}
+
+CASE_TAGS = frozenset(tag for table in _RULES.values() for tag, _, _ in table)
+
+
+def _decide(
+    table, c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
+) -> Verdict:
+    """Run a case table on valid, nonempty C and D: the first row that holds decides."""
+    for tag, guard, outcome in table:
+        if guard(c, d, space):
+            if isinstance(outcome, str):
+                return Verdict.no(tag, outcome)
+            return Verdict.yes(*outcome(c, d, space), tag)
+
+
 def decide_type1(
     c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
 ) -> Verdict:
     """Decide existence of a type-1 design (conditions II and III).
 
-    The case table, keyed by membership of b and the size of C:
+    A design exists iff card(C) <= card(D), b is not in C without being in
+    D, and one of these holds:
 
-    * ``remark-card``: card(C) > card(D) never admits a design of any type.
-    * b outside C and D: finite C fails (``a1``); infinite C below card(X)
-      succeeds with the pair-equivalence class of D (``a2``); at full size a
-      design exists iff D is the space minus b (``a3``).
-    * b in C only: no block equivalent to D contains b (``b``).
-    * b in D, C finite: exists iff card(C) + 2 <= card(D) (``c1-bound``
-      on failure), with the witness depending on which of the five shapes
-      D takes (``c1-case1`` .. ``c1-case5``).
-    * b in D, C infinite below card(X): the class of D works (``c2``).
-    * b in D, everything at full size: design iff D is the space (``c3``).
+    * b is outside C and D, C is infinite, and card(C) < card(X) or
+      D = X \\ {b};
+    * b is in D, C is finite, and card(C) + 2 <= card(D);
+    * b is in D, C is infinite, and card(C) < card(X) or D = X.
+
+    The cases, their tags and witnesses are the rows of ``_TYPE1``.
     """
     _require_valid(space, C=c, D=d)
-    return _type1(c, d, space)
-
-
-def _type1(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
-    if c.size > d.size:
-        return Verdict.no(
-            "remark-card", "card(C) > card(D): no copy of D can contain a copy of C"
-        )
-    if not c.contains_b and not d.contains_b:
-        if c.size.is_finite:
-            return Verdict.no(
-                "a1",
-                "C is finite and b is outside C and D: the b-containing copies "
-                "of C lie in no block pair-equivalent to D",
-            )
-        if c.size < space.size:
-            return Verdict.yes(
-                LambdaValue.family_size(FAMILY_W), ClassW(d), "a2"
-            )
-        if d.cosize == ONE:
-            return Verdict.yes(
-                LambdaValue.exact(Cardinal.finite(1)),
-                Singleton(_space_minus_b(space)),
-                "a3",
-            )
-        return Verdict.no(
-            "a3",
-            "with card(C) = card(D) = card(X) and b outside C and D, a design "
-            "exists only when D = X \\ {b}",
-        )
-    if c.contains_b and not d.contains_b:
-        return Verdict.no(
-            "b",
-            "b is in C but not in D: no block pair-equivalent to D contains b, "
-            "so C itself is uncovered",
-        )
-    # b in D from here on.
-    if c.size.is_finite:
-        if csum(c.size, Cardinal.finite(2)) > d.size:
-            return Verdict.no(
-                "c1-bound", "finite C with b in D requires card(C) + 2 <= card(D)"
-            )
-        if d.size.is_finite:
-            return Verdict.yes(
-                LambdaValue.exact(space.size), ClassW(d), "c1-case5"
-            )
-        if space.size == ALEPH0:
-            if d.cosize == ZERO:
-                return Verdict.yes(
-                    LambdaValue.exact(Cardinal.finite(1)),
-                    Singleton(_full_space(space)),
-                    "c1-case4",
-                )
-            if d.cosize.is_finite:
-                return Verdict.yes(
-                    LambdaValue.exact(ALEPH0), ClassW(d), "c1-case3"
-                )
-            return Verdict.yes(LambdaValue.exact(ALEPH0), OddTail(), "c1-case2")
-        return Verdict.yes(LambdaValue.family_size(FAMILY_W), ClassW(d), "c1-case1")
-    if c.size < space.size:
-        return Verdict.yes(LambdaValue.family_size(FAMILY_W), ClassW(d), "c2")
-    if d.cosize == ZERO:
-        return Verdict.yes(
-            LambdaValue.exact(Cardinal.finite(1)),
-            Singleton(_full_space(space)),
-            "c3",
-        )
-    return Verdict.no(
-        "c3",
-        "with card(C) = card(D) = card(X) and b in D, a design exists only "
-        "when D = X",
-    )
-
-
-def _embedding_failure(c: SubsetDescriptor, d: SubsetDescriptor) -> Verdict:
-    if c.size > d.size:
-        return Verdict.no(
-            "remark-card", "card(C) > card(D): C cannot be embedded into D"
-        )
-    return Verdict.no(
-        "b",
-        "C is infinite and contains b while D does not: C cannot be embedded "
-        "into D",
-    )
+    return _decide(_TYPE1, c, d, space)
 
 
 def decide_type2(
@@ -312,33 +328,11 @@ def decide_type2(
 ) -> Verdict:
     """Decide existence of a type-2 design (conditions I and III).
 
-    A design exists exactly when C embeds into D.  Witnesses: for finite C
-    the homeomorphism class of D (``t2-finite``, multiplicity 1 when the
-    sizes agree); for infinite C below full size the type-1 construction
-    carries over (``t2-small``); at full size a single block, the space with
-    b removed unless D keeps it, suffices (``t2-full``).
+    A design exists exactly when C embeds into D.  The cases, their tags and
+    witnesses are the rows of ``_TYPE2``.
     """
     _require_valid(space, C=c, D=d)
-    return _type2(c, d, space)
-
-
-def _type2(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
-    if not embeddable(c, d):
-        return _embedding_failure(c, d)
-    if c.size.is_finite:
-        lam = (
-            LambdaValue.exact(Cardinal.finite(1))
-            if c.size == d.size
-            else LambdaValue.family_size(FAMILY_L)
-        )
-        return Verdict.yes(lam, ClassL(d), "t2-finite")
-    if c.size < space.size:
-        # the type-1 verdict here is a2 or c2: the class of D, card(W) blocks
-        return Verdict.yes(
-            LambdaValue.family_size(FAMILY_W), ClassW(d), "t2-small"
-        )
-    member = _full_space(space) if d.contains_b else _space_minus_b(space)
-    return Verdict.yes(LambdaValue.exact(Cardinal.finite(1)), Singleton(member), "t2-full")
+    return _decide(_TYPE2, c, d, space)
 
 
 def decide_type3(
@@ -348,34 +342,11 @@ def decide_type3(
 
     A design exists iff b is not in C without being in D, the b-free part of
     C fits inside that of D, and the b-free part of D's complement fits
-    inside that of C's.  Failure tags name the first violated clause
-    (``t3-case1`` .. ``t3-case4``); on success the class of D is the witness
-    with the symbolic multiplicity card({E in W : C subset E}).
+    inside that of C's.  The cases, their tags and the witness are the rows
+    of ``_TYPE3``.
     """
     _require_valid(space, C=c, D=d)
-    return _type3(c, d, space)
-
-
-def _type3(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
-    if c.contains_b and not d.contains_b:
-        return Verdict.no("t3-case1", "b is in C but not in D")
-    if size_minus_b(c) > size_minus_b(d):
-        if d.contains_b and not c.contains_b:
-            return Verdict.no(
-                "t3-case3", "card(C \\ {b}) > card(D \\ {b}) with b in D only"
-            )
-        return Verdict.no(
-            "t3-case2", "card(C \\ {b}) > card(D \\ {b}) with b in both or neither"
-        )
-    if cosize_minus_b(d) > cosize_minus_b(c):
-        return Verdict.no(
-            "t3-case4",
-            "the part of X outside D and b is strictly larger than the part "
-            "outside C and b",
-        )
-    return Verdict.yes(
-        LambdaValue.family_size(FAMILY_W_CONTAINING_C), ClassW(d), "t3"
-    )
+    return _decide(_TYPE3, c, d, space)
 
 
 def decide_type4(
@@ -383,27 +354,11 @@ def decide_type4(
 ) -> Verdict:
     """Decide existence of a type-4 design (conditions I and IV).
 
-    Existence coincides with type 2: any type-2 witness also satisfies the
-    weaker probe condition IV, so the verdict reuses the type-2 multiplicity
-    and witness under the tag ``t4``.
+    Existence coincides with type 2, exactly when C embeds into D: the table
+    ``_TYPE4`` is ``_TYPE2`` with every existence row tagged ``t4``.
     """
     _require_valid(space, C=c, D=d)
-    return _type4(c, d, space)
-
-
-def _type4(c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
-    inner = _type2(c, d, space)
-    if inner.exists:
-        return Verdict.yes(inner.lambda_, inner.witness, "t4")
-    return inner
-
-
-_RULES = {
-    DesignType.TYPE1: _type1,
-    DesignType.TYPE2: _type2,
-    DesignType.TYPE3: _type3,
-    DesignType.TYPE4: _type4,
-}
+    return _decide(_TYPE4, c, d, space)
 
 
 def decide(
@@ -412,9 +367,9 @@ def decide(
     d: SubsetDescriptor,
     space: SpaceDescriptor,
 ) -> Verdict:
-    rule = _RULES[DesignType(design_type)]
+    table = _RULES[DesignType(design_type)]
     _require_valid(space, C=c, D=d)
-    return rule(c, d, space)
+    return _decide(table, c, d, space)
 
 
 @dataclass(frozen=True)
@@ -455,18 +410,20 @@ def crosscheck(
 ) -> CrosscheckReport:
     """Evaluate the four-way non-existence equivalence for types 2 and 4."""
     _require_valid(space, C=c, D=d)
-    return _crosscheck(c, d, space)
+    return _crosscheck(
+        c, d, _decide(_TYPE2, c, d, space), _decide(_TYPE4, c, d, space)
+    )
 
 
 def _crosscheck(
-    c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
+    c: SubsetDescriptor, d: SubsetDescriptor, type2: Verdict, type4: Verdict
 ) -> CrosscheckReport:
-    no2 = not _type2(c, d, space).exists
-    no4 = not _type4(c, d, space).exists
     obstruction = (
         not c.size.is_finite and c.contains_b and not d.contains_b
     ) or c.size > d.size
-    return CrosscheckReport(no2, no4, obstruction, not embeddable(c, d))
+    return CrosscheckReport(
+        not type2.exists, not type4.exists, obstruction, not embeddable(c, d)
+    )
 
 
 def witness_violations(
@@ -536,7 +493,7 @@ def sweep(
             for d in grid:
                 cases += 1
                 where = f"X={space.size} C={c} D={d}"
-                verdicts = {t: rule(c, d, space) for t, rule in _RULES.items()}
+                verdicts = {t: _decide(table, c, d, space) for t, table in _RULES.items()}
                 for t, v in verdicts.items():
                     if v.exists and c.size > d.size:
                         violations.append(
@@ -549,7 +506,9 @@ def sweep(
                     violations.append(f"{where}: type 1 exists but type 2 does not")
                 if verdicts[DesignType.TYPE3].exists and not verdicts[DesignType.TYPE4].exists:
                     violations.append(f"{where}: type 3 exists but type 4 does not")
-                report = _crosscheck(c, d, space)
+                report = _crosscheck(
+                    c, d, verdicts[DesignType.TYPE2], verdicts[DesignType.TYPE4]
+                )
                 if inject_fault and cases % 7 == 0:
                     report = CrosscheckReport(
                         report.no_type2,

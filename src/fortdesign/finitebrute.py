@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .cardinal import parse_natural
 from .designs import DesignType
 
 
@@ -144,13 +145,13 @@ def parse_instance(text: str) -> FiniteInstance:
     if len(parts) != 3:
         raise ValueError(f"line {header_no}: header must be 'n, c_size, d_size'")
     try:
-        n, c_size, d_size = (int(p) for p in parts)
+        n, c_size, d_size = (parse_natural(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"line {header_no}: malformed header {header!r}") from exc
     blocks = []
     for line_no, line in lines[1:]:
         try:
-            blocks.append(frozenset(int(p) for p in line.split(",")))
+            blocks.append(frozenset(parse_natural(p) for p in line.split(",")))
         except ValueError as exc:
             raise ValueError(f"line {line_no}: malformed block {line!r}") from exc
     return FiniteInstance(n=n, blocks=tuple(blocks), c_size=c_size, d_size=d_size)

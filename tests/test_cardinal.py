@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fortdesign.cardinal import ALEPH0, Cardinal, LambdaValue, csum
+from fortdesign.cardinal import ALEPH0, Cardinal, LambdaValue, csum, parse_natural
 
 GRID = [Cardinal.finite(n) for n in range(11)] + [Cardinal.aleph(i) for i in range(4)]
 
@@ -78,11 +78,20 @@ def test_string_format():
     assert Cardinal.parse(" aleph2\n") == Cardinal.aleph(2)
     # only the canonical ASCII spelling; Arabic-Indic three and fullwidth zero
     # would otherwise be read as 3 and 0
-    for text in ("alephx", "-2", "\u0663", "\uff10", "aleph01", "01", "aleph\u0663", "+3", ""):
+    for text in ("alephx", "-2", "\u0663", "\uff10", "aleph01", "01", "aleph\u0663", "+3", "",
+                 "aleph 1", "aleph\t2", "aleph", "1_0"):
         with pytest.raises(ValueError, match="malformed cardinal"):
             Cardinal.parse(text)
     with pytest.raises(ValueError, match="exceeds the supported ladder"):
         Cardinal.parse("aleph4")
+
+
+def test_parse_natural():
+    assert parse_natural(" 7\n") == 7 and parse_natural("0") == 0
+    assert parse_natural("1203") == 1203
+    for text in ("\u0663", "\uff10", "1_0", "07", "+3", "-1", "", "3 4", "0x1"):
+        with pytest.raises(ValueError, match="malformed natural number"):
+            parse_natural(text)
 
 
 @given(st.text() | st.from_regex(r"\s*(aleph)?\d{1,3}\s*", fullmatch=True))

@@ -151,6 +151,12 @@ class TestVerifyCommand:
         assert main(["verify", path, "fin:1,2,3"]) == 2
         assert "not shaped like C" in capsys.readouterr().err
 
+    def test_non_canonical_probe_is_an_input_error(self, write, capsys):
+        # once read as fin:0,2, which the odd-tail family covers
+        path = write("q.txt", QUERY_C1_CASE2)
+        assert main(["verify", path, "fin:0,\u0662"]) == 2
+        assert "malformed concrete set" in capsys.readouterr().err
+
     def test_not_exists_leaves_nothing_to_verify(self, write, capsys):
         path = write("q.txt", QUERY_EMBED_FAIL)
         assert main(["verify", path, "cofin:1"]) == 2
@@ -188,6 +194,28 @@ class TestCrosscheckCommand:
         assert main(["crosscheck", "--max-finite", "0"]) == 2
 
 
+# Integer options read only canonical ASCII naturals; the first argv once
+# ran the sweep with max_finite = 2, max_aleph = 0 and exited 0.
+NON_CANONICAL_OPTIONS = [
+    ["crosscheck", "--max-finite", "\u0662", "--grid-max-aleph", "\u0660"],
+    ["crosscheck", "--max-finite", "07"],
+    ["crosscheck", "--grid-max-aleph", "+0"],
+    ["verify", "--refutation-demo", "--cutoff", "5_0"],
+    ["verify", "--refutation-demo", "--cutoff", "\u0665\u0660"],
+    ["brute", "{instance}", "--t", "\u0661"],
+    ["brute", "{instance}", "--design-type", "\u0662"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_CANONICAL_OPTIONS)
+def test_non_canonical_integer_options_exit_2(argv, write, capsys):
+    path = write("inst.txt", all_3_subsets_of_7())
+    with pytest.raises(SystemExit) as caught:
+        main([arg.format(instance=path) for arg in argv])
+    assert caught.value.code == 2
+    assert "invalid parse_natural value" in capsys.readouterr().err
+
+
 class TestBruteCommand:
     def test_all_k_subsets(self, write, capsys):
         path = write("inst.txt", all_3_subsets_of_7())
@@ -218,6 +246,10 @@ class TestBruteCommand:
     def test_malformed_file(self, write, capsys):
         path = write("inst.txt", "7, 2\n0,1\n")
         assert main(["brute", path]) == 2
+        text = all_3_subsets_of_7().replace("7, 2, 3", "\u0667, 2, 3")
+        path = write("inst.txt", text)
+        assert main(["brute", path]) == 2
+        assert "malformed header" in capsys.readouterr().err
 
     def test_condition_violation(self, write, capsys):
         path = write("inst.txt", "5, 2, 3\n0,1,2\n3,4\n")

@@ -70,8 +70,12 @@ class TestConcreteSet:
         assert ConcreteSet.parse("cofin:") == Co(())
         with pytest.raises(ValueError):
             ConcreteSet.parse("open:1")
-        with pytest.raises(ValueError):
-            ConcreteSet.parse("fin:1,x")
+        assert ConcreteSet.parse(" cofin: 3 , 10,") == Co((3, 10))
+        # only canonical ASCII naturals: these once read as fin:3,7,10 etc.
+        for text in ("fin:1,x", "fin:\u0663,1_0, 07", "fin:\u0663", "fin:1_0",
+                     "fin:07", "fin:+3", "fin:-1", "cofin:\uff11"):
+            with pytest.raises(ValueError, match="malformed concrete set"):
+                ConcreteSet.parse(text)
 
     @given(
         st.booleans(),

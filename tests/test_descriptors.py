@@ -1,7 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal
 from fortdesign.descriptors import (
@@ -152,26 +151,6 @@ def test_embeddable_reflexive_and_transitive_on_the_grid():
     for a, b, c in itertools.product(grid, repeat=3):
         if embeddable(a, b) and embeddable(b, c):
             assert embeddable(a, c)
-
-
-sizes = st.one_of(
-    st.integers(0, 9).map(Cardinal.finite), st.integers(0, 2).map(Cardinal.aleph)
-)
-
-
-@given(sizes, st.booleans(), sizes)
-def test_record_round_trip(size, flag, cosize):
-    d = SubsetDescriptor(size, flag, cosize)
-    assert SubsetDescriptor.from_record(d.to_record()) == d
-
-
-def test_record_keys():
-    record = sd(F(3), True, ALEPH0).to_record()
-    assert record == {"size": "3", "contains_b": "true", "cosize": "aleph0"}
-    with pytest.raises(ValueError):
-        SubsetDescriptor.from_record(
-            {"size": "3", "contains_b": "yes", "cosize": "aleph0"}
-        )
 
 
 def test_grid_is_valid_and_nonempty():

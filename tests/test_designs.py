@@ -261,3 +261,46 @@ def test_verdict_construction_guards():
         Verdict(True, "a2")  # existence needs a multiplicity and witness
     with pytest.raises(ValueError):
         Verdict.no("made-up-tag", "nope")
+
+
+def grid_cases():
+    for index in range(4):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        grid = descriptor_grid(space)
+        for c, d in itertools.product(grid, repeat=2):
+            yield c, d, space
+
+
+def deciding_row(table, c, d, space):
+    return next(i for i, (_, guard, _) in enumerate(table) if guard(c, d, space))
+
+
+def test_every_table_row_decides_some_grid_case():
+    # no row is shadowed by the rows above it, and the last row catches the rest
+    hits = {t: set() for t in DesignType}
+    for c, d, space in grid_cases():
+        for t, table in designs._RULES.items():
+            row = deciding_row(table, c, d, space)
+            hits[t].add(row)
+            assert decide(t, c, d, space).case_tag == table[row][0]
+    for t, table in designs._RULES.items():
+        assert hits[t] == set(range(len(table))), t
+        assert table[-1][1] is designs._always
+
+
+def test_case_tags_are_the_wire_format():
+    assert CASE_TAGS == {
+        "remark-card", "a1", "a2", "a3", "b",
+        "c1-bound", "c1-case1", "c1-case2", "c1-case3", "c1-case4", "c1-case5",
+        "c2", "c3", "t2-finite", "t2-small", "t2-full",
+        "t3", "t3-case1", "t3-case2", "t3-case3", "t3-case4", "t4",
+    }
+
+
+def test_type4_table_agrees_with_type2_on_existence():
+    for c, d, space in grid_cases():
+        v2 = designs._decide(designs._TYPE2, c, d, space)
+        v4 = designs._decide(designs._TYPE4, c, d, space)
+        assert v4.exists == v2.exists
+        assert (v4.lambda_, v4.witness) == (v2.lambda_, v2.witness)
+        assert v4.case_tag == ("t4" if v4.exists else v2.case_tag)

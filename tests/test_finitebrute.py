@@ -96,5 +96,11 @@ def test_parse_instance():
         parse_instance("7, 2\n0,1\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_instance("7, 2, 3\n0,x,2\n")
+    # only canonical ASCII naturals: the first header once read as n = 7
+    for header in ("\u0667, 2, 3", "7, 02, 3", "7, 2, 3_0", "7, +2, 3"):
+        with pytest.raises(ValueError, match="line 1: malformed header"):
+            parse_instance(header + "\n0,1,2\n")
+    with pytest.raises(ValueError, match="line 2: malformed block"):
+        parse_instance("7, 2, 3\n0,1,\u0662\n")
     with pytest.raises(ValueError, match="empty"):
         parse_instance("\n\n")
