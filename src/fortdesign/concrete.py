@@ -4,15 +4,18 @@ Finite and cofinite subsets are first-class values; the explicit odd-tail
 block family gets its own rule-based representation because its blocks are
 neither finite nor cofinite.  The functions here ground the symbolic
 classifiers: homeomorphisms are built and checked exactly from the
-exception table, block families are enumerated over bounded windows, and
-containment counts are reported as exact-within-window or saturated lower
-bounds, never extrapolated.
+exception table, and block families are counted over bounded windows.
+Containment counts are reported as exact-within-window or saturated lower
+bounds, never extrapolated.  :func:`local_design_check` counts a window in
+closed form; :func:`blocks_containing` enumerates the same window block by
+block and gives the same numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .cardinal import ALEPH0, Cardinal, parse_natural
@@ -366,52 +369,90 @@ class BlockCount:
         return f"AtLeast({self.value})" if self.saturated else f"Exactly({self.value})"
 
 
-def _class_w_blocks(base: SubsetDescriptor, prefix: int):
-    """Enumerate the pair-equivalence class of a realizable base over [0, prefix].
+def _class_w_layout(base: SubsetDescriptor) -> tuple[bool, bool, int]:
+    """How the window of the class of a realizable base is laid out.
 
-    The window is every class member whose symmetric difference with the
-    canonical representative lies inside the prefix.
+    Returns ``(cofinite, pinned, free)``: a finite block is ``R``, plus b
+    when ``pinned``; a cofinite block excludes ``R``, and b too when
+    ``pinned``; ``R`` ranges over the ``free``-subsets of ``[1, prefix]``.
     """
     if base.size.is_finite:
-        d = base.size.value
-        if base.contains_b:
-            for rest in itertools.combinations(range(1, prefix + 1), d - 1):
-                yield ConcreteSet.finite((0,) + rest)
-        else:
-            for elems in itertools.combinations(range(1, prefix + 1), d):
-                yield ConcreteSet.finite(elems)
-    elif base.cosize.is_finite:
-        k = base.cosize.value
-        if base.contains_b:
-            for exc in itertools.combinations(range(1, prefix + 1), k):
-                yield ConcreteSet.cofinite_set(exc)
-        else:
-            for rest in itertools.combinations(range(1, prefix + 1), k - 1):
-                yield ConcreteSet.cofinite_set((0,) + rest)
-    else:
-        raise FamilyEnumerationError(
-            "the class of a doubly-infinite base has no bounded realization"
-        )
+        return False, base.contains_b, base.size.value - base.contains_b
+    if base.cosize.is_finite:
+        return True, not base.contains_b, base.cosize.value - (not base.contains_b)
+    raise FamilyEnumerationError(
+        "the class of a doubly-infinite base has no bounded realization"
+    )
 
 
-def _window_blocks(family: FamilyDescriptor, cutoff: int, prefix: int) -> list[Block]:
+def _window_blocks(
+    family: FamilyDescriptor, cutoff: int, prefix: int
+) -> Iterator[Block]:
+    """Stream the blocks of the family's bounded window, in a fixed order.
+
+    The window is the first ``cutoff`` odd-tail blocks, the single block,
+    or every class member whose symmetric difference with the canonical
+    representative lies inside the prefix.
+    """
     if isinstance(family, OddTail):
-        return [OddTailBlock(s) for s in range(1, cutoff + 1)]
+        return (OddTailBlock(s) for s in range(1, cutoff + 1))
     if isinstance(family, Singleton):
-        return [realize_descriptor(family.member)]
+        return iter((realize_descriptor(family.member),))
     if isinstance(family, ClassW):
-        return list(_class_w_blocks(family.base, prefix))
+        cofinite, pinned, free = _class_w_layout(family.base)
+        fixed = (0,) if pinned else ()
+        return (
+            ConcreteSet(cofinite, fixed + rest)
+            for rest in itertools.combinations(range(1, prefix + 1), free)
+        )
     raise FamilyEnumerationError(
         f"{family.to_text()} has no bounded enumeration strategy"
     )
 
 
-def _block_contains(block: Block, probe: ConcreteSet) -> bool:
-    return block.issuperset(probe)
+def _window_count(
+    family: FamilyDescriptor, probe: ConcreteSet, cutoff: int, prefix: int
+) -> int:
+    """The number of window blocks containing the probe, in closed form."""
+    if isinstance(family, OddTail):
+        if probe.cofinite:
+            return 0
+        # block s holds the odd point 2j+1 exactly when j < s
+        need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
+        return max(cutoff - need + 1, 0)
+    if isinstance(family, Singleton):
+        return int(realize_descriptor(family.member).issuperset(probe))
+    if isinstance(family, ClassW):
+        cofinite, pinned, free = _class_w_layout(family.base)
+        inside = sum(1 for x in probe.support if 1 <= x <= prefix)
+        if not cofinite:
+            # every probe point must be b on a pinned block or lie in R
+            outside = len(probe.support) - inside
+            if probe.cofinite or outside != (pinned and 0 in probe.support):
+                return 0
+            return math.comb(prefix - inside, free - inside) if inside <= free else 0
+        if pinned and 0 in probe:  # a pinned cofinite block lacks b
+            return 0
+        # R avoids a finite probe's points, or lies among a cofinite one's
+        # excluded points
+        return math.comb(inside if probe.cofinite else prefix - inside, free)
+    raise FamilyEnumerationError(
+        f"{family.to_text()} has no bounded enumeration strategy"
+    )
 
 
-def _default_prefix(cutoff: int) -> int:
-    return max(12, cutoff + 2)
+def _saturated(count: int, cutoff: int) -> BlockCount:
+    return BlockCount.at_least(cutoff) if count >= cutoff else BlockCount.exactly(count)
+
+
+def _window_prefix(cutoff: int, prefix: int | None) -> int:
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    if prefix is None:
+        return max(12, cutoff + 2)
+    if prefix < 0:
+        raise ValueError("prefix must be >= 0")
+    return prefix
 
 
 def blocks_containing(
@@ -420,22 +461,23 @@ def blocks_containing(
     cutoff: int,
     prefix: int | None = None,
 ) -> BlockCount:
-    """Count enumerated blocks containing the probe, saturating at cutoff.
+    """Count window blocks containing the probe by literal enumeration.
 
     The count is over the family's bounded window (the first ``cutoff``
-    odd-tail blocks, the prefix-bounded class members, or the single block)
-    and is a lower bound for the family at large; it is never extrapolated.
+    odd-tail blocks, the class members that differ from the canonical one
+    only inside ``[1, prefix]``, or the single block) and is a lower bound
+    for the family at large; it is never extrapolated.  Blocks are drawn
+    one by one and drawing stops once ``cutoff`` of them hold the probe.
+    :func:`local_design_check` gives the same counts in closed form; this
+    function is the literal reference for them.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    window = _window_blocks(family, cutoff, prefix or _default_prefix(cutoff))
     count = 0
-    for block in window:
-        if _block_contains(block, probe):
+    for block in _window_blocks(family, cutoff, _window_prefix(cutoff, prefix)):
+        if block.issuperset(probe):
             count += 1
             if count >= cutoff:
-                return BlockCount.at_least(cutoff)
-    return BlockCount.exactly(count)
+                break
+    return _saturated(count, cutoff)
 
 
 def _global_exact_count(family: FamilyDescriptor, probe: ConcreteSet) -> int | None:
@@ -551,23 +593,37 @@ def local_design_check(
 ) -> DesignCheckReport:
     """Check a witness family against the design conditions on a bounded window.
 
-    Every enumerated block must be shaped like D (and have its complement
+    Every window block must be shaped like D (and have its complement
     shaped like X \\ D when ``require_complement``, i.e. for the types that
     constrain complements).  Probes not shaped like C are rejected and
     listed.  For the accepted probes the report carries containment counts
     and flags any pair with provably different family-wide counts.
+
+    The window is the one :func:`blocks_containing` enumerates, but nothing
+    here walks it: ``blocks_checked`` and the counts come in closed form
+    (binomial coefficients over ``[1, prefix]`` for W(D), arithmetic on the
+    largest odd point for the odd-tail family) and equal the literal ones.
+    All blocks of a window share one descriptor, so only the first block is
+    shape-checked; when it fails, every block is listed with its failure.
     """
-    window = _window_blocks(family, cutoff, prefix or _default_prefix(cutoff))
-    co_d = descriptor_complement(d, COUNTABLE_SPACE)
-    failures: list[str] = []
-    for block in window:
-        block_desc = extract_descriptor(block)
-        if not subspace_homeomorphic(block_desc, d):
-            failures.append(f"{block.to_text()}: not shaped like D")
+    prefix = _window_prefix(cutoff, prefix)
+    blocks = _window_blocks(family, cutoff, prefix)
+    first = next(blocks, None)
+    failure = None
+    if first is not None:
+        shape = extract_descriptor(first)
+        if not subspace_homeomorphic(shape, d):
+            failure = "not shaped like D"
         elif require_complement and not subspace_homeomorphic(
-            descriptor_complement(block_desc, COUNTABLE_SPACE), co_d
+            descriptor_complement(shape, COUNTABLE_SPACE),
+            descriptor_complement(d, COUNTABLE_SPACE),
         ):
-            failures.append(f"{block.to_text()}: complement not shaped like X \\ D")
+            failure = "complement not shaped like X \\ D"
+    failures = (
+        [f"{block.to_text()}: {failure}" for block in itertools.chain((first,), blocks)]
+        if failure
+        else []
+    )
 
     accepted: list[ProbeReport] = []
     rejected: list[ConcreteSet] = []
@@ -575,14 +631,15 @@ def local_design_check(
         if not subspace_homeomorphic(extract_descriptor(probe), c):
             rejected.append(probe)
             continue
-        count = blocks_containing(family, probe, cutoff, prefix)
+        count = _saturated(_window_count(family, probe, cutoff, prefix), cutoff)
         accepted.append(
             ProbeReport(probe, count, _global_exact_count(family, probe))
         )
 
     return DesignCheckReport(
         family=family,
-        blocks_checked=len(window),
+        # every block holds the empty set
+        blocks_checked=_window_count(family, ConcreteSet.finite(()), cutoff, prefix),
         block_failures=tuple(failures),
         probes=tuple(accepted),
         rejected=tuple(rejected),

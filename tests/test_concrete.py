@@ -1,10 +1,14 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fortdesign import concrete
 from fortdesign.cardinal import ALEPH0, Cardinal
+from fortdesign.cli import main
 from fortdesign.concrete import (
+    COUNTABLE_SPACE,
     BlockCount,
     ConcreteSet,
     FamilyEnumerationError,
@@ -20,7 +24,7 @@ from fortdesign.concrete import (
     realize,
     realize_descriptor,
 )
-from fortdesign.descriptors import SubsetDescriptor, subspace_homeomorphic
+from fortdesign.descriptors import SubsetDescriptor, complement, subspace_homeomorphic
 from fortdesign.designs import ClassL, ClassW, OddTail, Singleton
 
 F = ConcreteSet.finite
@@ -271,6 +275,30 @@ class TestBlockCounts:
     def test_cutoff_must_be_positive(self):
         with pytest.raises(ValueError):
             blocks_containing(OddTail(), F((1,)), 0)
+        d = sd(ALEPH0, True, ALEPH0)
+        with pytest.raises(ValueError, match="cutoff"):
+            local_design_check(OddTail(), d, d, [], cutoff=0)
+
+    def test_prefix_zero_is_the_empty_prefix(self):
+        # W(D) blocks differ from the canonical one only inside [1, 0]: the
+        # pinned {0} is the only block with b, and none has size 2 without b
+        c, d = sd(FC(0), False, ALEPH0), sd(FC(1), True, ALEPH0)
+        report = local_design_check(ClassW(d), c, d, [F(())], cutoff=5, prefix=0)
+        assert report.blocks_checked == 1
+        assert [p.count for p in report.probes] == [BlockCount.exactly(1)]
+        assert blocks_containing(ClassW(d), F((0,)), 5, prefix=0) == BlockCount.exactly(1)
+        c, d = sd(FC(1), False, ALEPH0), sd(FC(2), False, ALEPH0)
+        report = local_design_check(ClassW(d), c, d, [F((1,))], cutoff=5, prefix=0)
+        assert report.blocks_checked == 0
+        assert [p.count for p in report.probes] == [BlockCount.exactly(0)]
+        assert blocks_containing(ClassW(d), F((1,)), 5, prefix=0) == BlockCount.exactly(0)
+
+    def test_negative_prefix_is_rejected(self):
+        d = sd(FC(2), False, ALEPH0)
+        with pytest.raises(ValueError, match="prefix"):
+            local_design_check(ClassW(d), d, d, [], cutoff=5, prefix=-1)
+        with pytest.raises(ValueError, match="prefix"):
+            blocks_containing(ClassW(d), F((1,)), 5, prefix=-1)
 
 
 class TestLocalDesignCheck:
@@ -321,3 +349,141 @@ class TestLocalDesignCheck:
             require_complement=False,
         )
         assert relaxed.block_failures == ()
+
+
+# every base whose class has a bounded window: a finite size or a finite
+# cosize (0-4), with or without b where the descriptor is valid
+REALIZABLE_BASES = [sd(FC(k), b, ALEPH0) for k in range(5) for b in (False, True) if k or not b]
+REALIZABLE_BASES += [sd(ALEPH0, b, FC(k)) for k in range(5) for b in (False, True) if k or b]
+ODD_TAIL_D = sd(ALEPH0, True, ALEPH0)
+
+
+@st.composite
+def windows_and_probes(draw):
+    """A window (family, block descriptor, cutoff, prefix) and probes on
+    points of [0, prefix + 3], or [0, 2 * cutoff + 5] for the odd-tail."""
+    kind = draw(st.sampled_from(("class-w", "odd-tail", "singleton")))
+    cutoff = draw(st.integers(1, 60))
+    if kind == "odd-tail":
+        family, d, prefix, top = OddTail(), ODD_TAIL_D, None, 2 * cutoff + 5
+    else:
+        d = draw(st.sampled_from(REALIZABLE_BASES))
+        family = ClassW(d) if kind == "class-w" else Singleton(d)
+        prefix = draw(st.integers(0, 14))
+        top = prefix + 3
+    points = st.frozensets(st.integers(0, top), max_size=6)
+    probes = draw(st.lists(st.builds(ConcreteSet, st.booleans(), points), max_size=4))
+    return family, d, cutoff, prefix, probes
+
+
+def literal_failures(family, d, cutoff, prefix, require_complement):
+    """Walk the whole window and list each block's shape failure."""
+    co_d = complement(d, COUNTABLE_SPACE)
+    out = []
+    for block in concrete._window_blocks(family, cutoff, prefix):
+        desc = extract_descriptor(block)
+        if not subspace_homeomorphic(desc, d):
+            out.append(f"{block.to_text()}: not shaped like D")
+        elif require_complement and not subspace_homeomorphic(
+            complement(desc, COUNTABLE_SPACE), co_d
+        ):
+            out.append(f"{block.to_text()}: complement not shaped like X \\ D")
+    return out
+
+
+class TestClosedFormWindows:
+    @given(windows_and_probes())
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_matches_literal_enumeration(self, case):
+        family, d, cutoff, prefix, probes = case
+        window = list(concrete._window_blocks(family, cutoff, 0 if prefix is None else prefix))
+        # the shape check reads the first block only: all blocks share it
+        assert len({extract_descriptor(block) for block in window}) <= 1
+        for probe in probes:
+            report = local_design_check(
+                family, extract_descriptor(probe), d, [probe], cutoff, prefix=prefix
+            )
+            assert report.blocks_checked == len(window)
+            assert report.block_failures == ()
+            assert report.rejected == ()
+            (probe_report,) = report.probes
+            assert probe_report.count == blocks_containing(family, probe, cutoff, prefix)
+
+    @pytest.mark.parametrize(
+        "family, d",
+        [
+            # blocks of size 3 against a D of size 2
+            (ClassW(sd(FC(3), True, ALEPH0)), sd(FC(2), True, ALEPH0)),
+            (ClassW(sd(ALEPH0, False, FC(2))), sd(ALEPH0, True, FC(2))),
+            # shaped like D, but the complements are finite
+            (ClassW(sd(ALEPH0, True, FC(2))), sd(ALEPH0, True, ALEPH0)),
+            (Singleton(sd(ALEPH0, True, FC(0))), sd(ALEPH0, True, ALEPH0)),
+            # shaped like D, but the complements are infinite
+            (OddTail(), sd(ALEPH0, True, FC(2))),
+        ],
+    )
+    @pytest.mark.parametrize("require_complement", [True, False])
+    def test_block_failures_match_a_literal_walk(self, family, d, require_complement):
+        cutoff, prefix = 7, 9
+        report = local_design_check(
+            family, d, d, [], cutoff, require_complement=require_complement, prefix=prefix
+        )
+        assert list(report.block_failures) == literal_failures(
+            family, d, cutoff, prefix, require_complement
+        )
+        if require_complement:
+            assert report.block_failures
+        block_d = extract_descriptor(next(concrete._window_blocks(family, cutoff, prefix)))
+        matching = local_design_check(family, block_d, block_d, [], cutoff, prefix=prefix)
+        assert matching.block_failures == ()
+        assert report.blocks_checked == matching.blocks_checked == sum(
+            1 for _ in concrete._window_blocks(family, cutoff, prefix)
+        )
+
+
+@pytest.fixture
+def window_draws_two_blocks(monkeypatch):
+    """Make the window stream raise at a third draw."""
+    drawn = concrete._window_blocks
+
+    def two_draws(*args):
+        blocks = drawn(*args)
+        yield next(blocks)
+        yield next(blocks)
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(concrete, "_window_blocks", two_draws)
+
+
+@pytest.mark.usefixtures("window_draws_two_blocks")
+class TestNoEnumeration:
+    def test_huge_class_w_window(self):
+        cutoff = 10**6
+        c, d = sd(FC(3), False, ALEPH0), sd(FC(4), False, ALEPH0)
+        probes = [F((1, 2, 3)), F((0, 1, 2)), F((1, 2, cutoff + 2)), F((1, 2, cutoff + 3))]
+        report = local_design_check(ClassW(d), c, d, probes, cutoff)
+        assert report.blocks_checked == math.comb(cutoff + 2, 4)
+        assert [p.count for p in report.probes] == [
+            BlockCount.exactly(cutoff - 1),
+            BlockCount.exactly(0),
+            BlockCount.exactly(cutoff - 1),
+            BlockCount.exactly(0),
+        ]
+        # no block holds b, while cofinally many hold the others
+        assert report.refutation[0].probe == F((0, 1, 2))
+
+    def test_huge_odd_tail_window(self):
+        cutoff = 10**9
+        c = sd(FC(2), True, ALEPH0)
+        probes = [F((0, 2 * 10**6 + 1)), F((0, 2))]
+        report = local_design_check(OddTail(), c, ODD_TAIL_D, probes, cutoff)
+        assert report.blocks_checked == cutoff
+        assert [p.count for p in report.probes] == [
+            BlockCount.exactly(cutoff - 10**6),
+            BlockCount.at_least(cutoff),
+        ]
+
+    def test_refutation_demo_at_a_huge_cutoff(self, capsys):
+        argv = ["verify", "--refutation-demo", "--cutoff", "1000000", "--format", "record"]
+        assert main(argv) == 1
+        assert "blocks_checked: 500001500001\n" in capsys.readouterr().out
