@@ -4,8 +4,11 @@ A finite Fort space is discrete (any subset avoiding b is open, and every
 b-containing subset has finite complement), so homeomorphism degenerates to
 equal cardinality and the four design types collapse pairwise onto the
 classical t-(n,k,lambda) notion.  This module is the definitional sanity
-anchor: it enumerates every probe and counts containments literally, with
-the closed-form binomial count as an independent cross-check.
+anchor, with the closed-form binomial count as an independent cross-check.
+Probes are counted through a per-point index of block bitmasks and walked
+in lexicographic order only while their counts agree, so a call visits at
+most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes; every count it reports is
+then recounted literally, probe set against block, before it is returned.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ class FiniteInstance:
             raise ValueError("ground set needs at least 2 elements")
         if not (1 <= self.c_size <= self.d_size <= self.n):
             raise ValueError("sizes must satisfy 1 <= c_size <= d_size <= n")
-        ground = set(range(self.n))
         frozen = tuple(frozenset(b) for b in self.blocks)
         object.__setattr__(self, "blocks", frozen)
         for i, block in enumerate(frozen):
-            if not block <= ground:
+            if not all(isinstance(x, int) and 0 <= x < self.n for x in block):
                 raise ValueError(f"block {i} leaves the ground set")
         if len(set(frozen)) != len(frozen):
             raise ValueError("blocks must be pairwise distinct")
@@ -75,40 +77,71 @@ class BruteOutcome:
 
 
 def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
-    """Count containments of every probe and report the common count.
+    """Report the common containment count of the c_size-subset probes, or
+    the first probe, in lexicographic order, whose count differs from the
+    count of ``(0, ..., t-1)``.
 
-    The block and probe conditions are applied literally per type: types 1
-    and 3 also check the block's complement size, types 3 and 4 restrict
-    probes to those with matching complement size.  On a finite discrete
-    ground set both extra checks are vacuous, which is exactly what the
-    type-agreement properties assert.
+    On a finite discrete ground set every subset of a size is homeomorphic
+    to every other of that size, and a block's complement size is fixed by
+    its size.  So condition II (types 1 and 3) holds once condition I does,
+    and the probes of matching complement size (types 3 and 4) are all the
+    probes: the four types ask one question, and only condition I is checked.
+
+    The walk stops at the first count that differs.  When the first probe
+    lies in no block, that is the smallest t-subset of any block, read off
+    the blocks without walking.  Otherwise every probe passed lies in some
+    block, so at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes are counted.
+    Each reported count is recounted literally; a disagreement raises
+    ``RuntimeError``.
     """
-    design_type = DesignType(design_type)
-    check_block_complement = design_type in (DesignType.TYPE1, DesignType.TYPE3)
-    restrict_probes = design_type in (DesignType.TYPE3, DesignType.TYPE4)
-
+    DesignType(design_type)  # rejects an unknown type; the four agree here
     for i, block in enumerate(inst.blocks):
         if len(block) != inst.d_size:
             raise ValueError(
                 f"condition I violated: block {i} has size {len(block)}, "
                 f"expected {inst.d_size}"
             )
-        if check_block_complement and inst.n - len(block) != inst.n - inst.d_size:
-            raise ValueError(f"condition II violated: block {i}")
+    if not inst.blocks:
+        return BruteOutcome.exactly(0)
 
-    expected: int | None = None
-    witness: tuple[tuple[int, ...], int] | None = None
-    for probe in itertools.combinations(range(inst.n), inst.c_size):
-        if restrict_probes and inst.n - len(probe) != inst.n - inst.c_size:
-            continue
-        probe_set = set(probe)
-        count = sum(1 for block in inst.blocks if probe_set <= block)
-        if expected is None:
-            expected = count
-            witness = (probe, count)
-        elif count != expected:
-            return BruteOutcome.non_uniform(witness[0], witness[1], probe, count)
-    return BruteOutcome.exactly(expected if expected is not None else 0)
+    # bit i of masks[x] is set when block i holds x
+    masks: dict[int, int] = {}
+    for i, block in enumerate(inst.blocks):
+        for x in block:
+            masks[x] = masks.get(x, 0) | 1 << i
+
+    def count(probe: tuple[int, ...]) -> int:
+        common = masks.get(probe[0], 0)
+        for x in probe[1:]:
+            common &= masks.get(x, 0)
+        return common.bit_count()
+
+    t = inst.c_size
+    first = tuple(range(t))
+    c0 = count(first)
+    if c0 == 0:
+        second = min(tuple(sorted(block)[:t]) for block in inst.blocks)
+    else:
+        second = next(
+            (p for p in itertools.combinations(range(inst.n), t) if count(p) != c0),
+            None,
+        )
+    if second is None:
+        return BruteOutcome.exactly(_recounted(inst, first, c0))
+    return BruteOutcome.non_uniform(
+        first, _recounted(inst, first, c0), second, _recounted(inst, second, count(second))
+    )
+
+
+def _recounted(inst: FiniteInstance, probe: tuple[int, ...], count: int) -> int:
+    """``count`` once the definition agrees: blocks holding ``probe``."""
+    probe_set = set(probe)
+    literal = sum(1 for block in inst.blocks if probe_set <= block)
+    if literal != count:
+        raise RuntimeError(
+            f"indexed count {count} of probe {probe} disagrees with literal count {literal}"
+        )
+    return count
 
 
 def all_k_subsets_lambda(n: int, k: int, t: int) -> int:

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from fortdesign import finitebrute
 from fortdesign.designs import DesignType
 from fortdesign.finitebrute import (
     BruteOutcome,
@@ -69,6 +71,10 @@ def test_instance_validation():
         FiniteInstance(4, (frozenset({0, 1}), frozenset({1, 0})), 1, 2)
     with pytest.raises(ValueError):
         FiniteInstance(4, (), 3, 2)
+    # 1.0 == 1, so only a type check keeps it out
+    for point in (-1, 4, 1.0, "1"):
+        with pytest.raises(ValueError, match="block 1 leaves the ground set"):
+            FiniteInstance(4, (frozenset({0, 1}), frozenset({2, point})), 1, 2)
 
 
 def test_types_collapse_pairwise_on_random_instances():
@@ -85,6 +91,79 @@ def test_types_collapse_pairwise_on_random_instances():
         results = {t: brute_lambda(inst, t) for t in DesignType}
         assert results[DesignType.TYPE1] == results[DesignType.TYPE2]
         assert results[DesignType.TYPE3] == results[DesignType.TYPE4]
+
+
+def reference_lambda(inst: FiniteInstance) -> BruteOutcome:
+    """The definition walked literally: every probe, in lexicographic order,
+    tested against every block, up to the first count that differs."""
+    first = None
+    for probe in itertools.combinations(range(inst.n), inst.c_size):
+        probe_set = set(probe)
+        count = sum(1 for block in inst.blocks if probe_set <= block)
+        if first is None:
+            first = (probe, count)
+        elif count != first[1]:
+            return BruteOutcome.non_uniform(*first, probe, count)
+    return BruteOutcome.exactly(first[1])
+
+
+@st.composite
+def instances(draw):
+    """Instances with n <= 9 whose blocks are none, some or all k-subsets;
+    one mode keeps only blocks missing a point of the first probe."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n))
+    t = draw(st.integers(1, k))
+    pool = list(itertools.combinations(range(n), k))
+    mode = draw(st.sampled_from(("some", "all", "first-probe-in-none")))
+    if mode == "first-probe-in-none":
+        pool = [b for b in pool if b[:t] != tuple(range(t))]
+    if mode != "all":
+        keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+        pool = [b for b, kept in zip(pool, keep) if kept]
+    return FiniteInstance(n, tuple(frozenset(b) for b in pool), t, k)
+
+
+@given(instances())
+@example(FiniteInstance(6, (), 2, 3))
+@example(FiniteInstance(6, (frozenset({3, 4, 5}), frozenset({1, 2, 5})), 2, 3))
+def test_indexed_counts_match_the_literal_walk(inst):
+    expected = reference_lambda(inst)
+    for design_type in DesignType:
+        assert brute_lambda(inst, design_type) == expected
+
+
+@pytest.fixture
+def walked_probes(monkeypatch):
+    """The probes ``brute_lambda`` draws from its lexicographic walk; more
+    than 10 fail the test at once instead of walking on."""
+    combinations = itertools.combinations
+    drawn = []
+
+    def counted(*args):
+        for probe in combinations(*args):
+            drawn.append(probe)
+            if len(drawn) > 10:
+                raise AssertionError("walked more than 10 probes")
+            yield probe
+
+    monkeypatch.setattr(finitebrute.itertools, "combinations", counted)
+    return drawn
+
+
+def test_no_blocks_is_exactly_zero_without_a_walk(walked_probes):
+    inst = FiniteInstance(200, (), 4, 5)
+    assert brute_lambda(inst, DesignType.TYPE2) == BruteOutcome.exactly(0)
+    assert walked_probes == []
+
+
+def test_first_probe_in_no_block_is_answered_from_the_blocks(walked_probes):
+    n = 10**5
+    blocks = tuple(frozenset(range(n - j, n - j + 3)) for j in (3, 6, 9))
+    inst = FiniteInstance(n, blocks, 2, 3)
+    expected = BruteOutcome.non_uniform((0, 1), 0, (n - 9, n - 8), 1)
+    assert brute_lambda(inst, DesignType.TYPE1) == expected
+    assert walked_probes == []
 
 
 def test_parse_instance():
