@@ -9,15 +9,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cardinal import ALEPH0, Cardinal, MAX_ALEPH_INDEX, parse_natural
 from .concrete import (
+    COUNTABLE_SPACE,
     ConcreteSet,
     FamilyEnumerationError,
+    extract_descriptor,
     local_design_check,
 )
-from .descriptors import SpaceDescriptor, SubsetDescriptor, validate
+from .descriptors import (
+    SpaceDescriptor,
+    SubsetDescriptor,
+    complement,
+    subspace_homeomorphic,
+    validate,
+)
 from .designs import (
     ClassW,
     DescriptorError,
@@ -64,17 +72,8 @@ def _parse_fields(text: str) -> dict[str, str]:
     return fields
 
 
-_KNOWN_KEYS = {
-    "space.size",
-    "type",
-    "C.size",
-    "C.contains_b",
-    "C.b",
-    "C.cosize",
-    "D.size",
-    "D.contains_b",
-    "D.b",
-    "D.cosize",
+_KNOWN_KEYS = {"space.size", "type"} | {
+    f"{name}.{field}" for name in "CD" for field in ("size", "contains_b", "b", "cosize")
 }
 
 
@@ -85,16 +84,20 @@ def _parse_bool(key: str, value: str) -> bool:
     return lowered == "true"
 
 
+def _parse_cardinal(key: str, value: str) -> Cardinal:
+    try:
+        return Cardinal.parse(value)
+    except ValueError as exc:
+        raise QueryError(f"field {key}: {exc}") from exc
+
+
 def _parse_subset(
     name: str, fields: dict[str, str], space: SpaceDescriptor
 ) -> SubsetDescriptor:
     size_key = f"{name}.size"
     if size_key not in fields:
         raise QueryError(f"missing field {size_key}")
-    try:
-        size = Cardinal.parse(fields[size_key])
-    except ValueError as exc:
-        raise QueryError(f"field {size_key}: {exc}") from exc
+    size = _parse_cardinal(size_key, fields[size_key])
     flag_keys = [key for key in (f"{name}.contains_b", f"{name}.b") if key in fields]
     if not flag_keys:
         raise QueryError(f"missing field {name}.contains_b")
@@ -103,10 +106,7 @@ def _parse_subset(
     contains_b = _parse_bool(flag_keys[0], fields[flag_keys[0]])
     cosize_key = f"{name}.cosize"
     if cosize_key in fields:
-        try:
-            cosize = Cardinal.parse(fields[cosize_key])
-        except ValueError as exc:
-            raise QueryError(f"field {cosize_key}: {exc}") from exc
+        cosize = _parse_cardinal(cosize_key, fields[cosize_key])
     elif size < space.size:
         cosize = space.size  # forced by the partition invariant
     else:
@@ -123,8 +123,8 @@ def parse_query(text: str) -> Query:
         raise QueryError(f"unknown field(s): {', '.join(unknown)}")
     if "space.size" not in fields:
         raise QueryError("missing field space.size")
+    space_size = _parse_cardinal("space.size", fields["space.size"])
     try:
-        space_size = Cardinal.parse(fields["space.size"])
         space = SpaceDescriptor(space_size)
     except ValueError as exc:
         raise QueryError(f"field space.size: {exc}") from exc
@@ -239,8 +239,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.cutoff,
         require_complement=require_complement,
     )
-    if report.rejected:
-        names = ", ".join(p.to_text() for p in report.rejected)
+    # condition IV (types 3 and 4): a probe's complement is shaped like X \ C
+    condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
+    co_c = complement(query.c, COUNTABLE_SPACE)
+    rejected = [
+        p
+        for p in probes
+        if p in report.rejected
+        or (condition_iv and not subspace_homeomorphic(extract_descriptor(p.complement()), co_c))
+    ]
+    if rejected:
+        names = ", ".join(p.to_text() for p in rejected)
         raise QueryError(f"probe(s) not shaped like C: {names}")
     _print_check_report(report, args.format)
     return EXIT_EXISTS if report.consistent else EXIT_NOT_EXISTS
@@ -270,12 +279,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
     if args.t is not None:
         if not (1 <= args.t <= instance.d_size):
             raise QueryError("--t must satisfy 1 <= t <= d_size")
-        instance = type(instance)(
-            n=instance.n,
-            blocks=instance.blocks,
-            c_size=args.t,
-            d_size=instance.d_size,
-        )
+        instance = replace(instance, c_size=args.t)
     outcome = brute_lambda(instance, DesignType(args.design_type))
     print(str(outcome))
     return EXIT_EXISTS if outcome.uniform else EXIT_NOT_EXISTS

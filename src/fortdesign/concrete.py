@@ -8,7 +8,8 @@ exception table, and block families are counted over bounded windows.
 Containment counts are reported as exact-within-window or saturated lower
 bounds, never extrapolated.  :func:`local_design_check` counts a window in
 closed form; :func:`blocks_containing` enumerates the same window block by
-block and gives the same numbers.
+block and gives the same numbers.  The family-wide count is the same closed
+form over the unbounded window.
 """
 
 from __future__ import annotations
@@ -267,6 +268,13 @@ def _nth_member(s: ConcreteSet, n: int, skip_zero: bool) -> int | None:
     return x
 
 
+def _same_kind(u: ConcreteSet, v: ConcreteSet) -> bool:
+    """Finite sets of one size, or cofinite sets that agree on b."""
+    if u.is_finite:
+        return v.is_finite and len(u.support) == len(v.support)
+    return v.cofinite and (0 in u) == (0 in v)
+
+
 def canonical_homeomorphism(u: ConcreteSet, v: ConcreteSet) -> PointMap | None:
     """An order-aligned homeomorphism between two concrete sets, if one exists.
 
@@ -274,34 +282,21 @@ def canonical_homeomorphism(u: ConcreteSet, v: ConcreteSet) -> PointMap | None:
     (cofinite) sets must agree on membership of b, whose presence is what
     gives the subspace its limit point; the alignment then pins b to b.
     """
-    if u.is_finite and v.is_finite:
-        if len(u.support) != len(v.support):
-            return None
-        return PointMap(aligned=True)
-    if u.cofinite and v.cofinite:
-        if (0 in u) != (0 in v):
-            return None
-        return PointMap(aligned=True)
-    return None
+    return PointMap() if _same_kind(u, v) else None
 
 
 def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
     """Decide exactly whether a point map is a homeomorphism u -> v.
 
-    u and v must be of one kind: finite pairs of equal size, cofinite pairs
-    that agree on membership of b.  The active exceptions are those whose
-    source lies in u.  The aligned part is a bijection u -> v, so an aligned
-    map is one exactly when the active targets are distinct members of v
-    and, as a set, the aligned images of the active sources.  A table-only
-    map needs a finite u and exactly v as its targets.  A cofinite u that
-    contains b must send b to b, without which the image of a sequence
-    converging to b stops converging.
+    u and v must be of one kind (:func:`_same_kind`).  The active exceptions
+    are those whose source lies in u.  The aligned part is a bijection
+    u -> v, so an aligned map is one exactly when the active targets are
+    distinct members of v and, as a set, the aligned images of the active
+    sources.  A table-only map needs a finite u and exactly v as its
+    targets.  A cofinite u that contains b must send b to b, without which
+    the image of a sequence converging to b stops converging.
     """
-    if u.is_finite != v.is_finite:
-        return False
-    if u.is_finite and len(u.support) != len(v.support):
-        return False
-    if u.cofinite and (0 in u) != (0 in v):
+    if not _same_kind(u, v):
         return False
     active = [(a, b) for a, b in m.exceptions if a in u]
     targets = {b for _, b in active}
@@ -317,21 +312,18 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     """A canonical concrete set with the given descriptor.
 
-    Only descriptors with a finite size or finite cosize have finite or
-    cofinite realizations; the doubly-infinite ones are rejected.
+    It is laid out as its class window is (:func:`_class_w_layout`), with
+    ``R = {1..free}``.  Doubly-infinite descriptors have no finite or
+    cofinite realization and are rejected.
     """
-    if d.size.is_finite:
-        n = d.size.value
-        elements = range(0, n) if d.contains_b else range(1, n + 1)
-        return ConcreteSet.finite(elements)
-    if d.cosize.is_finite:
-        k = d.cosize.value
-        excluded = range(1, k + 1) if d.contains_b else range(0, k)
-        return ConcreteSet.cofinite_set(excluded)
-    raise FamilyEnumerationError(
-        "a set with infinite size and infinite complement has no finite or "
-        "cofinite realization"
-    )
+    try:
+        cofinite, pinned, free = _class_w_layout(d)
+    except FamilyEnumerationError:
+        raise FamilyEnumerationError(
+            "a set with infinite size and infinite complement has no finite or "
+            "cofinite realization"
+        ) from None
+    return ConcreteSet(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
 
 
 def realize(family: FamilyDescriptor, index: int = 1) -> Block:
@@ -410,13 +402,24 @@ def _window_blocks(
     )
 
 
+def _comb(pool: float, k: int) -> int | None:
+    """C(pool, k), or None for an infinite count when the pool is infinite."""
+    return (None if k else 1) if pool == math.inf else math.comb(pool, k)
+
+
 def _window_count(
-    family: FamilyDescriptor, probe: ConcreteSet, cutoff: int, prefix: int
-) -> int:
-    """The number of window blocks containing the probe, in closed form."""
+    family: FamilyDescriptor, probe: ConcreteSet, cutoff: int | None, prefix: int | None
+) -> int | None:
+    """The number of window blocks containing the probe, in closed form.
+
+    With ``cutoff`` and ``prefix`` None the window is unbounded, so this is
+    the family-wide count; None then means that count is infinite.
+    """
     if isinstance(family, OddTail):
         if probe.cofinite:
             return 0
+        if cutoff is None:  # every finite probe lies in cofinally many blocks
+            return None
         # block s holds the odd point 2j+1 exactly when j < s
         need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
         return max(cutoff - need + 1, 0)
@@ -424,18 +427,19 @@ def _window_count(
         return int(realize_descriptor(family.member).issuperset(probe))
     if isinstance(family, ClassW):
         cofinite, pinned, free = _class_w_layout(family.base)
-        inside = sum(1 for x in probe.support if 1 <= x <= prefix)
+        top = math.inf if prefix is None else prefix
+        inside = sum(1 for x in probe.support if 1 <= x <= top)
         if not cofinite:
             # every probe point must be b on a pinned block or lie in R
             outside = len(probe.support) - inside
             if probe.cofinite or outside != (pinned and 0 in probe.support):
                 return 0
-            return math.comb(prefix - inside, free - inside) if inside <= free else 0
+            return _comb(top - inside, free - inside) if inside <= free else 0
         if pinned and 0 in probe:  # a pinned cofinite block lacks b
             return 0
         # R avoids a finite probe's points, or lies among a cofinite one's
         # excluded points
-        return math.comb(inside if probe.cofinite else prefix - inside, free)
+        return _comb(inside if probe.cofinite else top - inside, free)
     raise FamilyEnumerationError(
         f"{family.to_text()} has no bounded enumeration strategy"
     )
@@ -480,57 +484,10 @@ def blocks_containing(
     return _saturated(count, cutoff)
 
 
-def _global_exact_count(family: FamilyDescriptor, probe: ConcreteSet) -> int | None:
-    """The family-wide containment count, when it is provably finite.
-
-    None means the window count is only a lower bound (the true count may be
-    infinite).  Exact values are what make a non-uniformity refutation sound.
-    """
-    if isinstance(family, Singleton):
-        return 1 if realize_descriptor(family.member).issuperset(probe) else 0
-    if isinstance(family, OddTail):
-        if probe.is_finite:
-            return None  # every finite probe lies in cofinally many blocks
-        return 0
-    if isinstance(family, ClassW):
-        base = family.base
-        if base.size.is_finite:
-            d = base.size.value
-            if probe.cofinite:
-                return 0
-            members = set(probe.support)
-            if base.contains_b:
-                required = members | {0}
-            else:
-                if 0 in members:
-                    return 0
-                required = members
-            if len(required) > d:
-                return 0
-            if len(required) == d:
-                return 1
-            return None  # free slots draw from an infinite pool
-        if base.cosize.is_finite:
-            k = base.cosize.value
-            if probe.is_finite:
-                if k == 0:
-                    return 1
-                if k == 1 and not base.contains_b:
-                    return 0 if 0 in probe else 1
-                return None
-            exc = set(probe.support)
-            pool = len(exc - {0})
-            if base.contains_b:
-                return math.comb(pool, k)
-            if 0 not in exc:
-                return 0
-            return math.comb(pool, k - 1)
-    return None
-
-
 @dataclass(frozen=True)
 class ProbeReport:
-    """Window count and, when derivable, the family-wide exact count."""
+    """Window count and, when finite, the family-wide count: the window
+    closed form over the unbounded window."""
 
     probe: ConcreteSet
     count: BlockCount
@@ -596,8 +553,10 @@ def local_design_check(
     Every window block must be shaped like D (and have its complement
     shaped like X \\ D when ``require_complement``, i.e. for the types that
     constrain complements).  Probes not shaped like C are rejected and
-    listed.  For the accepted probes the report carries containment counts
-    and flags any pair with provably different family-wide counts.
+    listed.  For the accepted probes the report carries the window count and
+    the family-wide one (the closed form with no cutoff and no prefix, None
+    when infinite), and flags any pair with provably different family-wide
+    counts.
 
     The window is the one :func:`blocks_containing` enumerates, but nothing
     here walks it: ``blocks_checked`` and the counts come in closed form
@@ -632,9 +591,7 @@ def local_design_check(
             rejected.append(probe)
             continue
         count = _saturated(_window_count(family, probe, cutoff, prefix), cutoff)
-        accepted.append(
-            ProbeReport(probe, count, _global_exact_count(family, probe))
-        )
+        accepted.append(ProbeReport(probe, count, _window_count(family, probe, None, None)))
 
     return DesignCheckReport(
         family=family,

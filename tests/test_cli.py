@@ -29,6 +29,17 @@ D.contains_b: false
 D.cosize: aleph0
 """
 
+# type 3 exists here (case t3), with witness W(D)
+QUERY_T3_COFINITE_D = """\
+space.size: aleph0
+type: 3
+C.size: 2
+C.contains_b: false
+D.size: aleph0
+D.contains_b: false
+D.cosize: 1
+"""
+
 QUERY_MISSING_COSIZE = """\
 space.size: aleph0
 type: 1
@@ -156,6 +167,29 @@ class TestVerifyCommand:
         path = write("q.txt", QUERY_C1_CASE2)
         assert main(["verify", path, "fin:0,\u0662"]) == 2
         assert "malformed concrete set" in capsys.readouterr().err
+
+    def test_probe_complement_not_shaped_like_x_minus_c(self, write, capsys):
+        # fin:0,5 is shaped like C, but its complement lacks b while X \ C
+        # holds it; counted, it would refute this true t3 verdict
+        path = write("q.txt", QUERY_T3_COFINITE_D)
+        assert main(["verify", path, "fin:0,5", "fin:5,6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: probe(s) not shaped like C: fin:0,5\n"
+        assert main(["verify", path, "fin:7,9", "fin:5,6"]) == 0
+        assert "consistent: true" in capsys.readouterr().out
+        # type 1 does not constrain the probe's complement
+        path = write("q1.txt", QUERY_C1_CASE2)
+        assert main(["verify", path, "fin:1,2", "fin:0,2", "--cutoff", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "family: odd-tail\n"
+            "blocks_checked: 5\n"
+            "block_failures: 0\n"
+            "probe: fin:1,2 count: AtLeast(5)\n"
+            "probe: fin:0,2 count: AtLeast(5)\n"
+            "refutation: none\n"
+            "consistent: true\n"
+        )
 
     def test_not_exists_leaves_nothing_to_verify(self, write, capsys):
         path = write("q.txt", QUERY_EMBED_FAIL)

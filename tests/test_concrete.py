@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fortdesign import concrete
 from fortdesign.cardinal import ALEPH0, Cardinal
@@ -394,6 +394,9 @@ def literal_failures(family, d, cutoff, prefix, require_complement):
 class TestClosedFormWindows:
     @given(windows_and_probes())
     @settings(max_examples=400, deadline=None)
+    # no block of W(cofinite, b not in D, cosize 2) holds b, so none holds
+    # fin:0,5; the family-wide count is 0, not unknown
+    @example((ClassW(sd(ALEPH0, False, FC(2))), sd(ALEPH0, False, FC(2)), 10, 8, [F((0, 5))]))
     def test_closed_form_matches_literal_enumeration(self, case):
         family, d, cutoff, prefix, probes = case
         window = list(concrete._window_blocks(family, cutoff, 0 if prefix is None else prefix))
@@ -408,6 +411,21 @@ class TestClosedFormWindows:
             assert report.rejected == ()
             (probe_report,) = report.probes
             assert probe_report.count == blocks_containing(family, probe, cutoff, prefix)
+            # a finite family-wide count is the literal one once the window
+            # covers the probe; an infinite one keeps the literal count
+            # growing.  Bases leave at most 4 free points, so a window 4
+            # points past the probe already grows.
+            last = max(probe.support, default=0)
+            exact = probe_report.global_exact
+            if exact is None:
+                wide = last + 4
+                assert blocks_containing(family, probe, wide, wide).value < (
+                    blocks_containing(family, probe, wide + 1, wide + 1).value
+                )
+            else:
+                for past in (last, last + 1):
+                    count = blocks_containing(family, probe, past + exact + 1, past)
+                    assert count == BlockCount.exactly(exact)
 
     @pytest.mark.parametrize(
         "family, d",

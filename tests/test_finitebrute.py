@@ -166,6 +166,14 @@ def test_first_probe_in_no_block_is_answered_from_the_blocks(walked_probes):
     assert walked_probes == []
 
 
+def test_walk_over_budget_is_refused_before_it_starts(walked_probes):
+    # one block holding every point: all C(60, 30) probes share count 1
+    inst = FiniteInstance(60, (frozenset(range(60)),), 30, 60)
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        brute_lambda(inst, DesignType.TYPE2)
+    assert walked_probes == []
+
+
 def test_parse_instance():
     text = "# comment\n7, 2, 3\n0,1,2\n0,1,3\n"
     inst = parse_instance(text)
