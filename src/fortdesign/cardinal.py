@@ -10,7 +10,7 @@ evaluate are carried symbolically by :class:`LambdaValue`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Highest aleph index the symbolic universe admits.
 MAX_ALEPH_INDEX = 3
@@ -29,26 +29,36 @@ def parse_natural(text: str) -> int:
     return int(digits)
 
 
-@dataclass(frozen=True, order=True)
-class Cardinal:
+# A NamedTuple body may not define __new__, so each validated record is a
+# subclass of its fields' NamedTuple that validates in __new__.
+class _CardinalFields(NamedTuple):
+    infinite: bool
+    value: int
+
+
+class Cardinal(_CardinalFields):
     """A natural number or an aleph with a small finite index.
 
     The field order ``(infinite, value)`` is the cardinal order: every finite
     cardinal precedes every aleph, finites order by value, alephs order by
-    index.  Instances are immutable and hashable.
+    index.  Ordering, equality and hashing are those of the tuple, so they
+    run in C.  Instances are immutable and hashable.
     """
 
-    infinite: bool
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"cardinal value must be >= 0, got {self.value}")
-        if self.infinite and self.value > MAX_ALEPH_INDEX:
+    def __new__(cls, infinite: bool, value: int) -> "Cardinal":
+        if value < 0:
+            raise ValueError(f"cardinal value must be >= 0, got {value}")
+        if infinite and value > MAX_ALEPH_INDEX:
             raise ValueError(
-                f"aleph index {self.value} exceeds the supported ladder "
+                f"aleph index {value} exceeds the supported ladder "
                 f"(max {MAX_ALEPH_INDEX})"
             )
+        return tuple.__new__(cls, (infinite, value))
+
+    # the one ordering, named in the class so it can be wrapped and restored
+    __lt__ = tuple.__lt__
 
     @classmethod
     def finite(cls, n: int) -> "Cardinal":
@@ -102,8 +112,12 @@ FAMILY_L = "L"
 FAMILY_W_CONTAINING_C = "{E in W : C subset E}"
 
 
-@dataclass(frozen=True)
-class LambdaValue:
+class _LambdaFields(NamedTuple):
+    value: Cardinal | None
+    family: str | None
+
+
+class LambdaValue(_LambdaFields):
     """A design's block-multiplicity: an exact cardinal or a named family size.
 
     ``Exact`` values must be nonzero.  Family sizes (``card(W)`` etc.) stay
@@ -111,16 +125,18 @@ class LambdaValue:
     existence arguments never need.
     """
 
-    value: Cardinal | None = None
-    family: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.value is None) == (self.family is None):
+    def __new__(
+        cls, value: Cardinal | None = None, family: str | None = None
+    ) -> "LambdaValue":
+        if (value is None) == (family is None):
             raise ValueError("LambdaValue is either exact or a family size")
-        if self.value is not None and self.value < ONE:
+        if value is not None and value < ONE:
             raise ValueError("design multiplicity must be >= 1")
-        if self.family is not None and not self.family:
+        if family is not None and not family:
             raise ValueError("family-size label must be nonempty")
+        return tuple.__new__(cls, (value, family))
 
     @classmethod
     def exact(cls, value: Cardinal) -> "LambdaValue":

@@ -208,6 +208,10 @@ def _print_check_report(report, fmt: str) -> None:
             )
 
 
+def _set_list(sets) -> str:
+    return ", ".join(s.to_text() for s in sets)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.refutation_demo:
         _, _, report = _refutation_demo_report(args.cutoff)
@@ -242,15 +246,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # condition IV (types 3 and 4): a probe's complement is shaped like X \ C
     condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
     co_c = complement(query.c, COUNTABLE_SPACE)
-    rejected = [
+    bad_complement = [
         p
         for p in probes
-        if p in report.rejected
-        or (condition_iv and not subspace_homeomorphic(extract_descriptor(p.complement()), co_c))
+        if condition_iv
+        and p not in report.rejected
+        and not subspace_homeomorphic(extract_descriptor(p.complement()), co_c)
     ]
-    if rejected:
-        names = ", ".join(p.to_text() for p in rejected)
-        raise QueryError(f"probe(s) not shaped like C: {names}")
+    problems = []
+    if report.rejected:
+        problems.append(f"probe(s) not shaped like C: {_set_list(report.rejected)}")
+    if bad_complement:
+        problems.append(
+            f"probe complement(s) not shaped like X \\ C: {_set_list(bad_complement)}"
+        )
+    if problems:
+        raise QueryError("; ".join(problems))
     _print_check_report(report, args.format)
     return EXIT_EXISTS if report.consistent else EXIT_NOT_EXISTS
 
@@ -282,7 +293,9 @@ def _cmd_brute(args: argparse.Namespace) -> int:
         instance = replace(instance, c_size=args.t)
     outcome = brute_lambda(instance, DesignType(args.design_type))
     print(str(outcome))
-    return EXIT_EXISTS if outcome.uniform else EXIT_NOT_EXISTS
+    # a family with no blocks counts every probe 0 times: uniform, but a
+    # design needs multiplicity >= 1, as LambdaValue does
+    return EXIT_EXISTS if outcome.uniform and outcome.lambda_ else EXIT_NOT_EXISTS
 
 
 def _read_file(path: str) -> str:

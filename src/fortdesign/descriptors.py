@@ -10,29 +10,31 @@ the descriptor level.  The countable concrete model in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cardinal import Cardinal, ZERO
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class _SpaceFields(NamedTuple):
+    size: Cardinal
+
+
+class SpaceDescriptor(_SpaceFields):
     """The ambient space: infinite, with a distinguished point ``b``.
 
     ``b`` is part of every space and is not parameterized; descriptors only
     record membership of ``b``, never its identity.
     """
 
-    size: Cardinal
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size.is_finite:
+    def __new__(cls, size: Cardinal) -> "SpaceDescriptor":
+        if size.is_finite:
             raise ValueError("the ambient space must be infinite")
+        return tuple.__new__(cls, (size,))
 
 
-@dataclass(frozen=True)
-class SubsetDescriptor:
+class SubsetDescriptor(NamedTuple):
     """(size, contains_b, cosize) triple for a subset of the space."""
 
     size: Cardinal

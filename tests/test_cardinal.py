@@ -1,9 +1,11 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fortdesign.cardinal import ALEPH0, Cardinal, LambdaValue, csum, parse_natural
+from fortdesign.cardinal import ALEPH0, ONE, Cardinal, LambdaValue, csum, parse_natural
 
 GRID = [Cardinal.finite(n) for n in range(11)] + [Cardinal.aleph(i) for i in range(4)]
 
@@ -113,3 +115,50 @@ def test_lambda_value():
         LambdaValue(value=ALEPH0, family="W")
     with pytest.raises(ValueError):
         LambdaValue()
+
+
+def key(card):
+    return (card.infinite, card.value)
+
+
+@given(cardinals, cardinals)
+def test_order_equality_and_hash_are_the_key_tuples(a, b):
+    assert (a < b) == (key(a) < key(b))
+    assert (a <= b) == (key(a) <= key(b))
+    assert (a == b) == (key(a) == key(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert key(max(a, b)) == max(key(a), key(b))
+    # equal-valued plain tuples compare equal
+    assert a == key(a) and hash(a) == hash(key(a))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Cardinal.finite(-1), "cardinal value must be >= 0, got -1"),
+    (lambda: Cardinal.aleph(-2), "cardinal value must be >= 0, got -2"),
+    (lambda: Cardinal(True, 4), r"aleph index 4 exceeds the supported ladder \(max 3\)"),
+    (lambda: LambdaValue(), "LambdaValue is either exact or a family size"),
+    (lambda: LambdaValue(ONE, "W"), "LambdaValue is either exact or a family size"),
+    (lambda: LambdaValue.exact(Cardinal.finite(0)), "design multiplicity must be >= 1"),
+    (lambda: LambdaValue.family_size(""), "family-size label must be nonempty"),
+])
+def test_invalid_records_are_rejected_with_their_message(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_fields_cannot_be_assigned():
+    for record, field in ((ALEPH0, "value"), (LambdaValue.exact(ONE), "family")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+@pytest.mark.parametrize("record", [
+    Cardinal.finite(7), Cardinal.aleph(3), LambdaValue.exact(ALEPH0),
+    LambdaValue.family_size("W"),
+])
+def test_records_survive_pickle_and_copy(record):
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert clone == record and type(clone) is type(record)
+        assert repr(clone) == repr(record)

@@ -175,7 +175,7 @@ class TestVerifyCommand:
         assert main(["verify", path, "fin:0,5", "fin:5,6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: probe(s) not shaped like C: fin:0,5\n"
+        assert captured.err == "error: probe complement(s) not shaped like X \\ C: fin:0,5\n"
         assert main(["verify", path, "fin:7,9", "fin:5,6"]) == 0
         assert "consistent: true" in capsys.readouterr().out
         # type 1 does not constrain the probe's complement
@@ -191,6 +191,14 @@ class TestVerifyCommand:
             "consistent: true\n"
         )
 
+    def test_shape_and_complement_failures_are_named_apart(self, write, capsys):
+        path = write("q.txt", QUERY_T3_COFINITE_D)
+        assert main(["verify", path, "fin:0,5", "fin:1,2,3", "fin:5,6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: probe(s) not shaped like C: fin:1,2,3; "
+            "probe complement(s) not shaped like X \\ C: fin:0,5\n"
+        )
+
     def test_not_exists_leaves_nothing_to_verify(self, write, capsys):
         path = write("q.txt", QUERY_EMBED_FAIL)
         assert main(["verify", path, "cofin:1"]) == 2
@@ -201,7 +209,7 @@ class TestVerifyCommand:
         text = QUERY_C1_CASE2.replace("type: 1", "type: 3")
         path = write("q.txt", text)
         assert main(["verify", path, "fin:0,2"]) == 2
-        assert "bounded" in capsys.readouterr().err
+        assert "no finite or cofinite realization" in capsys.readouterr().err
 
     def test_query_required_without_demo(self, capsys):
         assert main(["verify"]) == 2
@@ -284,6 +292,12 @@ class TestBruteCommand:
         path = write("inst.txt", text)
         assert main(["brute", path]) == 2
         assert "malformed header" in capsys.readouterr().err
+
+    def test_no_blocks_is_no_design(self, write, capsys):
+        # every probe lies in 0 blocks: uniform, but a design needs lambda >= 1
+        path = write("inst.txt", "30, 2, 3\n")
+        assert main(["brute", path]) == 1
+        assert capsys.readouterr().out == "Exactly(0)\n"
 
     def test_condition_violation(self, write, capsys):
         path = write("inst.txt", "5, 2, 3\n0,1,2\n3,4\n")

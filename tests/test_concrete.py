@@ -505,3 +505,24 @@ class TestNoEnumeration:
         argv = ["verify", "--refutation-demo", "--cutoff", "1000000", "--format", "record"]
         assert main(argv) == 1
         assert "blocks_checked: 500001500001\n" in capsys.readouterr().out
+
+    def test_wrong_shape_window_over_the_budget_is_refused(self):
+        # C(802, 2) = 321,201 blocks of size 3 checked against a D of size 2
+        d3, d2 = sd(FC(3), True, ALEPH0), sd(FC(2), True, ALEPH0)
+        with pytest.raises(ValueError, match="321201 blocks are not shaped like D"):
+            local_design_check(ClassW(d3), d2, d2, [], 800)
+        # odd-tail blocks hold b, this D does not
+        d = sd(ALEPH0, False, ALEPH0)
+        with pytest.raises(ValueError, match=r"exceeds the budget of 100000 blocks"):
+            local_design_check(OddTail(), d, d, [], 10**9)
+
+
+def test_listing_budget_is_checked_against_the_window_count(monkeypatch):
+    family, d = ClassW(sd(FC(3), True, ALEPH0)), sd(FC(2), True, ALEPH0)
+    window = math.comb(9, 2)  # the b-pinned blocks' 2 other points among [1, 9]
+    monkeypatch.setattr(concrete, "LISTING_BUDGET", window)
+    report = local_design_check(family, d, d, [], 7, prefix=9)
+    assert len(report.block_failures) == report.blocks_checked == window
+    monkeypatch.setattr(concrete, "LISTING_BUDGET", window - 1)
+    with pytest.raises(ValueError, match="budget"):
+        local_design_check(family, d, d, [], 7, prefix=9)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -26,8 +28,26 @@ def sd(size, b, cosize):
 
 
 def test_space_must_be_infinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the ambient space must be infinite$"):
         SpaceDescriptor(F(5))
+
+
+def test_descriptors_are_their_field_tuples():
+    s = sd(F(3), True, ALEPH0)
+    assert s == (F(3), True, ALEPH0) and hash(s) == hash((F(3), True, ALEPH0))
+    assert X0 == (ALEPH0,)
+    for record, field in ((s, "contains_b"), (X0, "size")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    for record in (s, X1):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert clone == record and type(clone) is type(record)
+    assert repr(s) == (
+        "SubsetDescriptor(size=Cardinal.finite(3), contains_b=True, "
+        "cosize=Cardinal.aleph(0))"
+    )
+    assert repr(X1) == "SpaceDescriptor(size=Cardinal.aleph(1))"
 
 
 def test_validate_examples():

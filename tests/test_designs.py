@@ -256,6 +256,34 @@ def test_verdict_record_shape():
     assert record["reason"]
 
 
+@pytest.mark.parametrize("design_type, c, d, space, expected", [
+    (1, sd(F(1), True, ALEPH0), sd(F(3), True, ALEPH0), X0,
+     "Verdict(exists=True, case_tag='c1-case5', "
+     "lambda_=LambdaValue(value=Cardinal.aleph(0), family=None), "
+     "witness=ClassW(base=SubsetDescriptor(size=Cardinal.finite(3), contains_b=True, "
+     "cosize=Cardinal.aleph(0))), reason=None)"),
+    (1, sd(F(1), True, ALEPH0), sd(ALEPH0, True, ALEPH0), X0,
+     "Verdict(exists=True, case_tag='c1-case2', "
+     "lambda_=LambdaValue(value=Cardinal.aleph(0), family=None), "
+     "witness=OddTail(), reason=None)"),
+    (3, sd(F(1), True, ALEPH0), sd(F(1), True, ALEPH0), X0,
+     "Verdict(exists=True, case_tag='t3', "
+     "lambda_=LambdaValue(value=None, family='{E in W : C subset E}'), "
+     "witness=ClassW(base=SubsetDescriptor(size=Cardinal.finite(1), contains_b=True, "
+     "cosize=Cardinal.aleph(0))), reason=None)"),
+    (2, sd(ALEPH0, True, F(0)), sd(ALEPH0, True, F(0)), X0,
+     "Verdict(exists=True, case_tag='t2-full', "
+     "lambda_=LambdaValue(value=Cardinal.finite(1), family=None), "
+     "witness=Singleton(member=SubsetDescriptor(size=Cardinal.aleph(0), contains_b=True, "
+     "cosize=Cardinal.finite(0))), reason=None)"),
+    (3, sd(F(1), True, ALEPH0), sd(F(1), False, ALEPH0), X0,
+     "Verdict(exists=False, case_tag='t3-case1', lambda_=None, witness=None, "
+     "reason='b is in C but not in D')"),
+])
+def test_verdict_repr_is_pinned(design_type, c, d, space, expected):
+    assert repr(decide(design_type, c, d, space)) == expected
+
+
 def test_verdict_construction_guards():
     with pytest.raises(ValueError):
         Verdict(True, "a2")  # existence needs a multiplicity and witness
