@@ -15,7 +15,6 @@ from .cardinal import ALEPH0, Cardinal, MAX_ALEPH_INDEX, parse_natural
 from .concrete import (
     COUNTABLE_SPACE,
     ConcreteSet,
-    FamilyEnumerationError,
     extract_descriptor,
     local_design_check,
 )
@@ -28,7 +27,6 @@ from .descriptors import (
 )
 from .designs import (
     ClassW,
-    DescriptorError,
     DesignType,
     OddTail,
     Singleton,
@@ -169,8 +167,7 @@ def _refutation_demo_report(cutoff: int):
     d = SubsetDescriptor(Cardinal.finite(3), True, ALEPH0)
     c = SubsetDescriptor(Cardinal.finite(2), True, ALEPH0)
     probes = [ConcreteSet.finite((0, 5)), ConcreteSet.finite((5, 6))]
-    report = local_design_check(ClassW(d), c, d, probes, cutoff)
-    return c, d, report
+    return local_design_check(ClassW(d), c, d, probes, cutoff)
 
 
 def _print_check_report(report, fmt: str) -> None:
@@ -214,7 +211,7 @@ def _set_list(sets) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.refutation_demo:
-        _, _, report = _refutation_demo_report(args.cutoff)
+        report = _refutation_demo_report(args.cutoff)
         _print_check_report(report, args.format)
         return EXIT_EXISTS if report.consistent else EXIT_NOT_EXISTS
     if args.query is None:
@@ -247,11 +244,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
     co_c = complement(query.c, COUNTABLE_SPACE)
     bad_complement = [
-        p
-        for p in probes
+        p.probe
+        for p in report.probes
         if condition_iv
-        and p not in report.rejected
-        and not subspace_homeomorphic(extract_descriptor(p.complement()), co_c)
+        and not subspace_homeomorphic(extract_descriptor(p.probe.complement()), co_c)
     ]
     problems = []
     if report.rejected:
@@ -370,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (QueryError, DescriptorError, FamilyEnumerationError, ValueError) as exc:
+    except ValueError as exc:  # QueryError, DescriptorError, FamilyEnumerationError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

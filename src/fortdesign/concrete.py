@@ -89,24 +89,13 @@ class ConcreteSet:
         return other.issubset(self)
 
     def __and__(self, other: "ConcreteSet") -> "ConcreteSet":
-        a, b = set(self.support), set(other.support)
-        if self.is_finite and other.is_finite:
-            return ConcreteSet.finite(a & b)
-        if self.is_finite:
-            return ConcreteSet.finite(x for x in a if x in other)
-        if other.is_finite:
-            return ConcreteSet.finite(x for x in b if x in self)
-        return ConcreteSet.cofinite_set(a | b)
+        if self.cofinite and other.cofinite:
+            return ConcreteSet.cofinite_set(self.support + other.support)
+        finite, rest = (other, self) if self.cofinite else (self, other)
+        return ConcreteSet.finite(x for x in finite.support if x in rest)
 
     def __or__(self, other: "ConcreteSet") -> "ConcreteSet":
-        a, b = set(self.support), set(other.support)
-        if self.is_finite and other.is_finite:
-            return ConcreteSet.finite(a | b)
-        if self.is_finite:
-            return ConcreteSet.cofinite_set(b - a)
-        if other.is_finite:
-            return ConcreteSet.cofinite_set(a - b)
-        return ConcreteSet.cofinite_set(a & b)
+        return (self.complement() & other.complement()).complement()
 
     def members(self, count: int) -> list[int]:
         """The first ``count`` members in increasing order."""
@@ -486,8 +475,8 @@ def blocks_containing(
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Window count and, when finite, the family-wide count: the window
-    closed form over the unbounded window."""
+    """Window count, only printed, and family-wide count, which decides: the
+    window closed form over the unbounded window, None when infinite."""
 
     probe: ConcreteSet
     count: BlockCount
@@ -505,8 +494,8 @@ class DesignCheckReport:
 
     ``block_failures`` lists enumerated blocks that are not shaped like D
     (or whose complement is not shaped like X \\ D when required);
-    ``refutation`` names two probes whose containment counts provably
-    differ, ruling out any uniform multiplicity.
+    ``refutation`` names two probes whose family-wide counts differ (an
+    infinite one differs from every finite one): no multiplicity is uniform.
     """
 
     family: FamilyDescriptor
@@ -524,19 +513,13 @@ class DesignCheckReport:
 def _find_refutation(
     probes: tuple[ProbeReport, ...]
 ) -> tuple[ProbeReport, ProbeReport] | None:
-    for first in probes:
-        if first.global_exact is None:
-            continue
-        for second in probes:
-            if second is first:
-                continue
-            if second.global_exact is not None:
-                if second.global_exact != first.global_exact:
-                    return (first, second)
-            elif second.count.value > first.global_exact:
-                # window counts are lower bounds for the whole family
-                return (first, second)
-    return None
+    """The first probe with a finite family-wide count and the first whose
+    family-wide count differs from it; None (infinite) differs from all."""
+    first = next((p for p in probes if p.global_exact is not None), None)
+    if first is None:
+        return None
+    second = next((p for p in probes if p.global_exact != first.global_exact), None)
+    return None if second is None else (first, second)
 
 
 # the most wrong-shape blocks local_design_check lists: 10^5 failure strings
@@ -560,8 +543,8 @@ def local_design_check(
     constrain complements).  Probes not shaped like C are rejected and
     listed.  For the accepted probes the report carries the window count and
     the family-wide one (the closed form with no cutoff and no prefix, None
-    when infinite), and flags any pair with provably different family-wide
-    counts.
+    when infinite), and flags a pair with different family-wide counts, an
+    infinite one differing from every finite one at any cutoff.
 
     The window is the one :func:`blocks_containing` enumerates, but nothing
     here walks it: ``blocks_checked`` and the counts come in closed form

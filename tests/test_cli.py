@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fortdesign import designs
 from fortdesign.cli import main, parse_query, QueryError
 from fortdesign.cardinal import ALEPH0, Cardinal
 from fortdesign.designs import DesignType
@@ -135,6 +136,14 @@ class TestDecideCommand:
             "[case c1-case2]\n"
         )
 
+    def test_not_exists_text_format(self, write, capsys):
+        path = write("q.txt", QUERY_EMBED_FAIL)
+        assert main(["decide", path, "--format", "text"]) == 1
+        assert capsys.readouterr().out == (
+            "no type-2 design: C is infinite and contains b while D does not: "
+            "C cannot be embedded into D [case b]\n"
+        )
+
     def test_missing_file(self, capsys):
         assert main(["decide", "/nonexistent/q.txt"]) == 2
 
@@ -156,6 +165,36 @@ class TestVerifyCommand:
         assert "probe: fin:0,5 count: AtLeast(50)" in out
         assert "probe: fin:5,6 count: Exactly(1)" in out
         assert "refutation: fin:5,6 Exactly(1) vs fin:0,5 AtLeast(50)" in out
+
+    def test_refutation_demo_at_cutoff_one(self, capsys):
+        # the window lower bound 1 does not exceed fin:5,6's exact count 1,
+        # but fin:0,5 lies in infinitely many blocks of the family
+        code = main(["verify", "--refutation-demo", "--cutoff", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "refutation: fin:5,6 Exactly(1) vs fin:0,5 AtLeast(1)\n" in out
+        assert out.endswith("consistent: false\n")
+
+    def test_consistent_text_format(self, write, capsys):
+        path = write("q.txt", QUERY_C1_CASE2)
+        argv = ["verify", path, "fin:1,2", "fin:0,2", "--cutoff", "5", "--format", "text"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "checked 5 blocks of odd-tail: 0 shape failure(s)\n"
+            "  fin:1,2 lies in AtLeast(5) blocks\n"
+            "  fin:0,2 lies in AtLeast(5) blocks\n"
+            "no refutation found: counts are consistent up to the cutoff\n"
+        )
+
+    def test_refuted_text_format(self, capsys):
+        argv = ["verify", "--refutation-demo", "--cutoff", "50", "--format", "text"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "checked 1326 blocks of W(size=3,b=true,cosize=aleph0): 0 shape failure(s)\n"
+            "  fin:0,5 lies in AtLeast(50) blocks\n"
+            "  fin:5,6 lies in Exactly(1) blocks\n"
+            "refuted: fin:5,6 (Exactly(1)) vs fin:0,5 (AtLeast(50))\n"
+        )
 
     def test_probe_shape_mismatch_is_an_input_error(self, write, capsys):
         path = write("q.txt", QUERY_C1_CASE2)
@@ -234,6 +273,15 @@ class TestCrosscheckCommand:
     def test_bad_bounds(self, capsys):
         assert main(["crosscheck", "--grid-max-aleph", "9"]) == 2
         assert main(["crosscheck", "--max-finite", "0"]) == 2
+
+    def test_over_budget_is_refused_before_any_case(self, monkeypatch, capsys):
+        monkeypatch.setattr(designs, "_decide", None)  # any case would fail
+        assert main(["crosscheck", "--max-finite", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a sweep of 320008000058 cases exceeds the budget of 100000 cases\n"
+        )
 
 
 # Integer options read only canonical ASCII naturals; the first argv once

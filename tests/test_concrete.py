@@ -89,6 +89,26 @@ class TestConcreteSet:
         s = ConcreteSet(cofinite, tuple(support))
         assert ConcreteSet.parse(s.to_text()) == s
 
+    @given(
+        st.booleans(), st.frozensets(st.integers(0, 11)),
+        st.booleans(), st.frozensets(st.integers(0, 11)),
+    )
+    def test_algebra_agrees_with_python_sets(self, kind_a, support_a, kind_b, support_b):
+        # supports lie in range(12), so a set is its kind plus its members there
+        universe = set(range(12))
+
+        def members(s):
+            return universe - set(s.support) if s.cofinite else set(s.support)
+
+        a, b = ConcreteSet(kind_a, tuple(support_a)), ConcreteSet(kind_b, tuple(support_b))
+        assert members(a & b) == members(a) & members(b)
+        assert (a & b).cofinite == (a.cofinite and b.cofinite)
+        assert members(a | b) == members(a) | members(b)
+        assert (a | b).cofinite == (a.cofinite or b.cofinite)
+        assert members(a.complement()) == universe - members(a)
+        assert a.complement().cofinite != a.cofinite
+        assert a.issubset(b) == (members(a) <= members(b) and b.cofinite >= a.cofinite)
+
     def test_descriptor_extraction(self):
         assert extract_descriptor(F((0, 2))) == sd(FC(2), True, ALEPH0)
         assert extract_descriptor(Co((0, 3))) == sd(ALEPH0, False, FC(2))
@@ -322,6 +342,19 @@ class TestLocalDesignCheck:
         first, second = report.refutation
         assert first.probe == F((5, 6)) and first.global_exact == 1
         assert second.probe == F((0, 5)) and second.count == BlockCount.at_least(50)
+
+    def test_infinite_count_refutes_within_a_small_window(self):
+        # inside [1, 3] no block holds either probe, yet fin:0,5 lies in
+        # infinitely many blocks of the family and fin:5,6 in exactly one
+        c, d = sd(FC(2), True, ALEPH0), sd(FC(3), True, ALEPH0)
+        report = local_design_check(
+            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50, prefix=3
+        )
+        assert [p.count for p in report.probes] == [BlockCount.exactly(0)] * 2
+        first, second = report.refutation
+        assert (first.probe, first.global_exact) == (F((5, 6)), 1)
+        assert (second.probe, second.global_exact) == (F((0, 5)), None)
+        assert not report.consistent
 
     def test_space_minus_b_singleton(self):
         c = sd(ALEPH0, False, FC(1))

@@ -242,6 +242,53 @@ def test_sweep_rejects_an_invalid_grid_descriptor(monkeypatch):
         sweep()
 
 
+def test_sweep_case_count_is_the_grid_closed_form():
+    for m in range(30):
+        for finite_only in (False, True):
+            total = 0
+            for index in range(4):
+                grid = descriptor_grid(SpaceDescriptor(Cardinal.aleph(index)), m, finite_only)
+                total += len(grid) ** 2
+                assert designs._sweep_cases(index, m, finite_only) == total
+
+
+@pytest.fixture
+def no_case_runs(monkeypatch):
+    """Any grid built or case decided fails the test."""
+    monkeypatch.setattr(designs, "descriptor_grid", None)
+    monkeypatch.setattr(designs, "_decide", None)
+
+
+@pytest.mark.parametrize("max_finite, finite_sizes_only, cases", [
+    (1000, False, 32_080_058),
+    (10**5, False, 320_008_000_058),
+    (10**5, True, 8 * 10**10),
+])
+def test_sweep_over_budget_is_refused_before_any_case(
+    no_case_runs, max_finite, finite_sizes_only, cases
+):
+    with pytest.raises(ValueError, match=f"a sweep of {cases} cases exceeds the budget"):
+        sweep(max_finite=max_finite, finite_sizes_only=finite_sizes_only)
+
+
+def test_sweep_past_the_aleph_ladder_is_refused_before_any_case(no_case_runs):
+    with pytest.raises(ValueError, match="aleph index 4 exceeds the supported ladder"):
+        sweep(max_aleph=4)
+
+
+@pytest.mark.parametrize("s, t", [(1, 2), (1, 3), (2, 4), (3, 4)])
+def test_sweep_checks_each_edge_of_the_condition_lattice(monkeypatch, s, t):
+    table = designs._RULES[DesignType(t)]
+    tag = next(tag for tag, _, outcome in table if isinstance(outcome, str))
+    monkeypatch.setitem(
+        designs._RULES, DesignType(t), ((tag, lambda c, d, x: True, "never"),)
+    )
+    report = sweep(max_aleph=0, max_finite=2)
+    assert any(
+        v.endswith(f": type {s} exists but type {t} does not") for v in report.violations
+    )
+
+
 def test_verdict_record_shape():
     v = decide_type1(sd(F(2), True, ALEPH0), sd(ALEPH0, True, ALEPH0), X0)
     assert v.to_record() == [
