@@ -483,9 +483,10 @@ class ProbeReport:
     global_exact: int | None
 
     def display_count(self) -> str:
+        """The family-wide count; an infinite one is at least the window's."""
         if self.global_exact is not None:
             return f"Exactly({self.global_exact})"
-        return str(self.count)
+        return f"AtLeast({self.count.value})"
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,19 @@ class TestLocalDesignCheck:
         assert (second.probe, second.global_exact) == (F((0, 5)), None)
         assert not report.consistent
 
+    def test_infinite_count_displays_as_a_lower_bound(self):
+        # fin:0,5 lies in no block of the window but in infinitely many of
+        # the family: its count shows as at least the window's, not exactly
+        c, d = sd(FC(2), True, ALEPH0), sd(FC(3), True, ALEPH0)
+        report = local_design_check(
+            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50, prefix=3
+        )
+        first, second = report.refutation
+        assert (
+            f"{first.probe.to_text()} {first.display_count()} vs "
+            f"{second.probe.to_text()} {second.display_count()}"
+        ) == "fin:5,6 Exactly(1) vs fin:0,5 AtLeast(0)"
+
     def test_space_minus_b_singleton(self):
         c = sd(ALEPH0, False, FC(1))
         report = local_design_check(

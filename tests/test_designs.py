@@ -1,5 +1,8 @@
+import copy
 import functools
+import hashlib
 import itertools
+import pickle
 
 import pytest
 
@@ -10,6 +13,7 @@ from fortdesign.designs import (
     CASE_TAGS,
     ClassL,
     ClassW,
+    CrosscheckReport,
     DescriptorError,
     DesignType,
     OddTail,
@@ -336,6 +340,111 @@ def test_verdict_construction_guards():
         Verdict(True, "a2")  # existence needs a multiplicity and witness
     with pytest.raises(ValueError):
         Verdict.no("made-up-tag", "nope")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Verdict(True, "a2"),
+     "existence verdicts carry a multiplicity and a witness"),
+    (lambda: Verdict.yes(None, OddTail(), "c1-case2"),
+     "existence verdicts carry a multiplicity and a witness"),
+    (lambda: Verdict.no("made-up-tag", "nope"), "unknown case tag 'made-up-tag'"),
+])
+def test_verdict_rejections_keep_their_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+YES = Verdict.yes(LambdaValue.exact(ALEPH0), OddTail(), "c1-case2")
+NO = Verdict.no("t3-case1", "b is in C but not in D")
+REPORT = CrosscheckReport(True, False, True, True)
+
+
+@pytest.mark.parametrize("record, field", [
+    (YES, "exists"), (NO, "reason"), (REPORT, "obstruction"),
+])
+def test_verdict_and_report_fields_cannot_be_assigned(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+@pytest.mark.parametrize("record", [YES, NO, REPORT])
+def test_verdict_and_report_survive_pickle_and_copy(record):
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert clone == record and type(clone) is type(record)
+        assert repr(clone) == repr(record)
+
+
+def test_verdict_and_report_equality_and_hashing():
+    yes = Verdict(True, "c1-case2", LambdaValue.exact(ALEPH0), OddTail())
+    assert yes == YES and hash(yes) == hash(YES)
+    assert yes != Verdict.yes(LambdaValue.exact(ALEPH0), OddTail(), "c1-case3")
+    assert NO == (False, "t3-case1", None, None, "b is in C but not in D")
+    assert hash(NO) == hash((False, "t3-case1", None, None, "b is in C but not in D"))
+    assert REPORT == (True, False, True, True)
+    assert hash(REPORT) == hash((True, False, True, True))
+    assert len({YES, yes, NO, REPORT, CrosscheckReport(True, False, True, True)}) == 3
+
+
+def test_crosscheck_report_statements_and_disagreements():
+    assert REPORT.statements == (True, False, True, True)
+    assert type(REPORT.statements) is tuple
+    assert not REPORT.consistent
+    assert REPORT.disagreements() == [
+        ("no_type2", "no_type4"),
+        ("no_type4", "obstruction"),
+        ("no_type4", "not_embeddable"),
+    ]
+    for value in (False, True):
+        agreed = CrosscheckReport(value, value, value, value)
+        assert agreed.consistent and agreed.disagreements() == []
+    split = CrosscheckReport(False, False, True, True)
+    assert not split.consistent
+    assert split.disagreements() == [
+        ("no_type2", "obstruction"),
+        ("no_type2", "not_embeddable"),
+        ("no_type4", "obstruction"),
+        ("no_type4", "not_embeddable"),
+    ]
+
+
+def test_a_refusal_row_yields_one_verdict():
+    first = decide(3, sd(F(1), True, ALEPH0), sd(F(1), False, ALEPH0), X0)
+    assert first == NO
+    assert decide(3, sd(F(2), True, ALEPH1), sd(F(5), False, ALEPH1), X1) is first
+
+
+def test_verdicts_on_the_aleph3_grid_are_pinned():
+    # repr and record of every verdict for X = aleph0..aleph3 and C, D over
+    # descriptor_grid(X, 8): any change to a table's answers, to a
+    # verdict's repr or to its record changes the digest
+    digest = hashlib.sha256()
+    verdicts = 0
+    for index in range(4):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        grid = descriptor_grid(space, 8)
+        for c, d in itertools.product(grid, repeat=2):
+            for t in DesignType:
+                v = decide(t, c, d, space)
+                digest.update(f"{v!r}\n{v.to_record()!r}\n".encode())
+                verdicts += 1
+    assert verdicts == 27_216
+    assert digest.hexdigest() == (
+        "ab6935327ce6b6112783ef6e42fa10c1e08fe67c8ab45256687b2b1cefc64da6"
+    )
+
+
+def test_fault_injected_sweep_violations_are_pinned():
+    report = sweep(max_aleph=1, max_finite=2, inject_fault=True)
+    assert report.cases == 346 and len(report.violations) == 49
+    assert report.violations[0] == (
+        "X=aleph0 C=(size=1,b=true,cosize=aleph0) "
+        "D=(size=aleph0,b=false,cosize=1): crosscheck disagrees on "
+        "no_type2/obstruction, no_type4/obstruction, obstruction/not_embeddable"
+    )
+    assert hashlib.sha256("\n".join(report.violations).encode()).hexdigest() == (
+        "c88b4dbdfeb3654345212e8b692fde415849dc730de05968d81d7f8c1e6cd37e"
+    )
 
 
 def grid_cases():
