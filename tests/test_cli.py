@@ -275,7 +275,7 @@ class TestCrosscheckCommand:
         assert main(["crosscheck", "--max-finite", "0"]) == 2
 
     def test_over_budget_is_refused_before_any_case(self, monkeypatch, capsys):
-        monkeypatch.setattr(designs, "_decide", None)  # any case would fail
+        monkeypatch.setattr(designs, "_mask", None)  # any case would fail
         assert main(["crosscheck", "--max-finite", "100000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

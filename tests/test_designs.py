@@ -5,10 +5,17 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, LambdaValue
+from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, LambdaValue, csum
 from fortdesign import designs
-from fortdesign.descriptors import SpaceDescriptor, SubsetDescriptor, descriptor_grid
+from fortdesign.descriptors import (
+    SpaceDescriptor,
+    SubsetDescriptor,
+    cosize_minus_b,
+    descriptor_grid,
+    size_minus_b,
+)
 from fortdesign.designs import (
     CASE_TAGS,
     ClassL,
@@ -258,9 +265,9 @@ def test_sweep_case_count_is_the_grid_closed_form():
 
 @pytest.fixture
 def no_case_runs(monkeypatch):
-    """Any grid built or case decided fails the test."""
+    """Any grid built or case run fails the test."""
     monkeypatch.setattr(designs, "descriptor_grid", None)
-    monkeypatch.setattr(designs, "_decide", None)
+    monkeypatch.setattr(designs, "_mask", None)
 
 
 @pytest.mark.parametrize("max_finite, finite_sizes_only, cases", [
@@ -283,10 +290,8 @@ def test_sweep_past_the_aleph_ladder_is_refused_before_any_case(no_case_runs):
 @pytest.mark.parametrize("s, t", [(1, 2), (1, 3), (2, 4), (3, 4)])
 def test_sweep_checks_each_edge_of_the_condition_lattice(monkeypatch, s, t):
     table = designs._RULES[DesignType(t)]
-    tag = next(tag for tag, _, outcome in table if isinstance(outcome, str))
-    monkeypatch.setitem(
-        designs._RULES, DesignType(t), ((tag, lambda c, d, x: True, "never"),)
-    )
+    tag = next(tag for tag, _, _, outcome in table if isinstance(outcome, str))
+    monkeypatch.setitem(designs._RULES, DesignType(t), ((tag, 0, 0, "never"),))
     report = sweep(max_aleph=0, max_finite=2)
     assert any(
         v.endswith(f": type {s} exists but type {t} does not") for v in report.violations
@@ -455,8 +460,16 @@ def grid_cases():
             yield c, d, space
 
 
+def case_mask(c, d, space):
+    return designs._mask(designs._facts(c, space), designs._facts(d, space))
+
+
 def deciding_row(table, c, d, space):
-    return next(i for i, (_, guard, _) in enumerate(table) if guard(c, d, space))
+    m = case_mask(c, d, space)
+    return next(
+        i for i, (_, required, forbidden, _) in enumerate(table)
+        if m & required == required and not m & forbidden
+    )
 
 
 def test_every_table_row_decides_some_grid_case():
@@ -469,7 +482,93 @@ def test_every_table_row_decides_some_grid_case():
             assert decide(t, c, d, space).case_tag == table[row][0]
     for t, table in designs._RULES.items():
         assert hits[t] == set(range(len(table))), t
-        assert table[-1][1] is designs._always
+        assert table[-1][1:3] == (0, 0)
+
+
+# each guard atom and its reference predicate over (C, D, X)
+ATOM_PREDICATES = {
+    designs.B_IN_C: lambda c, d, x: c.contains_b,
+    designs.C_FINITE: lambda c, d, x: c.size.is_finite,
+    designs.C_SMALL: lambda c, d, x: c.size < x.size,
+    designs.B_IN_D: lambda c, d, x: d.contains_b,
+    designs.D_FINITE: lambda c, d, x: d.size.is_finite,
+    designs.D_COSIZE_0: lambda c, d, x: d.cosize == F(0),
+    designs.D_COSIZE_1: lambda c, d, x: d.cosize == F(1),
+    designs.D_COSIZE_FINITE: lambda c, d, x: d.cosize.is_finite,
+    designs.X_ALEPH0: lambda c, d, x: x.size == ALEPH0,
+    designs.C_GT_D: lambda c, d, x: c.size > d.size,
+    designs.C_EQ_D: lambda c, d, x: c.size == d.size,
+    designs.C_PLUS_2_GT_D: lambda c, d, x: csum(c.size, F(2)) > d.size,
+    designs.C_GT_D_WITHOUT_B: lambda c, d, x: size_minus_b(c) > size_minus_b(d),
+    designs.COSIZE_D_GT_C: lambda c, d, x: cosize_minus_b(d) > cosize_minus_b(c),
+}
+ALL_ATOMS = sum(ATOM_PREDICATES)
+
+
+def assert_atoms_agree(c, d, space):
+    m = case_mask(c, d, space)
+    for atom, predicate in ATOM_PREDICATES.items():
+        assert bool(m & atom) == predicate(c, d, space), (atom, c, d, space)
+    assert m & ~ALL_ATOMS == 0
+
+
+def test_atoms_are_distinct_bits_and_cover_every_guard():
+    assert len(ATOM_PREDICATES) == 14
+    assert ALL_ATOMS == (1 << 14) - 1
+    for table in designs._RULES.values():
+        for _, required, forbidden, _ in table:
+            assert (required | forbidden) & ~ALL_ATOMS == 0
+            assert not required & forbidden
+
+
+def test_atoms_agree_with_their_predicates_on_the_aleph3_grid():
+    for index in range(4):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        for c, d in itertools.product(descriptor_grid(space, 8), repeat=2):
+            assert_atoms_agree(c, d, space)
+
+
+@st.composite
+def spaced_pairs(draw):
+    """A space and two valid, nonempty descriptors in it, with finite sizes
+    up to 10^6 that often lie within a few of each other."""
+    index = draw(st.integers(0, 3))
+    space = SpaceDescriptor(Cardinal.aleph(index))
+    near = draw(st.integers(1, 10**6))
+
+    def cardinal(low):
+        return draw(st.one_of(
+            st.integers(low, 10**6).map(F),
+            st.integers(-3, 3).map(lambda k: F(max(low, near + k))),
+            st.integers(0, index).map(Cardinal.aleph),
+        ))
+
+    def descriptor():
+        size = cardinal(1)
+        cosize = space.size if size < space.size else cardinal(0)
+        return sd(size, cosize == F(0) or draw(st.booleans()), cosize)
+
+    return descriptor(), descriptor(), space
+
+
+@given(spaced_pairs())
+@example((sd(F(999_998), True, ALEPH0), sd(F(10**6), True, ALEPH0), X0))
+@example((sd(F(999_999), True, ALEPH0), sd(F(10**6), False, ALEPH0), X0))
+@example((sd(ALEPH0, False, F(10**6)), sd(ALEPH0, False, F(999_999)), X0))
+def test_atoms_agree_with_their_predicates_at_large_finite_sizes(case):
+    assert_atoms_agree(*case)
+
+
+@pytest.mark.parametrize("space", [X0, X1])
+def test_a_verdict_is_fixed_by_the_mask_and_d(space):
+    # sweep reuses a verdict across every case with the same deciding row
+    # and D; here every case with the same mask and D gets one verdict
+    grid = descriptor_grid(space, 4)
+    groups = {}
+    for c, d in itertools.product(grid, repeat=2):
+        verdicts = tuple(decide(t, c, d, space) for t in DesignType)
+        assert groups.setdefault((case_mask(c, d, space), d), verdicts) == verdicts
+    assert len(groups) < len(grid) ** 2
 
 
 def test_case_tags_are_the_wire_format():
