@@ -212,52 +212,48 @@ def _set_list(sets) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.refutation_demo:
         report = _refutation_demo_report(args.cutoff)
-        _print_check_report(report, args.format)
-        return EXIT_EXISTS if report.consistent else EXIT_NOT_EXISTS
-    if args.query is None:
-        raise QueryError("a query file is required unless --refutation-demo is given")
-    query = parse_query(_read_file(args.query))
-    if query.space.size != ALEPH0:
-        raise QueryError(
-            "concrete verification runs over the countable model; "
-            "space.size must be aleph0"
-        )
-    verdict = decide(query.design_type, query.c, query.d, query.space)
-    if not verdict.exists:
-        raise QueryError(
-            f"nothing to verify: decision is NotExists [case {verdict.case_tag}]"
-        )
-    try:
+    else:
+        if args.query is None:
+            raise QueryError("a query file is required unless --refutation-demo is given")
+        query = parse_query(_read_file(args.query))
+        if query.space.size != ALEPH0:
+            raise QueryError(
+                "concrete verification runs over the countable model; "
+                "space.size must be aleph0"
+            )
+        verdict = decide(query.design_type, query.c, query.d, query.space)
+        if not verdict.exists:
+            raise QueryError(
+                f"nothing to verify: decision is NotExists [case {verdict.case_tag}]"
+            )
         probes = [ConcreteSet.parse(text) for text in args.probes]
-    except ValueError as exc:
-        raise QueryError(str(exc)) from exc
-    require_complement = query.design_type in (DesignType.TYPE1, DesignType.TYPE3)
-    report = local_design_check(
-        verdict.witness,
-        query.c,
-        query.d,
-        probes,
-        args.cutoff,
-        require_complement=require_complement,
-    )
-    # condition IV (types 3 and 4): a probe's complement is shaped like X \ C
-    condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
-    co_c = complement(query.c, COUNTABLE_SPACE)
-    bad_complement = [
-        p.probe
-        for p in report.probes
-        if condition_iv
-        and not subspace_homeomorphic(extract_descriptor(p.probe.complement()), co_c)
-    ]
-    problems = []
-    if report.rejected:
-        problems.append(f"probe(s) not shaped like C: {_set_list(report.rejected)}")
-    if bad_complement:
-        problems.append(
-            f"probe complement(s) not shaped like X \\ C: {_set_list(bad_complement)}"
+        require_complement = query.design_type in (DesignType.TYPE1, DesignType.TYPE3)
+        report = local_design_check(
+            verdict.witness,
+            query.c,
+            query.d,
+            probes,
+            args.cutoff,
+            require_complement=require_complement,
         )
-    if problems:
-        raise QueryError("; ".join(problems))
+        # condition IV (types 3 and 4): a probe's complement is shaped like X \ C
+        condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
+        co_c = complement(query.c, COUNTABLE_SPACE)
+        bad_complement = [
+            p.probe
+            for p in report.probes
+            if condition_iv
+            and not subspace_homeomorphic(extract_descriptor(p.probe.complement()), co_c)
+        ]
+        problems = []
+        if report.rejected:
+            problems.append(f"probe(s) not shaped like C: {_set_list(report.rejected)}")
+        if bad_complement:
+            problems.append(
+                f"probe complement(s) not shaped like X \\ C: {_set_list(bad_complement)}"
+            )
+        if problems:
+            raise QueryError("; ".join(problems))
     _print_check_report(report, args.format)
     return EXIT_EXISTS if report.consistent else EXIT_NOT_EXISTS
 

@@ -35,8 +35,15 @@ class FamilyEnumerationError(ValueError):
     """Raised when a family admits no bounded concrete realization."""
 
 
+def _exactly(kind: type, value, what: str):
+    """The value itself if its type is exactly ``kind``, so no bool is an int."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _normalized(elements) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(x) for x in elements)))
+    out = tuple(sorted({_exactly(int, x, "a ground-set element") for x in elements}))
     if out and out[0] < 0:
         raise ValueError("ground-set elements are naturals")
     return out
@@ -47,13 +54,15 @@ class ConcreteSet:
     """A finite or cofinite subset of the naturals.
 
     ``support`` lists the members when finite, the excluded elements when
-    cofinite; it is kept strictly increasing and duplicate-free.
+    cofinite; it is kept strictly increasing and duplicate-free.  Its points
+    must be ``int`` and ``cofinite`` a ``bool``, or ``ValueError`` is raised.
     """
 
     cofinite: bool
     support: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _exactly(bool, self.cofinite, "cofinite")
         object.__setattr__(self, "support", _normalized(self.support))
 
     @classmethod
@@ -139,7 +148,7 @@ class OddTailBlock:
     index: int
 
     def __post_init__(self) -> None:
-        if self.index < 1:
+        if _exactly(int, self.index, "an odd-tail block index") < 1:
             raise ValueError("odd-tail blocks are numbered from 1")
 
     def __contains__(self, x: int) -> bool:
@@ -203,9 +212,11 @@ class PointMap:
     exceptions: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "exceptions", tuple(sorted((int(a), int(b)) for a, b in self.exceptions))
-        )
+        _exactly(bool, self.aligned, "aligned")
+        point = "an exception-table point"
+        object.__setattr__(self, "exceptions", tuple(sorted(
+            (_exactly(int, a, point), _exactly(int, b, point)) for a, b in self.exceptions
+        )))
         if len({a for a, _ in self.exceptions}) != len(self.exceptions):
             raise ValueError("exception table must map each source point once")
 

@@ -109,16 +109,13 @@ def pair_equivalent(
 ) -> bool:
     """Whether U ~ V and X\\U ~ X\\V simultaneously.
 
-    Computed as equal sizes, equal cosizes and matching b-membership.  One of
-    U, X\\U is always infinite, so the b clause is exactly what matching on
-    both sides requires.  ``space`` is part of the contract (both descriptors
-    must be valid in the same space) but carries no extra data.
+    One of U, X\\U is always infinite, and an infinite subspace's type records
+    whether it holds b, so this is equal sizes, equal cosizes and matching
+    b-membership: a descriptor is its own pair-equivalence class.  ``space``
+    is part of the contract (both descriptors must be valid in the same space)
+    but carries no extra data.
     """
-    return (
-        u.size == v.size
-        and u.cosize == v.cosize
-        and u.contains_b == v.contains_b
-    )
+    return u == v
 
 
 def embeddable(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:

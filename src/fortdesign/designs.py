@@ -25,12 +25,12 @@ and whose ``forbidden`` atoms all fail decides.  An outcome is a refusal
 reason or a function of D and X only, never of C, so a verdict is fixed by
 its row, D and X; ``sweep`` builds each such verdict once per space.
 
-Validation contract: each public entry (``decide``, ``decide_type1`` ..
-``decide_type4``, ``crosscheck``) validates C and D against the space exactly
-once and then runs the tables through ``_decide`` and ``_crosscheck``, which
-assume valid, nonempty descriptors and never call a public entry.  ``sweep``
-validates each grid descriptor once per space and runs the tables on the
-descriptors' facts directly.
+Validation contract: ``decide`` and ``crosscheck`` validate C and D against
+the space exactly once and then run the tables through ``_decide`` and
+``_crosscheck``, which assume valid, nonempty descriptors and never call a
+public entry; ``decide_type1`` .. ``decide_type4`` are ``decide`` with the
+type fixed.  ``sweep`` validates each grid descriptor once per space and runs
+the tables on the descriptors' facts directly.
 """
 
 from __future__ import annotations
@@ -427,8 +427,7 @@ def decide_type1(
 
     The cases, their tags and witnesses are the rows of ``_TYPE1``.
     """
-    _require_valid(space, C=c, D=d)
-    return _decide(_TYPE1, c, d, space)
+    return decide(DesignType.TYPE1, c, d, space)
 
 
 def decide_type2(
@@ -439,8 +438,7 @@ def decide_type2(
     A design exists exactly when C embeds into D.  The cases, their tags and
     witnesses are the rows of ``_TYPE2``.
     """
-    _require_valid(space, C=c, D=d)
-    return _decide(_TYPE2, c, d, space)
+    return decide(DesignType.TYPE2, c, d, space)
 
 
 def decide_type3(
@@ -453,8 +451,7 @@ def decide_type3(
     inside that of C's.  The cases, their tags and the witness are the rows
     of ``_TYPE3``.
     """
-    _require_valid(space, C=c, D=d)
-    return _decide(_TYPE3, c, d, space)
+    return decide(DesignType.TYPE3, c, d, space)
 
 
 def decide_type4(
@@ -465,8 +462,7 @@ def decide_type4(
     Existence coincides with type 2, exactly when C embeds into D: the table
     ``_TYPE4`` is ``_TYPE2`` with every existence row tagged ``t4``.
     """
-    _require_valid(space, C=c, D=d)
-    return _decide(_TYPE4, c, d, space)
+    return decide(DesignType.TYPE4, c, d, space)
 
 
 def decide(
@@ -475,6 +471,7 @@ def decide(
     d: SubsetDescriptor,
     space: SpaceDescriptor,
 ) -> Verdict:
+    """Decide existence of a design of the given type for C and D in the space."""
     table = _RULES[DesignType(design_type)]
     _require_valid(space, C=c, D=d)
     return _decide(table, c, d, space)
@@ -616,7 +613,9 @@ def sweep(
     cases = 0
     for space in spaces:
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
-        _require_valid(space, **{f"grid {s}": s for s in grid})
+        # labels are formatted only for the error
+        if any(validate(s, space) or s.size == ZERO for s in grid):
+            _require_valid(space, **{f"grid {s}": s for s in grid})
         facts = [_facts(s, space) for s in grid]
         # a verdict depends only on its row, D and the space, so each D
         # keeps row -> (verdict, witness problems), each built once

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -113,6 +114,25 @@ class TestConcreteSet:
         assert extract_descriptor(F((0, 2))) == sd(FC(2), True, ALEPH0)
         assert extract_descriptor(Co((0, 3))) == sd(ALEPH0, False, FC(2))
         assert extract_descriptor(OddTailBlock(2)) == sd(ALEPH0, True, ALEPH0)
+
+
+@pytest.mark.parametrize("make, value", [
+    # each was once accepted: F([2.7, 5]) as fin:2,5, ConcreteSet("no", ())
+    # as a cofinite set, OddTailBlock(1.5) as oddtail:1.5
+    (lambda: F([2.7, 5]), "2.7"),
+    (lambda: F([2, "5"]), "'5'"),
+    (lambda: F([True, 5]), "True"),
+    (lambda: PointMap(exceptions=((1.9, 3),)), "1.9"),
+    (lambda: PointMap(exceptions=((1, "3"),)), "'3'"),
+    (lambda: ConcreteSet("no", ()), "'no'"),
+    (lambda: ConcreteSet(1, ()), "1"),
+    (lambda: PointMap(aligned="no"), "'no'"),
+    (lambda: OddTailBlock(1.5), "1.5"),
+    (lambda: OddTailBlock(True), "True"),
+])
+def test_concrete_values_reject_other_types(make, value):
+    with pytest.raises(ValueError, match=f"must be (int|bool), got {re.escape(value)}$"):
+        make()
 
 
 class TestTopology:

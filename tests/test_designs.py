@@ -245,12 +245,19 @@ def test_invalid_inputs_are_rejected(entry, c, d, expected):
 
 
 def test_sweep_rejects_an_invalid_grid_descriptor(monkeypatch):
-    def grid_with_an_invalid_descriptor(*args):
-        return descriptor_grid(*args) + [sd(F(3), True, F(5))]
+    # one descriptor that breaks an invariant, and one that is empty
+    for bad, violation in [
+        (sd(F(3), True, F(5)), "max(size, cosize) must equal card(X)"),
+        (sd(F(0), False, ALEPH0), "must be nonempty"),
+    ]:
+        def grid_with_an_invalid_descriptor(*args):
+            return descriptor_grid(*args) + [bad]
 
-    monkeypatch.setattr(designs, "descriptor_grid", grid_with_an_invalid_descriptor)
-    with pytest.raises(DescriptorError):
-        sweep()
+        monkeypatch.setattr(designs, "descriptor_grid", grid_with_an_invalid_descriptor)
+        with pytest.raises(DescriptorError) as caught:
+            sweep()
+        [message] = caught.value.violations
+        assert message.startswith(f"grid {bad}: {violation}")
 
 
 def test_sweep_case_count_is_the_grid_closed_form():
@@ -526,6 +533,43 @@ def test_atoms_agree_with_their_predicates_on_the_aleph3_grid():
         space = SpaceDescriptor(Cardinal.aleph(index))
         for c, d in itertools.product(descriptor_grid(space, 8), repeat=2):
             assert_atoms_agree(c, d, space)
+
+
+def stated_type1(c, d, x):
+    """The existence condition decide_type1's docstring states."""
+    if c.size > d.size or (c.contains_b and not d.contains_b):
+        return False
+    if not d.contains_b:  # b is outside C and D
+        return not c.size.is_finite and (
+            c.size < x.size or d == sd(x.size, False, F(1))
+        )
+    if c.size.is_finite:
+        return csum(c.size, F(2)) <= d.size
+    return c.size < x.size or d == sd(x.size, True, F(0))
+
+
+def stated_type3(c, d, x):
+    """The existence condition decide_type3's docstring states."""
+    return (
+        not (c.contains_b and not d.contains_b)
+        and size_minus_b(c) <= size_minus_b(d)
+        and cosize_minus_b(d) <= cosize_minus_b(c)
+    )
+
+
+# types 2 and 4 ("C embeds into D") are checked by
+# test_criterion_1_crosscheck_equivalence
+@pytest.mark.parametrize("design_type, stated", [
+    (DesignType.TYPE1, stated_type1),
+    (DesignType.TYPE3, stated_type3),
+])
+def test_decider_docstrings_agree_with_the_tables(design_type, stated):
+    for index in range(4):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        for c, d in itertools.product(descriptor_grid(space, 8), repeat=2):
+            assert decide(design_type, c, d, space).exists == stated(c, d, space), (
+                c, d, space
+            )
 
 
 @st.composite
