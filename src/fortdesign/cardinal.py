@@ -29,6 +29,13 @@ def parse_natural(text: str) -> int:
     return int(digits)
 
 
+def _exactly(kind: type, value, what: str):
+    """The value itself if its type is exactly ``kind``, so no bool is an int."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 # A NamedTuple body may not define __new__, so each validated record is a
 # subclass of its fields' NamedTuple that validates in __new__.
 class _CardinalFields(NamedTuple):
@@ -48,6 +55,11 @@ class Cardinal(_CardinalFields):
     __slots__ = ()
 
     def __new__(cls, infinite: bool, value: int) -> "Cardinal":
+        # exact types, so no float, str or bool value and no int flag passes
+        if type(value) is not int:
+            raise ValueError(f"cardinal value must be int, got {value!r}")
+        if type(infinite) is not bool:
+            raise ValueError(f"cardinal flag infinite must be bool, got {infinite!r}")
         if value < 0:
             raise ValueError(f"cardinal value must be >= 0, got {value}")
         if infinite and value > MAX_ALEPH_INDEX:

@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .cardinal import ALEPH0, Cardinal, parse_natural
+from .cardinal import ALEPH0, Cardinal, _exactly, parse_natural
 from .descriptors import (
     SpaceDescriptor,
     SubsetDescriptor,
@@ -33,13 +33,6 @@ COUNTABLE_SPACE = SpaceDescriptor(ALEPH0)
 
 class FamilyEnumerationError(ValueError):
     """Raised when a family admits no bounded concrete realization."""
-
-
-def _exactly(kind: type, value, what: str):
-    """The value itself if its type is exactly ``kind``, so no bool is an int."""
-    if type(value) is not kind:
-        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 def _normalized(elements) -> tuple[int, ...]:

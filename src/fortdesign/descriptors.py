@@ -59,9 +59,12 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
             f"max(size, cosize) must equal card(X)={x}, "
             f"got size={subset.size}, cosize={subset.cosize}"
         )
-    if subset.size == ZERO and subset.contains_b:
+    b = subset.contains_b
+    if type(b) is not bool:
+        violations.append(f"contains_b must be bool, got {b!r}")
+    elif b and subset.size == ZERO:
         violations.append("the empty set cannot contain b")
-    if subset.cosize == ZERO and not subset.contains_b:
+    elif not b and subset.cosize == ZERO:
         violations.append("a set with empty complement must contain b")
     return violations
 

@@ -74,6 +74,14 @@ class DesignType(enum.IntEnum):
     TYPE3 = 3
     TYPE4 = 4
 
+    @classmethod
+    def of(cls, value) -> "DesignType":
+        """The member ``value`` names: only a member or an exact ``int`` does,
+        so neither ``True`` nor ``1.0`` is read as type 1."""
+        if type(value) is not cls and type(value) is not int:
+            raise ValueError(f"design type must be an int 1..4, got {value!r}")
+        return cls(value)
+
 
 class DescriptorError(ValueError):
     """Raised when C, D or the space violate the descriptor invariants."""
@@ -472,7 +480,7 @@ def decide(
     space: SpaceDescriptor,
 ) -> Verdict:
     """Decide existence of a design of the given type for C and D in the space."""
-    table = _RULES[DesignType(design_type)]
+    table = _RULES[DesignType.of(design_type)]
     _require_valid(space, C=c, D=d)
     return _decide(table, c, d, space)
 

@@ -5,24 +5,27 @@ b-containing subset has finite complement), so homeomorphism degenerates to
 equal cardinality and the four design types collapse pairwise onto the
 classical t-(n,k,lambda) notion.  This module is the definitional sanity
 anchor, with the closed-form binomial count as an independent cross-check.
-Probes are counted through a per-point index of block bitmasks and walked
-in lexicographic order only while their counts agree, so a call visits at
-most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes, and refuses to start a walk
-that this bound puts over ``WALK_BUDGET``; every count it reports is then
-recounted literally, probe set against block, before it is returned.
+Probes are counted through a one-pass index of block bitmasks over the
+points some block holds, and walked depth-first in lexicographic order,
+each prefix's AND shared by its extensions, only while their counts agree.
+So a call visits at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes, refuses
+to start a walk that this bound puts over ``WALK_BUDGET``, and costs
+nothing per point that no block holds: the cost does not depend on n.
+Every count reported is recounted literally, probe set against block.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .cardinal import parse_natural
+from .cardinal import _exactly, parse_natural
 from .designs import DesignType
 
-# the largest walk bound accepted: a uniform 705,432-probe walk takes 0.6 s
-# on a 2-vCPU Xeon VM under Python 3.11
+# the largest walk bound accepted: a uniform 705,432-probe walk (one block of
+# 22 points, t = 11) takes 0.75 s on a 2-vCPU Xeon VM under Python 3.11
 WALK_BUDGET = 10**6
 
 
@@ -36,6 +39,8 @@ class FiniteInstance:
     d_size: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "c_size", "d_size"):
+            _exactly(int, getattr(self, name), name)
         if self.n < 2:
             raise ValueError("ground set needs at least 2 elements")
         if not (1 <= self.c_size <= self.d_size <= self.n):
@@ -43,8 +48,9 @@ class FiniteInstance:
         frozen = tuple(frozenset(b) for b in self.blocks)
         object.__setattr__(self, "blocks", frozen)
         for i, block in enumerate(frozen):
-            if not all(isinstance(x, int) and 0 <= x < self.n for x in block):
-                raise ValueError(f"block {i} leaves the ground set")
+            for x in block:
+                if type(x) is not int or not 0 <= x < self.n:
+                    raise ValueError(f"block {i} leaves the ground set at {x!r}")
         if len(set(frozen)) != len(frozen):
             raise ValueError("blocks must be pairwise distinct")
 
@@ -92,29 +98,28 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
     and the probes of matching complement size (types 3 and 4) are all the
     probes: the four types ask one question, and only condition I is checked.
 
-    The walk stops at the first count that differs.  When the first probe
-    lies in no block, that is the smallest t-subset of any block, read off
-    the blocks without walking.  Otherwise every probe passed lies in some
-    block, so at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes are counted;
-    when that bound exceeds ``WALK_BUDGET`` a ``ValueError`` is raised
-    before the walk starts.  Each reported count is recounted literally; a
-    disagreement raises ``RuntimeError``.
+    Once condition I holds, one pass over the blocks indexes, for each point
+    some block holds, the bitmask of the blocks holding it; a probe's count
+    is the popcount of its points' AND.  The walk stops at the first count
+    that differs.  When the first probe lies in no block, that is the
+    smallest t-subset of any block, read off the blocks without walking.
+    Otherwise every probe passed lies in some block, so at most
+    1 + min(C(n,t), sum_i C(|B_i|,t)) probes are visited; when that bound
+    exceeds ``WALK_BUDGET`` a ``ValueError`` is raised before the walk
+    starts.  Neither the index nor the walk grows with n.  Each reported
+    count is recounted literally; a disagreement raises ``RuntimeError``.
     """
-    DesignType(design_type)  # rejects an unknown type; the four agree here
-    for i, block in enumerate(inst.blocks):
-        if len(block) != inst.d_size:
-            raise ValueError(
-                f"condition I violated: block {i} has size {len(block)}, "
-                f"expected {inst.d_size}"
-            )
+    DesignType.of(design_type)  # rejects an unknown type; the four agree here
+    sizes = list(map(len, inst.blocks))
+    if sizes.count(inst.d_size) != len(sizes):
+        i = next(i for i, size in enumerate(sizes) if size != inst.d_size)
+        raise ValueError(
+            f"condition I violated: block {i} has size {sizes[i]}, "
+            f"expected {inst.d_size}"
+        )
     if not inst.blocks:
         return BruteOutcome.exactly(0)
-
-    # bit i of masks[x] is set when block i holds x
-    masks: dict[int, int] = {}
-    for i, block in enumerate(inst.blocks):
-        for x in block:
-            masks[x] = masks.get(x, 0) | 1 << i
+    masks = _index(inst.blocks)
 
     def count(probe: tuple[int, ...]) -> int:
         common = masks.get(probe[0], 0)
@@ -127,19 +132,80 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
     c0 = count(first)
     if c0 == 0:
         second = min(tuple(sorted(block)[:t]) for block in inst.blocks)
+        c1 = count(second)
     else:
-        bound = 1 + min(math.comb(inst.n, t), len(inst.blocks) * math.comb(inst.d_size, t))
+        bound = 1 + min(math.comb(inst.n, t), len(sizes) * math.comb(inst.d_size, t))
         if bound > WALK_BUDGET:
             raise ValueError(f"walk bound {bound} exceeds the budget of {WALK_BUDGET} probes")
-        second = next(
-            (p for p in itertools.combinations(range(inst.n), t) if count(p) != c0),
-            None,
-        )
+        second, c1 = _first_other(masks, inst.n, t, c0) or (None, None)
     if second is None:
         return BruteOutcome.exactly(_recounted(inst, first, c0))
     return BruteOutcome.non_uniform(
-        first, _recounted(inst, first, c0), second, _recounted(inst, second, count(second))
+        first, _recounted(inst, first, c0), second, _recounted(inst, second, c1)
     )
+
+
+def _index(blocks: tuple[frozenset[int], ...]) -> dict[int, int]:
+    """Bit i of ``masks[x]`` is set when block i holds x.  Only the points
+    some block holds get a mask; one pass, O(1) per (block, point) pair."""
+    width = len(blocks)
+    if width <= 32:
+        # a mask this narrow is one or two int digits: ORing a bit in is cheap
+        masks: dict[int, int] = {}
+        for i, block in enumerate(blocks):
+            for x in block:
+                masks[x] = masks.get(x, 0) | 1 << i
+        return masks
+    # ORing into a wider mask copies all of it, so each row spells its mask
+    # in binary digits instead (block i is digit j = width-1-i), read at the end
+    rows: defaultdict[int, bytearray] = defaultdict(lambda: bytearray(b"0") * width)
+    for j, block in enumerate(reversed(blocks)):
+        for x in block:
+            rows[x][j] = 49  # ord("1")
+    return {x: int(row, 2) for x, row in rows.items()}
+
+
+def _first_other(
+    masks: dict[int, int], n: int, t: int, c0: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The first t-subset of range(n), in lexicographic order, that lies in
+    other than ``c0`` blocks, with that count; None when there is none.
+
+    A depth-first walk over nested lazy ranges, one per place: a prefix's
+    AND is shared by all its extensions, so a probe visited costs one AND
+    and a popcount, and points the walk does not reach cost nothing.  Its
+    own stack keeps t clear of the recursion limit.
+    """
+    get = masks.get
+    prefix: list[int] = []
+    commons = [-1]  # commons[j]: the AND of the masks of prefix[:j]
+    places = []  # the candidates left for each place of the prefix
+    start = 0
+    while True:
+        if len(prefix) == t - 1:
+            common = commons[-1]
+            for x in range(start, n):
+                count = (common & get(x, 0)).bit_count()
+                if count != c0:
+                    return (*prefix, x), count
+            if not prefix:
+                return None
+            prefix.pop()
+            commons.pop()
+        else:
+            places.append(iter(range(start, n - t + len(prefix) + 1)))
+        # the next candidate of the deepest place that has one left
+        x = next(places[-1], None)
+        while x is None:
+            places.pop()
+            if not places:
+                return None
+            prefix.pop()
+            commons.pop()
+            x = next(places[-1], None)
+        prefix.append(x)
+        commons.append(commons[-1] & get(x, 0))
+        start = x + 1
 
 
 def _recounted(inst: FiniteInstance, probe: tuple[int, ...], count: int) -> int:

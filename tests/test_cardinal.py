@@ -147,6 +147,20 @@ def test_invalid_records_are_rejected_with_their_message(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    # each was accepted: 2.5 printed as 2.5, (1, 0) was aleph0, ('x', 1) aleph1
+    (lambda: Cardinal.finite(2.5), "cardinal value must be int, got 2.5"),
+    (lambda: Cardinal.finite(True), "cardinal value must be int, got True"),
+    (lambda: Cardinal.aleph("1"), "cardinal value must be int, got '1'"),
+    (lambda: Cardinal(1, 0), "cardinal flag infinite must be bool, got 1"),
+    (lambda: Cardinal("x", 1), "cardinal flag infinite must be bool, got 'x'"),
+    (lambda: Cardinal(None, 3), "cardinal flag infinite must be bool, got None"),
+])
+def test_cardinal_takes_only_an_int_value_and_a_bool_flag(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_fields_cannot_be_assigned():
     for record, field in ((ALEPH0, "value"), (LambdaValue.exact(ONE), "family")):
         with pytest.raises(AttributeError):

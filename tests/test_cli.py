@@ -347,6 +347,12 @@ class TestBruteCommand:
         assert main(["brute", path]) == 1
         assert capsys.readouterr().out == "Exactly(0)\n"
 
+    def test_sparse_instance_on_a_huge_ground_set(self, write, capsys):
+        # the walk bound is 7 probes; the walk once copied range(n) first
+        path = write("inst.txt", "1000000000, 2, 3\n0,1,2\n0,1,5\n")
+        assert main(["brute", path]) == 1
+        assert capsys.readouterr().out == "NonUniform({0,1} in 2 blocks, {0,2} in 1 blocks)\n"
+
     def test_condition_violation(self, write, capsys):
         path = write("inst.txt", "5, 2, 3\n0,1,2\n3,4\n")
         assert main(["brute", path]) == 2

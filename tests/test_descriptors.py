@@ -63,6 +63,17 @@ def test_validate_reports_each_violation():
     assert validate(sd(ALEPH1, True, ALEPH1), X0) != []  # size above card(X)
 
 
+def test_validate_reports_a_contains_b_that_is_not_a_bool():
+    # "no" is truthy: it was read as b in C
+    for flag in ("no", 1, None):
+        assert validate(sd(F(3), flag, ALEPH0), X0) == [
+            f"contains_b must be bool, got {flag!r}"]
+    assert validate(sd(F(0), "yes", F(2)), X0) == [
+        "max(size, cosize) must equal card(X)=aleph0, got size=0, cosize=2",
+        "contains_b must be bool, got 'yes'",
+    ]
+
+
 def reference_conditions(s, space):
     """The seven descriptor invariants, written out one by one."""
     x = space.size

@@ -347,6 +347,18 @@ def test_verdict_repr_is_pinned(design_type, c, d, space, expected):
     assert repr(decide(design_type, c, d, space)) == expected
 
 
+@pytest.mark.parametrize("design_type", [True, 1.0, "1", None])
+def test_decide_rejects_a_design_type_that_is_not_an_int(design_type):
+    with pytest.raises(ValueError, match="^design type must be an int 1..4, got "):
+        decide(design_type, VALID, VALID, X0)
+
+
+def test_decide_rejects_a_contains_b_that_is_not_a_bool():
+    c = sd(F(3), "no", ALEPH0)
+    with pytest.raises(DescriptorError, match="contains_b must be bool, got 'no'"):
+        decide(2, c, VALID, X0)
+
+
 def test_verdict_construction_guards():
     with pytest.raises(ValueError):
         Verdict(True, "a2")  # existence needs a multiplicity and witness

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -77,6 +79,25 @@ def test_instance_validation():
             FiniteInstance(4, (frozenset({0, 1}), frozenset({2, point})), 1, 2)
 
 
+def test_instance_takes_only_int_sizes_and_points():
+    for args, message in (
+        ((5.0, (), 1, 2), "n must be int, got 5.0"),
+        ((5, (), True, 2), "c_size must be int, got True"),
+        ((5, (), 1, "2"), "d_size must be int, got '2'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteInstance(*args)
+    # True == 1: this block was read as {1, 2} and printed as {True,2}
+    with pytest.raises(ValueError, match="^block 0 leaves the ground set at True$"):
+        FiniteInstance(5, (frozenset({True, 2, 3}),), 1, 3)
+
+
+@pytest.mark.parametrize("design_type", [True, 1.0, "2", 5])
+def test_brute_lambda_rejects_an_unknown_design_type(design_type):
+    with pytest.raises(ValueError):
+        brute_lambda(all_k_subsets_instance(5, 3, 2), design_type)
+
+
 def test_types_collapse_pairwise_on_random_instances():
     rng = random.Random(7)
     for _ in range(25):
@@ -109,12 +130,14 @@ def reference_lambda(inst: FiniteInstance) -> BruteOutcome:
 
 @st.composite
 def instances(draw):
-    """Instances with n <= 9 whose blocks are none, some or all k-subsets;
-    one mode keeps only blocks missing a point of the first probe."""
+    """Instances with n <= 9 whose blocks are none, some or all k-subsets of
+    the points not drawn as absent, which lie in no block; one mode keeps
+    only blocks missing a point of the first probe."""
     n = draw(st.integers(2, 9))
     k = draw(st.integers(1, n))
     t = draw(st.integers(1, k))
-    pool = list(itertools.combinations(range(n), k))
+    absent = draw(st.sets(st.integers(0, n - 1), max_size=n - k))
+    pool = list(itertools.combinations([x for x in range(n) if x not in absent], k))
     mode = draw(st.sampled_from(("some", "all", "first-probe-in-none")))
     if mode == "first-probe-in-none":
         pool = [b for b in pool if b[:t] != tuple(range(t))]
@@ -134,44 +157,72 @@ def test_indexed_counts_match_the_literal_walk(inst):
 
 
 @pytest.fixture
-def walked_probes(monkeypatch):
-    """The probes ``brute_lambda`` draws from its lexicographic walk; more
+def walk_lookups(monkeypatch):
+    """The points ``brute_lambda``'s walk looks up in its index, in order:
+    one for each prefix it extends and one for each probe it visits.  More
     than 10 fail the test at once instead of walking on."""
-    combinations = itertools.combinations
-    drawn = []
+    first_other = finitebrute._first_other
+    looked_up = []
 
-    def counted(*args):
-        for probe in combinations(*args):
-            drawn.append(probe)
-            if len(drawn) > 10:
-                raise AssertionError("walked more than 10 probes")
-            yield probe
+    class RecordedIndex(dict):
+        def get(self, x, default=None):
+            looked_up.append(x)
+            if len(looked_up) > 10:
+                raise AssertionError("walked past 10 lookups")
+            return dict.get(self, x, default)
 
-    monkeypatch.setattr(finitebrute.itertools, "combinations", counted)
-    return drawn
+    def recorded(masks, *args):
+        return first_other(RecordedIndex(masks), *args)
+
+    monkeypatch.setattr(finitebrute, "_first_other", recorded)
+    return looked_up
 
 
-def test_no_blocks_is_exactly_zero_without_a_walk(walked_probes):
+def test_no_blocks_is_exactly_zero_without_a_walk(walk_lookups):
     inst = FiniteInstance(200, (), 4, 5)
     assert brute_lambda(inst, DesignType.TYPE2) == BruteOutcome.exactly(0)
-    assert walked_probes == []
+    assert walk_lookups == []
 
 
-def test_first_probe_in_no_block_is_answered_from_the_blocks(walked_probes):
+def test_first_probe_in_no_block_is_answered_from_the_blocks(walk_lookups):
     n = 10**5
     blocks = tuple(frozenset(range(n - j, n - j + 3)) for j in (3, 6, 9))
     inst = FiniteInstance(n, blocks, 2, 3)
     expected = BruteOutcome.non_uniform((0, 1), 0, (n - 9, n - 8), 1)
     assert brute_lambda(inst, DesignType.TYPE1) == expected
-    assert walked_probes == []
+    assert walk_lookups == []
 
 
-def test_walk_over_budget_is_refused_before_it_starts(walked_probes):
+def test_walk_over_budget_is_refused_before_it_starts(walk_lookups):
     # one block holding every point: all C(60, 30) probes share count 1
     inst = FiniteInstance(60, (frozenset(range(60)),), 30, 60)
     with pytest.raises(ValueError, match="exceeds the budget"):
         brute_lambda(inst, DesignType.TYPE2)
-    assert walked_probes == []
+    assert walk_lookups == []
+
+
+def test_walk_costs_the_probes_it_visits_not_n(walk_lookups):
+    inst = FiniteInstance(10**9, (frozenset({0, 1, 2}), frozenset({0, 1, 5})), 2, 3)
+    tracemalloc.start()
+    try:
+        outcome = brute_lambda(inst, DesignType.TYPE2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == BruteOutcome.non_uniform((0, 1), 2, (0, 2), 1)
+    assert peak < 2**20
+    # prefix (0,), then probes (0, 1) and (0, 2)
+    assert walk_lookups == [0, 1, 2]
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    t = sys.getrecursionlimit() + 10
+    one = FiniteInstance(t, (frozenset(range(t)),), t, t)
+    assert brute_lambda(one, DesignType.TYPE2) == BruteOutcome.exactly(1)
+    shifted = FiniteInstance(t + 1, (frozenset(range(t)), frozenset(range(1, t + 1))), t, t)
+    outcome = brute_lambda(shifted, DesignType.TYPE2)
+    assert (outcome.first_count, outcome.second, outcome.second_count) == (
+        1, (*range(t - 1), t), 0)
 
 
 def test_parse_instance():
