@@ -2,7 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 for existence or consistency,
 1 for non-existence or a refutation, 2 for malformed input.  Outputs are
-line-oriented and deterministic; diagnostics go to stderr.
+line-oriented and deterministic; diagnostics go to stderr.  ``parse_query``
+checks a query's fields, not its descriptors: ``decide`` validates C and D,
+and every command that reads a query calls it before using them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .descriptors import (
     SubsetDescriptor,
     complement,
     subspace_homeomorphic,
-    validate,
 )
 from .designs import (
     ClassW,
@@ -133,10 +134,6 @@ def parse_query(text: str) -> Query:
     design_type = DesignType(int(fields["type"]))
     c = _parse_subset("C", fields, space)
     d = _parse_subset("D", fields, space)
-    for name, subset in (("C", c), ("D", d)):
-        problems = validate(subset, space)
-        if problems:
-            raise QueryError(f"{name}: " + "; ".join(problems))
     return Query(space, c, d, design_type)
 
 

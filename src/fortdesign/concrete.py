@@ -9,7 +9,8 @@ Containment counts are reported as exact-within-window or saturated lower
 bounds, never extrapolated.  :func:`local_design_check` counts a window in
 closed form; :func:`blocks_containing` enumerates the same window block by
 block and gives the same numbers.  The family-wide count is the same closed
-form over the unbounded window.
+form over the unbounded window.  A class W(D) and a singleton share one
+window layout, :func:`_layout`.
 """
 
 from __future__ import annotations
@@ -309,11 +310,11 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     """A canonical concrete set with the given descriptor.
 
-    It is laid out as its class window is (:func:`_class_w_layout`), with
+    It is the one block of ``Singleton(d)``'s window (:func:`_layout`), with
     ``R = {1..free}``.  Doubly-infinite descriptors have no finite or
     cofinite realization and are rejected.
     """
-    cofinite, pinned, free = _class_w_layout(d)
+    cofinite, pinned, free, _ = _layout(Singleton(d), None)
     return ConcreteSet(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
 
 
@@ -352,22 +353,34 @@ class BlockCount:
         return f"AtLeast({self.value})" if self.saturated else f"Exactly({self.value})"
 
 
-def _class_w_layout(base: SubsetDescriptor) -> tuple[bool, bool, int]:
-    """How the window of the class of a realizable base is laid out.
+def _layout(family: FamilyDescriptor, prefix: int | None) -> tuple:
+    """How the window of a class W(D) or a singleton is laid out.
 
-    Returns ``(cofinite, pinned, free)``: a finite block is ``R``, plus b
-    when ``pinned``; a cofinite block excludes ``R``, and b too when
-    ``pinned``; ``R`` ranges over the ``free``-subsets of ``[1, prefix]``.
-    A doubly-infinite base has no such layout and is rejected.
+    Returns ``(cofinite, pinned, free, top)``: a finite block is ``R``, plus
+    b when ``pinned``; a cofinite block excludes ``R``, and b too when
+    ``pinned``; ``R`` ranges over the ``free``-subsets of ``[1, top]``.  A
+    class's ``top`` is the prefix, infinite when None; a singleton is its
+    member's layout with ``top = free``, so its window is one block.  A
+    doubly-infinite base or member, and any other family, are rejected.
     """
+    if not isinstance(family, (ClassW, Singleton)):
+        raise FamilyEnumerationError(
+            f"{family.to_text()} has no bounded enumeration strategy"
+        )
+    base = family.member if isinstance(family, Singleton) else family.base
     if base.size.is_finite:
-        return False, base.contains_b, base.size.value - base.contains_b
-    if base.cosize.is_finite:
-        return True, not base.contains_b, base.cosize.value - (not base.contains_b)
-    raise FamilyEnumerationError(
-        "a set with infinite size and infinite complement has no finite or "
-        "cofinite realization"
-    )
+        cofinite, pinned, finite = False, base.contains_b, base.size
+    elif base.cosize.is_finite:
+        cofinite, pinned, finite = True, not base.contains_b, base.cosize
+    else:
+        raise FamilyEnumerationError(
+            "a set with infinite size and infinite complement has no finite or "
+            "cofinite realization"
+        )
+    free = finite.value - pinned
+    if isinstance(family, Singleton):
+        prefix = free
+    return cofinite, pinned, free, math.inf if prefix is None else prefix
 
 
 def _window_blocks(
@@ -381,17 +394,11 @@ def _window_blocks(
     """
     if isinstance(family, OddTail):
         return (OddTailBlock(s) for s in range(1, cutoff + 1))
-    if isinstance(family, Singleton):
-        return iter((realize_descriptor(family.member),))
-    if isinstance(family, ClassW):
-        cofinite, pinned, free = _class_w_layout(family.base)
-        fixed = (0,) if pinned else ()
-        return (
-            ConcreteSet(cofinite, fixed + rest)
-            for rest in itertools.combinations(range(1, prefix + 1), free)
-        )
-    raise FamilyEnumerationError(
-        f"{family.to_text()} has no bounded enumeration strategy"
+    cofinite, pinned, free, top = _layout(family, prefix)
+    fixed = (0,) if pinned else ()
+    return (
+        ConcreteSet(cofinite, fixed + rest)
+        for rest in itertools.combinations(range(1, top + 1), free)
     )
 
 
@@ -416,26 +423,19 @@ def _window_count(
         # block s holds the odd point 2j+1 exactly when j < s
         need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
         return max(cutoff - need + 1, 0)
-    if isinstance(family, Singleton):
-        return int(realize_descriptor(family.member).issuperset(probe))
-    if isinstance(family, ClassW):
-        cofinite, pinned, free = _class_w_layout(family.base)
-        top = math.inf if prefix is None else prefix
-        inside = sum(1 for x in probe.support if 1 <= x <= top)
-        if not cofinite:
-            # every probe point must be b on a pinned block or lie in R
-            outside = len(probe.support) - inside
-            if probe.cofinite or outside != (pinned and 0 in probe.support):
-                return 0
-            return _comb(top - inside, free - inside) if inside <= free else 0
-        if pinned and 0 in probe:  # a pinned cofinite block lacks b
+    cofinite, pinned, free, top = _layout(family, prefix)
+    inside = sum(1 for x in probe.support if 1 <= x <= top)
+    if not cofinite:
+        # every probe point must be b on a pinned block or lie in R
+        outside = len(probe.support) - inside
+        if probe.cofinite or outside != (pinned and 0 in probe.support):
             return 0
-        # R avoids a finite probe's points, or lies among a cofinite one's
-        # excluded points
-        return _comb(inside if probe.cofinite else top - inside, free)
-    raise FamilyEnumerationError(
-        f"{family.to_text()} has no bounded enumeration strategy"
-    )
+        return _comb(top - inside, free - inside) if inside <= free else 0
+    if pinned and 0 in probe:  # a pinned cofinite block lacks b
+        return 0
+    # R avoids a finite probe's points, or lies among a cofinite one's
+    # excluded points
+    return _comb(inside if probe.cofinite else top - inside, free)
 
 
 def _saturated(count: int, cutoff: int) -> BlockCount:

@@ -25,12 +25,12 @@ and whose ``forbidden`` atoms all fail decides.  An outcome is a refusal
 reason or a function of D and X only, never of C, so a verdict is fixed by
 its row, D and X; ``sweep`` builds each such verdict once per space.
 
-Validation contract: ``decide`` and ``crosscheck`` validate C and D against
-the space exactly once and then run the tables through ``_decide`` and
-``_crosscheck``, which assume valid, nonempty descriptors and never call a
-public entry; ``decide_type1`` .. ``decide_type4`` are ``decide`` with the
-type fixed.  ``sweep`` validates each grid descriptor once per space and runs
-the tables on the descriptors' facts directly.
+Validation contract: ``decide`` and ``crosscheck``, the only checks of the
+descriptors a caller passes in, validate C and D against the space once and
+then run the tables through ``_decide`` and ``_crosscheck``, which assume
+valid, nonempty descriptors and never call a public entry; ``decide_type1``
+.. ``decide_type4`` are ``decide`` with the type fixed.  ``sweep`` runs the
+tables directly on ``descriptor_grid``'s descriptors, valid and nonempty.
 """
 
 from __future__ import annotations
@@ -197,11 +197,15 @@ class Verdict(_VerdictFields):
         ]
 
 
+def _violations(s: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
+    """Why s is not a valid, nonempty descriptor in the space; empty if it is."""
+    return validate(s, space) + (["must be nonempty"] if s.size == ZERO else [])
+
+
 def _require_valid(space: SpaceDescriptor, **shapes: SubsetDescriptor) -> None:
     """Raise unless every named shape is a valid, nonempty descriptor."""
     violations = tuple(
-        [f"{name}: {msg}" for name, s in shapes.items() for msg in validate(s, space)]
-        + [f"{name}: must be nonempty" for name, s in shapes.items() if s.size == ZERO]
+        f"{name}: {msg}" for name, s in shapes.items() for msg in _violations(s, space)
     )
     if violations:
         raise DescriptorError("; ".join(violations), violations)
@@ -545,13 +549,9 @@ def witness_violations(
     """Validity conditions for a witness family in the given context."""
     problems: list[str] = []
     if isinstance(witness, (ClassW, ClassL)):
-        problems += validate(witness.base, space)
-        if witness.base.size == ZERO:
-            problems.append("class base must be nonempty")
+        problems += [f"class base: {p}" for p in _violations(witness.base, space)]
     elif isinstance(witness, Singleton):
-        problems += validate(witness.member, space)
-        if witness.member.size == ZERO:
-            problems.append("singleton member must be nonempty")
+        problems += [f"singleton member: {p}" for p in _violations(witness.member, space)]
     elif isinstance(witness, OddTail):
         if space.size != ALEPH0:
             problems.append("odd-tail family needs a countable space")
@@ -604,8 +604,7 @@ def sweep(
     (type 1 => 2, 1 => 3, 2 => 4, 3 => 4), card(C) <= card(D) for every
     existence verdict, and witness validity; :class:`Verdict` itself rejects
     unknown case tags.  An aleph past the ladder or over ``SWEEP_BUDGET``
-    cases raises ``ValueError`` before any case runs, and an invalid grid
-    descriptor :class:`DescriptorError` before any case in its space runs.
+    cases raises ``ValueError`` before any case runs.
     ``inject_fault`` deliberately flips the obstruction statement on a subset
     of cases so the harness can prove it detects violations.
     """
@@ -621,9 +620,6 @@ def sweep(
     cases = 0
     for space in spaces:
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
-        # labels are formatted only for the error
-        if any(validate(s, space) or s.size == ZERO for s in grid):
-            _require_valid(space, **{f"grid {s}": s for s in grid})
         facts = [_facts(s, space) for s in grid]
         # a verdict depends only on its row, D and the space, so each D
         # keeps row -> (verdict, witness problems), each built once

@@ -134,7 +134,9 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
         second = min(tuple(sorted(block)[:t]) for block in inst.blocks)
         c1 = count(second)
     else:
-        bound = 1 + min(math.comb(inst.n, t), len(sizes) * math.comb(inst.d_size, t))
+        bound = 1 + len(sizes) * math.comb(inst.d_size, t)
+        if bound > WALK_BUDGET:  # only then is C(n, t), costly for large n, read
+            bound = 1 + min(math.comb(inst.n, t), bound - 1)
         if bound > WALK_BUDGET:
             raise ValueError(f"walk bound {bound} exceeds the budget of {WALK_BUDGET} probes")
         second, c1 = _first_other(masks, inst.n, t, c0) or (None, None)

@@ -41,6 +41,21 @@ D.contains_b: false
 D.cosize: 1
 """
 
+# neither size nor cosize of C is card(X)
+QUERY_C_INVALID = QUERY_C1_CASE2.replace("C.size: 2", "C.size: 2\nC.cosize: 5")
+
+# the same for D too
+QUERY_C_AND_D_INVALID = """\
+space.size: aleph0
+type: 1
+C.size: 2
+C.contains_b: true
+C.cosize: 5
+D.size: 4
+D.contains_b: true
+D.cosize: 3
+"""
+
 QUERY_MISSING_COSIZE = """\
 space.size: aleph0
 type: 1
@@ -94,8 +109,6 @@ class TestParseQuery:
             parse_query(QUERY_C1_CASE2 + "type: 2\n")
         with pytest.raises(QueryError, match="space.size"):
             parse_query(QUERY_C1_CASE2.replace("space.size: aleph0", "space.size: 9"))
-        with pytest.raises(QueryError, match="C:"):
-            parse_query(QUERY_C1_CASE2.replace("C.size: 2", "C.size: 2\nC.cosize: 5"))
 
 
 class TestDecideCommand:
@@ -119,6 +132,22 @@ class TestDecideCommand:
         assert main(["decide", path]) == 2
         err = capsys.readouterr().err
         assert "D.cosize" in err
+
+    def test_invalid_descriptor_is_an_input_error(self, write, capsys):
+        path = write("q.txt", QUERY_C_INVALID)
+        assert main(["decide", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: C: max(size, cosize) must equal")
+
+    @pytest.mark.parametrize("command", ["decide", "verify"])
+    def test_invalid_c_and_d_are_both_named(self, command, write, capsys):
+        path = write("q.txt", QUERY_C_AND_D_INVALID)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: C: max(size, cosize) must equal")
+        assert "; D: max(size, cosize) must equal" in captured.err
 
     def test_conflicting_b_fields_are_an_input_error(self, write, capsys):
         path = write("q.txt", QUERY_C1_CASE2 + "C.b: false\n")

@@ -25,7 +25,12 @@ from fortdesign.concrete import (
     realize,
     realize_descriptor,
 )
-from fortdesign.descriptors import SubsetDescriptor, complement, subspace_homeomorphic
+from fortdesign.descriptors import (
+    SubsetDescriptor,
+    complement,
+    descriptor_grid,
+    subspace_homeomorphic,
+)
 from fortdesign.designs import ClassL, ClassW, OddTail, Singleton
 
 F = ConcreteSet.finite
@@ -283,6 +288,17 @@ class TestRealize:
             realize(ClassL(sd(FC(3), True, ALEPH0)))
         with pytest.raises(FamilyEnumerationError):
             realize_descriptor(sd(ALEPH0, True, ALEPH0))
+
+    def test_each_realizable_descriptor_is_its_singleton_window(self):
+        for d in descriptor_grid(COUNTABLE_SPACE, 8):
+            if not (d.size.is_finite or d.cosize.is_finite):
+                with pytest.raises(FamilyEnumerationError):
+                    realize_descriptor(d)
+                continue
+            block = realize_descriptor(d)
+            assert extract_descriptor(block) == d
+            for prefix in (0, 1, 3, 8, 12):
+                assert list(concrete._window_blocks(Singleton(d), 1, prefix)) == [block]
 
 
 class TestBlockCounts:

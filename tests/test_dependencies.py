@@ -1,0 +1,31 @@
+"""The library imports nothing outside the standard library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fortdesign"
+
+
+def imported_modules(path: Path):
+    """(line, top-level module or None for a relative import) per import."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, None if node.level else node.module.split(".")[0]
+
+
+def test_every_import_is_relative_the_package_or_the_standard_library():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    outside = [
+        f"{path.name}:{line}: {module}"
+        for path in sources
+        for line, module in imported_modules(path)
+        if module is not None
+        and module != "fortdesign"
+        and module not in sys.stdlib_module_names
+    ]
+    assert outside == []

@@ -185,11 +185,14 @@ def test_embeddable_reflexive_and_transitive_on_the_grid():
 
 
 def test_grid_is_valid_and_nonempty():
-    for space in (X0, X1):
-        grid = descriptor_grid(space)
-        assert grid
+    # sweep runs the deciders on these descriptors without validating them
+    for index, max_finite, finite_only in itertools.product(
+        range(4), range(9), (False, True)
+    ):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        grid = descriptor_grid(space, max_finite, finite_only)
+        assert grid or (finite_only and max_finite == 0)
         for d in grid:
             assert validate(d, space) == []
             assert d.size != Cardinal.finite(0)
-    finite_grid = descriptor_grid(X0, finite_sizes_only=True)
-    assert all(d.size.is_finite for d in finite_grid)
+            assert d.size.is_finite or not finite_only

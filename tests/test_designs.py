@@ -244,20 +244,28 @@ def test_invalid_inputs_are_rejected(entry, c, d, expected):
     assert all(v.startswith(expected) for v in caught.value.violations)
 
 
-def test_sweep_rejects_an_invalid_grid_descriptor(monkeypatch):
-    # one descriptor that breaks an invariant, and one that is empty
-    for bad, violation in [
-        (sd(F(3), True, F(5)), "max(size, cosize) must equal card(X)"),
-        (sd(F(0), False, ALEPH0), "must be nonempty"),
-    ]:
-        def grid_with_an_invalid_descriptor(*args):
-            return descriptor_grid(*args) + [bad]
+BAD_COSIZE = "max(size, cosize) must equal card(X)=aleph0, got size=3, cosize=5"
 
-        monkeypatch.setattr(designs, "descriptor_grid", grid_with_an_invalid_descriptor)
-        with pytest.raises(DescriptorError) as caught:
-            sweep()
-        [message] = caught.value.violations
-        assert message.startswith(f"grid {bad}: {violation}")
+
+def test_violations_are_listed_descriptor_by_descriptor():
+    # C's invariant violations and its emptiness, then D's
+    with pytest.raises(DescriptorError) as caught:
+        decide(1, sd(F(0), True, ALEPH0), sd(F(3), True, F(5)), X0)
+    assert caught.value.violations == (
+        "C: the empty set cannot contain b",
+        "C: must be nonempty",
+        f"D: {BAD_COSIZE}",
+    )
+    assert str(caught.value) == "; ".join(caught.value.violations)
+
+
+def test_witness_violations_name_the_invalid_part():
+    empty = sd(F(0), False, ALEPH0)
+    for family in (ClassW(empty), ClassL(empty)):
+        assert witness_violations(family, VALID, X0) == ["class base: must be nonempty"]
+    assert witness_violations(Singleton(sd(F(3), True, F(5))), VALID, X0) == [
+        f"singleton member: {BAD_COSIZE}"
+    ]
 
 
 def test_sweep_case_count_is_the_grid_closed_form():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -193,10 +194,15 @@ def test_first_probe_in_no_block_is_answered_from_the_blocks(walk_lookups):
     assert walk_lookups == []
 
 
-def test_walk_over_budget_is_refused_before_it_starts(walk_lookups):
+@pytest.mark.parametrize("inst, bound", [
     # one block holding every point: all C(60, 30) probes share count 1
-    inst = FiniteInstance(60, (frozenset(range(60)),), 30, 60)
-    with pytest.raises(ValueError, match="exceeds the budget"):
+    (FiniteInstance(60, (frozenset(range(60)),), 30, 60), math.comb(60, 30) + 1),
+    # two 24-point blocks on 25 points: C(25, 12) < 2 * C(24, 12) bounds it
+    (FiniteInstance(25, (frozenset(range(24)), frozenset(range(1, 25))), 12, 24),
+     math.comb(25, 12) + 1),
+], ids=["one-block", "two-blocks"])
+def test_walk_over_budget_is_refused_before_it_starts(walk_lookups, inst, bound):
+    with pytest.raises(ValueError, match=f"^walk bound {bound} exceeds the budget"):
         brute_lambda(inst, DesignType.TYPE2)
     assert walk_lookups == []
 
@@ -213,6 +219,27 @@ def test_walk_costs_the_probes_it_visits_not_n(walk_lookups):
     assert peak < 2**20
     # prefix (0,), then probes (0, 1) and (0, 2)
     assert walk_lookups == [0, 1, 2]
+
+
+def test_walk_bound_within_budget_skips_the_binomial_of_n(monkeypatch):
+    # C(n, t) costs seconds for n = 10^9 and t = 10^5; the blocks' own term
+    # already keeps these bounds within the budget
+    n = 10**9
+    comb = math.comb
+
+    def comb_but_not_of_n(a, b):
+        if a == n:
+            raise AssertionError(f"computed C({a}, {b})")
+        return comb(a, b)
+
+    monkeypatch.setattr(finitebrute.math, "comb", comb_but_not_of_n)
+    two = FiniteInstance(n, (frozenset({0, 1, 2}), frozenset({0, 1, 5})), 2, 3)
+    assert brute_lambda(two, DesignType.TYPE2) == BruteOutcome.non_uniform(
+        (0, 1), 2, (0, 2), 1)
+    t = 1000
+    one = FiniteInstance(n, (frozenset(range(t)),), t, t)
+    assert brute_lambda(one, DesignType.TYPE2) == BruteOutcome.non_uniform(
+        tuple(range(t)), 1, (*range(t - 1), t), 0)
 
 
 def test_walk_deeper_than_the_recursion_limit():
