@@ -74,6 +74,9 @@ class Cardinal(_CardinalFields):
 
     @classmethod
     def finite(cls, n: int) -> "Cardinal":
+        # the exact-int test of __new__ first, so True is not read as 1
+        if type(n) is int and 0 <= n < _SHARED_FINITES:
+            return _FINITES[n]
         return cls(False, n)
 
     @classmethod
@@ -104,6 +107,11 @@ class Cardinal(_CardinalFields):
             raise ValueError(f"malformed cardinal {text!r}")
         return cls.finite(n) if index == text else cls.aleph(n)
 
+
+# Finite cardinals below this are built once and shared by every
+# Cardinal.finite call: descriptors of small sets ask for them constantly.
+_SHARED_FINITES = 64
+_FINITES = tuple(Cardinal(False, n) for n in range(_SHARED_FINITES))
 
 ALEPH0 = Cardinal.aleph(0)
 ALEPH1 = Cardinal.aleph(1)

@@ -11,14 +11,21 @@ closed form; :func:`blocks_containing` enumerates the same window block by
 block and gives the same numbers.  The family-wide count is the same closed
 form over the unbounded window.  A class W(D) and a singleton share one
 window layout, :func:`_layout`.
+
+The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
+tuple-backed record, ranks and aligned images come from bisecting the
+sorted support, and :func:`check_homeomorphism` reads the b-to-b condition
+off the table of active exceptions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cardinal import ALEPH0, Cardinal, _exactly, parse_natural
 from .descriptors import (
@@ -76,7 +83,8 @@ class ConcreteSet:
 
     @property
     def contains_b(self) -> bool:
-        return 0 in self
+        # the support is sorted, so b = 0 can only be its first point
+        return (self.support[:1] == (0,)) != self.cofinite
 
     def complement(self) -> "ConcreteSet":
         return ConcreteSet(not self.cofinite, self.support)
@@ -166,9 +174,10 @@ def extract_descriptor(s: Block) -> SubsetDescriptor:
     """The symbolic descriptor a concrete set realizes in the countable model."""
     if isinstance(s, OddTailBlock):
         return SubsetDescriptor(ALEPH0, True, ALEPH0)
-    if s.is_finite:
-        return SubsetDescriptor(Cardinal.finite(len(s.support)), s.contains_b, ALEPH0)
-    return SubsetDescriptor(ALEPH0, s.contains_b, Cardinal.finite(len(s.support)))
+    listed = Cardinal.finite(len(s.support))
+    if s.cofinite:
+        return SubsetDescriptor(ALEPH0, s.contains_b, listed)
+    return SubsetDescriptor(listed, s.contains_b, ALEPH0)
 
 
 def is_open(u: ConcreteSet) -> bool:
@@ -187,8 +196,12 @@ def limit_points(s: ConcreteSet) -> ConcreteSet:
     return ConcreteSet.finite(())
 
 
-@dataclass(frozen=True)
-class PointMap:
+class _PointMapFields(NamedTuple):
+    aligned: bool = True
+    exceptions: tuple[tuple[int, int], ...] = ()
+
+
+class PointMap(_PointMapFields):
     """A point map between two concrete sets.
 
     With ``aligned`` set, the i-th smallest element of the source goes to the
@@ -200,25 +213,35 @@ class PointMap:
     Between sets of one kind that agree on b the aligned part is a
     bijection, so the whole map is one exactly when the exceptions only
     rearrange aligned images; :func:`check_homeomorphism` decides that.
+
+    Like :class:`~fortdesign.cardinal.Cardinal` it is a tuple-backed record
+    that validates in ``__new__``: the table is kept sorted, immutable and
+    hashable, and equal to an equal-valued plain tuple.
     """
 
-    aligned: bool = True
-    exceptions: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _exactly(bool, self.aligned, "aligned")
+    def __new__(
+        cls, aligned: bool = True, exceptions: tuple[tuple[int, int], ...] = ()
+    ) -> "PointMap":
+        _exactly(bool, aligned, "aligned")
         point = "an exception-table point"
-        object.__setattr__(self, "exceptions", tuple(sorted(
-            (_exactly(int, a, point), _exactly(int, b, point)) for a, b in self.exceptions
-        )))
-        if len({a for a, _ in self.exceptions}) != len(self.exceptions):
+        exceptions = tuple(sorted([
+            (_exactly(int, a, point), _exactly(int, b, point)) for a, b in exceptions
+        ]))
+        if len({a for a, _ in exceptions}) != len(exceptions):
             raise ValueError("exception table must map each source point once")
+        return tuple.__new__(cls, (aligned, exceptions))
 
     def apply(self, x: int, source: ConcreteSet, target: ConcreteSet) -> int | None:
         for a, b in self.exceptions:
             if a == x:
                 return b
-        return _aligned_image(x, source, target) if self.aligned else None
+        if not self.aligned:
+            return None
+        if x not in source:
+            raise ValueError(f"{x} is not in the source set")
+        return _aligned_image(x, source, target, source.contains_b and target.contains_b)
 
     def to_text(self) -> str:
         kind = "align" if self.aligned else "table"
@@ -228,45 +251,43 @@ class PointMap:
         return f"{kind};{pairs}"
 
 
-def _aligned_image(x: int, source: ConcreteSet, target: ConcreteSet) -> int | None:
-    """x's image under the order-aligned map, or None past the target's end."""
-    if x not in source:
-        raise ValueError(f"{x} is not in the source set")
-    pin_b = 0 in source and 0 in target
+def _aligned_image(
+    x: int, source: ConcreteSet, target: ConcreteSet, pin_b: bool
+) -> int | None:
+    """The image of a member x of source under the order-aligned map, or
+    None past the target's end; ``pin_b``: both sets hold b."""
     if pin_b and x == 0:
         return 0
-    return _nth_member(target, _rank(source, x, skip_zero=pin_b), skip_zero=pin_b)
+    return _nth_member(target, _rank(source, x, pin_b), pin_b)
 
 
 def _rank(s: ConcreteSet, x: int, skip_zero: bool) -> int:
     """Number of members of s strictly below x, optionally ignoring 0."""
-    if s.is_finite:
-        return sum(1 for m in s.support if m < x and not (skip_zero and m == 0))
-    below = x - sum(1 for e in s.support if e < x)
-    if skip_zero and 0 in s and x > 0:
-        below -= 1
-    return below
+    listed = bisect_left(s.support, x)  # support points below x
+    below = x - listed if s.cofinite else listed
+    return below - (skip_zero and x > 0 and s.contains_b)
 
 
 def _nth_member(s: ConcreteSet, n: int, skip_zero: bool) -> int | None:
-    if s.is_finite:
-        pool = [m for m in s.support if not (skip_zero and m == 0)]
-        return pool[n] if n < len(pool) else None
-    holes = sorted(set(s.support) | ({0} if (skip_zero and 0 in s) else set()))
-    x = n
-    for hole in holes:  # each hole at or below the candidate shifts it up
-        if hole <= x:
-            x += 1
-        else:
-            break
+    """The member of s of rank n (from 0), optionally ignoring 0; None
+    past the end of a finite set."""
+    pinned = skip_zero and s.contains_b
+    if not s.cofinite:
+        n += pinned
+        return s.support[n] if n < len(s.support) else None
+    holes = ((0,) if pinned else ()) + s.support
+    # the least x with x = n + (holes at or below x) is the rank-n member
+    x, shift = n, 0
+    while (reached := bisect_right(holes, x)) != shift:
+        x, shift = n + reached, reached
     return x
 
 
 def _same_kind(u: ConcreteSet, v: ConcreteSet) -> bool:
     """Finite sets of one size, or cofinite sets that agree on b."""
-    if u.is_finite:
-        return v.is_finite and len(u.support) == len(v.support)
-    return v.cofinite and (0 in u) == (0 in v)
+    if u.cofinite:
+        return v.cofinite and u.contains_b == v.contains_b
+    return not v.cofinite and len(u.support) == len(v.support)
 
 
 # immutable, so one instance serves every canonical_homeomorphism call
@@ -296,15 +317,21 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
     """
     if not _same_kind(u, v):
         return False
-    active = [(a, b) for a, b in m.exceptions if a in u]
-    targets = {b for _, b in active}
+    support, cofinite = u.support, u.cofinite
+    active = [pair for pair in m.exceptions if (pair[0] in support) != cofinite]
+    if not m.aligned:
+        # u and v have one size, so targets that are all of v leave no
+        # member of u unmapped
+        return not cofinite and {b for _, b in active} == set(v.support)
+    if not active:  # the aligned bijection, which pins b when u holds it
+        return True
     # Distinct sources have distinct aligned images in v, so equal sets also
     # make the targets distinct members of v.
-    if m.aligned:
-        bijective = targets == {_aligned_image(a, u, v) for a, _ in active}
-    else:
-        bijective = u.is_finite and targets == set(v.support)
-    return bijective and (u.is_finite or 0 not in u or m.apply(0, u, v) == 0)
+    pin_b = u.contains_b and v.contains_b
+    if {b for _, b in active} != {_aligned_image(a, u, v, pin_b) for a, _ in active}:
+        return False
+    # an inactive 0 is not in u; an active one must go to b
+    return not cofinite or dict(active).get(0, 0) == 0
 
 
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:

@@ -106,7 +106,8 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
     Otherwise every probe passed lies in some block, so at most
     1 + min(C(n,t), sum_i C(|B_i|,t)) probes are visited; when that bound
     exceeds ``WALK_BUDGET`` a ``ValueError`` is raised before the walk
-    starts.  Neither the index nor the walk grows with n.  Each reported
+    starts; C(n,t) is only built up to the blocks' term.  Neither the
+    index nor the walk grows with n.  Each reported
     count is recounted literally; a disagreement raises ``RuntimeError``.
     """
     DesignType.of(design_type)  # rejects an unknown type; the four agree here
@@ -135,8 +136,8 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
         c1 = count(second)
     else:
         bound = 1 + len(sizes) * math.comb(inst.d_size, t)
-        if bound > WALK_BUDGET:  # only then is C(n, t), costly for large n, read
-            bound = 1 + min(math.comb(inst.n, t), bound - 1)
+        if bound > WALK_BUDGET:  # only then is C(n, t) compared with it
+            bound = 1 + _comb_at_most(inst.n, t, bound - 1)
         if bound > WALK_BUDGET:
             raise ValueError(f"walk bound {bound} exceeds the budget of {WALK_BUDGET} probes")
         second, c1 = _first_other(masks, inst.n, t, c0) or (None, None)
@@ -145,6 +146,17 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
     return BruteOutcome.non_uniform(
         first, _recounted(inst, first, c0), second, _recounted(inst, second, c1)
     )
+
+
+def _comb_at_most(n: int, t: int, cap: int) -> int:
+    """min(C(n, t), cap), without C(n, t) in full: C(n, j) rises with j up
+    to min(t, n - t), so the recurrence stops once it reaches ``cap``."""
+    c = 1
+    for j in range(min(t, n - t)):
+        if c >= cap:
+            return cap
+        c = c * (n - j) // (j + 1)
+    return min(c, cap)
 
 
 def _index(blocks: tuple[frozenset[int], ...]) -> dict[int, int]:

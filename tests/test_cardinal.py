@@ -161,6 +161,18 @@ def test_cardinal_takes_only_an_int_value_and_a_bool_flag(make, message):
         make()
 
 
+def test_small_finite_cardinals_are_shared_and_equal_to_built_ones():
+    for n in range(101):
+        shared = Cardinal.finite(n)
+        assert shared == Cardinal(False, n) and type(shared) is Cardinal
+        assert repr(shared) == f"Cardinal.finite({n})"
+    assert Cardinal.finite(7) is Cardinal.finite(7)
+    for bad, message in ((True, "must be int, got True"), (2.5, "must be int, got 2.5"),
+                         (-1, "must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^cardinal value {message}$"):
+            Cardinal.finite(bad)
+
+
 def test_fields_cannot_be_assigned():
     for record, field in ((ALEPH0, "value"), (LambdaValue.exact(ONE), "family")):
         with pytest.raises(AttributeError):

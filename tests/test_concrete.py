@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import itertools
 import math
+import pickle
 import re
 
 import pytest
@@ -140,6 +143,48 @@ def test_concrete_values_reject_other_types(make, value):
         make()
 
 
+class TestPointMapRecord:
+    def test_repr_is_pinned(self):
+        assert repr(PointMap(True, [(4, 6)])) == "PointMap(aligned=True, exceptions=((4, 6),))"
+        assert repr(PointMap()) == "PointMap(aligned=True, exceptions=())"
+
+    def test_keyword_and_positional_construction_agree(self):
+        table = ((5, 1), (2, 3))
+        maps = [PointMap(False, table), PointMap(aligned=False, exceptions=table),
+                PointMap(False, exceptions=iter(table))]
+        for m in maps:
+            assert (m.aligned, m.exceptions) == (False, ((2, 3), (5, 1)))
+            assert m == maps[0] and hash(m) == hash(maps[0])
+        assert PointMap() == PointMap(True, ()) == PointMap(exceptions=[])
+        assert hash(PointMap()) == hash(PointMap(True, ()))
+        assert PointMap() != PointMap(False) and PointMap() != PointMap(True, ((0, 0),))
+
+    def test_survives_pickle_and_copy(self):
+        record = PointMap(False, ((4, 6), (1, 2)))
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert clone == record and type(clone) is PointMap
+            assert repr(clone) == repr(record)
+
+    def test_fields_cannot_be_assigned(self):
+        for field in ("aligned", "exceptions"):
+            with pytest.raises(AttributeError):
+                setattr(PointMap(), field, None)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PointMap(exceptions=((1.9, 3),)), "an exception-table point must be int, got 1.9"),
+        (lambda: PointMap(exceptions=((1, "3"),)), "an exception-table point must be int, got '3'"),
+        (lambda: PointMap(exceptions=((True, 3),)), "an exception-table point must be int, got True"),
+        (lambda: PointMap(aligned="no"), "aligned must be bool, got 'no'"),
+        (lambda: PointMap(1), "aligned must be bool, got 1"),
+        (lambda: PointMap(True, ((1, 2), (1, 3))),
+         "exception table must map each source point once"),
+    ])
+    def test_invalid_maps_keep_their_message(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
 class TestTopology:
     def test_is_open_examples(self):
         assert is_open(F((1, 5, 9)))
@@ -252,6 +297,23 @@ class TestHomeomorphisms:
             # b is the limit point: it goes to b, and nothing else does
             expected = all((x == 0) == (y == 0) for x, y in zip(domain, images))
         assert check_homeomorphism(m, u, v) == expected
+
+    @given(
+        st.booleans(),
+        # b = 0 is drawn often: skipping it is what the arithmetic special-cases
+        st.sets(st.just(0) | st.integers(0, 200), max_size=40),
+        st.integers(0, 300),
+        st.integers(0, 300),
+        st.booleans(),
+    )
+    def test_rank_arithmetic_matches_an_enumeration(self, cofinite, support, x, n, skip_zero):
+        s = ConcreteSet(cofinite, tuple(support))
+        # supports lie in [0, 200], so the member of rank 300 is below 600
+        members = [m for m in range(600) if m in s and not (skip_zero and m == 0)]
+        assert concrete._rank(s, x, skip_zero) == sum(1 for m in members if m < x)
+        assert concrete._nth_member(s, n, skip_zero) == (
+            members[n] if n < len(members) else None
+        )
 
     def test_oracle_matches_descriptor_predicate_on_small_sets(self):
         panel = list(small_sets())
@@ -608,3 +670,42 @@ def test_listing_budget_is_checked_against_the_window_count(monkeypatch):
     monkeypatch.setattr(concrete, "LISTING_BUDGET", window - 1)
     with pytest.raises(ValueError, match="budget"):
         local_design_check(family, d, d, [], 7, prefix=9)
+
+
+def oracle_transcript():
+    """Every answer of the homeomorphism oracle on finite and cofinite sets
+    with supports in [0, 3], one line each."""
+    sets = [ConcreteSet(kind, support) for kind in (False, True)
+            for r in range(5) for support in itertools.combinations(range(4), r)]
+    # no exception, one pair in [0, 5]^2, and two-pair tables that send 0
+    # elsewhere or swap two points' images
+    tables = [()] + [((a, b),) for a in range(6) for b in range(6)] + [
+        ((0, 1), (1, 0)), ((0, 2), (2, 0)), ((0, 3), (1, 0)),
+        ((1, 2), (2, 1)), ((1, 3), (3, 1)), ((2, 3), (3, 2)), ((1, 2), (2, 2)),
+    ]
+    fixed = [PointMap(aligned, table) for aligned in (True, False) for table in tables]
+    for s in sets:
+        yield f"{s.to_text()} {extract_descriptor(s)!r} {s.contains_b}"
+    for u, v in itertools.product(sets, repeat=2):
+        images = [(x, PointMap().apply(x, u, v)) for x in range(8) if x in u]
+        yield f"{u.to_text()} {v.to_text()} {canonical_homeomorphism(u, v)!r} {images}"
+        # the full aligned table of the first members, and its pairwise swaps
+        known = [(x, y) for x, y in images[:4] if y is not None]
+        swaps = [((x, y2), (x2, y)) for (x, y), (x2, y2) in itertools.combinations(known, 2)]
+        maps = fixed + [PointMap(aligned, table) for aligned in (True, False)
+                        for table in [tuple(known)] + swaps]
+        yield "".join("1" if check_homeomorphism(m, u, v) else "0" for m in maps)
+
+
+def test_oracle_answers_are_pinned():
+    # any change to a descriptor, a canonical map, an aligned image or a
+    # check_homeomorphism answer on this domain changes the digest
+    digest = hashlib.sha256()
+    lines = 0
+    for line in oracle_transcript():
+        digest.update(f"{line}\n".encode())
+        lines += 1
+    assert lines == 32 + 2 * 32 * 32
+    assert digest.hexdigest() == (
+        "2e2d1ec1773b52c4205d181ebb260013c4575096750e2d710cd476a84cbcd70b"
+    )

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from fortdesign import finitebrute
 from fortdesign.designs import DesignType
 from fortdesign.finitebrute import (
+    WALK_BUDGET,
     BruteOutcome,
     FiniteInstance,
     all_k_subsets_instance,
@@ -240,6 +241,24 @@ def test_walk_bound_within_budget_skips_the_binomial_of_n(monkeypatch):
     one = FiniteInstance(n, (frozenset(range(t)),), t, t)
     assert brute_lambda(one, DesignType.TYPE2) == BruteOutcome.non_uniform(
         tuple(range(t)), 1, (*range(t - 1), t), 0)
+
+
+def test_over_budget_refusal_never_builds_the_binomial_of_n(monkeypatch):
+    # the bound is the blocks' term 1 + C(1415, 2), over the budget and far
+    # below 1 + C(n, t), which the refusal does not need
+    n = 10**9
+    comb = math.comb
+
+    def comb_but_not_of_n(a, b):
+        if a == n:
+            raise AssertionError(f"computed C({a}, {b})")
+        return comb(a, b)
+
+    monkeypatch.setattr(finitebrute.math, "comb", comb_but_not_of_n)
+    one = FiniteInstance(n, (frozenset(range(1415)),), 1413, 1415)
+    with pytest.raises(ValueError, match=f"^walk bound 1000406 exceeds the budget of "
+                                         f"{WALK_BUDGET} probes$"):
+        brute_lambda(one, DesignType.TYPE2)
 
 
 def test_walk_deeper_than_the_recursion_limit():
