@@ -29,8 +29,6 @@ from .descriptors import (
 from .designs import (
     ClassW,
     DesignType,
-    OddTail,
-    Singleton,
     Verdict,
     decide,
     sweep,

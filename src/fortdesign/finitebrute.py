@@ -5,13 +5,14 @@ b-containing subset has finite complement), so homeomorphism degenerates to
 equal cardinality and the four design types collapse pairwise onto the
 classical t-(n,k,lambda) notion.  This module is the definitional sanity
 anchor, with the closed-form binomial count as an independent cross-check.
-Probes are counted through a one-pass index of block bitmasks over the
-points some block holds, and walked depth-first in lexicographic order,
-each prefix's AND shared by its extensions, only while their counts agree.
+The first probe is counted literally; unless it lies in no block, the walk
+bound is checked before one pass indexes block bitmasks over the points some
+block holds, and probes are walked in lexicographic order, one AND per
+(t-1)-prefix drawn from range(min(n, m + 1) - 1) for m indexed points.
 So a call visits at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes, refuses
 to start a walk that this bound puts over ``WALK_BUDGET``, and costs
 nothing per point that no block holds: the cost does not depend on n.
-Every count reported is recounted literally, probe set against block.
+Every count reported is checked literally, probe set against block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .cardinal import _exactly, parse_natural
 from .designs import DesignType
 
 # the largest walk bound accepted: a uniform 705,432-probe walk (one block of
-# 22 points, t = 11) takes 0.75 s on a 2-vCPU Xeon VM under Python 3.11
+# 22 points, t = 11) takes 0.43 s on a 2-vCPU Xeon VM under Python 3.11.  A
+# walk's time grows with t as well as with its probe count, as each prefix
+# ANDs t - 1 masks: one block of 502 points with t = 500 is 125,751 probes
+# and takes 3.4 s there
 WALK_BUDGET = 10**6
 
 
@@ -98,17 +102,17 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
     and the probes of matching complement size (types 3 and 4) are all the
     probes: the four types ask one question, and only condition I is checked.
 
-    Once condition I holds, one pass over the blocks indexes, for each point
-    some block holds, the bitmask of the blocks holding it; a probe's count
-    is the popcount of its points' AND.  The walk stops at the first count
-    that differs.  When the first probe lies in no block, that is the
-    smallest t-subset of any block, read off the blocks without walking.
-    Otherwise every probe passed lies in some block, so at most
-    1 + min(C(n,t), sum_i C(|B_i|,t)) probes are visited; when that bound
-    exceeds ``WALK_BUDGET`` a ``ValueError`` is raised before the walk
-    starts; C(n,t) is only built up to the blocks' term.  Neither the
-    index nor the walk grows with n.  Each reported
-    count is recounted literally; a disagreement raises ``RuntimeError``.
+    Once condition I holds, the first probe is counted literally.  When it
+    lies in no block, the first other probe is the smallest t-subset of any
+    block, read off the blocks.  Otherwise every probe passed lies in some
+    block, so at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes are visited;
+    when that bound exceeds ``WALK_BUDGET`` a ``ValueError`` is raised
+    before anything is indexed; C(n,t) is only built up to the blocks'
+    term.  Then one pass indexes, for each point some block holds, the
+    bitmask of the blocks holding it; a probe's count is the popcount of
+    its points' AND, and the walk stops at the first count that differs.
+    Neither the index nor the walk grows with n.  The walk's count is
+    recounted literally; a disagreement raises ``RuntimeError``.
     """
     DesignType.of(design_type)  # rejects an unknown type; the four agree here
     sizes = list(map(len, inst.blocks))
@@ -120,32 +124,22 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
         )
     if not inst.blocks:
         return BruteOutcome.exactly(0)
-    masks = _index(inst.blocks)
-
-    def count(probe: tuple[int, ...]) -> int:
-        common = masks.get(probe[0], 0)
-        for x in probe[1:]:
-            common &= masks.get(x, 0)
-        return common.bit_count()
-
     t = inst.c_size
     first = tuple(range(t))
-    c0 = count(first)
+    c0 = _literal_count(inst, first)
     if c0 == 0:
         second = min(tuple(sorted(block)[:t]) for block in inst.blocks)
-        c1 = count(second)
-    else:
-        bound = 1 + len(sizes) * math.comb(inst.d_size, t)
-        if bound > WALK_BUDGET:  # only then is C(n, t) compared with it
-            bound = 1 + _comb_at_most(inst.n, t, bound - 1)
-        if bound > WALK_BUDGET:
-            raise ValueError(f"walk bound {bound} exceeds the budget of {WALK_BUDGET} probes")
-        second, c1 = _first_other(masks, inst.n, t, c0) or (None, None)
-    if second is None:
-        return BruteOutcome.exactly(_recounted(inst, first, c0))
-    return BruteOutcome.non_uniform(
-        first, _recounted(inst, first, c0), second, _recounted(inst, second, c1)
-    )
+        return BruteOutcome.non_uniform(first, 0, second, _literal_count(inst, second))
+    bound = 1 + len(sizes) * math.comb(inst.d_size, t)
+    if bound > WALK_BUDGET:  # only then is C(n, t) compared with it
+        bound = 1 + _comb_at_most(inst.n, t, bound - 1)
+    if bound > WALK_BUDGET:
+        raise ValueError(f"walk bound {bound} exceeds the budget of {WALK_BUDGET} probes")
+    found = _first_other(_index(inst.blocks), inst.n, t, c0)
+    if found is None:
+        return BruteOutcome.exactly(c0)
+    second, c1 = found
+    return BruteOutcome.non_uniform(first, c0, second, _recounted(inst, second, c1))
 
 
 def _comb_at_most(n: int, t: int, cap: int) -> int:
@@ -185,47 +179,35 @@ def _first_other(
     """The first t-subset of range(n), in lexicographic order, that lies in
     other than ``c0`` blocks, with that count; None when there is none.
 
-    A depth-first walk over nested lazy ranges, one per place: a prefix's
-    AND is shared by all its extensions, so a probe visited costs one AND
-    and a popcount, and points the walk does not reach cost nothing.  Its
-    own stack keeps t clear of the recursion limit.
+    Each (t-1)-prefix ANDs its points' masks once, and its last place's
+    scan costs one AND and a popcount per probe.  The first point no block
+    holds is at most len(masks), and at least t as c0 is not 0 (the caller
+    answers that case), so the first prefix's scan reaches it and stops on
+    its count 0.  So prefixes come from range(min(n, len(masks) + 1) - 1),
+    ``combinations`` copies a pool no larger than the index, and n costs
+    nothing.
     """
     get = masks.get
-    prefix: list[int] = []
-    commons = [-1]  # commons[j]: the AND of the masks of prefix[:j]
-    places = []  # the candidates left for each place of the prefix
-    start = 0
-    while True:
-        if len(prefix) == t - 1:
-            common = commons[-1]
-            for x in range(start, n):
-                count = (common & get(x, 0)).bit_count()
-                if count != c0:
-                    return (*prefix, x), count
-            if not prefix:
-                return None
-            prefix.pop()
-            commons.pop()
-        else:
-            places.append(iter(range(start, n - t + len(prefix) + 1)))
-        # the next candidate of the deepest place that has one left
-        x = next(places[-1], None)
-        while x is None:
-            places.pop()
-            if not places:
-                return None
-            prefix.pop()
-            commons.pop()
-            x = next(places[-1], None)
-        prefix.append(x)
-        commons.append(commons[-1] & get(x, 0))
-        start = x + 1
+    for prefix in itertools.combinations(range(min(n, len(masks) + 1) - 1), t - 1):
+        common = -1
+        for x in prefix:
+            common &= get(x, 0)
+        for x in range(prefix[-1] + 1 if prefix else 0, n):
+            count = (common & get(x, 0)).bit_count()
+            if count != c0:
+                return (*prefix, x), count
+    return None
+
+
+def _literal_count(inst: FiniteInstance, probe: tuple[int, ...]) -> int:
+    """The blocks holding ``probe``, counted by the definition."""
+    probe_set = set(probe)
+    return sum(1 for block in inst.blocks if probe_set <= block)
 
 
 def _recounted(inst: FiniteInstance, probe: tuple[int, ...], count: int) -> int:
     """``count`` once the definition agrees: blocks holding ``probe``."""
-    probe_set = set(probe)
-    literal = sum(1 for block in inst.blocks if probe_set <= block)
+    literal = _literal_count(inst, probe)
     if literal != count:
         raise RuntimeError(
             f"indexed count {count} of probe {probe} disagrees with literal count {literal}"

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import itertools
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fortdesign import designs
 from fortdesign.cli import main, parse_query, QueryError
 from fortdesign.cardinal import ALEPH0, Cardinal
 from fortdesign.designs import DesignType
+from fortdesign.finitebrute import parse_instance
 
 QUERY_C1_CASE2 = """\
 space.size: aleph0
@@ -386,6 +390,66 @@ class TestBruteCommand:
         path = write("inst.txt", "5, 2, 3\n0,1,2\n3,4\n")
         assert main(["brute", path]) == 2
         assert "condition I" in capsys.readouterr().err
+
+
+NATURALS = st.integers(0, 19)
+MISSPELT = st.one_of(
+    NATURALS.map(lambda v: f"0{v}"),
+    NATURALS.map(lambda v: f"+{v}"),
+    NATURALS.map(lambda v: f"-{v}"),
+    NATURALS.map(lambda v: f"{v}_0"),
+    NATURALS.map(lambda v: chr(0x660 + v % 10)),
+    st.sampled_from(["", " ", "x", "1.0", "1e1"]),
+)
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance texts over naturals below 20: a header and block lines, one
+    field in twenty misspelt, with blank and comment lines, duplicate blocks
+    and points outside the ground set mixed in."""
+
+    def line(fields):
+        return ",".join(
+            draw(MISSPELT) if draw(st.integers(0, 19)) == 0 else str(v) for v in fields
+        )
+
+    c_size, d_size, n = sorted(draw(NATURALS) for _ in range(3))
+    header = [n, c_size, d_size, draw(NATURALS)]
+    lines = [line(header[: draw(st.sampled_from((3,) * 18 + (2, 4)))])]
+    points = st.integers(0, min(n, 19))  # n itself leaves the ground set
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("block", "block", "block", "again", "blank", "#")))
+        if kind == "block":
+            size = draw(st.one_of(st.just(d_size), st.integers(0, 6)))
+            lines.append(line(draw(st.lists(points, min_size=size, max_size=size))))
+        elif kind == "again" and len(lines) > 1:  # a block, blank or comment line again
+            lines.append(draw(st.sampled_from(lines[1:])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(("", "  "))))
+        else:
+            lines.append("# comment")
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(instance_texts())
+@example("# the Fano plane\n7, 2, 3\n0,1,2\n0,3,4\n0,5,6\n\n1,3,5\n1,4,6\n2,3,6\n2,4,5\n")
+def test_brute_reads_any_instance_text_without_a_traceback(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-instance.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        parse_instance(text)
+        refused = None
+    except ValueError as exc:
+        refused = f"error: {exc}\n"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["brute", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if refused is not None:
+        assert (code, err.getvalue()) == (2, refused)
 
 
 def test_outputs_are_byte_identical_across_runs(write, capsys):

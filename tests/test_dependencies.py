@@ -29,3 +29,28 @@ def test_every_import_is_relative_the_package_or_the_standard_library():
         and module not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def unused_imports(path: Path):
+    """(line, name) per name a module imports and never reads; ``from
+    __future__`` imports are directives, not names."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_every_module_uses_what_it_imports():
+    sources = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert sources
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for path in sources
+        for line, name in unused_imports(path)
+    ]
+    assert unused == []

@@ -161,8 +161,8 @@ def test_indexed_counts_match_the_literal_walk(inst):
 @pytest.fixture
 def walk_lookups(monkeypatch):
     """The points ``brute_lambda``'s walk looks up in its index, in order:
-    one for each prefix it extends and one for each probe it visits.  More
-    than 10 fail the test at once instead of walking on."""
+    the points of each prefix it extends and one for each probe it visits.
+    More than 10 fail the test at once instead of walking on."""
     first_other = finitebrute._first_other
     looked_up = []
 
@@ -180,13 +180,23 @@ def walk_lookups(monkeypatch):
     return looked_up
 
 
+@pytest.fixture
+def no_index(monkeypatch):
+    """Fails the test if ``brute_lambda`` builds its block index."""
+
+    def refused(blocks):
+        raise AssertionError("indexed the blocks")
+
+    monkeypatch.setattr(finitebrute, "_index", refused)
+
+
 def test_no_blocks_is_exactly_zero_without_a_walk(walk_lookups):
     inst = FiniteInstance(200, (), 4, 5)
     assert brute_lambda(inst, DesignType.TYPE2) == BruteOutcome.exactly(0)
     assert walk_lookups == []
 
 
-def test_first_probe_in_no_block_is_answered_from_the_blocks(walk_lookups):
+def test_first_probe_in_no_block_is_answered_from_the_blocks(walk_lookups, no_index):
     n = 10**5
     blocks = tuple(frozenset(range(n - j, n - j + 3)) for j in (3, 6, 9))
     inst = FiniteInstance(n, blocks, 2, 3)
@@ -202,7 +212,7 @@ def test_first_probe_in_no_block_is_answered_from_the_blocks(walk_lookups):
     (FiniteInstance(25, (frozenset(range(24)), frozenset(range(1, 25))), 12, 24),
      math.comb(25, 12) + 1),
 ], ids=["one-block", "two-blocks"])
-def test_walk_over_budget_is_refused_before_it_starts(walk_lookups, inst, bound):
+def test_walk_over_budget_is_refused_before_it_starts(walk_lookups, no_index, inst, bound):
     with pytest.raises(ValueError, match=f"^walk bound {bound} exceeds the budget"):
         brute_lambda(inst, DesignType.TYPE2)
     assert walk_lookups == []
