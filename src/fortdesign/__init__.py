@@ -6,130 +6,16 @@ against two executable oracles: a countable concrete model with explicit
 point maps, and a finite discrete brute-force counter.
 """
 
-from .cardinal import (
-    ALEPH0,
-    ALEPH1,
-    Cardinal,
-    LambdaValue,
-    csum,
-)
-from .concrete import (
-    Block,
-    BlockCount,
-    ConcreteSet,
-    DesignCheckReport,
-    FamilyEnumerationError,
-    OddTailBlock,
-    PointMap,
-    ProbeReport,
-    blocks_containing,
-    canonical_homeomorphism,
-    check_homeomorphism,
-    extract_descriptor,
-    is_open,
-    limit_points,
-    local_design_check,
-    realize,
-    realize_descriptor,
-)
-from .descriptors import (
-    SpaceDescriptor,
-    SubsetDescriptor,
-    complement,
-    cosize_minus_b,
-    descriptor_grid,
-    embeddable,
-    pair_equivalent,
-    size_minus_b,
-    subspace_homeomorphic,
-    validate,
-)
-from .designs import (
-    CASE_TAGS,
-    ClassL,
-    ClassW,
-    CrosscheckReport,
-    DescriptorError,
-    DesignType,
-    FamilyDescriptor,
-    OddTail,
-    Singleton,
-    SweepReport,
-    Verdict,
-    crosscheck,
-    decide,
-    decide_type1,
-    decide_type2,
-    decide_type3,
-    decide_type4,
-    sweep,
-    witness_violations,
-)
-from .finitebrute import (
-    BruteOutcome,
-    FiniteInstance,
-    all_k_subsets_instance,
-    all_k_subsets_lambda,
-    brute_lambda,
-    parse_instance,
-)
+from . import cardinal, concrete, descriptors, designs, finitebrute
+from .cardinal import *
+from .concrete import *
+from .descriptors import *
+from .designs import *
+from .finitebrute import *
 
-__all__ = [
-    "ALEPH0",
-    "ALEPH1",
-    "Block",
-    "BlockCount",
-    "BruteOutcome",
-    "CASE_TAGS",
-    "Cardinal",
-    "ClassL",
-    "ClassW",
-    "ConcreteSet",
-    "CrosscheckReport",
-    "DescriptorError",
-    "DesignCheckReport",
-    "DesignType",
-    "FamilyDescriptor",
-    "FamilyEnumerationError",
-    "FiniteInstance",
-    "LambdaValue",
-    "OddTail",
-    "OddTailBlock",
-    "PointMap",
-    "ProbeReport",
-    "Singleton",
-    "SpaceDescriptor",
-    "SubsetDescriptor",
-    "SweepReport",
-    "Verdict",
-    "all_k_subsets_instance",
-    "all_k_subsets_lambda",
-    "blocks_containing",
-    "brute_lambda",
-    "canonical_homeomorphism",
-    "check_homeomorphism",
-    "complement",
-    "cosize_minus_b",
-    "crosscheck",
-    "csum",
-    "decide",
-    "decide_type1",
-    "decide_type2",
-    "decide_type3",
-    "decide_type4",
-    "descriptor_grid",
-    "embeddable",
-    "extract_descriptor",
-    "is_open",
-    "limit_points",
-    "local_design_check",
-    "pair_equivalent",
-    "parse_instance",
-    "realize",
-    "realize_descriptor",
-    "size_minus_b",
-    "subspace_homeomorphic",
-    "sweep",
-    "validate",
-    "witness_violations",
-]
+__all__ = []
+__all__ += cardinal.__all__
+__all__ += concrete.__all__
+__all__ += descriptors.__all__
+__all__ += designs.__all__
+__all__ += finitebrute.__all__

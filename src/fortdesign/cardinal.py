@@ -9,6 +9,8 @@ evaluate are carried symbolically by :class:`LambdaValue`.
 
 from __future__ import annotations
 
+__all__ = ["ALEPH0", "ALEPH1", "Cardinal", "LambdaValue", "csum"]
+
 import re
 from typing import NamedTuple
 

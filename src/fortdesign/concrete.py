@@ -20,6 +20,14 @@ off the table of active exceptions.
 
 from __future__ import annotations
 
+__all__ = [
+    "Block", "BlockCount", "ConcreteSet", "DesignCheckReport",
+    "FamilyEnumerationError", "OddTailBlock", "PointMap", "ProbeReport",
+    "blocks_containing", "canonical_homeomorphism", "check_homeomorphism",
+    "extract_descriptor", "is_open", "limit_points", "local_design_check",
+    "realize", "realize_descriptor",
+]
+
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -337,12 +345,11 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     """A canonical concrete set with the given descriptor.
 
-    It is the one block of ``Singleton(d)``'s window (:func:`_layout`), with
-    ``R = {1..free}``.  Doubly-infinite descriptors have no finite or
-    cofinite realization and are rejected.
+    It is the one block of ``Singleton(d)``'s window
+    (:func:`_canonical_block`).  Doubly-infinite descriptors have no finite
+    or cofinite realization and are rejected.
     """
-    cofinite, pinned, free, _ = _layout(Singleton(d), None)
-    return ConcreteSet(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
+    return _canonical_block(Singleton(d))
 
 
 def realize(family: FamilyDescriptor, index: int = 1) -> Block:
@@ -410,6 +417,13 @@ def _layout(family: FamilyDescriptor, prefix: int | None) -> tuple:
     return cofinite, pinned, free, math.inf if prefix is None else prefix
 
 
+def _canonical_block(family: FamilyDescriptor) -> ConcreteSet:
+    """The first block of a nonempty window of a class W(D) or a singleton,
+    ``R = {1..free}`` (:func:`_layout`), built without the window's pool."""
+    cofinite, pinned, free, _ = _layout(family, None)
+    return ConcreteSet(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
+
+
 def _window_blocks(
     family: FamilyDescriptor, cutoff: int, prefix: int
 ) -> Iterator[Block]:
@@ -417,16 +431,23 @@ def _window_blocks(
 
     The window is the first ``cutoff`` odd-tail blocks, the single block,
     or every class member whose symmetric difference with the canonical
-    representative lies inside the prefix.
+    representative lies inside the prefix.  A class's or singleton's first
+    block comes from :func:`_canonical_block`; ``itertools.combinations``
+    copies the pool ``[1, prefix]`` into a tuple only when a second block is
+    drawn, and a window of one block (``free = 0``) has an empty pool.  So
+    drawing one block costs nothing per point of the prefix.
     """
     if isinstance(family, OddTail):
-        return (OddTailBlock(s) for s in range(1, cutoff + 1))
+        yield from map(OddTailBlock, range(1, cutoff + 1))
+        return
     cofinite, pinned, free, top = _layout(family, prefix)
+    if free > top:
+        return
+    yield _canonical_block(family)
     fixed = (0,) if pinned else ()
-    return (
-        ConcreteSet(cofinite, fixed + rest)
-        for rest in itertools.combinations(range(1, top + 1), free)
-    )
+    rests = itertools.combinations(range(1, top + 1) if free else (), free)
+    for rest in itertools.islice(rests, 1, None):
+        yield ConcreteSet(cofinite, fixed + rest)
 
 
 def _comb(pool: float, k: int) -> int | None:

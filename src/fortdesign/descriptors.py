@@ -10,6 +10,12 @@ the descriptor level.  The countable concrete model in
 
 from __future__ import annotations
 
+__all__ = [
+    "SpaceDescriptor", "SubsetDescriptor", "complement", "cosize_minus_b",
+    "descriptor_grid", "embeddable", "pair_equivalent", "size_minus_b",
+    "subspace_homeomorphic", "validate",
+]
+
 from typing import Iterable, NamedTuple
 
 from .cardinal import Cardinal, ZERO

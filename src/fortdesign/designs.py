@@ -35,6 +35,13 @@ tables directly on ``descriptor_grid``'s descriptors, valid and nonempty.
 
 from __future__ import annotations
 
+__all__ = [
+    "CASE_TAGS", "ClassL", "ClassW", "CrosscheckReport", "DescriptorError",
+    "DesignType", "FamilyDescriptor", "OddTail", "Singleton", "SweepReport",
+    "Verdict", "crosscheck", "decide", "decide_type1", "decide_type2",
+    "decide_type3", "decide_type4", "sweep", "witness_violations",
+]
+
 import enum
 from dataclasses import dataclass
 from typing import NamedTuple

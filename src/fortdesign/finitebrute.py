@@ -17,6 +17,11 @@ Every count reported is checked literally, probe set against block.
 
 from __future__ import annotations
 
+__all__ = [
+    "BruteOutcome", "FiniteInstance", "all_k_subsets_instance",
+    "all_k_subsets_lambda", "brute_lambda", "parse_instance",
+]
+
 import itertools
 import math
 from collections import defaultdict

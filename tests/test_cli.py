@@ -3,6 +3,7 @@ import io
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -287,6 +288,69 @@ class TestVerifyCommand:
         assert main(["verify"]) == 2
 
 
+# (query, probes, exit code, stdout) at cutoff 10^6, for a finite, a one-block
+# and a cofinite window of W(D), and None for the refutation demo
+HUGE_CUTOFF_RUNS = [
+    (
+        "type: 3\nC.size: 1\nC.contains_b: false\nD.size: 3\nD.contains_b: false\n",
+        ["fin:1", "fin:2"],
+        0,
+        "family: W(size=3,b=false,cosize=aleph0)\nblocks_checked: 166667166667000000\n"
+        "block_failures: 0\nprobe: fin:1 count: AtLeast(1000000)\n"
+        "probe: fin:2 count: AtLeast(1000000)\nrefutation: none\nconsistent: true\n",
+    ),
+    (
+        "type: 3\nC.size: 1\nC.contains_b: true\nD.size: 1\nD.contains_b: true\n",
+        ["fin:0"],
+        0,
+        "family: W(size=1,b=true,cosize=aleph0)\nblocks_checked: 1\n"
+        "block_failures: 0\nprobe: fin:0 count: Exactly(1)\n"
+        "refutation: none\nconsistent: true\n",
+    ),
+    (
+        "type: 1\nC.size: 1\nC.contains_b: true\n"
+        "D.size: aleph0\nD.contains_b: true\nD.cosize: 2\n",
+        ["fin:0"],
+        0,
+        "family: W(size=aleph0,b=true,cosize=2)\nblocks_checked: 500001500001\n"
+        "block_failures: 0\nprobe: fin:0 count: AtLeast(1000000)\n"
+        "refutation: none\nconsistent: true\n",
+    ),
+    (
+        None,
+        [],
+        1,
+        "family: W(size=3,b=true,cosize=aleph0)\nblocks_checked: 500001500001\n"
+        "block_failures: 0\nprobe: fin:0,5 count: AtLeast(1000000)\n"
+        "probe: fin:5,6 count: Exactly(1)\n"
+        "refutation: fin:5,6 Exactly(1) vs fin:0,5 AtLeast(1000000)\n"
+        "consistent: false\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "query, probes, code, out",
+    HUGE_CUTOFF_RUNS,
+    ids=["finite", "one-block", "cofinite", "refutation-demo"],
+)
+def test_verify_memory_does_not_grow_with_the_cutoff(query, probes, code, out, write, capsys):
+    # the shape check once copied the whole prefix [1, cutoff + 2] into a
+    # tuple, 40 MB per 10^6 of cutoff, even for a window of one block
+    if query is None:
+        argv = ["verify", "--refutation-demo"]
+    else:
+        argv = ["verify", write("q.txt", "space.size: aleph0\n" + query), *probes]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--cutoff", "1000000"]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert capsys.readouterr() == (out, "")
+
+
 class TestCrosscheckCommand:
     def test_default_grid(self, capsys):
         assert main(["crosscheck"]) == 0
@@ -450,6 +514,125 @@ def test_brute_reads_any_instance_text_without_a_traceback(tmp_path_factory, tex
     assert "Traceback" not in err.getvalue()
     if refused is not None:
         assert (code, err.getvalue()) == (2, refused)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# messages of parse_query and verify that no other test reaches
+@pytest.mark.parametrize("command, text, err", [
+    ("decide", QUERY_C1_CASE2.replace("C.contains_b: true", "C.contains_b: yes"),
+     "error: field C.contains_b: expected true or false, got 'yes'\n"),
+    ("decide", QUERY_C1_CASE2.replace("C.size: 2\n", ""), "error: missing field C.size\n"),
+    ("decide", QUERY_C1_CASE2.replace("D.contains_b: true\n", ""),
+     "error: missing field D.contains_b\n"),
+    ("decide", QUERY_C1_CASE2.replace("type: 1\n", ""), "error: missing field type\n"),
+    ("verify", QUERY_C1_CASE2.replace("space.size: aleph0", "space.size: aleph1"),
+     "error: concrete verification runs over the countable model; "
+     "space.size must be aleph0\n"),
+])
+def test_query_errors_are_pinned(command, text, err, write, capsys):
+    assert main([command, write("q.txt", text)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+SPACE_SIZES = ("aleph0", "aleph1")
+CARDINALS = ("0", "1", "2", "3") + SPACE_SIZES
+MALFORMED_CARDINALS = ("07", "+3", "-1", "3_0", "\u0663", "aleph4", "aleph", "aleph01",
+                       "aleph 1", "Aleph0", "x", "", "1.0")
+FLAGS = ("true", "false", "True", "FALSE")
+MALFORMED_FLAGS = ("yes", "1", "t", "", "truee")
+
+
+@st.composite
+def query_texts(draw):
+    """Query texts: well-formed field lines with up to four edits, shuffled.
+    An edit drops a field, misspells a value, or adds a ``C.b`` / ``D.b``
+    alias, an unknown or duplicate key, a line without a colon, a blank or
+    a comment line."""
+    space = draw(st.sampled_from(SPACE_SIZES))
+    fields = {"space.size": space, "type": draw(st.sampled_from("1234"))}
+    for name in "CD":
+        size = draw(st.sampled_from(CARDINALS))
+        fields[f"{name}.size"] = size
+        fields[f"{name}.contains_b"] = draw(st.sampled_from(FLAGS))
+        if size == space or draw(st.booleans()):
+            fields[f"{name}.cosize"] = draw(st.sampled_from(CARDINALS))
+    lines = [f"{key}: {value}" for key, value in fields.items()]
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(
+            ("drop", "misspell", "alias", "unknown", "again", "no colon", "blank", "#")))
+        if edit in ("drop", "misspell", "again") and lines:
+            line = draw(st.sampled_from(lines))
+            if edit != "again":
+                lines.remove(line)
+            if edit == "misspell":
+                key = line.partition(":")[0]
+                bad = MALFORMED_FLAGS if key.endswith("contains_b") else MALFORMED_CARDINALS
+                lines.append(f"{key}: {draw(st.sampled_from(bad))}")
+            elif edit == "again":
+                lines.append(line)
+        elif edit == "alias":
+            name = draw(st.sampled_from("CD"))
+            lines.append(f"{name}.b: {draw(st.sampled_from(FLAGS + MALFORMED_FLAGS))}")
+        elif edit == "unknown":
+            lines.append(f"{draw(st.sampled_from(('E.size', 'C.siz', 'size', '')))}: 1")
+        elif edit == "no colon":
+            lines.append(draw(st.sampled_from(("space.size aleph0", "type 1", "nonsense"))))
+        elif edit == "blank":
+            lines.append(draw(st.sampled_from(("", "  "))))
+        else:
+            lines.append("# comment")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(deadline=None)
+@given(query_texts())
+@example(QUERY_C1_CASE2)
+@example(QUERY_EMBED_FAIL)
+def test_decide_reads_any_query_text_without_a_traceback(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-query.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_main(["decide", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+
+
+PROBE_HEADS = ("fin:", "cofin:", "fin", "cofin", "FIN:", "box:", ":", "", " fin:", "-fin:")
+PROBE_ITEMS = ("0", "1", "2", "3", "5", "8", "13", "10000000000", "\u0663", "\uff13",
+               "+3", "-3", " 3", "3 ", "", " ", "03", "3_0", "x")
+
+
+@st.composite
+def probe_texts(draw):
+    """Probe strings: a head, then items with non-ASCII digits, signs, blanks
+    and empty items among them, and at times a trailing comma."""
+    items = draw(st.lists(st.sampled_from(PROBE_ITEMS), max_size=4))
+    comma = "," if draw(st.integers(0, 3)) == 0 else ""
+    return draw(st.sampled_from(PROBE_HEADS)) + ",".join(items) + comma
+
+
+@settings(deadline=None)
+@given(st.lists(probe_texts(), max_size=3), st.integers(0, 9999))
+@example(["fin:0,3", "fin:0,8"], 50)
+def test_verify_reads_any_probe_text_without_a_traceback(tmp_path_factory, probes, cutoff):
+    path = tmp_path_factory.getbasetemp() / "odd-tail-query.txt"
+    path.write_text(QUERY_C1_CASE2, encoding="utf-8")
+    try:
+        code, _, err = run_main(["verify", str(path), *probes, "--cutoff", str(cutoff)])
+    except SystemExit as exc:  # argparse takes a probe that starts with "-" for an option
+        code, err = exc.code, ""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_outputs_are_byte_identical_across_runs(write, capsys):

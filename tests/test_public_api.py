@@ -5,15 +5,18 @@ The traced benchmark run wraps named functions and methods of the library
 these tests catch a renamed or removed target without running the benchmark.
 """
 
+import ast
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import fortdesign
 import fortdesign.cli  # noqa: F401  the tracer wraps cli.main
-from fortdesign import designs
+from fortdesign import cardinal, concrete, descriptors, designs, finitebrute
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+EXPORTING = (cardinal, concrete, descriptors, designs, finitebrute)
 
 
 def load_tracing():
@@ -50,3 +53,31 @@ def test_every_name_in_all_imports_from_the_package():
         namespace = {}
         exec(f"from fortdesign import {name}", namespace)
         assert namespace[name] is getattr(fortdesign, name)
+
+
+def top_level_names(module):
+    """The names a module's source binds outside any function or class."""
+    tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_the_package_exports_exactly_its_modules_lists():
+    public = {
+        name
+        for name in dir(fortdesign)
+        if not name.startswith("_")
+        and not isinstance(getattr(fortdesign, name), types.ModuleType)
+    }
+    assert public == set(fortdesign.__all__)
+    listed = [name for module in EXPORTING for name in module.__all__]
+    assert sorted(listed) == sorted(fortdesign.__all__)
+    assert len(set(listed)) == len(listed)  # no name in two modules' lists
+    for module in EXPORTING:
+        assert set(module.__all__) <= top_level_names(module), module.__name__
