@@ -38,8 +38,15 @@ def _exactly(kind: type, value, what: str):
     return value
 
 
+def _make_validated(cls, fields):
+    """``_make``, and so ``_replace``, of a record that validates in
+    ``__new__``: NamedTuple's own ``_make`` builds the tuple unchecked."""
+    return cls(*fields)
+
+
 # A NamedTuple body may not define __new__, so each validated record is a
-# subclass of its fields' NamedTuple that validates in __new__.
+# subclass of its fields' NamedTuple that validates in __new__, and whose
+# _make is _make_validated.
 class _CardinalFields(NamedTuple):
     infinite: bool
     value: int
@@ -70,6 +77,8 @@ class Cardinal(_CardinalFields):
                 f"(max {MAX_ALEPH_INDEX})"
             )
         return tuple.__new__(cls, (infinite, value))
+
+    _make = classmethod(_make_validated)
 
     # the one ordering, named in the class so it can be wrapped and restored
     __lt__ = tuple.__lt__
@@ -159,6 +168,8 @@ class LambdaValue(_LambdaFields):
         if family is not None and not family:
             raise ValueError("family-size label must be nonempty")
         return tuple.__new__(cls, (value, family))
+
+    _make = classmethod(_make_validated)
 
     @classmethod
     def exact(cls, value: Cardinal) -> "LambdaValue":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .cardinal import ALEPH0, Cardinal, MAX_ALEPH_INDEX, parse_natural
 from .concrete import (
@@ -44,8 +44,7 @@ class QueryError(ValueError):
     """Malformed query file; the message carries line/field context."""
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     space: SpaceDescriptor
     c: SubsetDescriptor
     d: SubsetDescriptor
@@ -277,7 +276,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
     if args.t is not None:
         if not (1 <= args.t <= instance.d_size):
             raise QueryError("--t must satisfy 1 <= t <= d_size")
-        instance = replace(instance, c_size=args.t)
+        instance = instance._replace(c_size=args.t)
     outcome = brute_lambda(instance, DesignType(args.design_type))
     print(str(outcome))
     # a family with no blocks counts every probe 0 times: uniform, but a

@@ -32,10 +32,9 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cardinal import ALEPH0, Cardinal, _exactly, parse_natural
+from .cardinal import ALEPH0, Cardinal, _exactly, _make_validated, parse_natural
 from .descriptors import (
     SpaceDescriptor,
     SubsetDescriptor,
@@ -58,21 +57,44 @@ def _normalized(elements) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
 class ConcreteSet:
     """A finite or cofinite subset of the naturals.
 
     ``support`` lists the members when finite, the excluded elements when
     cofinite; it is kept strictly increasing and duplicate-free.  Its points
     must be ``int`` and ``cofinite`` a ``bool``, or ``ValueError`` is raised.
+
+    An immutable record with two slots rather than a NamedTuple: the oracles
+    read its fields in their inner loops, and a slot read is about twice as
+    fast as a NamedTuple field read.  Equality, hashing and ``repr`` are
+    those of its fields.
     """
 
-    cofinite: bool
-    support: tuple[int, ...]
+    __slots__ = ("cofinite", "support")
 
-    def __post_init__(self) -> None:
-        _exactly(bool, self.cofinite, "cofinite")
-        object.__setattr__(self, "support", _normalized(self.support))
+    def __init__(self, cofinite: bool, support: tuple[int, ...]) -> None:
+        setfield = object.__setattr__
+        setfield(self, "cofinite", _exactly(bool, cofinite, "cofinite"))
+        setfield(self, "support", _normalized(support))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.cofinite is other.cofinite and self.support == other.support
+
+    def __hash__(self) -> int:
+        return hash((self.cofinite, self.support))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(cofinite={self.cofinite!r}, support={self.support!r})"
+
+    def __reduce__(self):
+        return type(self), (self.cofinite, self.support)
 
     @classmethod
     def finite(cls, elements=()) -> "ConcreteSet":
@@ -146,8 +168,11 @@ class ConcreteSet:
         return cls(head == "cofin", tuple(values))
 
 
-@dataclass(frozen=True)
-class OddTailBlock:
+class _OddTailBlockFields(NamedTuple):
+    index: int
+
+
+class OddTailBlock(_OddTailBlockFields):
     """Block number s of the odd-tail family: X minus {2k+1 : k >= s}.
 
     Neither finite nor cofinite, so membership is decided by the rule: the
@@ -155,11 +180,14 @@ class OddTailBlock:
     2k+1 with k < s.
     """
 
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if _exactly(int, self.index, "an odd-tail block index") < 1:
+    def __new__(cls, index: int) -> "OddTailBlock":
+        if _exactly(int, index, "an odd-tail block index") < 1:
             raise ValueError("odd-tail blocks are numbered from 1")
+        return tuple.__new__(cls, (index,))
+
+    _make = classmethod(_make_validated)
 
     def __contains__(self, x: int) -> bool:
         return x % 2 == 0 or (x - 1) // 2 < self.index
@@ -240,6 +268,8 @@ class PointMap(_PointMapFields):
         if len({a for a, _ in exceptions}) != len(exceptions):
             raise ValueError("exception table must map each source point once")
         return tuple.__new__(cls, (aligned, exceptions))
+
+    _make = classmethod(_make_validated)
 
     def apply(self, x: int, source: ConcreteSet, target: ConcreteSet) -> int | None:
         for a, b in self.exceptions:
@@ -368,8 +398,7 @@ def realize(family: FamilyDescriptor, index: int = 1) -> Block:
     )
 
 
-@dataclass(frozen=True)
-class BlockCount:
+class BlockCount(NamedTuple):
     """A containment count: exact within the window, or saturated at cutoff."""
 
     value: int
@@ -525,8 +554,7 @@ def blocks_containing(
     return _saturated(count, cutoff)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Window count, only printed, and family-wide count, which decides: the
     window closed form over the unbounded window, None when infinite."""
 
@@ -541,8 +569,7 @@ class ProbeReport:
         return f"AtLeast({self.count.value})"
 
 
-@dataclass(frozen=True)
-class DesignCheckReport:
+class DesignCheckReport(NamedTuple):
     """Everything the bounded design check observed.
 
     ``block_failures`` lists enumerated blocks that are not shaped like D

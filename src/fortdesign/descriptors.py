@@ -18,7 +18,7 @@ __all__ = [
 
 from typing import Iterable, NamedTuple
 
-from .cardinal import Cardinal, ZERO
+from .cardinal import Cardinal, ZERO, _make_validated
 
 
 class _SpaceFields(NamedTuple):
@@ -38,6 +38,8 @@ class SpaceDescriptor(_SpaceFields):
         if size.is_finite:
             raise ValueError("the ambient space must be infinite")
         return tuple.__new__(cls, (size,))
+
+    _make = classmethod(_make_validated)
 
 
 class SubsetDescriptor(NamedTuple):

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cardinal import (
@@ -55,6 +54,7 @@ from .cardinal import (
     LambdaValue,
     ZERO,
     ONE,
+    _make_validated,
     csum,
 )
 from .descriptors import (
@@ -99,34 +99,55 @@ class DescriptorError(ValueError):
 
 
 class FamilyDescriptor:
-    """Base class for symbolic block families."""
+    """Base class for symbolic block families.
+
+    A family is a tuple-backed record.  Two families are equal only when
+    they are of one class and hold equal fields, so W(D), L(D) and the
+    singleton {D} are three families and none equals a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple.__hash__(self)))
 
     def to_text(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ClassW(FamilyDescriptor):
+class _ClassFields(NamedTuple):
+    base: SubsetDescriptor
+
+
+class ClassW(FamilyDescriptor, _ClassFields):
     """All subsets pair-equivalent to the base: same shape and complement shape."""
 
-    base: SubsetDescriptor
+    __slots__ = ()
 
     def to_text(self) -> str:
         return f"W{self.base}"
 
 
-@dataclass(frozen=True)
-class ClassL(FamilyDescriptor):
+class ClassL(FamilyDescriptor, _ClassFields):
     """All subsets homeomorphic to the base, complements unconstrained."""
 
-    base: SubsetDescriptor
+    __slots__ = ()
 
     def to_text(self) -> str:
         return f"L{self.base}"
 
 
-@dataclass(frozen=True)
-class OddTail(FamilyDescriptor):
+class _NoFields(NamedTuple):
+    pass
+
+
+class OddTail(FamilyDescriptor, _NoFields):
     """The explicit countable family over the standard model.
 
     With the naturals as ground set, b = 0 and D = the evens plus 0, block s
@@ -135,15 +156,20 @@ class OddTail(FamilyDescriptor):
     all countably infinite and b lies in D.
     """
 
+    __slots__ = ()
+
     def to_text(self) -> str:
         return "odd-tail"
 
 
-@dataclass(frozen=True)
-class Singleton(FamilyDescriptor):
+class _SingletonFields(NamedTuple):
+    member: SubsetDescriptor
+
+
+class Singleton(FamilyDescriptor, _SingletonFields):
     """A one-block family; the member is given by its descriptor."""
 
-    member: SubsetDescriptor
+    __slots__ = ()
 
     def to_text(self) -> str:
         return f"singleton{self.member}"
@@ -177,6 +203,8 @@ class Verdict(_VerdictFields):
         if exists and (lambda_ is None or witness is None):
             raise ValueError("existence verdicts carry a multiplicity and a witness")
         return tuple.__new__(cls, (exists, case_tag, lambda_, witness, reason))
+
+    _make = classmethod(_make_validated)
 
     @classmethod
     def yes(
@@ -573,8 +601,7 @@ def witness_violations(
     return problems
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of an exhaustive grid sweep."""
 
     cases: int

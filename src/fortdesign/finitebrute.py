@@ -25,9 +25,9 @@ __all__ = [
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cardinal import _exactly, parse_natural
+from .cardinal import _exactly, _make_validated, parse_natural
 from .designs import DesignType
 
 # the largest walk bound accepted: a uniform 705,432-probe walk (one block of
@@ -38,34 +38,41 @@ from .designs import DesignType
 WALK_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class FiniteInstance:
-    """A ground set {0..n-1}, a block family, and the probe/block sizes."""
-
+class _FiniteInstanceFields(NamedTuple):
     n: int
     blocks: tuple[frozenset[int], ...]
     c_size: int
     d_size: int
 
-    def __post_init__(self) -> None:
-        for name in ("n", "c_size", "d_size"):
-            _exactly(int, getattr(self, name), name)
-        if self.n < 2:
+
+class FiniteInstance(_FiniteInstanceFields):
+    """A ground set {0..n-1}, a block family, and the probe/block sizes."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n: int, blocks: tuple[frozenset[int], ...], c_size: int, d_size: int
+    ) -> "FiniteInstance":
+        _exactly(int, n, "n")
+        _exactly(int, c_size, "c_size")
+        _exactly(int, d_size, "d_size")
+        if n < 2:
             raise ValueError("ground set needs at least 2 elements")
-        if not (1 <= self.c_size <= self.d_size <= self.n):
+        if not (1 <= c_size <= d_size <= n):
             raise ValueError("sizes must satisfy 1 <= c_size <= d_size <= n")
-        frozen = tuple(frozenset(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", frozen)
+        frozen = tuple(frozenset(b) for b in blocks)
         for i, block in enumerate(frozen):
             for x in block:
-                if type(x) is not int or not 0 <= x < self.n:
+                if type(x) is not int or not 0 <= x < n:
                     raise ValueError(f"block {i} leaves the ground set at {x!r}")
         if len(set(frozen)) != len(frozen):
             raise ValueError("blocks must be pairwise distinct")
+        return tuple.__new__(cls, (n, frozen, c_size, d_size))
+
+    _make = classmethod(_make_validated)
 
 
-@dataclass(frozen=True)
-class BruteOutcome:
+class BruteOutcome(NamedTuple):
     """Either the common containment count or a pair witnessing non-uniformity."""
 
     uniform: bool

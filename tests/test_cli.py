@@ -430,6 +430,13 @@ class TestBruteCommand:
         assert main(["brute", path, "--t", "1"]) == 0
         assert capsys.readouterr().out == "Exactly(15)\n"
 
+    @pytest.mark.parametrize("t", ["0", "4"])
+    def test_t_out_of_range(self, t, write, capsys):
+        path = write("inst.txt", all_3_subsets_of_7())
+        assert main(["brute", path, "--t", t]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --t must satisfy 1 <= t <= d_size\n")
+
     def test_malformed_file(self, write, capsys):
         path = write("inst.txt", "7, 2\n0,1\n")
         assert main(["brute", path]) == 2

@@ -1,6 +1,9 @@
-"""The library imports nothing outside the standard library and itself."""
+"""The library imports nothing outside the standard library and itself,
+and a cold import of it loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +57,30 @@ def test_every_module_uses_what_it_imports():
         for line, name in unused_imports(path)
     ]
     assert unused == []
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass costs several times a NamedTuple to create, and importing
+    # dataclasses pulls in inspect: the records are tuple-backed or slotted
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, module in imported_modules(path)
+        if module == "dataclasses"
+    ]
+    assert found == []
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The names in sys.modules after ``code`` runs in a fresh interpreter."""
+    script = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    return set(done.stdout.split())
+
+
+def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
+    added = loaded_modules("import fortdesign, fortdesign.cli") - loaded_modules("pass")
+    assert "fortdesign.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
