@@ -13,9 +13,10 @@ form over the unbounded window.  A class W(D) and a singleton share one
 window layout, :func:`_layout`.
 
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
-tuple-backed record, ranks and aligned images come from bisecting the
-sorted support, and :func:`check_homeomorphism` reads the b-to-b condition
-off the table of active exceptions.
+tuple-backed record; a :class:`ConcreteSet` stores whether it holds b,
+derived once by its constructor; ranks and aligned images come from
+bisecting the sorted support; and :func:`check_homeomorphism` reads the
+b-to-b condition off the table of active exceptions.
 """
 
 from __future__ import annotations
@@ -64,18 +65,18 @@ class ConcreteSet:
     cofinite; it is kept strictly increasing and duplicate-free.  Its points
     must be ``int`` and ``cofinite`` a ``bool``, or ``ValueError`` is raised.
 
-    An immutable record with two slots rather than a NamedTuple: the oracles
-    read its fields in their inner loops, and a slot read is about twice as
-    fast as a NamedTuple field read.  Equality, hashing and ``repr`` are
-    those of its fields.
+    An immutable record with three slots rather than a NamedTuple: the
+    oracles read its fields in their inner loops, and a slot read is about
+    twice as fast as a NamedTuple field read.  ``cofinite`` and ``support``
+    are its fields; ``contains_b``, whether it holds b, is derived from them
+    by the constructor.  Equality, hashing, ``repr`` and pickling use the
+    two fields only.
     """
 
-    __slots__ = ("cofinite", "support")
+    __slots__ = ("cofinite", "support", "contains_b")
 
     def __init__(self, cofinite: bool, support: tuple[int, ...]) -> None:
-        setfield = object.__setattr__
-        setfield(self, "cofinite", _exactly(bool, cofinite, "cofinite"))
-        setfield(self, "support", _normalized(support))
+        _fill(self, _exactly(bool, cofinite, "cofinite"), _normalized(support))
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -111,13 +112,8 @@ class ConcreteSet:
     def __contains__(self, x: int) -> bool:
         return (x in self.support) != self.cofinite
 
-    @property
-    def contains_b(self) -> bool:
-        # the support is sorted, so b = 0 can only be its first point
-        return (self.support[:1] == (0,)) != self.cofinite
-
     def complement(self) -> "ConcreteSet":
-        return ConcreteSet(not self.cofinite, self.support)
+        return _trusted(not self.cofinite, self.support)
 
     def issubset(self, other: "ConcreteSet") -> bool:
         if self.is_finite:
@@ -166,6 +162,27 @@ class ConcreteSet:
         except ValueError as exc:
             raise ValueError(f"malformed concrete set {text!r}") from exc
         return cls(head == "cofin", tuple(values))
+
+
+# The slots' own setters: ConcreteSet refuses assignment, so its two
+# constructors fill a new set through these.
+_SET_COFINITE, _SET_SUPPORT, _SET_CONTAINS_B = (
+    ConcreteSet.__dict__[name].__set__ for name in ConcreteSet.__slots__
+)
+
+
+def _fill(s: ConcreteSet, cofinite: bool, support: tuple[int, ...]) -> ConcreteSet:
+    _SET_COFINITE(s, cofinite)
+    _SET_SUPPORT(s, support)
+    # the support is sorted, so b = 0 can only be its first point
+    _SET_CONTAINS_B(s, (support[:1] == (0,)) != cofinite)
+    return s
+
+
+def _trusted(cofinite: bool, support: tuple[int, ...]) -> ConcreteSet:
+    """The set for a ``bool`` and a strictly increasing tuple of naturals,
+    taken as given: only callers that build such supports use it."""
+    return _fill(object.__new__(ConcreteSet), cofinite, support)
 
 
 class _OddTailBlockFields(NamedTuple):
@@ -450,7 +467,7 @@ def _canonical_block(family: FamilyDescriptor) -> ConcreteSet:
     """The first block of a nonempty window of a class W(D) or a singleton,
     ``R = {1..free}`` (:func:`_layout`), built without the window's pool."""
     cofinite, pinned, free, _ = _layout(family, None)
-    return ConcreteSet(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
+    return _trusted(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
 
 
 def _window_blocks(
@@ -476,7 +493,7 @@ def _window_blocks(
     fixed = (0,) if pinned else ()
     rests = itertools.combinations(range(1, top + 1) if free else (), free)
     for rest in itertools.islice(rests, 1, None):
-        yield ConcreteSet(cofinite, fixed + rest)
+        yield _trusted(cofinite, fixed + rest)
 
 
 def _comb(pool: float, k: int) -> int | None:

@@ -6,11 +6,11 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fortdesign import designs
 from fortdesign.cli import main, parse_query, QueryError
-from fortdesign.cardinal import ALEPH0, Cardinal
+from fortdesign.cardinal import ALEPH0, MAX_ALEPH_INDEX, Cardinal
 from fortdesign.designs import DesignType
 from fortdesign.finitebrute import parse_instance
 
@@ -640,6 +640,53 @@ def test_verify_reads_any_probe_text_without_a_traceback(tmp_path_factory, probe
         code, err = exc.code, ""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# the most cases a drawn crosscheck may sweep: about 0.05 s on a 2-vCPU
+# Xeon VM; larger grids are drawn only where the budget refuses them
+SMALL_SWEEP = 2000
+
+
+@st.composite
+def crosscheck_options(draw):
+    """crosscheck's options, each given or left at its default, in any order:
+    (argv, the grid's max aleph, its max finite size, finite sizes only,
+    faults injected)."""
+    aleph = draw(st.one_of(st.none(), st.integers(0, 6)))
+    finite = draw(st.one_of(st.none(), st.integers(0, 8), st.integers(10**3, 10**12)))
+    finite_only, inject = draw(st.booleans()), draw(st.booleans())
+    groups = [["--grid-max-aleph", str(aleph)]] if aleph is not None else []
+    groups += [["--max-finite", str(finite)]] if finite is not None else []
+    groups += [["--finite-sizes-only"]] if finite_only else []
+    groups += [["--inject-fault"]] if inject else []
+    argv = ["crosscheck", *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+    aleph = 1 if aleph is None else aleph
+    finite = 6 if finite is None else finite
+    return argv, aleph, finite, finite_only, inject
+
+
+@settings(deadline=None)
+@given(crosscheck_options())
+@example((["crosscheck", "--max-finite", "1000", "--grid-max-aleph", "0"], 0, 1000, False,
+          False))
+def test_crosscheck_reads_any_options_without_a_traceback(options):
+    argv, aleph, finite, finite_only, inject = options
+    refused = aleph > MAX_ALEPH_INDEX or finite < 1
+    if not refused:
+        cases = designs._sweep_cases(aleph, finite, finite_only)
+        refused = cases > designs.SWEEP_BUDGET
+        assume(refused or cases <= SMALL_SWEEP)
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if refused:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out.endswith(f" / {cases} cases\n")
+        # the grid is consistent, so only injected faults are violations
+        assert code == (1 if out.startswith("violation: ") else 0)
+        assert inject or code == 0
 
 
 def test_outputs_are_byte_identical_across_runs(write, capsys):

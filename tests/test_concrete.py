@@ -6,7 +6,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fortdesign import concrete
 from fortdesign.cardinal import ALEPH0, Cardinal
@@ -500,6 +500,53 @@ class TestLocalDesignCheck:
 REALIZABLE_BASES = [sd(FC(k), b, ALEPH0) for k in range(5) for b in (False, True) if k or not b]
 REALIZABLE_BASES += [sd(ALEPH0, b, FC(k)) for k in range(5) for b in (False, True) if k or b]
 ODD_TAIL_D = sd(ALEPH0, True, ALEPH0)
+
+
+# points of [0, 12] with 0 drawn about half the time, in any order, repeats kept
+POINTS = st.lists(st.one_of(st.just(0), st.integers(0, 12)), max_size=6)
+
+
+@st.composite
+def built_sets(draw):
+    """A set built through one of the paths that make ConcreteSets: the
+    public constructor on unsorted points, parse, complement, & and |,
+    realize_descriptor, or a window block."""
+    path = draw(st.sampled_from(
+        ("constructor", "parse", "complement", "and", "or", "realize", "window")
+    ))
+    a, b = (ConcreteSet(draw(st.booleans()), tuple(draw(POINTS))) for _ in range(2))
+    if path == "constructor":
+        return a
+    if path == "parse":
+        points = ",".join(map(str, draw(POINTS)))
+        return ConcreteSet.parse(f"{draw(st.sampled_from(('fin', 'cofin')))}:{points}")
+    if path == "complement":
+        return a.complement()
+    if path == "and":
+        return a & b
+    if path == "or":
+        return a | b
+    d = draw(st.sampled_from(REALIZABLE_BASES))
+    if path == "realize":
+        return realize_descriptor(d)
+    family = draw(st.sampled_from((ClassW(d), Singleton(d))))
+    window = list(concrete._window_blocks(family, 10, draw(st.integers(0, 8))))
+    assume(window)
+    return draw(st.sampled_from(window))
+
+
+@given(built_sets())
+@example(ConcreteSet(False, (3, 0)))
+@example(ConcreteSet(True, (3, 0)))
+def test_stored_b_membership_matches_its_definition(s):
+    assert s.contains_b == (0 in s)
+    listed = FC(len(s.support))
+    written = sd(ALEPH0, 0 in s, listed) if s.cofinite else sd(listed, 0 in s, ALEPH0)
+    assert extract_descriptor(s) == written
+    # a set built from a trusted support is the one the public constructor builds
+    public = ConcreteSet(s.cofinite, s.support)
+    assert s == public and hash(s) == hash(public)
+    assert s.contains_b is public.contains_b
 
 
 @st.composite

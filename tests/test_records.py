@@ -115,6 +115,25 @@ def test_survives_pickle_and_copy(make, text, field):
         assert repr(clone) == text
 
 
+@pytest.mark.parametrize("cofinite, holds_b, text", [
+    (False, True, "ConcreteSet(cofinite=False, support=(0, 3))"),
+    (True, False, "ConcreteSet(cofinite=True, support=(0, 3))"),
+])
+def test_concrete_set_keeps_its_derived_field(cofinite, holds_b, text):
+    # contains_b is derived by the constructor, never given, and is a field
+    # like the other two: read-only, kept by copies, absent from the repr
+    record = ConcreteSet(cofinite, (3, 0))
+    assert record.contains_b is holds_b
+    with pytest.raises(AttributeError):
+        record.contains_b = not holds_b
+    with pytest.raises(AttributeError):
+        del record.contains_b
+    assert record.contains_b is holds_b and repr(record) == text
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert clone.contains_b is holds_b and repr(clone) == text
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: ConcreteSet(1, ()), "cofinite must be bool, got 1"),
     (lambda: ConcreteSet(False, (1.5,)), "a ground-set element must be int, got 1.5"),
