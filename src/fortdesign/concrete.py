@@ -76,7 +76,11 @@ class ConcreteSet:
     __slots__ = ("cofinite", "support", "contains_b")
 
     def __init__(self, cofinite: bool, support: tuple[int, ...]) -> None:
-        _fill(self, _exactly(bool, cofinite, "cofinite"), _normalized(support))
+        setfield = object.__setattr__
+        setfield(self, "cofinite", _exactly(bool, cofinite, "cofinite"))
+        setfield(self, "support", _normalized(support))
+        # the support is sorted, so b = 0 can only be its first point
+        setfield(self, "contains_b", (self.support[:1] == (0,)) != self.cofinite)
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -113,7 +117,7 @@ class ConcreteSet:
         return (x in self.support) != self.cofinite
 
     def complement(self) -> "ConcreteSet":
-        return _trusted(not self.cofinite, self.support)
+        return ConcreteSet(not self.cofinite, self.support)
 
     def issubset(self, other: "ConcreteSet") -> bool:
         if self.is_finite:
@@ -162,27 +166,6 @@ class ConcreteSet:
         except ValueError as exc:
             raise ValueError(f"malformed concrete set {text!r}") from exc
         return cls(head == "cofin", tuple(values))
-
-
-# The slots' own setters: ConcreteSet refuses assignment, so its two
-# constructors fill a new set through these.
-_SET_COFINITE, _SET_SUPPORT, _SET_CONTAINS_B = (
-    ConcreteSet.__dict__[name].__set__ for name in ConcreteSet.__slots__
-)
-
-
-def _fill(s: ConcreteSet, cofinite: bool, support: tuple[int, ...]) -> ConcreteSet:
-    _SET_COFINITE(s, cofinite)
-    _SET_SUPPORT(s, support)
-    # the support is sorted, so b = 0 can only be its first point
-    _SET_CONTAINS_B(s, (support[:1] == (0,)) != cofinite)
-    return s
-
-
-def _trusted(cofinite: bool, support: tuple[int, ...]) -> ConcreteSet:
-    """The set for a ``bool`` and a strictly increasing tuple of naturals,
-    taken as given: only callers that build such supports use it."""
-    return _fill(object.__new__(ConcreteSet), cofinite, support)
 
 
 class _OddTailBlockFields(NamedTuple):
@@ -467,7 +450,7 @@ def _canonical_block(family: FamilyDescriptor) -> ConcreteSet:
     """The first block of a nonempty window of a class W(D) or a singleton,
     ``R = {1..free}`` (:func:`_layout`), built without the window's pool."""
     cofinite, pinned, free, _ = _layout(family, None)
-    return _trusted(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
+    return ConcreteSet(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
 
 
 def _window_blocks(
@@ -493,7 +476,7 @@ def _window_blocks(
     fixed = (0,) if pinned else ()
     rests = itertools.combinations(range(1, top + 1) if free else (), free)
     for rest in itertools.islice(rests, 1, None):
-        yield _trusted(cofinite, fixed + rest)
+        yield ConcreteSet(cofinite, fixed + rest)
 
 
 def _comb(pool: float, k: int) -> int | None:

@@ -543,7 +543,7 @@ def test_stored_b_membership_matches_its_definition(s):
     listed = FC(len(s.support))
     written = sd(ALEPH0, 0 in s, listed) if s.cofinite else sd(listed, 0 in s, ALEPH0)
     assert extract_descriptor(s) == written
-    # a set built from a trusted support is the one the public constructor builds
+    # every path builds the set the public constructor builds from its fields
     public = ConcreteSet(s.cofinite, s.support)
     assert s == public and hash(s) == hash(public)
     assert s.contains_b is public.contains_b
