@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fortdesign import designs
 from fortdesign.cli import main, parse_query, QueryError
 from fortdesign.cardinal import ALEPH0, MAX_ALEPH_INDEX, Cardinal
+from fortdesign.descriptors import SpaceDescriptor, descriptor_grid
 from fortdesign.designs import DesignType
 from fortdesign.finitebrute import parse_instance
 
@@ -640,6 +641,70 @@ def test_verify_reads_any_probe_text_without_a_traceback(tmp_path_factory, probe
         code, err = exc.code, ""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+VERIFY_GRID = descriptor_grid(SpaceDescriptor(ALEPH0), 4)
+# fin:/cofin: probes over naturals below 10^4, or probe_texts without the
+# leading "-" that argparse would take for an option
+VERIFY_PROBES = st.one_of(
+    st.builds(
+        lambda head, items: head + ",".join(map(str, sorted(items))),
+        st.sampled_from(("fin:", "cofin:")),
+        st.sets(st.integers(0, 9999), max_size=4),
+    ),
+    probe_texts().filter(lambda p: not p.startswith("-")),
+)
+
+
+def subset_fields(name, s):
+    flag = "true" if s.contains_b else "false"
+    return f"{name}.size: {s.size}\n{name}.contains_b: {flag}\n{name}.cosize: {s.cosize}\n"
+
+
+@st.composite
+def probes_shaped_like(draw, c):
+    """A fin: or cofin: probe of C's size and cosize, holding b = 0 exactly
+    when C does; any probe when C is neither finite nor cofinite."""
+    finite = c.size.is_finite
+    if not (finite or c.cosize.is_finite):
+        return draw(VERIFY_PROBES)
+    count = (c.size if finite else c.cosize).value
+    lists_b = c.contains_b == finite  # a cofin: probe lists what it lacks
+    others = draw(st.sets(st.integers(1, 9999), min_size=count - lists_b,
+                          max_size=count - lists_b))
+    points = sorted(others | ({0} if lists_b else set()))
+    return ("fin:" if finite else "cofin:") + ",".join(map(str, points))
+
+
+@st.composite
+def verify_queries(draw):
+    """(query text, verify's arguments after the query path): any type, C and
+    D from the aleph0 grid of max_finite 4, up to three probes and a cutoff,
+    each number below 10^4."""
+    c, d = draw(st.sampled_from(VERIFY_GRID)), draw(st.sampled_from(VERIFY_GRID))
+    text = f"space.size: aleph0\ntype: {draw(st.sampled_from('1234'))}\n"
+    probes = draw(st.lists(st.one_of(probes_shaped_like(c), VERIFY_PROBES), max_size=3))
+    cutoff = draw(st.integers(0, 9999))
+    return text + subset_fields("C", c) + subset_fields("D", d), [
+        *probes, "--cutoff", str(cutoff)
+    ]
+
+
+@settings(deadline=None)
+@given(verify_queries())
+@example((QUERY_C1_CASE2, ["fin:0,3", "fin:0,8", "--cutoff", "50"]))
+@example((QUERY_T3_COFINITE_D, ["fin:1,2", "cofin:0,1", "--cutoff", "9999"]))
+def test_verify_reads_any_query_of_the_grid_without_a_traceback(tmp_path_factory, query):
+    text, argv = query
+    path = tmp_path_factory.getbasetemp() / "grid-query.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_main(["verify", str(path), *argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
 
 
 # the most cases a drawn crosscheck may sweep: about 0.05 s on a 2-vCPU

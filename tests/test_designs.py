@@ -302,15 +302,127 @@ def test_sweep_past_the_aleph_ladder_is_refused_before_any_case(no_case_runs):
         sweep(max_aleph=4)
 
 
-@pytest.mark.parametrize("s, t", [(1, 2), (1, 3), (2, 4), (3, 4)])
-def test_sweep_checks_each_edge_of_the_condition_lattice(monkeypatch, s, t):
+LATTICE_EDGES = [(1, 2), (1, 3), (2, 4), (3, 4)]
+
+
+def refusal_only(t):
+    """A table for type t whose one row refuses every case, with a known tag."""
     table = designs._RULES[DesignType(t)]
     tag = next(tag for tag, _, _, outcome in table if isinstance(outcome, str))
-    monkeypatch.setitem(designs._RULES, DesignType(t), ((tag, 0, 0, "never"),))
+    return ((tag, 0, 0, "never"),)
+
+
+@pytest.mark.parametrize("s, t", LATTICE_EDGES)
+def test_sweep_checks_each_edge_of_the_condition_lattice(monkeypatch, s, t):
+    monkeypatch.setitem(designs._RULES, DesignType(t), refusal_only(t))
     report = sweep(max_aleph=0, max_finite=2)
     assert any(
         v.endswith(f": type {s} exists but type {t} does not") for v in report.violations
     )
+
+
+@pytest.mark.parametrize("outcome", [
+    "never",
+    lambda d, x: (LambdaValue.exact(ALEPH0), ClassW(d)),
+], ids=["refusal", "existence"])
+def test_sweep_rejects_an_unknown_case_tag(monkeypatch, outcome):
+    monkeypatch.setitem(designs._RULES, DesignType.TYPE3, (("t5", 0, 0, outcome),))
+    with pytest.raises(ValueError, match="unknown case tag 't5'"):
+        sweep(max_aleph=0, max_finite=1)
+
+
+def test_sweep_plans_follow_the_rule_set(monkeypatch):
+    before = sweep(max_aleph=0, max_finite=2)
+    with monkeypatch.context() as patch:
+        patch.setitem(designs._RULES, DesignType.TYPE3, refusal_only(3))
+        patched = sweep(max_aleph=0, max_finite=2)
+    assert sweep(max_aleph=0, max_finite=2) == before
+    assert before.consistent
+    assert any(
+        v.endswith(": type 1 exists but type 3 does not") for v in patched.violations
+    )
+
+
+def test_sweep_plans_each_mask_of_one_rule_set_once(monkeypatch):
+    monkeypatch.setattr(designs, "_plans", ((), {}))
+    sweep(max_aleph=3, max_finite=10)
+    rules, plans = designs._plans
+    assert rules == tuple(designs._RULES.items())
+    masks = set()
+    for index in range(4):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        grid = descriptor_grid(space, 10)
+        masks |= {case_mask(c, d, space) for c, d in itertools.product(grid, repeat=2)}
+    assert set(plans) == masks and len(masks) == 160
+
+
+def test_a_second_sweep_decides_no_row(monkeypatch):
+    # lists compare unequal to the tuples they copy: a fresh rule set
+    monkeypatch.setattr(
+        designs, "_RULES", {t: list(table) for t, table in designs._RULES.items()}
+    )
+    deciding_row_of = designs._deciding_row
+    calls = []
+
+    def counted(table, m):
+        calls.append(m)
+        return deciding_row_of(table, m)
+
+    monkeypatch.setattr(designs, "_deciding_row", counted)
+    first = sweep()
+    planned = len(calls)
+    assert sweep() == first and first.consistent
+    assert planned > 0 and len(calls) == planned
+
+
+def reference_sweep(max_aleph, max_finite, inject_fault):
+    """sweep's violations at the grid's default finite sizes, case by case
+    from the public decide, crosscheck and witness_violations."""
+    violations = []
+    cases = 0
+    for index in range(max_aleph + 1):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        for c, d in itertools.product(descriptor_grid(space, max_finite), repeat=2):
+            cases += 1
+            verdicts = {t: decide(t, c, d, space) for t in DesignType}
+            problems = []
+            for t, v in verdicts.items():
+                if v.exists:
+                    if c.size > d.size:
+                        problems.append(f"type {t} exists with card(C) > card(D)")
+                    problems += [
+                        f"type {t} witness: {p}"
+                        for p in witness_violations(v.witness, d, space)
+                    ]
+            problems += [
+                f"type {s} exists but type {t} does not"
+                for s, t in LATTICE_EDGES
+                if verdicts[s].exists and not verdicts[t].exists
+            ]
+            # crosscheck's deciders read the unpatched tables; sweep's read _RULES
+            direct = crosscheck(c, d, space)
+            report = CrosscheckReport(
+                not verdicts[2].exists,
+                not verdicts[4].exists,
+                direct.obstruction != (inject_fault and cases % 7 == 0),
+                direct.not_embeddable,
+            )
+            if not report.consistent:
+                pairs = ", ".join("/".join(p) for p in report.disagreements())
+                problems.append(f"crosscheck disagrees on {pairs}")
+            violations += [f"X={space.size} C={c} D={d}: {p}" for p in problems]
+    return tuple(violations)
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+@pytest.mark.parametrize("edge", [None, *LATTICE_EDGES])
+def test_sweep_agrees_with_a_per_case_reference(monkeypatch, edge, inject_fault):
+    if edge is not None:
+        t = edge[1]
+        monkeypatch.setitem(designs._RULES, DesignType(t), refusal_only(t))
+    expected = reference_sweep(1, 3, inject_fault)
+    assert expected or not (inject_fault or edge)
+    assert sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault).violations == expected
 
 
 def test_verdict_record_shape():
