@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from fortdesign.cli import main, parse_query, QueryError
 from fortdesign.cardinal import ALEPH0, MAX_ALEPH_INDEX, Cardinal
 from fortdesign.descriptors import SpaceDescriptor, descriptor_grid
 from fortdesign.designs import DesignType
-from fortdesign.finitebrute import parse_instance
+from fortdesign.finitebrute import brute_lambda, parse_instance
 
 QUERY_C1_CASE2 = """\
 space.size: aleph0
@@ -525,11 +526,77 @@ def test_brute_reads_any_instance_text_without_a_traceback(tmp_path_factory, tex
 
 
 def run_main(argv):
-    """(exit code, stdout, stderr) of ``main(argv)``."""
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def option_values(low, high):
+    """An option's text: in range, out of it, or misspelt as MISSPELT does."""
+    return st.one_of(st.integers(low, high).map(str), NATURALS.map(str), MISSPELT)
+
+
+@st.composite
+def brute_invocations(draw):
+    """A valid instance text on at most 8 points with at most 6 blocks, and
+    brute's ``--t`` and ``--design-type``, each left out or drawn by
+    ``option_values``, in either order: (text, options).  The walk bound,
+    1 + 6 * C(d_size, t), stays far below ``WALK_BUDGET``."""
+    n = draw(st.integers(2, 8))
+    d_size = draw(st.integers(1, n))
+    c_size = draw(st.integers(1, d_size))
+    blocks = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=d_size, max_size=d_size).map(sorted),
+        max_size=6, unique_by=tuple,
+    ))
+    lines = [f"{n}, {c_size}, {d_size}", *(",".join(map(str, b)) for b in blocks)]
+    options = []
+    if draw(st.booleans()):
+        options.append(("--t", draw(option_values(1, d_size))))
+    if draw(st.booleans()):
+        options.append(("--design-type", draw(option_values(1, 4))))
+    return "\n".join(lines) + "\n", draw(st.permutations(options))
+
+
+CANONICAL_NATURAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def natural_or_none(text):
+    """The natural an option's text spells canonically, else None."""
+    stripped = text.strip()
+    return int(stripped) if CANONICAL_NATURAL.fullmatch(stripped) else None
+
+
+@settings(deadline=None)
+@given(brute_invocations())
+@example(("7, 2, 3\n0,1,2\n", [("--design-type", "4"), ("--t", "\u0663")]))
+@example(("7, 2, 3\n0,1,2\n", [("--t", "3"), ("--design-type", "1")]))
+def test_brute_reads_any_t_and_design_type_without_a_traceback(tmp_path_factory, invocation):
+    text, options = invocation
+    path = tmp_path_factory.getbasetemp() / "fuzzed-options.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_main(["brute", str(path), *itertools.chain.from_iterable(options)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    instance = parse_instance(text)
+    given_values = dict(options)
+    t = natural_or_none(given_values.get("--t", str(instance.c_size)))
+    design_type = natural_or_none(given_values.get("--design-type", "2"))
+    if t is None or not 1 <= t <= instance.d_size or design_type not in (1, 2, 3, 4):
+        # argparse's usage lines, if any, then one error line
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error: " in line] == [
+            err.splitlines()[-1]
+        ]
+    else:
+        outcome = brute_lambda(instance._replace(c_size=t), DesignType(design_type))
+        assert (out, err) == (f"{outcome}\n", "")
+        assert code == (0 if outcome.uniform and outcome.lambda_ else 1)
 
 
 # messages of parse_query and verify that no other test reaches

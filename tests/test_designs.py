@@ -344,9 +344,9 @@ def test_sweep_plans_follow_the_rule_set(monkeypatch):
 
 
 def test_sweep_plans_each_mask_of_one_rule_set_once(monkeypatch):
-    monkeypatch.setattr(designs, "_plans", ((), {}))
+    monkeypatch.setattr(designs, "_plans", ((), {}, {}))
     sweep(max_aleph=3, max_finite=10)
-    rules, plans = designs._plans
+    rules, plans, _ = designs._plans
     assert rules == tuple(designs._RULES.items())
     masks = set()
     for index in range(4):
@@ -356,23 +356,92 @@ def test_sweep_plans_each_mask_of_one_rule_set_once(monkeypatch):
     assert set(plans) == masks and len(masks) == 160
 
 
+def grid_keys(max_aleph, max_finite, finite_sizes_only=False):
+    """The (X, D) pairs a sweep of these arguments runs over."""
+    return {
+        (space, d)
+        for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(max_aleph + 1))
+        for d in descriptor_grid(space, max_finite, finite_sizes_only)
+    }
+
+
+def counted(monkeypatch, name):
+    """The argument tuples of every later call of ``designs.<name>``."""
+    calls, call = [], getattr(designs, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return call(*args)
+
+    monkeypatch.setattr(designs, name, wrapper)
+    return calls
+
+
 def test_a_second_sweep_decides_no_row(monkeypatch):
     # lists compare unequal to the tuples they copy: a fresh rule set
     monkeypatch.setattr(
         designs, "_RULES", {t: list(table) for t, table in designs._RULES.items()}
     )
-    deciding_row_of = designs._deciding_row
-    calls = []
-
-    def counted(table, m):
-        calls.append(m)
-        return deciding_row_of(table, m)
-
-    monkeypatch.setattr(designs, "_deciding_row", counted)
+    calls = {
+        name: counted(monkeypatch, name)
+        for name in ("_deciding_row", "_facts", "_verdict", "witness_violations")
+    }
     first = sweep()
-    planned = len(calls)
+    made = {name: len(seen) for name, seen in calls.items()}
     assert sweep() == first and first.consistent
-    assert planned > 0 and len(calls) == planned
+    assert all(made.values())
+    assert {name: len(seen) for name, seen in calls.items()} == made
+    # a larger grid finds the facts of its new descriptors only
+    facts_before = len(calls["_facts"])
+    witnesses_before = len(calls["witness_violations"])
+    assert sweep(max_aleph=2, max_finite=7).consistent
+    new = grid_keys(2, 7) - grid_keys(1, 6)
+    found = [(x, s) for s, x in calls["_facts"][facts_before:]]
+    assert len(found) == len(new) and set(found) == new
+    assert {(x, d) for _, d, x in calls["witness_violations"][witnesses_before:]} <= new
+
+
+def test_a_patched_rule_set_meets_a_warm_slot(monkeypatch):
+    sweep()
+    before = sweep(max_aleph=1, max_finite=2)
+    assert before.consistent
+    odd_tail = lambda d, x: (LambdaValue.exact(ALEPH0), OddTail())
+    patched = tuple(
+        row if isinstance(row[3], str) else (*row[:3], odd_tail)
+        for row in designs._RULES[DesignType.TYPE3]
+    )
+    with monkeypatch.context() as patch:
+        patch.setitem(designs._RULES, DesignType.TYPE3, patched)
+        report = sweep(max_aleph=1, max_finite=2)
+    assert any(
+        v.startswith("X=aleph1 ")
+        and v.endswith(": type 3 witness: odd-tail family needs a countable space")
+        for v in report.violations
+    )
+    assert sweep(max_aleph=1, max_finite=2) == before
+
+
+# the slot comment's bound on the (X, D) entries that sweeps within the
+# budget can make, over all four spaces and both finite_sizes_only settings
+ENTRY_BOUND = 1_338
+
+
+def test_sweep_keeps_one_entry_per_grid_descriptor(monkeypatch):
+    monkeypatch.setattr(designs, "_plans", ((), {}, {}))
+    configs = [(1, 6, False), (0, 3, True), (2, 4, False), (3, 2, True), (0, 9, True)]
+    for config in configs:
+        sweep(*config)
+    _, _, entries = designs._plans
+    assert set(entries) == set().union(*(grid_keys(*config) for config in configs))
+    budget, within_budget = designs.SWEEP_BUDGET, set()
+    for max_aleph in range(4):
+        for finite_sizes_only in (False, True):
+            # grids grow with max_finite, so the largest admitted one holds the rest
+            m = 0
+            while designs._sweep_cases(max_aleph, m + 1, finite_sizes_only) <= budget:
+                m += 1
+            within_budget |= grid_keys(max_aleph, m, finite_sizes_only)
+    assert len(within_budget) <= ENTRY_BOUND
 
 
 def reference_sweep(max_aleph, max_finite, inject_fault):
@@ -417,6 +486,8 @@ def reference_sweep(max_aleph, max_finite, inject_fault):
 @pytest.mark.parametrize("inject_fault", [False, True])
 @pytest.mark.parametrize("edge", [None, *LATTICE_EDGES])
 def test_sweep_agrees_with_a_per_case_reference(monkeypatch, edge, inject_fault):
+    # a warm slot: the patched rules must replace what this sweep kept
+    sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault)
     if edge is not None:
         t = edge[1]
         monkeypatch.setitem(designs._RULES, DesignType(t), refusal_only(t))
