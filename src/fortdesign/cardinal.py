@@ -132,7 +132,7 @@ ONE = Cardinal.finite(1)
 
 def csum(a: Cardinal, b: Cardinal) -> Cardinal:
     """Cardinal addition: natural addition on finites, max otherwise."""
-    if a.is_finite and b.is_finite:
+    if not (a.infinite or b.infinite):
         return Cardinal.finite(a.value + b.value)
     return max(a, b)
 

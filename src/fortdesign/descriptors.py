@@ -138,9 +138,7 @@ def embeddable(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:
     """
     if c.size > d.size:
         return False
-    if c.size.is_finite:
-        return True
-    return not (c.contains_b and not d.contains_b)
+    return not (c.size.infinite and c.contains_b and not d.contains_b)
 
 
 def descriptor_grid(

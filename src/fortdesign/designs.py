@@ -22,9 +22,9 @@ A guard is a conjunction of atoms, each one bit of an integer mask:
 the comparisons read, once per descriptor; ``_mask`` combines two of them
 into the mask of a case.  The first row whose ``required`` atoms all hold
 and whose ``forbidden`` atoms all fail decides.  An outcome is a refusal
-reason or a function of D and X only, never of C, so a verdict is fixed by
-its row, D and X, and ``sweep`` checks each existence verdict's witness once
-per (row, X, D) under one rule set, across calls.
+reason or a function of D and X only, never of C, so a verdict's witness is
+fixed by its outcome, D and X, and ``sweep`` builds one verdict per
+(outcome, D) in a call.
 
 Validation contract: ``decide`` and ``crosscheck``, the only checks of the
 descriptors a caller passes in, validate C and D against the space once and
@@ -199,8 +199,7 @@ class Verdict(_VerdictFields):
         witness: FamilyDescriptor | None = None,
         reason: str | None = None,
     ) -> "Verdict":
-        if case_tag not in CASE_TAGS:
-            raise ValueError(f"unknown case tag {case_tag!r}")
+        _check_tag(case_tag)
         if exists and (lambda_ is None or witness is None):
             raise ValueError("existence verdicts carry a multiplicity and a witness")
         return tuple.__new__(cls, (exists, case_tag, lambda_, witness, reason))
@@ -233,6 +232,11 @@ class Verdict(_VerdictFields):
         ]
 
 
+def _check_tag(case_tag: str) -> None:
+    if case_tag not in CASE_TAGS:
+        raise ValueError(f"unknown case tag {case_tag!r}")
+
+
 def _violations(s: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     """Why s is not a valid, nonempty descriptor in the space; empty if it is."""
     return validate(s, space) + (["must be nonempty"] if s.size == ZERO else [])
@@ -255,6 +259,7 @@ def _space_minus_b(space: SpaceDescriptor) -> SubsetDescriptor:
     return SubsetDescriptor(space.size, False, ONE)
 
 
+_TWO = Cardinal.finite(2)
 _ONE_BLOCK = LambdaValue.exact(ONE)
 _CARD_W = LambdaValue.family_size(FAMILY_W)
 _CARD_L = LambdaValue.family_size(FAMILY_L)
@@ -290,7 +295,7 @@ class _Facts(NamedTuple):
 
 
 def _facts(s: SubsetDescriptor, x: SpaceDescriptor) -> _Facts:
-    finite = s.size.is_finite
+    finite = not s.size.infinite
     as_c = (
         (B_IN_C if s.contains_b else 0)
         | (C_FINITE if finite else 0)
@@ -301,14 +306,14 @@ def _facts(s: SubsetDescriptor, x: SpaceDescriptor) -> _Facts:
         | (D_FINITE if finite else 0)
         | (D_COSIZE_0 if s.cosize == ZERO else 0)
         | (D_COSIZE_1 if s.cosize == ONE else 0)
-        | (D_COSIZE_FINITE if s.cosize.is_finite else 0)
+        | (0 if s.cosize.infinite else D_COSIZE_FINITE)
         | (X_ALEPH0 if x.size == ALEPH0 else 0)
     )
     return _Facts(
         as_c,
         as_d,
         s.size,
-        csum(s.size, Cardinal.finite(2)),
+        csum(s.size, _TWO),
         size_minus_b(s),
         cosize_minus_b(s),
     )
@@ -316,16 +321,18 @@ def _facts(s: SubsetDescriptor, x: SpaceDescriptor) -> _Facts:
 
 def _mask(c: _Facts, d: _Facts) -> int:
     """Every atom that holds for C and D, as one bitmask."""
-    m = c.as_c | d.as_d
-    if c.size > d.size:
+    c_atoms, _, c_size, c_size_plus_2, c_size_minus_b, c_cosize_minus_b = c
+    _, d_atoms, d_size, _, d_size_minus_b, d_cosize_minus_b = d
+    m = c_atoms | d_atoms
+    if c_size > d_size:
         m |= C_GT_D
-    elif c.size == d.size:
+    elif c_size == d_size:
         m |= C_EQ_D
-    if c.size_plus_2 > d.size:
+    if c_size_plus_2 > d_size:
         m |= C_PLUS_2_GT_D
-    if c.size_minus_b > d.size_minus_b:
+    if c_size_minus_b > d_size_minus_b:
         m |= C_GT_D_WITHOUT_B
-    if d.cosize_minus_b > c.cosize_minus_b:
+    if d_cosize_minus_b > c_cosize_minus_b:
         m |= COSIZE_D_GT_C
     return m
 
@@ -576,7 +583,7 @@ def _crosscheck(
 
 def _obstruction(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:
     """The direct condition: C is larger than D, or infinite with b while D lacks b."""
-    return (not c.size.is_finite and c.contains_b and not d.contains_b) or c.size > d.size
+    return (c.size.infinite and c.contains_b and not d.contains_b) or c.size > d.size
 
 
 def witness_violations(
@@ -615,8 +622,8 @@ class SweepReport(NamedTuple):
         return not self.violations
 
 
-# the most cases a sweep runs: a cold sweep(0, 78) of 99,225 cases takes 0.26 s,
-# 2.6 us a case (2-vCPU Intel Xeon VM, Python 3.11.7)
+# the most cases a sweep runs: a cold sweep(0, 78) of 99,225 cases takes
+# 0.074 s, 0.75 us a case (2-vCPU Intel Xeon VM, Python 3.11.7)
 SWEEP_BUDGET = 10**5
 # (s, t): II implies I and III implies IV, so a type-s design is a type-t one
 _IMPLIED_TYPES = ((1, 2), (1, 3), (2, 4), (3, 4))
@@ -636,11 +643,15 @@ def _plan(rules: tuple, m: int) -> tuple:
     broken edges of the condition lattice, no type 2 and no type 4."""
     rows = [(t, _deciding_row(table, m)) for t, table in rules]
     # a refusal reads neither D nor X: its verdict, and with it the check of
-    # its tag, is built here once
-    exists = {
-        t: not isinstance(row[3], str) or _verdict(row, None, None).exists
-        for t, row in rows
-    }
+    # its tag, is built here once.  An existence row's tag is checked here
+    # too, since sweep builds one verdict per (outcome, D), not per row.
+    exists = {}
+    for t, row in rows:
+        if isinstance(row[3], str):
+            exists[t] = _verdict(row, None, None).exists
+        else:
+            _check_tag(row[0])
+            exists[t] = True
     return (
         tuple((t, row) for t, row in rows if exists[t]),
         tuple(
@@ -653,12 +664,9 @@ def _plan(rules: tuple, m: int) -> tuple:
     )
 
 
-# What the rule set swept last settles: (rules, {mask: plan}, {(X, D):
-# (D's _Facts, {deciding row: D's witness problems})}).  A sweep under other
-# rules replaces all three, so one rule set's work is kept.  An entry is made
-# per distinct (X, D) swept; every sweep within SWEEP_BUDGET, over all four
-# spaces and both finite_sizes_only settings, holds at most 1,338 of them.
-_plans: tuple = ((), {}, {})
+# The plans of the rule set swept last: (rules, {mask: plan}).  A sweep
+# under other rules replaces them, so one rule set's plans are kept.
+_plans: tuple = ((), {})
 
 
 def sweep(
@@ -671,18 +679,18 @@ def sweep(
 
     Per (C, D, space) triple: the four-way crosscheck, the condition lattice
     (type 1 => 2, 1 => 3, 2 => 4, 3 => 4), card(C) <= card(D) for every
-    existence verdict, and witness validity; :class:`Verdict` itself rejects
-    unknown case tags.  An aleph past the ladder or over ``SWEEP_BUDGET``
-    cases raises ``ValueError`` before any case runs.
+    existence verdict, and witness validity.  An aleph past the ladder or
+    over ``SWEEP_BUDGET`` cases raises ``ValueError`` before any case runs; a
+    deciding row with an unknown case tag raises it when its mask is planned.
     ``inject_fault`` deliberately flips the obstruction statement on a subset
     of cases so the harness can prove it detects violations.
 
-    The work is split in three levels by what it reads, and the first two
-    are kept across calls under one rule set: a mask's plan (``_plan``) is
-    built once; a descriptor's facts, and the witness problems of each
-    existence verdict it takes, once per (X, D); a case computes its mask and
-    only the checks that read C, card(C) > card(D) for each existing type and
-    the crosscheck's obstruction and embedding statements.
+    The work is split in three levels by what it reads: a mask's plan
+    (``_plan``), with the check of its rows' tags, is built once per rule
+    set and kept across calls; an existence verdict and its witness problems
+    once per (outcome, D) in a call; a case computes its mask and only the
+    checks that read C, card(C) > card(D) for each existing type and the
+    crosscheck's obstruction and embedding statements.
     """
     global _plans
     spaces = [SpaceDescriptor(Cardinal.aleph(i)) for i in range(max_aleph + 1)]
@@ -692,22 +700,21 @@ def sweep(
             f"a sweep of {planned} cases exceeds the budget of {SWEEP_BUDGET} cases"
         )
     rules = tuple(_RULES.items())
-    kept, plans, entries = _plans
+    kept, plans = _plans
     if kept != rules:
-        plans, entries = {}, {}
-        _plans = (rules, plans, entries)
+        plans = {}
+        _plans = (rules, plans)
     violations: list[str] = []
     cases = 0
     for space in spaces:
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
-        known = []
-        for s in grid:
-            entry = entries.get((space, s))
-            if entry is None:
-                entry = entries[space, s] = (_facts(s, space), {})
-            known.append(entry)
-        for c, (c_facts, _) in zip(grid, known):
-            for d, (d_facts, d_built) in zip(grid, known):
+        facts = [_facts(s, space) for s in grid]
+        # per D: outcome -> the witness problems of its verdict.  An outcome
+        # reads only D and X, and rows share outcomes (types 2 and 4 all of
+        # theirs), so each is built once per (outcome, D).
+        columns = [(d, d_facts, {}) for d, d_facts in zip(grid, facts)]
+        for c, c_facts in zip(grid, facts):
+            for d, d_facts, d_built in columns:
                 cases += 1
                 m = _mask(c_facts, d_facts)
                 plan = plans.get(m)
@@ -715,17 +722,20 @@ def sweep(
                     plan = plans[m] = _plan(rules, m)
                 existing, lattice, no_type2, no_type4 = plan
                 problems: list[str] = []
-                for t, row in existing:
-                    witness_problems = d_built.get(row)
-                    if witness_problems is None:
-                        witness = _verdict(row, d, space).witness
-                        witness_problems = d_built[row] = tuple(
-                            witness_violations(witness, d, space)
-                        )
-                    if c.size > d.size:
-                        problems.append(f"type {t} exists with card(C) > card(D)")
-                    for problem in witness_problems:
-                        problems.append(f"type {t} witness: {problem}")
+                if existing:
+                    larger = c.size > d.size
+                    for t, row in existing:
+                        outcome = row[3]
+                        witness_problems = d_built.get(outcome)
+                        if witness_problems is None:
+                            witness = _verdict(row, d, space).witness
+                            witness_problems = d_built[outcome] = witness_violations(
+                                witness, d, space
+                            )
+                        if larger:
+                            problems.append(f"type {t} exists with card(C) > card(D)")
+                        for problem in witness_problems:
+                            problems.append(f"type {t} witness: {problem}")
                 problems += lattice
                 obstruction = _obstruction(c, d)
                 if inject_fault and cases % 7 == 0:

@@ -344,9 +344,9 @@ def test_sweep_plans_follow_the_rule_set(monkeypatch):
 
 
 def test_sweep_plans_each_mask_of_one_rule_set_once(monkeypatch):
-    monkeypatch.setattr(designs, "_plans", ((), {}, {}))
+    monkeypatch.setattr(designs, "_plans", ((), {}))
     sweep(max_aleph=3, max_finite=10)
-    rules, plans, _ = designs._plans
+    rules, plans = designs._plans
     assert rules == tuple(designs._RULES.items())
     masks = set()
     for index in range(4):
@@ -354,15 +354,6 @@ def test_sweep_plans_each_mask_of_one_rule_set_once(monkeypatch):
         grid = descriptor_grid(space, 10)
         masks |= {case_mask(c, d, space) for c, d in itertools.product(grid, repeat=2)}
     assert set(plans) == masks and len(masks) == 160
-
-
-def grid_keys(max_aleph, max_finite, finite_sizes_only=False):
-    """The (X, D) pairs a sweep of these arguments runs over."""
-    return {
-        (space, d)
-        for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(max_aleph + 1))
-        for d in descriptor_grid(space, max_finite, finite_sizes_only)
-    }
 
 
 def counted(monkeypatch, name):
@@ -382,23 +373,69 @@ def test_a_second_sweep_decides_no_row(monkeypatch):
     monkeypatch.setattr(
         designs, "_RULES", {t: list(table) for t, table in designs._RULES.items()}
     )
-    calls = {
-        name: counted(monkeypatch, name)
-        for name in ("_deciding_row", "_facts", "_verdict", "witness_violations")
-    }
+    calls = counted(monkeypatch, "_deciding_row")
     first = sweep()
-    made = {name: len(seen) for name, seen in calls.items()}
+    planned = len(calls)
     assert sweep() == first and first.consistent
-    assert all(made.values())
-    assert {name: len(seen) for name, seen in calls.items()} == made
-    # a larger grid finds the facts of its new descriptors only
-    facts_before = len(calls["_facts"])
-    witnesses_before = len(calls["witness_violations"])
-    assert sweep(max_aleph=2, max_finite=7).consistent
-    new = grid_keys(2, 7) - grid_keys(1, 6)
-    found = [(x, s) for s, x in calls["_facts"][facts_before:]]
-    assert len(found) == len(new) and set(found) == new
-    assert {(x, d) for _, d, x in calls["witness_violations"][witnesses_before:]} <= new
+    assert planned > 0 and len(calls) == planned
+
+
+def outcome_keys(max_aleph, max_finite, finite_sizes_only=False):
+    """(outcome, X, D) of every existence verdict a sweep meets, from the
+    deciding rows of each case."""
+    keys = set()
+    for index in range(max_aleph + 1):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        grid = descriptor_grid(space, max_finite, finite_sizes_only)
+        for c, d in itertools.product(grid, repeat=2):
+            for table in designs._RULES.values():
+                outcome = table[deciding_row(table, c, d, space)][3]
+                if not isinstance(outcome, str):
+                    keys.add((outcome, space, d))
+    return keys
+
+
+@pytest.mark.parametrize("config", [(1, 6, False), (3, 2, True), (0, 1, False)])
+def test_a_sweep_builds_each_outcome_once_per_descriptor(monkeypatch, config):
+    expected = outcome_keys(*config)
+    grids = [
+        (d, space)
+        for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(config[0] + 1))
+        for d in descriptor_grid(space, *config[1:])
+    ]
+    calls = {name: counted(monkeypatch, name)
+             for name in ("_facts", "_verdict", "witness_violations")}
+
+    def work():
+        # the plans build the refusals, which read neither D nor X
+        built = [
+            (row[3], space, d)
+            for row, d, space in calls["_verdict"]
+            if not isinstance(row[3], str)
+        ]
+        checked = [(d, space) for _, d, space in calls["witness_violations"]]
+        return built, checked, list(calls["_facts"])
+
+    assert sweep(*config).consistent
+    built, checked, facts = work()
+    assert len(built) == len(set(built)) and set(built) == expected
+    assert checked == [(d, space) for _, space, d in built]
+    assert facts == grids
+    # nothing is kept across calls: a second sweep does the same work again
+    sweep(*config)
+    assert work() == (built * 2, checked * 2, facts * 2)
+
+
+def test_sweep_checks_the_tag_of_a_row_that_shares_its_outcome(monkeypatch):
+    # type 4's rows keep type 2's outcomes, so type 2 builds each verdict
+    # first; the unknown tag must still be refused
+    relabelled = tuple(
+        row if isinstance(row[3], str) else ("t5", *row[1:])
+        for row in designs._RULES[DesignType.TYPE4]
+    )
+    monkeypatch.setitem(designs._RULES, DesignType.TYPE4, relabelled)
+    with pytest.raises(ValueError, match="unknown case tag 't5'"):
+        sweep(max_aleph=0, max_finite=1)
 
 
 def test_a_patched_rule_set_meets_a_warm_slot(monkeypatch):
@@ -419,29 +456,6 @@ def test_a_patched_rule_set_meets_a_warm_slot(monkeypatch):
         for v in report.violations
     )
     assert sweep(max_aleph=1, max_finite=2) == before
-
-
-# the slot comment's bound on the (X, D) entries that sweeps within the
-# budget can make, over all four spaces and both finite_sizes_only settings
-ENTRY_BOUND = 1_338
-
-
-def test_sweep_keeps_one_entry_per_grid_descriptor(monkeypatch):
-    monkeypatch.setattr(designs, "_plans", ((), {}, {}))
-    configs = [(1, 6, False), (0, 3, True), (2, 4, False), (3, 2, True), (0, 9, True)]
-    for config in configs:
-        sweep(*config)
-    _, _, entries = designs._plans
-    assert set(entries) == set().union(*(grid_keys(*config) for config in configs))
-    budget, within_budget = designs.SWEEP_BUDGET, set()
-    for max_aleph in range(4):
-        for finite_sizes_only in (False, True):
-            # grids grow with max_finite, so the largest admitted one holds the rest
-            m = 0
-            while designs._sweep_cases(max_aleph, m + 1, finite_sizes_only) <= budget:
-                m += 1
-            within_budget |= grid_keys(max_aleph, m, finite_sizes_only)
-    assert len(within_budget) <= ENTRY_BOUND
 
 
 def reference_sweep(max_aleph, max_finite, inject_fault):
