@@ -28,10 +28,11 @@ fixed by its outcome, D and X, and ``sweep`` builds one verdict per
 
 Validation contract: ``decide`` and ``crosscheck``, the only checks of the
 descriptors a caller passes in, validate C and D against the space once and
-then run the tables through ``_decide`` and ``_crosscheck``, which assume
-valid, nonempty descriptors and never call a public entry; ``decide_type1``
-.. ``decide_type4`` are ``decide`` with the type fixed.  ``sweep`` runs the
-tables directly on ``descriptor_grid``'s descriptors, valid and nonempty.
+then run the tables of ``_RULES`` through ``_decide``, which assumes valid,
+nonempty descriptors and never calls a public entry; ``decide_type1`` ..
+``decide_type4`` are ``decide`` with the type fixed.  ``sweep`` runs the
+same tables directly on ``descriptor_grid``'s descriptors, valid and
+nonempty.
 """
 
 from __future__ import annotations
@@ -433,14 +434,6 @@ _RULES = {
 
 CASE_TAGS = frozenset(row[0] for table in _RULES.values() for row in table)
 
-# A refusal row always yields the same verdict, so each is built once.
-_REFUSALS = {
-    (tag, outcome): Verdict.no(tag, outcome)
-    for table in _RULES.values()
-    for tag, _, _, outcome in table
-    if isinstance(outcome, str)
-}
-
 
 def _deciding_row(table, m: int) -> tuple:
     """The first row whose required atoms all hold in m and forbidden ones all fail."""
@@ -454,8 +447,7 @@ def _verdict(row, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
     """The verdict of a deciding row for D in the space."""
     tag, _, _, outcome = row
     if isinstance(outcome, str):
-        verdict = _REFUSALS.get((tag, outcome))
-        return Verdict.no(tag, outcome) if verdict is None else verdict
+        return Verdict.no(tag, outcome)
     return Verdict.yes(*outcome(d, space), tag)
 
 
@@ -568,16 +560,11 @@ def crosscheck(
 ) -> CrosscheckReport:
     """Evaluate the four-way non-existence equivalence for types 2 and 4."""
     _require_valid(space, C=c, D=d)
-    return _crosscheck(
-        c, d, _decide(_TYPE2, c, d, space), _decide(_TYPE4, c, d, space)
-    )
-
-
-def _crosscheck(
-    c: SubsetDescriptor, d: SubsetDescriptor, type2: Verdict, type4: Verdict
-) -> CrosscheckReport:
     return CrosscheckReport(
-        not type2.exists, not type4.exists, _obstruction(c, d), not embeddable(c, d)
+        not _decide(_RULES[DesignType.TYPE2], c, d, space).exists,
+        not _decide(_RULES[DesignType.TYPE4], c, d, space).exists,
+        _obstruction(c, d),
+        not embeddable(c, d),
     )
 
 
@@ -642,16 +629,13 @@ def _plan(rules: tuple, m: int) -> tuple:
     every C and D: the (type, deciding row) of each type that exists, the
     broken edges of the condition lattice, no type 2 and no type 4."""
     rows = [(t, _deciding_row(table, m)) for t, table in rules]
-    # a refusal reads neither D nor X: its verdict, and with it the check of
-    # its tag, is built here once.  An existence row's tag is checked here
-    # too, since sweep builds one verdict per (outcome, D), not per row.
+    # each deciding row's tag is checked here, once per mask, since sweep
+    # builds no refusal verdict and one existence verdict per (outcome, D),
+    # not per row
     exists = {}
-    for t, row in rows:
-        if isinstance(row[3], str):
-            exists[t] = _verdict(row, None, None).exists
-        else:
-            _check_tag(row[0])
-            exists[t] = True
+    for t, (tag, _, _, outcome) in rows:
+        _check_tag(tag)
+        exists[t] = not isinstance(outcome, str)
     return (
         tuple((t, row) for t, row in rows if exists[t]),
         tuple(

@@ -536,6 +536,17 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_clean_exit(code, out, err):
+    """Exit 2 with one error line and no output, or exit 0 or 1 with nothing
+    on stderr: in no case a traceback."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+
+
 def option_values(low, high):
     """An option's text: in range, out of it, or misspelt as MISSPELT does."""
     return st.one_of(st.integers(low, high).map(str), NATURALS.map(str), MISSPELT)
@@ -673,13 +684,7 @@ def query_texts(draw):
 def test_decide_reads_any_query_text_without_a_traceback(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzzed-query.txt"
     path.write_text(text, encoding="utf-8")
-    code, out, err = run_main(["decide", str(path)])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-    else:
-        assert err == ""
+    assert_clean_exit(*run_main(["decide", str(path)]))
 
 
 PROBE_HEADS = ("fin:", "cofin:", "fin", "cofin", "FIN:", "box:", ":", "", " fin:", "-fin:")
@@ -763,13 +768,20 @@ def test_verify_reads_any_query_of_the_grid_without_a_traceback(tmp_path_factory
     text, argv = query
     path = tmp_path_factory.getbasetemp() / "grid-query.txt"
     path.write_text(text, encoding="utf-8")
-    code, out, err = run_main(["verify", str(path), *argv])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-    else:
-        assert err == ""
+    assert_clean_exit(*run_main(["verify", str(path), *argv]))
+
+
+@settings(deadline=None)
+@given(query_texts(), st.lists(VERIFY_PROBES, max_size=3), st.integers(0, 9999))
+@example("# edited\n\n" + "\n".join(reversed(QUERY_C1_CASE2.splitlines())), ["fin:0,3"], 50)
+@example(QUERY_C1_CASE2.replace("space.size: aleph0", "space.size: aleph1"), [], 50)
+def test_verify_reads_any_query_text_without_a_traceback(
+    tmp_path_factory, text, probes, cutoff
+):
+    # most drawn texts are refused: the examples reach a report too
+    path = tmp_path_factory.getbasetemp() / "fuzzed-verify-query.txt"
+    path.write_text(text, encoding="utf-8")
+    assert_clean_exit(*run_main(["verify", str(path), *probes, "--cutoff", str(cutoff)]))
 
 
 # the most cases a drawn crosscheck may sweep: about 0.05 s on a 2-vCPU

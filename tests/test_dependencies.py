@@ -59,6 +59,42 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
+def private_definitions(tree: ast.Module):
+    """(line, name) per private top-level function, class or assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper that nothing in the package reads is reached only by
+    # tests, or not at all
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defined = [
+        (path, line, name)
+        for path, tree in trees.items()
+        for line, name in private_definitions(tree)
+    ]
+    assert len(defined) > 50
+    assert [f"{path}:{line}: {name}" for path, line, name in defined if name not in read] == []
+
+
 def test_no_module_imports_dataclasses():
     # a dataclass costs several times a NamedTuple to create, and importing
     # dataclasses pulls in inspect: the records are tuple-backed or slotted

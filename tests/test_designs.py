@@ -407,12 +407,8 @@ def test_a_sweep_builds_each_outcome_once_per_descriptor(monkeypatch, config):
              for name in ("_facts", "_verdict", "witness_violations")}
 
     def work():
-        # the plans build the refusals, which read neither D nor X
-        built = [
-            (row[3], space, d)
-            for row, d, space in calls["_verdict"]
-            if not isinstance(row[3], str)
-        ]
+        # sweep builds no refusal verdict, so each call is an existence one
+        built = [(row[3], space, d) for row, d, space in calls["_verdict"]]
         checked = [(d, space) for _, d, space in calls["witness_violations"]]
         return built, checked, list(calls["_facts"])
 
@@ -482,13 +478,9 @@ def reference_sweep(max_aleph, max_finite, inject_fault):
                 for s, t in LATTICE_EDGES
                 if verdicts[s].exists and not verdicts[t].exists
             ]
-            # crosscheck's deciders read the unpatched tables; sweep's read _RULES
             direct = crosscheck(c, d, space)
-            report = CrosscheckReport(
-                not verdicts[2].exists,
-                not verdicts[4].exists,
-                direct.obstruction != (inject_fault and cases % 7 == 0),
-                direct.not_embeddable,
+            report = direct._replace(
+                obstruction=direct.obstruction != (inject_fault and cases % 7 == 0)
             )
             if not report.consistent:
                 pairs = ", ".join("/".join(p) for p in report.disagreements())
@@ -640,7 +632,22 @@ def test_crosscheck_report_statements_and_disagreements():
 def test_a_refusal_row_yields_one_verdict():
     first = decide(3, sd(F(1), True, ALEPH0), sd(F(1), False, ALEPH0), X0)
     assert first == NO
-    assert decide(3, sd(F(2), True, ALEPH1), sd(F(5), False, ALEPH1), X1) is first
+    assert decide(3, sd(F(2), True, ALEPH1), sd(F(5), False, ALEPH1), X1) == first
+
+
+def test_decide_crosscheck_and_sweep_read_one_rule_set(monkeypatch):
+    # C embeds into D, so the real tables say types 2 and 4 exist
+    c, d = sd(F(1), True, ALEPH0), sd(ALEPH0, True, ALEPH0)
+    assert decide(2, c, d, X0).exists and crosscheck(c, d, X0).consistent
+    for t in (2, 4):
+        monkeypatch.setitem(designs._RULES, DesignType(t), refusal_only(t))
+    assert not decide(2, c, d, X0).exists and not decide(4, c, d, X0).exists
+    report = crosscheck(c, d, X0)
+    assert report.no_type2 and report.no_type4 and not report.obstruction
+    assert (
+        f"X=aleph0 C={c} D={d}: crosscheck disagrees on no_type2/obstruction, "
+        "no_type2/not_embeddable, no_type4/obstruction, no_type4/not_embeddable"
+    ) in sweep(0, 2).violations
 
 
 def test_verdicts_on_the_aleph3_grid_are_pinned():
