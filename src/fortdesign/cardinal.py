@@ -31,6 +31,17 @@ def parse_natural(text: str) -> int:
     return int(digits)
 
 
+def parse_points(text: str) -> list[int]:
+    """Read a comma-separated list of distinct naturals; a blank text has
+    none.  An empty item or a repeated point raises ``ValueError``."""
+    if not text.strip():
+        return []
+    points = [parse_natural(item) for item in text.split(",")]
+    if len(set(points)) != len(points):
+        raise ValueError(f"repeated point in {text!r}")
+    return points
+
+
 def _exactly(kind: type, value, what: str):
     """The value itself if its type is exactly ``kind``, so no bool is an int."""
     if type(value) is not kind:
@@ -94,10 +105,6 @@ class Cardinal(_CardinalFields):
     def aleph(cls, index: int) -> "Cardinal":
         return cls(True, index)
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
     def __str__(self) -> str:
         return f"aleph{self.value}" if self.infinite else str(self.value)
 
@@ -135,12 +142,6 @@ def csum(a: Cardinal, b: Cardinal) -> Cardinal:
     if not (a.infinite or b.infinite):
         return Cardinal.finite(a.value + b.value)
     return max(a, b)
-
-
-# Labels for family sizes the constructions name but never evaluate.
-FAMILY_W = "W"
-FAMILY_L = "L"
-FAMILY_W_CONTAINING_C = "{E in W : C subset E}"
 
 
 class _LambdaFields(NamedTuple):

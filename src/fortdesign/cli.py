@@ -14,12 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .cardinal import ALEPH0, Cardinal, MAX_ALEPH_INDEX, parse_natural
-from .concrete import (
-    COUNTABLE_SPACE,
-    ConcreteSet,
-    extract_descriptor,
-    local_design_check,
-)
+from .concrete import ConcreteSet, extract_descriptor, local_design_check
 from .descriptors import (
     SpaceDescriptor,
     SubsetDescriptor,
@@ -232,7 +227,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         # condition IV (types 3 and 4): a probe's complement is shaped like X \ C
         condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
-        co_c = complement(query.c, COUNTABLE_SPACE)
+        co_c = complement(query.c)
         bad_complement = [
             p.probe
             for p in report.probes

@@ -35,16 +35,13 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .cardinal import ALEPH0, Cardinal, _exactly, _make_validated, parse_natural
+from .cardinal import ALEPH0, Cardinal, _exactly, _make_validated, parse_points
 from .descriptors import (
-    SpaceDescriptor,
     SubsetDescriptor,
     complement as descriptor_complement,
     subspace_homeomorphic,
 )
 from .designs import ClassW, FamilyDescriptor, OddTail, Singleton
-
-COUNTABLE_SPACE = SpaceDescriptor(ALEPH0)
 
 
 class FamilyEnumerationError(ValueError):
@@ -109,10 +106,6 @@ class ConcreteSet:
     def cofinite_set(cls, excluded=()) -> "ConcreteSet":
         return cls(True, tuple(excluded))
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.cofinite
-
     def __contains__(self, x: int) -> bool:
         return (x in self.support) != self.cofinite
 
@@ -120,9 +113,9 @@ class ConcreteSet:
         return ConcreteSet(not self.cofinite, self.support)
 
     def issubset(self, other: "ConcreteSet") -> bool:
-        if self.is_finite:
+        if not self.cofinite:
             return all(x in other for x in self.support)
-        if other.is_finite:
+        if not other.cofinite:
             return False
         return set(other.support) <= set(self.support)
 
@@ -140,7 +133,7 @@ class ConcreteSet:
 
     def members(self, count: int) -> list[int]:
         """The first ``count`` members in increasing order."""
-        if self.is_finite:
+        if not self.cofinite:
             return list(self.support[:count])
         out: list[int] = []
         x = 0
@@ -160,12 +153,11 @@ class ConcreteSet:
         head, _, body = text.strip().partition(":")
         if head not in ("fin", "cofin"):
             raise ValueError(f"concrete set must start with fin: or cofin:, got {text!r}")
-        items = [part for part in body.split(",") if part.strip() != ""]
         try:
-            values = [parse_natural(part) for part in items]
+            points = parse_points(body)
         except ValueError as exc:
             raise ValueError(f"malformed concrete set {text!r}") from exc
-        return cls(head == "cofin", tuple(values))
+        return cls(head == "cofin", tuple(points))
 
 
 class _OddTailBlockFields(NamedTuple):
@@ -193,7 +185,7 @@ class OddTailBlock(_OddTailBlockFields):
         return x % 2 == 0 or (x - 1) // 2 < self.index
 
     def issuperset(self, other: ConcreteSet) -> bool:
-        if other.is_finite:
+        if not other.cofinite:
             return all(x in self for x in other.support)
         # A cofinite set contains all but finitely many odds; the block
         # excludes infinitely many, so containment always fails.
@@ -218,7 +210,7 @@ def extract_descriptor(s: Block) -> SubsetDescriptor:
 
 def is_open(u: ConcreteSet) -> bool:
     """Fort openness: avoid b or have finite complement."""
-    return 0 not in u or u.cofinite
+    return not u.contains_b or u.cofinite
 
 
 def limit_points(s: ConcreteSet) -> ConcreteSet:
@@ -431,9 +423,9 @@ def _layout(family: FamilyDescriptor, prefix: int | None) -> tuple:
             f"{family.to_text()} has no bounded enumeration strategy"
         )
     base = family.member if isinstance(family, Singleton) else family.base
-    if base.size.is_finite:
+    if not base.size.infinite:
         cofinite, pinned, finite = False, base.contains_b, base.size
-    elif base.cosize.is_finite:
+    elif not base.cosize.infinite:
         cofinite, pinned, finite = True, not base.contains_b, base.cosize
     else:
         raise FamilyEnumerationError(
@@ -505,10 +497,10 @@ def _window_count(
     if not cofinite:
         # every probe point must be b on a pinned block or lie in R
         outside = len(probe.support) - inside
-        if probe.cofinite or outside != (pinned and 0 in probe.support):
+        if probe.cofinite or outside != (pinned and probe.contains_b):
             return 0
         return _comb(top - inside, free - inside) if inside <= free else 0
-    if pinned and 0 in probe:  # a pinned cofinite block lacks b
+    if pinned and probe.contains_b:  # a pinned cofinite block lacks b
         return 0
     # R avoids a finite probe's points, or lies among a cofinite one's
     # excluded points
@@ -646,8 +638,7 @@ def local_design_check(
         if not subspace_homeomorphic(shape, d):
             failure = "not shaped like D"
         elif require_complement and not subspace_homeomorphic(
-            descriptor_complement(shape, COUNTABLE_SPACE),
-            descriptor_complement(d, COUNTABLE_SPACE),
+            descriptor_complement(shape), descriptor_complement(d)
         ):
             failure = "complement not shaped like X \\ D"
     if failure and blocks_checked > LISTING_BUDGET:

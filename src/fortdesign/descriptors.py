@@ -35,7 +35,7 @@ class SpaceDescriptor(_SpaceFields):
     __slots__ = ()
 
     def __new__(cls, size: Cardinal) -> "SpaceDescriptor":
-        if size.is_finite:
+        if not size.infinite:
             raise ValueError("the ambient space must be infinite")
         return tuple.__new__(cls, (size,))
 
@@ -77,8 +77,9 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     return violations
 
 
-def complement(subset: SubsetDescriptor, space: SpaceDescriptor) -> SubsetDescriptor:
-    """Descriptor of X minus the subset; an involution on valid descriptors."""
+def complement(subset: SubsetDescriptor) -> SubsetDescriptor:
+    """Descriptor of X minus the subset: size and cosize swap and b changes
+    sides, so the space is not needed.  An involution on valid descriptors."""
     return SubsetDescriptor(
         size=subset.cosize,
         contains_b=not subset.contains_b,
@@ -88,14 +89,14 @@ def complement(subset: SubsetDescriptor, space: SpaceDescriptor) -> SubsetDescri
 
 def size_minus_b(subset: SubsetDescriptor) -> Cardinal:
     """card(S \\ {b}): decrements only finite b-containing sizes."""
-    if subset.contains_b and subset.size.is_finite:
+    if subset.contains_b and not subset.size.infinite:
         return Cardinal.finite(max(subset.size.value - 1, 0))
     return subset.size
 
 
 def cosize_minus_b(subset: SubsetDescriptor) -> Cardinal:
     """card(X \\ (S u {b})): the b-free part of the complement."""
-    if not subset.contains_b and subset.cosize.is_finite:
+    if not subset.contains_b and not subset.cosize.infinite:
         return Cardinal.finite(max(subset.cosize.value - 1, 0))
     return subset.cosize
 
@@ -110,7 +111,7 @@ def subspace_homeomorphic(u: SubsetDescriptor, v: SubsetDescriptor) -> bool:
     """
     if u.size != v.size:
         return False
-    if u.size.is_finite:
+    if not u.size.infinite:
         return True
     return u.contains_b == v.contains_b
 

@@ -49,9 +49,6 @@ from typing import NamedTuple
 
 from .cardinal import (
     ALEPH0,
-    FAMILY_L,
-    FAMILY_W,
-    FAMILY_W_CONTAINING_C,
     Cardinal,
     LambdaValue,
     ZERO,
@@ -262,9 +259,9 @@ def _space_minus_b(space: SpaceDescriptor) -> SubsetDescriptor:
 
 _TWO = Cardinal.finite(2)
 _ONE_BLOCK = LambdaValue.exact(ONE)
-_CARD_W = LambdaValue.family_size(FAMILY_W)
-_CARD_L = LambdaValue.family_size(FAMILY_L)
-_CARD_W_CONTAINING_C = LambdaValue.family_size(FAMILY_W_CONTAINING_C)
+_CARD_W = LambdaValue.family_size("W")
+_CARD_L = LambdaValue.family_size("L")
+_CARD_W_CONTAINING_C = LambdaValue.family_size("{E in W : C subset E}")
 
 # The guard atoms, one bit each; cosize'(S) is card(X \ (S u {b})).
 B_IN_C = 1 << 0              # b in C

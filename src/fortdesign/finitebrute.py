@@ -27,7 +27,7 @@ import math
 from collections import defaultdict
 from typing import NamedTuple
 
-from .cardinal import _exactly, _make_validated, parse_natural
+from .cardinal import _exactly, _make_validated, parse_natural, parse_points
 from .designs import DesignType
 
 # the largest walk bound accepted: a uniform 705,432-probe walk (one block of
@@ -248,7 +248,7 @@ def all_k_subsets_instance(n: int, k: int, t: int) -> FiniteInstance:
 
 def parse_instance(text: str) -> FiniteInstance:
     """Parse the instance text format: a header line ``n, c_size, d_size``
-    followed by one block per line as comma-separated indices."""
+    followed by one block per line as comma-separated distinct indices."""
     lines = [
         (i + 1, line.strip())
         for i, line in enumerate(text.splitlines())
@@ -267,7 +267,7 @@ def parse_instance(text: str) -> FiniteInstance:
     blocks = []
     for line_no, line in lines[1:]:
         try:
-            blocks.append(frozenset(parse_natural(p) for p in line.split(",")))
+            blocks.append(frozenset(parse_points(line)))
         except ValueError as exc:
             raise ValueError(f"line {line_no}: malformed block {line!r}") from exc
     return FiniteInstance(n=n, blocks=tuple(blocks), c_size=c_size, d_size=d_size)

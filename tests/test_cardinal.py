@@ -5,7 +5,9 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from fortdesign.cardinal import ALEPH0, ONE, Cardinal, LambdaValue, csum, parse_natural
+from fortdesign.cardinal import (
+    ALEPH0, ONE, Cardinal, LambdaValue, csum, parse_natural, parse_points,
+)
 
 GRID = [Cardinal.finite(n) for n in range(11)] + [Cardinal.aleph(i) for i in range(4)]
 
@@ -57,7 +59,7 @@ def test_csum_commutative_and_associative_on_the_grid():
 
 def test_csum_is_max_when_infinite():
     for a, b in itertools.product(GRID, repeat=2):
-        if not max(a, b).is_finite:
+        if max(a, b).infinite:
             assert csum(a, b) == max(a, b)
 
 
@@ -94,6 +96,17 @@ def test_parse_natural():
     for text in ("\u0663", "\uff10", "1_0", "07", "+3", "-1", "", "3 4", "0x1"):
         with pytest.raises(ValueError, match="malformed natural number"):
             parse_natural(text)
+
+
+def test_parse_points():
+    assert parse_points(" 3 , 10") == [3, 10] and parse_points("0") == [0]
+    assert parse_points("") == [] and parse_points("  ") == []
+    for text in ("1,,2", "3,10,", ",", "1,x"):
+        with pytest.raises(ValueError, match="malformed natural number"):
+            parse_points(text)
+    for text in ("0,4,4", "4, 4"):
+        with pytest.raises(ValueError, match="repeated point"):
+            parse_points(text)
 
 
 @given(st.text() | st.from_regex(r"\s*(aleph)?\d{1,3}\s*", fullmatch=True))

@@ -243,6 +243,13 @@ class TestVerifyCommand:
         assert main(["verify", path, "fin:0,\u0662"]) == 2
         assert "malformed concrete set" in capsys.readouterr().err
 
+    def test_repeated_probe_point_is_an_input_error(self, write):
+        # once read as fin:0,4, which is shaped like C
+        path = write("q.txt", QUERY_C1_CASE2)
+        assert run_main(["verify", path, "fin:0,4,4"]) == (
+            2, "", "error: malformed concrete set 'fin:0,4,4'\n"
+        )
+
     def test_probe_complement_not_shaped_like_x_minus_c(self, write, capsys):
         # fin:0,5 is shaped like C, but its complement lacks b while X \ C
         # holds it; counted, it would refute this true t3 verdict
@@ -446,6 +453,13 @@ class TestBruteCommand:
         path = write("inst.txt", text)
         assert main(["brute", path]) == 2
         assert "malformed header" in capsys.readouterr().err
+
+    def test_repeated_block_point_is_an_input_error(self, write):
+        # the block was once read as {0,1}, and brute exited 0
+        path = write("inst.txt", "4, 1, 2\n0,0,1\n")
+        assert run_main(["brute", path]) == (
+            2, "", "error: line 2: malformed block '0,0,1'\n"
+        )
 
     def test_no_blocks_is_no_design(self, write, capsys):
         # every probe lies in 0 blocks: uniform, but a design needs lambda >= 1
@@ -735,8 +749,8 @@ def subset_fields(name, s):
 def probes_shaped_like(draw, c):
     """A fin: or cofin: probe of C's size and cosize, holding b = 0 exactly
     when C does; any probe when C is neither finite nor cofinite."""
-    finite = c.size.is_finite
-    if not (finite or c.cosize.is_finite):
+    finite = not c.size.infinite
+    if not finite and c.cosize.infinite:
         return draw(VERIFY_PROBES)
     count = (c.size if finite else c.cosize).value
     lists_b = c.contains_b == finite  # a cofin: probe lists what it lacks

@@ -12,7 +12,6 @@ from fortdesign import concrete
 from fortdesign.cardinal import ALEPH0, Cardinal
 from fortdesign.cli import main
 from fortdesign.concrete import (
-    COUNTABLE_SPACE,
     BlockCount,
     ConcreteSet,
     FamilyEnumerationError,
@@ -29,6 +28,7 @@ from fortdesign.concrete import (
     realize_descriptor,
 )
 from fortdesign.descriptors import (
+    SpaceDescriptor,
     SubsetDescriptor,
     complement,
     descriptor_grid,
@@ -83,10 +83,12 @@ class TestConcreteSet:
         assert ConcreteSet.parse("cofin:") == Co(())
         with pytest.raises(ValueError):
             ConcreteSet.parse("open:1")
-        assert ConcreteSet.parse(" cofin: 3 , 10,") == Co((3, 10))
+        assert ConcreteSet.parse(" cofin: 3 , 10") == Co((3, 10))
         # only canonical ASCII naturals: these once read as fin:3,7,10 etc.
+        # An empty item or a repeated point is refused, not skipped or merged.
         for text in ("fin:1,x", "fin:\u0663,1_0, 07", "fin:\u0663", "fin:1_0",
-                     "fin:07", "fin:+3", "fin:-1", "cofin:\uff11"):
+                     "fin:07", "fin:+3", "fin:-1", "cofin:\uff11",
+                     "fin:1,,2", "fin:0,4,4", "cofin:3,10,", " cofin: 3 , 10,"):
             with pytest.raises(ValueError, match="malformed concrete set"):
                 ConcreteSet.parse(text)
 
@@ -270,11 +272,11 @@ class TestHomeomorphisms:
             return ConcreteSet(cofinite, tuple(data.draw(points)))
 
         u = draw_set(data.draw(st.booleans()))
-        same_size = u.is_finite and data.draw(st.booleans())
+        same_size = not u.cofinite and data.draw(st.booleans())
         v = draw_set(data.draw(st.booleans()), len(u.support) if same_size else None)
         aligned = data.draw(st.booleans())
         table = data.draw(st.dictionaries(st.integers(0, 60), st.integers(0, 60), max_size=4))
-        if aligned and u.is_finite == v.is_finite and data.draw(st.booleans()):
+        if aligned and u.cofinite == v.cofinite and data.draw(st.booleans()):
             # rearrange the aligned images of some members: often a bijection
             sources = [x for x in table if x in u]
             images = [PointMap().apply(x, u, v) for x in sources]
@@ -284,7 +286,7 @@ class TestHomeomorphisms:
 
         # Reference: the supports and exception points lie in [0, 60], so
         # a collision or a missed point shows among small members.
-        expected = u.is_finite == v.is_finite
+        expected = u.cofinite == v.cofinite
         if expected:
             domain = [x for x in range(200) if x in u]
             images = [m.apply(x, u, v) for x in domain]
@@ -352,8 +354,8 @@ class TestRealize:
             realize_descriptor(sd(ALEPH0, True, ALEPH0))
 
     def test_each_realizable_descriptor_is_its_singleton_window(self):
-        for d in descriptor_grid(COUNTABLE_SPACE, 8):
-            if not (d.size.is_finite or d.cosize.is_finite):
+        for d in descriptor_grid(SpaceDescriptor(ALEPH0), 8):
+            if d.size.infinite and d.cosize.infinite:
                 with pytest.raises(FamilyEnumerationError):
                     realize_descriptor(d)
                 continue
@@ -502,8 +504,11 @@ REALIZABLE_BASES += [sd(ALEPH0, b, FC(k)) for k in range(5) for b in (False, Tru
 ODD_TAIL_D = sd(ALEPH0, True, ALEPH0)
 
 
-# points of [0, 12] with 0 drawn about half the time, in any order, repeats kept
-POINTS = st.lists(st.one_of(st.just(0), st.integers(0, 12)), max_size=6)
+# a point of [0, 12], 0 about half the time; lists of them in any order, with
+# repeats, and without them, as a point list in text must be
+POINT = st.one_of(st.just(0), st.integers(0, 12))
+POINTS = st.lists(POINT, max_size=6)
+DISTINCT_POINTS = st.lists(POINT, max_size=6, unique=True)
 
 
 @st.composite
@@ -518,7 +523,7 @@ def built_sets(draw):
     if path == "constructor":
         return a
     if path == "parse":
-        points = ",".join(map(str, draw(POINTS)))
+        points = ",".join(map(str, draw(DISTINCT_POINTS)))
         return ConcreteSet.parse(f"{draw(st.sampled_from(('fin', 'cofin')))}:{points}")
     if path == "complement":
         return a.complement()
@@ -569,15 +574,13 @@ def windows_and_probes(draw):
 
 def literal_failures(family, d, cutoff, prefix, require_complement):
     """Walk the whole window and list each block's shape failure."""
-    co_d = complement(d, COUNTABLE_SPACE)
+    co_d = complement(d)
     out = []
     for block in concrete._window_blocks(family, cutoff, prefix):
         desc = extract_descriptor(block)
         if not subspace_homeomorphic(desc, d):
             out.append(f"{block.to_text()}: not shaped like D")
-        elif require_complement and not subspace_homeomorphic(
-            complement(desc, COUNTABLE_SPACE), co_d
-        ):
+        elif require_complement and not subspace_homeomorphic(complement(desc), co_d):
             out.append(f"{block.to_text()}: complement not shaped like X \\ D")
     return out
 

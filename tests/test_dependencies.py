@@ -59,8 +59,8 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
-def private_definitions(tree: ast.Module):
-    """(line, name) per private top-level function, class or assigned name."""
+def top_level_definitions(tree: ast.Module):
+    """(line, name) per top-level function, class or assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -70,15 +70,16 @@ def private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield node.lineno, name
+            yield node.lineno, name
 
 
-def test_every_private_name_is_read_in_the_package():
-    # a private helper that nothing in the package reads is reached only by
-    # tests, or not at all
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+def package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def names_read(trees) -> set[str]:
+    """Every name or attribute that some module of the package loads."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -86,13 +87,48 @@ def test_every_private_name_is_read_in_the_package():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper that nothing in the package reads is reached only by
+    # tests, or not at all
+    trees = package_trees()
+    read = names_read(trees)
     defined = [
         (path, line, name)
         for path, tree in trees.items()
-        for line, name in private_definitions(tree)
+        for line, name in top_level_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
     ]
     assert len(defined) > 50
     assert [f"{path}:{line}: {name}" for path, line, name in defined if name not in read] == []
+
+
+def listed_names(tree: ast.Module) -> list[str] | None:
+    """The names a module's literal ``__all__`` lists, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_unlisted_public_name_is_read_in_the_package():
+    # a public name that a module keeps out of its __all__ is not offered to
+    # users, so like a private one it must have a reader in the package
+    trees = package_trees()
+    read = names_read(trees)
+    unlisted = [
+        (path, line, name)
+        for path, tree in trees.items()
+        if (listed := listed_names(tree)) is not None
+        for line, name in top_level_definitions(tree)
+        if not name.startswith("_") and name not in listed
+    ]
+    assert len(unlisted) > 20
+    assert [f"{path}:{line}: {name}" for path, line, name in unlisted if name not in read] == []
 
 
 def test_no_module_imports_dataclasses():

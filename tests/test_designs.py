@@ -719,13 +719,13 @@ def test_every_table_row_decides_some_grid_case():
 # each guard atom and its reference predicate over (C, D, X)
 ATOM_PREDICATES = {
     designs.B_IN_C: lambda c, d, x: c.contains_b,
-    designs.C_FINITE: lambda c, d, x: c.size.is_finite,
+    designs.C_FINITE: lambda c, d, x: not c.size.infinite,
     designs.C_SMALL: lambda c, d, x: c.size < x.size,
     designs.B_IN_D: lambda c, d, x: d.contains_b,
-    designs.D_FINITE: lambda c, d, x: d.size.is_finite,
+    designs.D_FINITE: lambda c, d, x: not d.size.infinite,
     designs.D_COSIZE_0: lambda c, d, x: d.cosize == F(0),
     designs.D_COSIZE_1: lambda c, d, x: d.cosize == F(1),
-    designs.D_COSIZE_FINITE: lambda c, d, x: d.cosize.is_finite,
+    designs.D_COSIZE_FINITE: lambda c, d, x: not d.cosize.infinite,
     designs.X_ALEPH0: lambda c, d, x: x.size == ALEPH0,
     designs.C_GT_D: lambda c, d, x: c.size > d.size,
     designs.C_EQ_D: lambda c, d, x: c.size == d.size,
@@ -764,10 +764,10 @@ def stated_type1(c, d, x):
     if c.size > d.size or (c.contains_b and not d.contains_b):
         return False
     if not d.contains_b:  # b is outside C and D
-        return not c.size.is_finite and (
+        return c.size.infinite and (
             c.size < x.size or d == sd(x.size, False, F(1))
         )
-    if c.size.is_finite:
+    if not c.size.infinite:
         return csum(c.size, F(2)) <= d.size
     return c.size < x.size or d == sd(x.size, True, F(0))
 

@@ -294,7 +294,8 @@ def test_parse_instance():
     for header in ("\u0667, 2, 3", "7, 02, 3", "7, 2, 3_0", "7, +2, 3"):
         with pytest.raises(ValueError, match="line 1: malformed header"):
             parse_instance(header + "\n0,1,2\n")
-    with pytest.raises(ValueError, match="line 2: malformed block"):
-        parse_instance("7, 2, 3\n0,1,\u0662\n")
+    for block in ("0,1,\u0662", "0,,2", "0,1,", "0,0,1"):
+        with pytest.raises(ValueError, match="line 2: malformed block"):
+            parse_instance(f"7, 2, 3\n{block}\n")
     with pytest.raises(ValueError, match="empty"):
         parse_instance("\n\n")
