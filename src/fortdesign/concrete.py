@@ -15,8 +15,10 @@ window layout, :func:`_layout`.
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
 tuple-backed record; a :class:`ConcreteSet` stores whether it holds b,
 derived once by its constructor; ranks and aligned images come from
-bisecting the sorted support; and :func:`check_homeomorphism` reads the
-b-to-b condition off the table of active exceptions.
+bisecting the sorted support; :func:`check_homeomorphism` reads the
+b-to-b condition off the table of active exceptions; and
+:func:`extract_descriptor` reads the descriptor of a set with fewer than 64
+listed points, or of an odd-tail block, from a table built at import.
 """
 
 from __future__ import annotations
@@ -35,7 +37,15 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .cardinal import ALEPH0, Cardinal, _exactly, _make_validated, parse_points
+from .cardinal import (
+    ALEPH0,
+    Cardinal,
+    _FINITES,
+    _SHARED_FINITES,
+    _exactly,
+    _make_validated,
+    parse_points,
+)
 from .descriptors import (
     SubsetDescriptor,
     complement as descriptor_complement,
@@ -197,12 +207,28 @@ class OddTailBlock(_OddTailBlockFields):
 
 Block = ConcreteSet | OddTailBlock
 
+# immutable, so one empty set serves every local_design_check call
+_EMPTY = ConcreteSet.finite(())
+
+# Descriptors are immutable, so, as Cardinal.finite does for small
+# cardinals, the descriptor of every finite or cofinite set with fewer than
+# _SHARED_FINITES listed points is built once and shared, indexed by
+# [cofinite][contains_b][listed points]; so is the odd-tail blocks' one.
+_SHARED_DESCRIPTORS = (
+    tuple(tuple(SubsetDescriptor(n, b, ALEPH0) for n in _FINITES) for b in (False, True)),
+    tuple(tuple(SubsetDescriptor(ALEPH0, b, n) for n in _FINITES) for b in (False, True)),
+)
+_ODD_TAIL_DESCRIPTOR = SubsetDescriptor(ALEPH0, True, ALEPH0)
+
 
 def extract_descriptor(s: Block) -> SubsetDescriptor:
     """The symbolic descriptor a concrete set realizes in the countable model."""
     if isinstance(s, OddTailBlock):
-        return SubsetDescriptor(ALEPH0, True, ALEPH0)
-    listed = Cardinal.finite(len(s.support))
+        return _ODD_TAIL_DESCRIPTOR
+    n = len(s.support)
+    if n < _SHARED_FINITES:
+        return _SHARED_DESCRIPTORS[s.cofinite][s.contains_b][n]
+    listed = Cardinal.finite(n)
     if s.cofinite:
         return SubsetDescriptor(ALEPH0, s.contains_b, listed)
     return SubsetDescriptor(listed, s.contains_b, ALEPH0)
@@ -629,7 +655,7 @@ def local_design_check(
     """
     prefix = _window_prefix(cutoff, prefix)
     # every block holds the empty set
-    blocks_checked = _window_count(family, ConcreteSet.finite(()), cutoff, prefix)
+    blocks_checked = _window_count(family, _EMPTY, cutoff, prefix)
     blocks = _window_blocks(family, cutoff, prefix)
     first = next(blocks, None)
     failure = None

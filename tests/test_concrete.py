@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fortdesign import concrete
-from fortdesign.cardinal import ALEPH0, Cardinal
+from fortdesign.cardinal import ALEPH0, Cardinal, _SHARED_FINITES
 from fortdesign.cli import main
 from fortdesign.concrete import (
     BlockCount,
@@ -33,6 +33,7 @@ from fortdesign.descriptors import (
     complement,
     descriptor_grid,
     subspace_homeomorphic,
+    validate,
 )
 from fortdesign.designs import ClassL, ClassW, OddTail, Singleton
 
@@ -124,6 +125,39 @@ class TestConcreteSet:
         assert extract_descriptor(F((0, 2))) == sd(FC(2), True, ALEPH0)
         assert extract_descriptor(Co((0, 3))) == sd(ALEPH0, False, FC(2))
         assert extract_descriptor(OddTailBlock(2)) == sd(ALEPH0, True, ALEPH0)
+        # every odd-tail block shares the one descriptor
+        assert extract_descriptor(OddTailBlock(7)) is extract_descriptor(OddTailBlock(2))
+        assert validate(extract_descriptor(OddTailBlock(2)), SpaceDescriptor(ALEPH0)) == []
+
+
+def of_shape(cofinite, holds_b, listed, first_free):
+    """A set with ``listed`` listed points that holds b as asked; its listed
+    points other than 0 run up from ``first_free``."""
+    zero = (0,) if holds_b != cofinite else ()
+    rest = range(first_free, first_free + listed - len(zero))
+    return ConcreteSet(cofinite, zero + tuple(rest))
+
+
+@pytest.mark.parametrize("cofinite", [False, True])
+@pytest.mark.parametrize("holds_b", [False, True])
+def test_every_reachable_shape_has_its_descriptor(cofinite, holds_b):
+    assert 0 < _SHARED_FINITES <= 70  # so both sides of the bound are covered
+    # a listed 0 is b in a finite set and its absence in a cofinite one
+    for listed in range(holds_b != cofinite, 71):
+        one = of_shape(cofinite, holds_b, listed, 1)
+        other = of_shape(cofinite, holds_b, listed, 100)
+        assert one.contains_b is other.contains_b is holds_b
+        assert len(one.support) == len(other.support) == listed
+        n = Cardinal(False, listed)
+        written = sd(ALEPH0, holds_b, n) if cofinite else sd(n, holds_b, ALEPH0)
+        shape = extract_descriptor(one)
+        assert shape == written == extract_descriptor(other)
+        assert validate(shape, SpaceDescriptor(ALEPH0)) == []
+        if listed < _SHARED_FINITES:
+            assert extract_descriptor(other) is shape
+        else:  # built afresh, for one set as for two
+            assert extract_descriptor(other) is not shape
+            assert extract_descriptor(one) is not shape
 
 
 @pytest.mark.parametrize("make, value", [

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -300,6 +301,23 @@ def test_sweep_over_budget_is_refused_before_any_case(
 def test_sweep_past_the_aleph_ladder_is_refused_before_any_case(no_case_runs):
     with pytest.raises(ValueError, match="aleph index 4 exceeds the supported ladder"):
         sweep(max_aleph=4)
+
+
+@pytest.mark.parametrize("args, message", [
+    # the first three once ran as other input: a vacuous 0-case sweep, 4
+    # cases after a budget check of 81, and max_aleph 1
+    ((-1, 6), "max_aleph must be >= 0, got -1"),
+    ((0, -3), "max_finite must be >= 1, got -3"),
+    ((True, 2), "max_aleph must be int, got True"),
+    ((0, 0), "max_finite must be >= 1, got 0"),
+    ((1, True), "max_finite must be int, got True"),
+    ((1.0, 2), "max_aleph must be int, got 1.0"),
+    ((0, 2, 1), "finite_sizes_only must be bool, got 1"),
+    ((0, 2, False, None), "inject_fault must be bool, got None"),
+])
+def test_sweep_bad_arguments_are_refused_before_any_case(no_case_runs, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(*args)
 
 
 LATTICE_EDGES = [(1, 2), (1, 3), (2, 4), (3, 4)]
