@@ -583,8 +583,8 @@ class ProbeReport(NamedTuple):
     def display_count(self) -> str:
         """The family-wide count; an infinite one is at least the window's."""
         if self.global_exact is not None:
-            return f"Exactly({self.global_exact})"
-        return f"AtLeast({self.count.value})"
+            return str(BlockCount.exactly(self.global_exact))
+        return str(BlockCount.at_least(self.count.value))
 
 
 class DesignCheckReport(NamedTuple):

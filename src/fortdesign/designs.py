@@ -51,6 +51,7 @@ from .cardinal import (
     ALEPH0,
     Cardinal,
     LambdaValue,
+    MAX_ALEPH_INDEX,
     ZERO,
     ONE,
     _exactly,
@@ -678,8 +679,8 @@ def sweep(
     crosscheck's obstruction and embedding statements.
     """
     global _plans
-    if _exactly(int, max_aleph, "max_aleph") < 0:
-        raise ValueError(f"max_aleph must be >= 0, got {max_aleph}")
+    if not 0 <= _exactly(int, max_aleph, "max_aleph") <= MAX_ALEPH_INDEX:
+        raise ValueError(f"max_aleph must lie in 0..{MAX_ALEPH_INDEX}, got {max_aleph}")
     if _exactly(int, max_finite, "max_finite") < 1:
         raise ValueError(f"max_finite must be >= 1, got {max_finite}")
     _exactly(bool, finite_sizes_only, "finite_sizes_only")

@@ -232,6 +232,14 @@ class TestVerifyCommand:
             "refuted: fin:5,6 (Exactly(1)) vs fin:0,5 (AtLeast(50))\n"
         )
 
+    def test_refutation_demo_takes_no_query_or_probes(self, write):
+        # each was once dropped: the canned demo printed, and verify exited 1
+        path = write("q.txt", QUERY_C1_CASE2)
+        for given in (["no-such-query.txt"], [path, "fin:0,2"]):
+            assert run_main(["verify", *given, "--refutation-demo"]) == (
+                2, "", "error: --refutation-demo takes no query file or probes\n"
+            )
+
     def test_probe_shape_mismatch_is_an_input_error(self, write, capsys):
         path = write("q.txt", QUERY_C1_CASE2)
         assert main(["verify", path, "fin:1,2,3"]) == 2
@@ -376,9 +384,17 @@ class TestCrosscheckCommand:
         out = capsys.readouterr().out
         assert "violation:" in out
 
-    def test_bad_bounds(self, capsys):
-        assert main(["crosscheck", "--grid-max-aleph", "9"]) == 2
-        assert main(["crosscheck", "--max-finite", "0"]) == 2
+    def test_bad_bounds(self, monkeypatch):
+        # sweep refuses each before it counts or runs a case
+        monkeypatch.setattr(designs, "_sweep_cases", None)
+        monkeypatch.setattr(designs, "_mask", None)
+        for argv, message in [
+            (["--grid-max-aleph", "9"], "max_aleph must lie in 0..3, got 9"),
+            (["--grid-max-aleph", "1000000000000"],
+             "max_aleph must lie in 0..3, got 1000000000000"),
+            (["--max-finite", "0"], "max_finite must be >= 1, got 0"),
+        ]:
+            assert run_main(["crosscheck", *argv]) == (2, "", f"error: {message}\n")
 
     def test_over_budget_is_refused_before_any_case(self, monkeypatch, capsys):
         monkeypatch.setattr(designs, "_mask", None)  # any case would fail
@@ -444,7 +460,9 @@ class TestBruteCommand:
         path = write("inst.txt", all_3_subsets_of_7())
         assert main(["brute", path, "--t", t]) == 2
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: --t must satisfy 1 <= t <= d_size\n")
+        assert (out, err) == (
+            "", "error: sizes must satisfy 1 <= c_size <= d_size <= n\n"
+        )
 
     def test_malformed_file(self, write, capsys):
         path = write("inst.txt", "7, 2\n0,1\n")

@@ -153,6 +153,7 @@ def test_every_reachable_shape_has_its_descriptor(cofinite, holds_b):
         shape = extract_descriptor(one)
         assert shape == written == extract_descriptor(other)
         assert validate(shape, SpaceDescriptor(ALEPH0)) == []
+        assert extract_descriptor(one.complement()) == complement(shape)
         if listed < _SHARED_FINITES:
             assert extract_descriptor(other) is shape
         else:  # built afresh, for one set as for two
