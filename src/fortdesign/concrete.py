@@ -13,12 +13,13 @@ form over the unbounded window.  A class W(D) and a singleton share one
 window layout, :func:`_layout`.
 
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
-tuple-backed record; a :class:`ConcreteSet` stores whether it holds b,
-derived once by its constructor; ranks and aligned images come from
-bisecting the sorted support; :func:`check_homeomorphism` reads the
-b-to-b condition off the table of active exceptions; and
-:func:`extract_descriptor` reads the descriptor of a set with fewer than 64
-listed points, or of an odd-tail block, from a table built at import.
+tuple-backed record that validates its table in one pass; a
+:class:`ConcreteSet` stores whether it holds b, derived once by its
+constructor; ranks and aligned images come from bisecting the sorted
+support; :func:`check_homeomorphism` checks a map in one pass over its
+exception table; and :func:`extract_descriptor` reads the descriptor of a
+set with fewer than 64 listed points, or of an odd-tail block, from a table
+built at import.
 """
 
 from __future__ import annotations
@@ -270,7 +271,8 @@ class PointMap(_PointMapFields):
 
     Like :class:`~fortdesign.cardinal.Cardinal` it is a tuple-backed record
     that validates in ``__new__``: the table is kept sorted, immutable and
-    hashable, and equal to an equal-valued plain tuple.
+    hashable, and equal to an equal-valued plain tuple.  It checks each entry
+    once and finds a repeated source beside itself in the sorted table.
     """
 
     __slots__ = ()
@@ -279,24 +281,43 @@ class PointMap(_PointMapFields):
         cls, aligned: bool = True, exceptions: tuple[tuple[int, int], ...] = ()
     ) -> "PointMap":
         _exactly(bool, aligned, "aligned")
+        try:
+            entries = iter(exceptions)
+        except TypeError:
+            raise ValueError(
+                f"an exception table must be an iterable of pairs, got {exceptions!r}"
+            ) from None
         point = "an exception-table point"
-        exceptions = tuple(sorted([
-            (_exactly(int, a, point), _exactly(int, b, point)) for a, b in exceptions
-        ]))
-        if len({a for a, _ in exceptions}) != len(exceptions):
-            raise ValueError("exception table must map each source point once")
-        return tuple.__new__(cls, (aligned, exceptions))
+        table = []
+        for pair in entries:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"an exception-table entry must be a (source, target) pair, got {pair!r}"
+                ) from None
+            if type(a) is not int or type(b) is not int:
+                _exactly(int, a, point)
+                _exactly(int, b, point)
+            table.append((a, b))
+        table.sort()
+        previous = None  # a repeated source sorts next to itself
+        for a, _ in table:
+            if a == previous:
+                raise ValueError("exception table must map each source point once")
+            previous = a
+        return tuple.__new__(cls, (aligned, tuple(table)))
 
     _make = classmethod(_make_validated)
 
     def apply(self, x: int, source: ConcreteSet, target: ConcreteSet) -> int | None:
+        if x not in source:
+            raise ValueError(f"{x} is not in the source set")
         for a, b in self.exceptions:
             if a == x:
                 return b
         if not self.aligned:
             return None
-        if x not in source:
-            raise ValueError(f"{x} is not in the source set")
         return _aligned_image(x, source, target, source.contains_b and target.contains_b)
 
     def to_text(self) -> str:
@@ -364,30 +385,33 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
     """Decide exactly whether a point map is a homeomorphism u -> v.
 
     u and v must be of one kind (:func:`_same_kind`).  The active exceptions
-    are those whose source lies in u.  The aligned part is a bijection
-    u -> v, so an aligned map is one exactly when the active targets are
-    distinct members of v and, as a set, the aligned images of the active
-    sources.  A table-only map needs a finite u and exactly v as its
-    targets.  A cofinite u that contains b must send b to b, without which
-    the image of a sequence converging to b stops converging.
+    are those whose source lies in u.  A table-only map needs a finite u and
+    exactly v as its active targets.  An aligned map takes one pass over its
+    table: it fails at once if a cofinite u sends b anywhere but b (the image
+    of a sequence converging to b would stop converging), and otherwise is a
+    homeomorphism exactly when its active targets are, as a set, the aligned
+    images of its active sources, since the aligned part is a bijection.
     """
     if not _same_kind(u, v):
         return False
     support, cofinite = u.support, u.cofinite
-    active = [pair for pair in m.exceptions if (pair[0] in support) != cofinite]
     if not m.aligned:
         # u and v have one size, so targets that are all of v leave no
         # member of u unmapped
-        return not cofinite and {b for _, b in active} == set(v.support)
-    if not active:  # the aligned bijection, which pins b when u holds it
-        return True
-    # Distinct sources have distinct aligned images in v, so equal sets also
-    # make the targets distinct members of v.
+        return not cofinite and {b for a, b in m.exceptions if a in support} == set(v.support)
+    # distinct sources have distinct aligned images in v, so equal sets also
+    # make the targets distinct members of v; no active entry leaves the
+    # aligned bijection, which pins b when u holds it
     pin_b = u.contains_b and v.contains_b
-    if {b for _, b in active} != {_aligned_image(a, u, v, pin_b) for a, _ in active}:
-        return False
-    # an inactive 0 is not in u; an active one must go to b
-    return not cofinite or dict(active).get(0, 0) == 0
+    images, targets = set(), set()
+    for a, b in m.exceptions:
+        if (a in support) == cofinite:  # a is not in u
+            continue
+        if cofinite and a == 0 and b != 0:
+            return False
+        images.add(_aligned_image(a, u, v, pin_b))
+        targets.add(b)
+    return images == targets
 
 
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
@@ -519,7 +543,7 @@ def _window_count(
         need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
         return max(cutoff - need + 1, 0)
     cofinite, pinned, free, top = _layout(family, prefix)
-    inside = sum(1 for x in probe.support if 1 <= x <= top)
+    inside = bisect_right(probe.support, top) - bisect_left(probe.support, 1)
     if not cofinite:
         # every probe point must be b on a pinned block or lie in R
         outside = len(probe.support) - inside

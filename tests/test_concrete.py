@@ -216,6 +216,14 @@ class TestPointMapRecord:
         (lambda: PointMap(1), "aligned must be bool, got 1"),
         (lambda: PointMap(True, ((1, 2), (1, 3))),
          "exception table must map each source point once"),
+        # each once escaped as a bare TypeError or an unpacking ValueError
+        (lambda: PointMap(True, (5,)),
+         "an exception-table entry must be a (source, target) pair, got 5"),
+        (lambda: PointMap(True, ((1,),)),
+         "an exception-table entry must be a (source, target) pair, got (1,)"),
+        (lambda: PointMap(True, ((1, 2, 3),)),
+         "an exception-table entry must be a (source, target) pair, got (1, 2, 3)"),
+        (lambda: PointMap(True, 5), "an exception table must be an iterable of pairs, got 5"),
     ])
     def test_invalid_maps_keep_their_message(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -280,6 +288,14 @@ class TestHomeomorphisms:
         # collides on the target
         squash = PointMap(aligned=False, exceptions=((1, 7), (2, 7)))
         assert not check_homeomorphism(squash, F((1, 2)), F((7, 9)))
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_apply_refuses_a_point_outside_the_source(self, aligned):
+        # the table's entry for 9 is inactive on this source, as
+        # check_homeomorphism reads it
+        m = PointMap(aligned, ((9, 3),))
+        with pytest.raises(ValueError, match="^9 is not in the source set$"):
+            m.apply(9, F((1, 2)), F((3, 4)))
 
     def test_kind_mismatch_fails(self):
         assert not check_homeomorphism(PointMap(), F((1,)), Co((0,)))
@@ -362,6 +378,34 @@ class TestHomeomorphisms:
             assert (m is not None) == predicted, (u, v)
             if m is not None:
                 assert check_homeomorphism(m, u, v), (u, v)
+
+
+@pytest.fixture
+def no_churn(monkeypatch):
+    """Fails the test if the oracle builds a set or applies a map point by
+    point."""
+
+    def refused(*args):
+        raise AssertionError("built a set or applied the map")
+
+    monkeypatch.setattr(ConcreteSet, "__init__", refused)
+    monkeypatch.setattr(PointMap, "apply", refused)
+
+
+# one non-bijection of each of homeo-panel's perturbed shapes
+PERTURBED = [
+    (F((1, 4, 9)), F((2, 3, 5)), (1, 5)),  # 1 and 9 both go to 5
+    (F((1, 4)), F((2, 3)), (4, 7)),  # 7 is outside v
+    (Co((3,)), Co((5, 7)), (0, 1)),  # b moved
+    (Co(()), Co(()), (40, 1)),  # a source past the 32nd member
+]
+
+
+@pytest.mark.parametrize("u, v, exception", PERTURBED,
+                         ids=["finite-collide", "finite-outside", "b-moved", "source-beyond"])
+def test_oracle_checks_a_perturbed_map_without_churn(no_churn, u, v, exception):
+    m = canonical_homeomorphism(u, v)
+    assert not check_homeomorphism(PointMap(m.aligned, m.exceptions + (exception,)), u, v)
 
 
 class TestRealize:
