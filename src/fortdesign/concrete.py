@@ -348,14 +348,13 @@ def _rank(s: ConcreteSet, x: int, skip_zero: bool) -> int:
 def _nth_member(s: ConcreteSet, n: int, skip_zero: bool) -> int | None:
     """The member of s of rank n (from 0), optionally ignoring 0; None
     past the end of a finite set."""
-    pinned = skip_zero and s.contains_b
+    n += skip_zero and s.contains_b  # a skipped b is the rank-0 member
     if not s.cofinite:
-        n += pinned
         return s.support[n] if n < len(s.support) else None
-    holes = ((0,) if pinned else ()) + s.support
-    # the least x with x = n + (holes at or below x) is the rank-n member
+    # the least x with x = n + (holes at or below x) is the rank-n member;
+    # a cofinite set's support lists its holes
     x, shift = n, 0
-    while (reached := bisect_right(holes, x)) != shift:
+    while (reached := bisect_right(s.support, x)) != shift:
         x, shift = n + reached, reached
     return x
 

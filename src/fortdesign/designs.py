@@ -22,9 +22,10 @@ A guard is a conjunction of atoms, each one bit of an integer mask:
 the comparisons read, once per descriptor; ``_mask`` combines two of them
 into the mask of a case.  The first row whose ``required`` atoms all hold
 and whose ``forbidden`` atoms all fail decides.  An outcome is a refusal
-reason or a function of D and X only, never of C, so a verdict's witness is
-fixed by its outcome, D and X, and ``sweep`` builds one verdict per
-(outcome, D) in a call.
+reason or a (multiplicity, witness) pair of functions of D and X only, never
+of C; the witness is one of four constructors: the class W(D), the class
+L(D), the space holding b exactly when D does, and the odd-tail family.  So
+``sweep`` checks each witness once per (witness, D) and builds no verdict.
 
 Validation contract: ``decide`` and ``crosscheck``, the only checks of the
 descriptors a caller passes in, validate C and D against the space once and
@@ -251,19 +252,7 @@ def _require_valid(space: SpaceDescriptor, **shapes: SubsetDescriptor) -> None:
         raise DescriptorError("; ".join(violations), violations)
 
 
-def _full_space(space: SpaceDescriptor) -> SubsetDescriptor:
-    return SubsetDescriptor(space.size, True, ZERO)
-
-
-def _space_minus_b(space: SpaceDescriptor) -> SubsetDescriptor:
-    return SubsetDescriptor(space.size, False, ONE)
-
-
 _TWO = Cardinal.finite(2)
-_ONE_BLOCK = LambdaValue.exact(ONE)
-_CARD_W = LambdaValue.family_size("W")
-_CARD_L = LambdaValue.family_size("L")
-_CARD_W_CONTAINING_C = LambdaValue.family_size("{E in W : C subset E}")
 
 # The guard atoms, one bit each; cosize'(S) is card(X \ (S u {b})).
 B_IN_C = 1 << 0              # b in C
@@ -337,12 +326,38 @@ def _mask(c: _Facts, d: _Facts) -> int:
     return m
 
 
-def _class_of_d(d: SubsetDescriptor, x: SpaceDescriptor):
-    return _CARD_W, ClassW(d)
+# The four witness constructors and the multiplicities, functions of (d, x)
+def _class_w(d: SubsetDescriptor, x: SpaceDescriptor) -> ClassW:
+    return ClassW(d)
 
 
-def _whole_space(d: SubsetDescriptor, x: SpaceDescriptor):
-    return _ONE_BLOCK, Singleton(_full_space(x))
+def _class_l(d: SubsetDescriptor, x: SpaceDescriptor) -> ClassL:
+    return ClassL(d)
+
+
+def _the_space(d: SubsetDescriptor, x: SpaceDescriptor) -> Singleton:
+    """One block: X, without b unless D keeps it."""
+    return Singleton(SubsetDescriptor(x.size, d.contains_b, ZERO if d.contains_b else ONE))
+
+
+def _odd_tail(d: SubsetDescriptor, x: SpaceDescriptor) -> OddTail:
+    return OddTail()
+
+
+def _fixed(value: LambdaValue):
+    """The multiplicity that is value for every D and X."""
+    return lambda d, x: value
+
+
+_ONE_BLOCK = _fixed(LambdaValue.exact(ONE))
+_ALEPH0_BLOCKS = _fixed(LambdaValue.exact(ALEPH0))
+_CARD_W = _fixed(LambdaValue.family_size("W"))
+_CARD_L = _fixed(LambdaValue.family_size("L"))
+_CARD_W_CONTAINING_C = _fixed(LambdaValue.family_size("{E in W : C subset E}"))
+
+
+def _card_x(d: SubsetDescriptor, x: SpaceDescriptor) -> LambdaValue:
+    return LambdaValue.exact(x.size)
 
 
 # The case tables.  Each is an ordered tuple of (tag, required, forbidden,
@@ -350,8 +365,8 @@ def _whole_space(d: SubsetDescriptor, x: SpaceDescriptor):
 # whose required atoms all hold and whose forbidden atoms all fail decides,
 # so a row may assume that every earlier row failed; the last row requires
 # and forbids nothing.  An outcome is either the reason no design exists,
-# or a function of (d, x) returning the multiplicity and the witness family:
-# C reaches a verdict only through the atoms.
+# or a (multiplicity, witness) pair of functions of (d, x), the witness one
+# of the four constructors above; a sweep checks each once per (witness, D).
 
 _TYPE1 = (
     ("remark-card", C_GT_D, 0,
@@ -359,9 +374,8 @@ _TYPE1 = (
     ("a1", C_FINITE, _B_IN_C_OR_D,
      "C is finite and b is outside C and D: the b-containing copies "
      "of C lie in no block pair-equivalent to D"),
-    ("a2", C_SMALL, _B_IN_C_OR_D, _class_of_d),
-    ("a3", D_COSIZE_1, _B_IN_C_OR_D,
-     lambda d, x: (_ONE_BLOCK, Singleton(_space_minus_b(x)))),
+    ("a2", C_SMALL, _B_IN_C_OR_D, (_CARD_W, _class_w)),
+    ("a3", D_COSIZE_1, _B_IN_C_OR_D, (_ONE_BLOCK, _the_space)),
     ("a3", 0, _B_IN_C_OR_D,
      "with card(C) = card(D) = card(X) and b outside C and D, a design "
      "exists only when D = X \\ {b}"),
@@ -371,16 +385,13 @@ _TYPE1 = (
     # b is in D from here on: finite C in the c1 rows, infinite C after them
     ("c1-bound", C_FINITE | C_PLUS_2_GT_D, 0,
      "finite C with b in D requires card(C) + 2 <= card(D)"),
-    ("c1-case5", C_FINITE | D_FINITE, 0,
-     lambda d, x: (LambdaValue.exact(x.size), ClassW(d))),
-    ("c1-case4", C_FINITE | X_ALEPH0 | D_COSIZE_0, 0, _whole_space),
-    ("c1-case3", C_FINITE | X_ALEPH0 | D_COSIZE_FINITE, 0,
-     lambda d, x: (LambdaValue.exact(ALEPH0), ClassW(d))),
-    ("c1-case2", C_FINITE | X_ALEPH0, 0,
-     lambda d, x: (LambdaValue.exact(ALEPH0), OddTail())),
-    ("c1-case1", C_FINITE, 0, _class_of_d),
-    ("c2", C_SMALL, 0, _class_of_d),
-    ("c3", D_COSIZE_0, 0, _whole_space),
+    ("c1-case5", C_FINITE | D_FINITE, 0, (_card_x, _class_w)),
+    ("c1-case4", C_FINITE | X_ALEPH0 | D_COSIZE_0, 0, (_ONE_BLOCK, _the_space)),
+    ("c1-case3", C_FINITE | X_ALEPH0 | D_COSIZE_FINITE, 0, (_ALEPH0_BLOCKS, _class_w)),
+    ("c1-case2", C_FINITE | X_ALEPH0, 0, (_ALEPH0_BLOCKS, _odd_tail)),
+    ("c1-case1", C_FINITE, 0, (_CARD_W, _class_w)),
+    ("c2", C_SMALL, 0, (_CARD_W, _class_w)),
+    ("c3", D_COSIZE_0, 0, (_ONE_BLOCK, _the_space)),
     ("c3", 0, 0,
      "with card(C) = card(D) = card(X) and b in D, a design exists only "
      "when D = X"),
@@ -393,16 +404,11 @@ _TYPE2 = (
     ("b", B_IN_C, C_FINITE | B_IN_D,
      "C is infinite and contains b while D does not: C cannot be embedded "
      "into D"),
-    ("t2-finite", C_FINITE | C_EQ_D, 0, lambda d, x: (_ONE_BLOCK, ClassL(d))),
-    ("t2-finite", C_FINITE, 0, lambda d, x: (_CARD_L, ClassL(d))),
+    ("t2-finite", C_FINITE | C_EQ_D, 0, (_ONE_BLOCK, _class_l)),
+    ("t2-finite", C_FINITE, 0, (_CARD_L, _class_l)),
     # the type-1 verdict here is a2 or c2: the class of D, card(W) blocks
-    ("t2-small", C_SMALL, 0, _class_of_d),
-    # one block: the space, without b unless D keeps it
-    ("t2-full", 0, 0,
-     lambda d, x: (
-         _ONE_BLOCK,
-         Singleton(_full_space(x) if d.contains_b else _space_minus_b(x)),
-     )),
+    ("t2-small", C_SMALL, 0, (_CARD_W, _class_w)),
+    ("t2-full", 0, 0, (_ONE_BLOCK, _the_space)),
 )
 
 _TYPE3 = (
@@ -414,7 +420,7 @@ _TYPE3 = (
     ("t3-case4", COSIZE_D_GT_C, 0,
      "the part of X outside D and b is strictly larger than the part "
      "outside C and b"),
-    ("t3", 0, 0, lambda d, x: (_CARD_W_CONTAINING_C, ClassW(d))),
+    ("t3", 0, 0, (_CARD_W_CONTAINING_C, _class_w)),
 )
 
 # Any type-2 witness also satisfies the weaker probe condition IV, so type 4
@@ -442,20 +448,16 @@ def _deciding_row(table, m: int) -> tuple:
             return row
 
 
-def _verdict(row, d: SubsetDescriptor, space: SpaceDescriptor) -> Verdict:
-    """The verdict of a deciding row for D in the space."""
-    tag, _, _, outcome = row
-    if isinstance(outcome, str):
-        return Verdict.no(tag, outcome)
-    return Verdict.yes(*outcome(d, space), tag)
-
-
 def _decide(
     table, c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
 ) -> Verdict:
     """Run a case table on valid, nonempty C and D: the first row that holds decides."""
     m = _mask(_facts(c, space), _facts(d, space))
-    return _verdict(_deciding_row(table, m), d, space)
+    tag, _, _, outcome = _deciding_row(table, m)
+    if isinstance(outcome, str):
+        return Verdict.no(tag, outcome)
+    multiplicity, witness = outcome
+    return Verdict.yes(multiplicity(d, space), witness(d, space), tag)
 
 
 def decide_type1(
@@ -609,7 +611,7 @@ class SweepReport(NamedTuple):
 
 
 # the most cases a sweep runs: a sweep(0, 78) of 99,225 cases in a fresh
-# process takes 0.12-0.19 s, median 0.14 s or 1.4 us a case, over 12 runs
+# process takes 0.14-0.23 s, median 0.15 s or 1.6 us a case, over 12 runs
 # (2-vCPU Intel Xeon VM, Python 3.11.7)
 SWEEP_BUDGET = 10**5
 # (s, t): II implies I and III implies IV, so a type-s design is a type-t one
@@ -626,25 +628,24 @@ def _sweep_cases(max_aleph: int, max_finite: int, finite_sizes_only: bool) -> in
 
 def _plan(rules: tuple, m: int) -> tuple:
     """What mask m settles under rules, a tuple of (type, table) pairs, for
-    every C and D: the (type, deciding row) of each type that exists, the
-    broken edges of the condition lattice, no type 2 and no type 4."""
-    rows = [(t, _deciding_row(table, m)) for t, table in rules]
+    every C and D: the (type, witness constructor) of each type that exists,
+    the broken edges of the condition lattice, no type 2 and no type 4."""
     # each deciding row's tag is checked here, once per mask, since sweep
-    # builds no refusal verdict and one existence verdict per (outcome, D),
-    # not per row
-    exists = {}
-    for t, (tag, _, _, outcome) in rows:
+    # builds no verdict; a type's witness is None when it does not exist
+    witnesses = {}
+    for t, table in rules:
+        tag, _, _, outcome = _deciding_row(table, m)
         _check_tag(tag)
-        exists[t] = not isinstance(outcome, str)
+        witnesses[t] = None if isinstance(outcome, str) else outcome[1]
     return (
-        tuple((t, row) for t, row in rows if exists[t]),
+        tuple((t, witness) for t, witness in witnesses.items() if witness),
         tuple(
             f"type {s} exists but type {t} does not"
             for s, t in _IMPLIED_TYPES
-            if exists[s] and not exists[t]
+            if witnesses[s] and not witnesses[t]
         ),
-        not exists[DesignType.TYPE2],
-        not exists[DesignType.TYPE4],
+        not witnesses[DesignType.TYPE2],
+        not witnesses[DesignType.TYPE4],
     )
 
 
@@ -673,10 +674,10 @@ def sweep(
 
     The work is split in three levels by what it reads: a mask's plan
     (``_plan``), with the check of its rows' tags, is built once per rule
-    set and kept across calls; an existence verdict and its witness problems
-    once per (outcome, D) in a call; a case computes its mask and only the
-    checks that read C, card(C) > card(D) for each existing type and the
-    crosscheck's obstruction and embedding statements.
+    set and kept across calls; a witness and its problems once per
+    (witness, D) in a call, and no verdict; a case computes its mask and
+    only the checks that read C, card(C) > card(D) for each existing type
+    and the crosscheck's obstruction and embedding statements.
     """
     global _plans
     if not 0 <= _exactly(int, max_aleph, "max_aleph") <= MAX_ALEPH_INDEX:
@@ -701,12 +702,13 @@ def sweep(
     for space in spaces:
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
         facts = [_facts(s, space) for s in grid]
-        # per D: outcome -> the witness problems of its verdict.  An outcome
-        # reads only D and X, and rows share outcomes (types 2 and 4 all of
-        # theirs), so each is built once per (outcome, D).
+        # per D: witness constructor -> the problems of its witness.  A
+        # witness reads only D and X, and the existence rows of all four
+        # types share four constructors, so each is checked once per
+        # (witness, D).
         columns = [(d, d_facts, {}) for d, d_facts in zip(grid, facts)]
         for c, c_facts in zip(grid, facts):
-            for d, d_facts, d_built in columns:
+            for d, d_facts, d_checked in columns:
                 cases += 1
                 m = _mask(c_facts, d_facts)
                 plan = plans.get(m)
@@ -716,13 +718,11 @@ def sweep(
                 problems: list[str] = []
                 if existing:
                     larger = c.size > d.size
-                    for t, row in existing:
-                        outcome = row[3]
-                        witness_problems = d_built.get(outcome)
+                    for t, witness in existing:
+                        witness_problems = d_checked.get(witness)
                         if witness_problems is None:
-                            witness = _verdict(row, d, space).witness
-                            witness_problems = d_built[outcome] = witness_violations(
-                                witness, d, space
+                            witness_problems = d_checked[witness] = witness_violations(
+                                witness(d, space), d, space
                             )
                         if larger:
                             problems.append(f"type {t} exists with card(C) > card(D)")

@@ -184,6 +184,10 @@ class TestPointMapRecord:
     def test_repr_is_pinned(self):
         assert repr(PointMap(True, [(4, 6)])) == "PointMap(aligned=True, exceptions=((4, 6),))"
         assert repr(PointMap()) == "PointMap(aligned=True, exceptions=())"
+        # the text form lists the sorted exception table after the mode
+        assert PointMap().to_text() == "align"
+        assert PointMap(True, [(1, 2)]).to_text() == "align;1->2"
+        assert PointMap(False, [(5, 0), (2, 3)]).to_text() == "table;2->3,5->0"
 
     def test_keyword_and_positional_construction_agree(self):
         table = ((5, 1), (2, 3))

@@ -341,7 +341,7 @@ def test_sweep_checks_each_edge_of_the_condition_lattice(monkeypatch, s, t):
 
 @pytest.mark.parametrize("outcome", [
     "never",
-    lambda d, x: (LambdaValue.exact(ALEPH0), ClassW(d)),
+    (designs._ALEPH0_BLOCKS, designs._class_w),
 ], ids=["refusal", "existence"])
 def test_sweep_rejects_an_unknown_case_tag(monkeypatch, outcome):
     monkeypatch.setitem(designs._RULES, DesignType.TYPE3, (("t5", 0, 0, outcome),))
@@ -398,9 +398,9 @@ def test_a_second_sweep_decides_no_row(monkeypatch):
     assert planned > 0 and len(calls) == planned
 
 
-def outcome_keys(max_aleph, max_finite, finite_sizes_only=False):
-    """(outcome, X, D) of every existence verdict a sweep meets, from the
-    deciding rows of each case."""
+def witness_keys(max_aleph, max_finite, finite_sizes_only=False):
+    """(witness, D, X) of every existence verdict a sweep meets, built by the
+    witness constructor of each case's deciding row."""
     keys = set()
     for index in range(max_aleph + 1):
         space = SpaceDescriptor(Cardinal.aleph(index))
@@ -409,39 +409,49 @@ def outcome_keys(max_aleph, max_finite, finite_sizes_only=False):
             for table in designs._RULES.values():
                 outcome = table[deciding_row(table, c, d, space)][3]
                 if not isinstance(outcome, str):
-                    keys.add((outcome, space, d))
+                    keys.add((outcome[1](d, space), d, space))
     return keys
 
 
 @pytest.mark.parametrize("config", [(1, 6, False), (3, 2, True), (0, 1, False)])
-def test_a_sweep_builds_each_outcome_once_per_descriptor(monkeypatch, config):
-    expected = outcome_keys(*config)
+def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
+    # the four constructors build families of four classes, so one witness
+    # per (constructor, D, X) is one witness_violations call per key
+    expected = witness_keys(*config)
     grids = [
         (d, space)
         for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(config[0] + 1))
         for d in descriptor_grid(space, *config[1:])
     ]
-    calls = {name: counted(monkeypatch, name)
-             for name in ("_facts", "_verdict", "witness_violations")}
+    calls = {name: counted(monkeypatch, name) for name in ("_facts", "witness_violations")}
+    verdicts = []
+    build = Verdict.__new__
+
+    def counted_build(cls, *args, **kwargs):
+        verdicts.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Verdict, "__new__", counted_build)
 
     def work():
-        # sweep builds no refusal verdict, so each call is an existence one
-        built = [(row[3], space, d) for row, d, space in calls["_verdict"]]
-        checked = [(d, space) for _, d, space in calls["witness_violations"]]
-        return built, checked, list(calls["_facts"])
+        return list(calls["witness_violations"]), list(calls["_facts"])
 
     assert sweep(*config).consistent
-    built, checked, facts = work()
-    assert len(built) == len(set(built)) and set(built) == expected
-    assert checked == [(d, space) for _, space, d in built]
+    checked, facts = work()
+    assert len(checked) == len(set(checked)) and set(checked) == expected
     assert facts == grids
     # nothing is kept across calls: a second sweep does the same work again
     sweep(*config)
-    assert work() == (built * 2, checked * 2, facts * 2)
+    assert work() == (checked * 2, facts * 2)
+    # and neither sweep builds a verdict, as decide does
+    assert verdicts == []
+    d, space = grids[0]
+    decide(1, d, d, space)
+    assert len(verdicts) == 1
 
 
 def test_sweep_checks_the_tag_of_a_row_that_shares_its_outcome(monkeypatch):
-    # type 4's rows keep type 2's outcomes, so type 2 builds each verdict
+    # type 4's rows keep type 2's outcomes, so type 2 checks each witness
     # first; the unknown tag must still be refused
     relabelled = tuple(
         row if isinstance(row[3], str) else ("t5", *row[1:])
@@ -456,7 +466,7 @@ def test_a_patched_rule_set_meets_a_warm_slot(monkeypatch):
     sweep()
     before = sweep(max_aleph=1, max_finite=2)
     assert before.consistent
-    odd_tail = lambda d, x: (LambdaValue.exact(ALEPH0), OddTail())
+    odd_tail = (designs._ALEPH0_BLOCKS, designs._odd_tail)
     patched = tuple(
         row if isinstance(row[3], str) else (*row[:3], odd_tail)
         for row in designs._RULES[DesignType.TYPE3]
@@ -470,6 +480,43 @@ def test_a_patched_rule_set_meets_a_warm_slot(monkeypatch):
         for v in report.violations
     )
     assert sweep(max_aleph=1, max_finite=2) == before
+
+
+def test_sweep_reports_an_existing_type_with_a_larger_c(monkeypatch):
+    always = (("t3", 0, 0, (designs._CARD_W_CONTAINING_C, designs._class_w)),)
+    monkeypatch.setitem(designs._RULES, DesignType.TYPE3, always)
+    c, d = sd(F(2), False, ALEPH0), sd(F(1), False, ALEPH0)
+    assert (
+        f"X=aleph0 C={c} D={d}: type 3 exists with card(C) > card(D)"
+    ) in sweep(max_aleph=0, max_finite=2).violations
+
+
+def test_sweep_reports_a_witness_of_an_unknown_family(monkeypatch):
+    # a constructor that returns D itself, a descriptor and not a family
+    always = (("t3", 0, 0, (designs._CARD_W_CONTAINING_C, lambda d, x: d)),)
+    monkeypatch.setitem(designs._RULES, DesignType.TYPE3, always)
+    d = sd(F(1), False, ALEPH0)
+    assert (
+        f"X=aleph0 C={d} D={d}: type 3 witness: unknown family {d!r}"
+    ) in sweep(max_aleph=0, max_finite=1).violations
+
+
+WITNESS_CONSTRUCTORS = {
+    designs._class_w, designs._class_l, designs._the_space, designs._odd_tail,
+}
+
+
+def test_every_existence_row_names_one_of_the_four_witnesses():
+    used = set()
+    for table in designs._RULES.values():
+        for tag, _, _, outcome in table:
+            if isinstance(outcome, str):
+                continue
+            assert type(outcome) is tuple and len(outcome) == 2, tag
+            multiplicity, witness = outcome
+            assert callable(multiplicity) and witness in WITNESS_CONSTRUCTORS, tag
+            used.add(witness)
+    assert used == WITNESS_CONSTRUCTORS
 
 
 def reference_sweep(max_aleph, max_finite, inject_fault):
