@@ -16,10 +16,11 @@ The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
 tuple-backed record that validates its table in one pass; a
 :class:`ConcreteSet` stores whether it holds b, derived once by its
 constructor; ranks and aligned images come from bisecting the sorted
-support; :func:`check_homeomorphism` checks a map in one pass over its
-exception table; and :func:`extract_descriptor` reads the descriptor of a
-set with fewer than 64 listed points, or of an odd-tail block, from a table
-built at import.
+support; :func:`check_homeomorphism` answers the exception-free aligned map
+of :func:`canonical_homeomorphism` right after its kind test, building no
+set, and checks any other map in one pass over its exception table; and
+:func:`extract_descriptor` reads the descriptor of a set with fewer than 64
+listed points, or of an odd-tail block, from a table built at import.
 """
 
 from __future__ import annotations
@@ -385,19 +386,24 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
 
     u and v must be of one kind (:func:`_same_kind`).  The active exceptions
     are those whose source lies in u.  A table-only map needs a finite u and
-    exactly v as its active targets.  An aligned map takes one pass over its
-    table: it fails at once if a cofinite u sends b anywhere but b (the image
-    of a sequence converging to b would stop converging), and otherwise is a
+    exactly v as its active targets.  An aligned map with an empty table, as
+    :func:`canonical_homeomorphism` returns, is the aligned bijection and is
+    answered with no set built; otherwise it takes one pass over its table:
+    it fails at once if a cofinite u sends b anywhere but b (the image of a
+    sequence converging to b would stop converging), and otherwise is a
     homeomorphism exactly when its active targets are, as a set, the aligned
     images of its active sources, since the aligned part is a bijection.
     """
     if not _same_kind(u, v):
         return False
-    support, cofinite = u.support, u.cofinite
     if not m.aligned:
         # u and v have one size, so targets that are all of v leave no
         # member of u unmapped
-        return not cofinite and {b for a, b in m.exceptions if a in support} == set(v.support)
+        support = u.support
+        return not u.cofinite and {b for a, b in m.exceptions if a in support} == set(v.support)
+    if not m.exceptions:
+        return True
+    support, cofinite = u.support, u.cofinite
     # distinct sources have distinct aligned images in v, so equal sets also
     # make the targets distinct members of v; no active entry leaves the
     # aligned bijection, which pins b when u holds it

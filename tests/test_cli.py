@@ -9,11 +9,11 @@ import tracemalloc
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fortdesign import designs
+from fortdesign import cli, designs
 from fortdesign.cli import main, parse_query, QueryError
 from fortdesign.cardinal import ALEPH0, MAX_ALEPH_INDEX, Cardinal
-from fortdesign.descriptors import SpaceDescriptor, descriptor_grid
-from fortdesign.designs import DesignType
+from fortdesign.descriptors import SpaceDescriptor, SubsetDescriptor, descriptor_grid
+from fortdesign.designs import DesignType, Singleton
 from fortdesign.finitebrute import brute_lambda, parse_instance
 
 QUERY_C1_CASE2 = """\
@@ -46,6 +46,16 @@ C.contains_b: false
 D.size: aleph0
 D.contains_b: false
 D.cosize: 1
+"""
+
+# type 2 between two finite sets without b
+QUERY_T2_FINITE_C_AND_D = """\
+space.size: aleph0
+type: 2
+C.size: 1
+C.contains_b: false
+D.size: 2
+D.contains_b: false
 """
 
 # neither size nor cosize of C is card(X)
@@ -288,6 +298,20 @@ class TestVerifyCommand:
             "error: probe(s) not shaped like C: fin:1,2,3; "
             "probe complement(s) not shaped like X \\ C: fin:0,5\n"
         )
+
+    def test_a_witness_block_not_shaped_like_d_is_listed(self, monkeypatch, write, capsys):
+        # no decided witness has a block of the wrong shape, so a wrong one
+        # is patched in: its one block has three points where D has two
+        d3 = SubsetDescriptor(Cardinal.finite(3), False, ALEPH0)
+        decide = cli.decide
+        monkeypatch.setattr(
+            cli, "decide", lambda *args: decide(*args)._replace(witness=Singleton(d3))
+        )
+        path = write("q.txt", QUERY_T2_FINITE_C_AND_D)
+        assert main(["verify", path, "fin:5", "--format", "record"]) == 1
+        out = capsys.readouterr().out
+        assert "block_failures: 1\nblock_failure: fin:1,2,3: not shaped like D\n" in out
+        assert out.endswith("consistent: false\n")
 
     def test_not_exists_leaves_nothing_to_verify(self, write, capsys):
         path = write("q.txt", QUERY_EMBED_FAIL)

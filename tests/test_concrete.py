@@ -62,6 +62,8 @@ class TestConcreteSet:
         assert 2 in c and 3 not in c
         with pytest.raises(ValueError):
             ConcreteSet.finite((-1,))
+        # a set is not the plain tuple of its fields, unlike a record
+        assert ConcreteSet.finite((0,)) != (False, (0,))
 
     def test_complement_and_subset(self):
         assert F((1, 2)).complement() == Co((1, 2))
@@ -263,6 +265,8 @@ class TestHomeomorphisms:
         assert m is not None
         assert m.apply(1, u, v) == 7 and m.apply(2, u, v) == 9
         assert check_homeomorphism(m, u, v)
+        # an entry whose source is outside u leaves the alignment as it is
+        assert check_homeomorphism(PointMap(True, ((9, 9),)), u, F((3, 4)))
 
     def test_limit_point_mismatch_has_no_map(self):
         assert canonical_homeomorphism(Co((0,)), Co(())) is None
@@ -292,6 +296,8 @@ class TestHomeomorphisms:
         # collides on the target
         squash = PointMap(aligned=False, exceptions=((1, 7), (2, 7)))
         assert not check_homeomorphism(squash, F((1, 2)), F((7, 9)))
+        # an empty table maps nothing, unlike an empty aligned map
+        assert not check_homeomorphism(PointMap(aligned=False), F((1, 2)), F((7, 9)))
 
     @pytest.mark.parametrize("aligned", [True, False])
     def test_apply_refuses_a_point_outside_the_source(self, aligned):

@@ -44,6 +44,8 @@ def test_closed_form_examples():
         all_k_subsets_lambda(5, 5, 2)
     with pytest.raises(ValueError):
         all_k_subsets_lambda(5, 3, 3)
+    with pytest.raises(ValueError, match=r"^parameters must satisfy 1 <= t < k < n$"):
+        all_k_subsets_instance(5, 5, 2)
 
 
 def test_removing_one_block_breaks_uniformity():
@@ -58,6 +60,16 @@ def test_removing_one_block_breaks_uniformity():
         assert sum(1 for b in blocks if set(probe) <= b) == count
     assert outcome.first_count != outcome.second_count
     assert str(outcome) == "NonUniform({0,1} in 4 blocks, {0,3} in 5 blocks)"
+
+
+def test_an_indexed_count_the_definition_disagrees_with_is_an_error(monkeypatch):
+    # the index is the fast route; a literal recount of the second probe
+    # keeps a wrong count from becoming a reported witness
+    monkeypatch.setattr(finitebrute, "_first_other", lambda *args: ((0, 2), 7))
+    inst = FiniteInstance(5, (frozenset({0, 1, 2}), frozenset({1, 2, 3})), 2, 3)
+    message = r"^indexed count 7 of probe \(0, 2\) disagrees with literal count 1$"
+    with pytest.raises(RuntimeError, match=message):
+        brute_lambda(inst, DesignType.TYPE2)
 
 
 def test_condition_one_violation_is_reported():
