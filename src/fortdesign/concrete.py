@@ -6,11 +6,11 @@ neither finite nor cofinite.  The functions here ground the symbolic
 classifiers: homeomorphisms are built and checked exactly from the
 exception table, and block families are counted over bounded windows.
 Containment counts are reported as exact-within-window or saturated lower
-bounds, never extrapolated.  :func:`local_design_check` counts a window in
-closed form; :func:`blocks_containing` enumerates the same window block by
-block and gives the same numbers.  The family-wide count is the same closed
-form over the unbounded window.  A class W(D) and a singleton share one
-window layout, :func:`_layout`.
+bounds, never extrapolated.  :func:`local_design_check` reads its family
+once: :func:`_window_counter` gives the window's size and one rule for each
+probe's window and family-wide counts, all in closed form, and
+:func:`blocks_containing` enumerates the window and gives the same numbers.
+A class W(D) and a singleton share one window layout, :func:`_layout`.
 
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
 tuple-backed record that validates its table in one pass; a
@@ -36,7 +36,7 @@ __all__ = [
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .cardinal import (
@@ -208,9 +208,6 @@ class OddTailBlock(_OddTailBlockFields):
 
 
 Block = ConcreteSet | OddTailBlock
-
-# immutable, so one empty set serves every local_design_check call
-_EMPTY = ConcreteSet.finite(())
 
 # Descriptors are immutable, so, as Cardinal.finite does for small
 # cardinals, the descriptor of every finite or cofinite set with fewer than
@@ -422,11 +419,10 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     """A canonical concrete set with the given descriptor.
 
-    It is the one block of ``Singleton(d)``'s window
-    (:func:`_canonical_block`).  Doubly-infinite descriptors have no finite
-    or cofinite realization and are rejected.
+    It is the one block of ``Singleton(d)``'s window.  Doubly-infinite
+    descriptors have no finite or cofinite realization and are rejected.
     """
-    return _canonical_block(Singleton(d))
+    return next(_window_blocks(Singleton(d), 1, 0))
 
 
 def realize(family: FamilyDescriptor, index: int = 1) -> Block:
@@ -463,15 +459,15 @@ class BlockCount(NamedTuple):
         return f"AtLeast({self.value})" if self.saturated else f"Exactly({self.value})"
 
 
-def _layout(family: FamilyDescriptor, prefix: int | None) -> tuple:
+def _layout(family: FamilyDescriptor, prefix: int) -> tuple:
     """How the window of a class W(D) or a singleton is laid out.
 
     Returns ``(cofinite, pinned, free, top)``: a finite block is ``R``, plus
     b when ``pinned``; a cofinite block excludes ``R``, and b too when
     ``pinned``; ``R`` ranges over the ``free``-subsets of ``[1, top]``.  A
-    class's ``top`` is the prefix, infinite when None; a singleton is its
-    member's layout with ``top = free``, so its window is one block.  A
-    doubly-infinite base or member, and any other family, are rejected.
+    class's ``top`` is the prefix; a singleton is its member's layout with
+    ``top = free``, so its window is one block.  A doubly-infinite base or
+    member, and any other family, are rejected.
     """
     if not isinstance(family, (ClassW, Singleton)):
         raise FamilyEnumerationError(
@@ -488,16 +484,7 @@ def _layout(family: FamilyDescriptor, prefix: int | None) -> tuple:
             "cofinite realization"
         )
     free = finite.value - pinned
-    if isinstance(family, Singleton):
-        prefix = free
-    return cofinite, pinned, free, math.inf if prefix is None else prefix
-
-
-def _canonical_block(family: FamilyDescriptor) -> ConcreteSet:
-    """The first block of a nonempty window of a class W(D) or a singleton,
-    ``R = {1..free}`` (:func:`_layout`), built without the window's pool."""
-    cofinite, pinned, free, _ = _layout(family, None)
-    return ConcreteSet(cofinite, ((0,) if pinned else ()) + tuple(range(1, free + 1)))
+    return cofinite, pinned, free, free if isinstance(family, Singleton) else prefix
 
 
 def _window_blocks(
@@ -508,10 +495,11 @@ def _window_blocks(
     The window is the first ``cutoff`` odd-tail blocks, the single block,
     or every class member whose symmetric difference with the canonical
     representative lies inside the prefix.  A class's or singleton's first
-    block comes from :func:`_canonical_block`; ``itertools.combinations``
-    copies the pool ``[1, prefix]`` into a tuple only when a second block is
-    drawn, and a window of one block (``free = 0``) has an empty pool.  So
-    drawing one block costs nothing per point of the prefix.
+    block, ``R = {1..free}`` (:func:`_layout`), is built from the layout
+    alone; ``itertools.combinations`` copies the pool ``[1, prefix]`` into
+    a tuple only when a second block is drawn, and a window of one block
+    (``free = 0``) has an empty pool.  So drawing one block costs nothing
+    per point of the prefix.
     """
     if isinstance(family, OddTail):
         yield from map(OddTailBlock, range(1, cutoff + 1))
@@ -519,51 +507,60 @@ def _window_blocks(
     cofinite, pinned, free, top = _layout(family, prefix)
     if free > top:
         return
-    yield _canonical_block(family)
     fixed = (0,) if pinned else ()
+    yield ConcreteSet(cofinite, fixed + tuple(range(1, free + 1)))
     rests = itertools.combinations(range(1, top + 1) if free else (), free)
     for rest in itertools.islice(rests, 1, None):
         yield ConcreteSet(cofinite, fixed + rest)
 
 
-def _comb(pool: float, k: int) -> int | None:
-    """C(pool, k), or None for an infinite count when the pool is infinite."""
-    return (None if k else 1) if pool == math.inf else math.comb(pool, k)
+def _window_counter(
+    family: FamilyDescriptor, cutoff: int, prefix: int
+) -> tuple[int, Callable[[ConcreteSet], tuple[int, int | None]]]:
+    """The window's size, and a rule giving a probe's window count and its
+    family-wide count (None when infinite), both in closed form.
 
-
-def _window_count(
-    family: FamilyDescriptor, probe: ConcreteSet, cutoff: int | None, prefix: int | None
-) -> int | None:
-    """The number of window blocks containing the probe, in closed form.
-
-    With ``cutoff`` and ``prefix`` None the window is unbounded, so this is
-    the family-wide count; None then means that count is infinite.
+    The family is read once: the odd-tail family by arithmetic on the
+    probe's largest odd point, a class W(D) or a singleton by one
+    :func:`_layout`.  The family-wide window is unbounded for a class, so
+    its ``R`` ranges over all points past b, and is the one block (``top =
+    free``) for a singleton, whose two counts are equal.
     """
     if isinstance(family, OddTail):
-        if probe.cofinite:
-            return 0
-        if cutoff is None:  # every finite probe lies in cofinally many blocks
-            return None
-        # block s holds the odd point 2j+1 exactly when j < s
-        need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
-        return max(cutoff - need + 1, 0)
+        def odd_tail(probe: ConcreteSet) -> tuple[int, int | None]:
+            if probe.cofinite:
+                return 0, 0
+            # block s holds the odd point 2j+1 exactly when j < s, and every
+            # finite probe lies in cofinally many blocks
+            need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
+            return max(cutoff - need + 1, 0), None
+
+        return cutoff, odd_tail
     cofinite, pinned, free, top = _layout(family, prefix)
-    inside = bisect_right(probe.support, top) - bisect_left(probe.support, 1)
-    if not cofinite:
+    singleton = isinstance(family, Singleton)
+
+    def counts(probe: ConcreteSet) -> tuple[int, int | None]:
+        support = probe.support
+        lead = bisect_left(support, 1)  # 1 when the probe lists b
+        listed = len(support) - lead  # the listed points past b
+        inside = bisect_right(support, top) - lead  # those up to top
+        if cofinite:
+            if pinned and probe.contains_b:  # a pinned cofinite block lacks b
+                return 0, 0
+            if probe.cofinite:  # R lies among the probe's excluded points
+                window = math.comb(inside, free)
+                return window, window if singleton else math.comb(listed, free)
+            # R avoids the probe's points; infinitely many R do unless free = 0
+            window = math.comb(top - inside, free)
+            return window, window if singleton else (None if free else 1)
         # every probe point must be b on a pinned block or lie in R
-        outside = len(probe.support) - inside
-        if probe.cofinite or outside != (pinned and probe.contains_b):
-            return 0
-        return _comb(top - inside, free - inside) if inside <= free else 0
-    if pinned and probe.contains_b:  # a pinned cofinite block lacks b
-        return 0
-    # R avoids a finite probe's points, or lies among a cofinite one's
-    # excluded points
-    return _comb(inside if probe.cofinite else top - inside, free)
+        left = free - listed  # the points of R that the probe leaves open
+        if probe.cofinite or lead > pinned or left < 0:
+            return 0, 0
+        window = math.comb(top - listed, left) if inside == listed else 0
+        return window, window if singleton else (None if left else 1)
 
-
-def _saturated(count: int, cutoff: int) -> BlockCount:
-    return BlockCount.at_least(cutoff) if count >= cutoff else BlockCount.exactly(count)
+    return math.comb(top, free), counts
 
 
 def _window_prefix(cutoff: int, prefix: int | None) -> int:
@@ -598,7 +595,7 @@ def blocks_containing(
             count += 1
             if count >= cutoff:
                 break
-    return _saturated(count, cutoff)
+    return BlockCount(count, count >= cutoff)
 
 
 class ProbeReport(NamedTuple):
@@ -641,12 +638,15 @@ def _find_refutation(
     probes: tuple[ProbeReport, ...]
 ) -> tuple[ProbeReport, ProbeReport] | None:
     """The first probe with a finite family-wide count and the first whose
-    family-wide count differs from it; None (infinite) differs from all."""
-    first = next((p for p in probes if p.global_exact is not None), None)
-    if first is None:
-        return None
-    second = next((p for p in probes if p.global_exact != first.global_exact), None)
-    return None if second is None else (first, second)
+    family-wide count differs from it; None (infinite) differs from all.
+    Loops, as a generator expression costs more than a few probes' search."""
+    for first in probes:
+        if first.global_exact is not None:
+            for second in probes:
+                if second.global_exact != first.global_exact:
+                    return first, second
+            return None
+    return None
 
 
 # the most wrong-shape blocks local_design_check lists: 10^5 failure strings
@@ -674,17 +674,17 @@ def local_design_check(
     infinite one differing from every finite one at any cutoff.
 
     The window is the one :func:`blocks_containing` enumerates, but nothing
-    here walks it: ``blocks_checked`` and the counts come in closed form
-    (binomial coefficients over ``[1, prefix]`` for W(D), arithmetic on the
-    largest odd point for the odd-tail family) and equal the literal ones.
-    All blocks of a window share one descriptor, so only the first block is
+    here walks it: the family is read once, by :func:`_window_counter`, and
+    ``blocks_checked`` and the counts come in closed form (binomial
+    coefficients over ``[1, prefix]`` for W(D), arithmetic on the largest
+    odd point for the odd-tail family) and equal the literal ones.  All
+    blocks of a window share one descriptor, so only the first block is
     shape-checked; when it fails, every block is listed with its failure,
     and a window of more than ``LISTING_BUDGET`` blocks raises
     ``ValueError`` before the listing starts.
     """
     prefix = _window_prefix(cutoff, prefix)
-    # every block holds the empty set
-    blocks_checked = _window_count(family, _EMPTY, cutoff, prefix)
+    blocks_checked, counts = _window_counter(family, cutoff, prefix)
     blocks = _window_blocks(family, cutoff, prefix)
     first = next(blocks, None)
     failure = None
@@ -713,8 +713,8 @@ def local_design_check(
         if not subspace_homeomorphic(extract_descriptor(probe), c):
             rejected.append(probe)
             continue
-        count = _saturated(_window_count(family, probe, cutoff, prefix), cutoff)
-        accepted.append(ProbeReport(probe, count, _window_count(family, probe, None, None)))
+        count, wide = counts(probe)
+        accepted.append(ProbeReport(probe, BlockCount(min(count, cutoff), count >= cutoff), wide))
 
     return DesignCheckReport(
         family=family,

@@ -585,6 +585,29 @@ class TestLocalDesignCheck:
         )
         assert relaxed.block_failures == ()
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            (ClassL(sd(FC(3), True, ALEPH0)), r"L\(.*\) has no bounded enumeration strategy"),
+            (
+                ClassW(sd(ALEPH0, True, ALEPH0)),
+                "a set with infinite size and infinite complement has no finite "
+                "or cofinite realization",
+            ),
+        ],
+        ids=["class-l", "doubly-infinite-w"],
+    )
+    def test_unbounded_families_are_refused_before_a_block_is_drawn(
+        self, monkeypatch, family, message
+    ):
+        def drawn(*args):
+            raise AssertionError("a window block was drawn")
+
+        monkeypatch.setattr(concrete, "_window_blocks", drawn)
+        d = sd(FC(3), True, ALEPH0)
+        with pytest.raises(FamilyEnumerationError, match=message):
+            local_design_check(family, d, d, [F((0, 1, 2))], cutoff=10)
+
 
 # every base whose class has a bounded window: a finite size or a finite
 # cosize (0-4), with or without b where the descriptor is valid
@@ -680,6 +703,8 @@ class TestClosedFormWindows:
     # no block of W(cofinite, b not in D, cosize 2) holds b, so none holds
     # fin:0,5; the family-wide count is 0, not unknown
     @example((ClassW(sd(ALEPH0, False, FC(2))), sd(ALEPH0, False, FC(2)), 10, 8, [F((0, 5))]))
+    # a singleton's family-wide window is its one block, not unbounded
+    @example((Singleton(sd(FC(1), False, ALEPH0)), sd(FC(1), False, ALEPH0), 1, 0, [F(())]))
     def test_closed_form_matches_literal_enumeration(self, case):
         family, d, cutoff, prefix, probes = case
         window = list(concrete._window_blocks(family, cutoff, 0 if prefix is None else prefix))
@@ -809,6 +834,22 @@ def test_listing_budget_is_checked_against_the_window_count(monkeypatch):
     monkeypatch.setattr(concrete, "LISTING_BUDGET", window - 1)
     with pytest.raises(ValueError, match="budget"):
         local_design_check(family, d, d, [], 7, prefix=9)
+
+
+def test_design_check_reads_its_family_once(monkeypatch):
+    # one layout gives every count, and the stream that yields the
+    # shape-check block lays the window out once more
+    calls = {"_layout": 0, "_window_blocks": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(concrete, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(concrete, name, counted)
+    d = sd(FC(3), False, ALEPH0)
+    probes = [F((1, 2)), F((3, 4)), F((0,))]
+    local_design_check(ClassW(d), sd(FC(2), False, ALEPH0), d, probes, 10)
+    assert calls == {"_layout": 2, "_window_blocks": 1}
 
 
 def oracle_transcript():
