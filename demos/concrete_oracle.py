@@ -55,5 +55,5 @@ report = local_design_check(OddTail(), c, d, probes, cutoff=50)
 print(f"  blocks checked: {report.blocks_checked}, shape failures: {len(report.block_failures)}")
 for probe_report in report.probes:
     print(f"  {probe_report.probe.to_text():10} count {probe_report.count}")
-print(f"  consistent up to the cutoff: {report.consistent}")
+print(f"  consistent: {report.consistent}")
 print(f"  block 1 realizes descriptor {extract_descriptor(realize(OddTail(), 1))}")

@@ -1,10 +1,11 @@
-"""Symbolic cardinal numbers: naturals plus a short ladder of alephs.
+"""Symbolic cardinal numbers: naturals plus the alephs of any natural index.
 
 The universe is deliberately small: every decision the library makes reduces
 to order and membership comparisons between finite cardinalities and
-``aleph0 .. aleph3``.  There is no exponentiation, no cofinality and no
-ordinal machinery; block-family sizes that the constructions name but never
-evaluate are carried symbolically by :class:`LambdaValue`.
+``aleph0, aleph1, ...``, with no bound on the index; only ``sweep``'s case
+budget bounds the ladder it walks.  There is no exponentiation, no cofinality
+and no ordinal machinery; block-family sizes that the constructions name but
+never evaluate are carried symbolically by :class:`LambdaValue`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ __all__ = ["ALEPH0", "ALEPH1", "Cardinal", "LambdaValue", "csum"]
 
 import re
 from typing import NamedTuple
-
-# Highest aleph index the symbolic universe admits.
-MAX_ALEPH_INDEX = 3
 
 # The one spelling of a natural number in text input, the one ``str``
 # prints: ASCII digits without leading zeros, so that no other spelling
@@ -64,7 +62,7 @@ class _CardinalFields(NamedTuple):
 
 
 class Cardinal(_CardinalFields):
-    """A natural number or an aleph with a small finite index.
+    """A natural number or an aleph of any natural index.
 
     The field order ``(infinite, value)`` is the cardinal order: every finite
     cardinal precedes every aleph, finites order by value, alephs order by
@@ -82,11 +80,6 @@ class Cardinal(_CardinalFields):
             raise ValueError(f"cardinal flag infinite must be bool, got {infinite!r}")
         if value < 0:
             raise ValueError(f"cardinal value must be >= 0, got {value}")
-        if infinite and value > MAX_ALEPH_INDEX:
-            raise ValueError(
-                f"aleph index {value} exceeds the supported ladder "
-                f"(max {MAX_ALEPH_INDEX})"
-            )
         return tuple.__new__(cls, (infinite, value))
 
     _make = classmethod(_make_validated)

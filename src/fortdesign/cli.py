@@ -188,7 +188,7 @@ def _print_check_report(report, fmt: str) -> None:
         for probe in report.probes:
             print(f"  {probe.probe.to_text()} lies in {probe.count} blocks")
         if report.refutation is None:
-            print("no refutation found: counts are consistent up to the cutoff")
+            print("no refutation found: every probe has the same family-wide count")
         else:
             first, second = report.refutation
             print(

@@ -151,7 +151,9 @@ def descriptor_grid(
 
     Sizes range over Finite(1..max_finite) and, unless ``finite_sizes_only``,
     the alephs up to the space's own; cosizes take every value the
-    invariants admit.  Used by the exhaustive sweeps.
+    invariants admit.  Used by the exhaustive sweeps.  For X = aleph_i the
+    grid has 4m+3+4i descriptors, and 2m with finite sizes only (m is
+    ``max_finite``), so a caller can budget it before building it.
     """
     sizes: list[Cardinal] = [Cardinal.finite(n) for n in range(1, max_finite + 1)]
     if not finite_sizes_only:

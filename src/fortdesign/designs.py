@@ -52,7 +52,6 @@ from .cardinal import (
     ALEPH0,
     Cardinal,
     LambdaValue,
-    MAX_ALEPH_INDEX,
     ZERO,
     ONE,
     _exactly,
@@ -619,11 +618,15 @@ _IMPLIED_TYPES = ((1, 2), (1, 3), (2, 4), (3, 4))
 
 
 def _sweep_cases(max_aleph: int, max_finite: int, finite_sizes_only: bool) -> int:
-    """Cases a sweep runs: aleph_i's grid has 4m+3+4i descriptors, 2m if finite-only."""
-    return sum(
-        (2 * max_finite if finite_sizes_only else 4 * max_finite + 3 + 4 * i) ** 2
-        for i in range(max_aleph + 1)
-    )
+    """Cases a sweep runs, in closed form so that any ladder is counted at
+    once: aleph_i's grid has a + 4i descriptors with a = 4m+3, or 2m if
+    finite-only, and the sum of (a+4i)^2 over i = 0..K is
+    (K+1)a^2 + 8a K(K+1)/2 + 16 K(K+1)(2K+1)/6."""
+    k, n = max_aleph, max_aleph + 1
+    if finite_sizes_only:
+        return n * (2 * max_finite) ** 2
+    a = 4 * max_finite + 3
+    return n * a * a + 4 * a * k * n + 16 * (k * n * (2 * k + 1) // 6)
 
 
 def _plan(rules: tuple, m: int) -> tuple:
@@ -666,9 +669,10 @@ def sweep(
     (type 1 => 2, 1 => 3, 2 => 4, 3 => 4), card(C) <= card(D) for every
     existence verdict, and witness validity.  ``ValueError`` is raised
     before any case runs unless ``max_aleph`` and ``max_finite`` are exactly
-    ``int`` and the flags exactly ``bool``, with ``max_aleph`` in the aleph
-    ladder, ``max_finite >= 1`` and at most ``SWEEP_BUDGET`` cases; a
-    deciding row with an unknown case tag raises it when its mask is planned.
+    ``int`` and the flags exactly ``bool``, with ``max_aleph >= 0``,
+    ``max_finite >= 1`` and at most ``SWEEP_BUDGET`` cases, the only bound on
+    the ladder, counted before any space is built; a deciding row with an
+    unknown case tag raises it when its mask is planned.
     ``inject_fault`` deliberately flips the obstruction statement on a subset
     of cases so the harness can prove it detects violations.
 
@@ -680,13 +684,12 @@ def sweep(
     and the crosscheck's obstruction and embedding statements.
     """
     global _plans
-    if not 0 <= _exactly(int, max_aleph, "max_aleph") <= MAX_ALEPH_INDEX:
-        raise ValueError(f"max_aleph must lie in 0..{MAX_ALEPH_INDEX}, got {max_aleph}")
+    if _exactly(int, max_aleph, "max_aleph") < 0:
+        raise ValueError(f"max_aleph must be >= 0, got {max_aleph}")
     if _exactly(int, max_finite, "max_finite") < 1:
         raise ValueError(f"max_finite must be >= 1, got {max_finite}")
     _exactly(bool, finite_sizes_only, "finite_sizes_only")
     _exactly(bool, inject_fault, "inject_fault")
-    spaces = [SpaceDescriptor(Cardinal.aleph(i)) for i in range(max_aleph + 1)]
     planned = _sweep_cases(max_aleph, max_finite, finite_sizes_only)
     if planned > SWEEP_BUDGET:
         raise ValueError(
@@ -699,7 +702,8 @@ def sweep(
         _plans = (rules, plans)
     violations: list[str] = []
     cases = 0
-    for space in spaces:
+    for i in range(max_aleph + 1):
+        space = SpaceDescriptor(Cardinal.aleph(i))
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
         facts = [_facts(s, space) for s in grid]
         # per D: witness constructor -> the problems of its witness.  A

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fortdesign import cli, designs
 from fortdesign.cli import main, parse_query, QueryError
-from fortdesign.cardinal import ALEPH0, MAX_ALEPH_INDEX, Cardinal
+from fortdesign.cardinal import ALEPH0, Cardinal
 from fortdesign.descriptors import SpaceDescriptor, SubsetDescriptor, descriptor_grid
 from fortdesign.designs import DesignType, Singleton
 from fortdesign.finitebrute import brute_lambda, parse_instance
@@ -59,6 +59,27 @@ D.contains_b: false
 """
 
 # neither size nor cosize of C is card(X)
+# on aleph5 < aleph9 < aleph17, and a type-1 query whose lambda is card(X)
+QUERY_TALL_LADDER = """\
+space.size: aleph17
+type: 2
+C.size: aleph5
+C.contains_b: true
+C.cosize: aleph17
+D.size: aleph17
+D.contains_b: true
+D.cosize: aleph9
+"""
+
+QUERY_TALL_FINITE = """\
+space.size: aleph17
+type: 1
+C.size: 1
+C.contains_b: true
+D.size: 3
+D.contains_b: true
+"""
+
 QUERY_C_INVALID = QUERY_C1_CASE2.replace("C.size: 2", "C.size: 2\nC.cosize: 5")
 
 # the same for D too
@@ -143,6 +164,24 @@ class TestDecideCommand:
         out = capsys.readouterr().out
         assert "exists: false" in out and "case_tag: b" in out
         assert "embedded" in out  # the reason cites the embedding failure
+
+    @pytest.mark.parametrize("query, t", [
+        *((QUERY_TALL_LADDER, t) for t in "1234"), (QUERY_TALL_FINITE, "1"),
+    ], ids=["type1", "type2", "type3", "type4", "finite-type1"])
+    def test_a_tall_ladder_answers_as_its_compressed_query(self, write, query, t):
+        # the distinct nonzero aleph indices map, in order, onto 1, 2, 3
+        tall = re.sub(r"type: \d", f"type: {t}", query)
+        indices = sorted({int(i) for i in re.findall(r"aleph(\d+)", tall)} - {0})
+        down = {str(i): str(low) for low, i in enumerate(indices, 1)}
+        small = re.sub(r"aleph(\d+)", lambda m: "aleph" + down[m[1]], tall)
+        assert "aleph17" not in small
+        up = {low: i for i, low in down.items()}
+        code, out, err = run_main(["decide", write("tall.txt", tall)])
+        small_code, small_out, _ = run_main(["decide", write("small.txt", small)])
+        assert "aleph17" in out and err == ""
+        assert (code, out) == (
+            small_code, re.sub(r"aleph([1-3])\b", lambda m: "aleph" + up[m[1]], small_out)
+        )
 
     def test_missing_cosize_is_an_input_error(self, write, capsys):
         path = write("q.txt", QUERY_MISSING_COSIZE)
@@ -229,7 +268,7 @@ class TestVerifyCommand:
             "checked 5 blocks of odd-tail: 0 shape failure(s)\n"
             "  fin:1,2 lies in AtLeast(5) blocks\n"
             "  fin:0,2 lies in AtLeast(5) blocks\n"
-            "no refutation found: counts are consistent up to the cutoff\n"
+            "no refutation found: every probe has the same family-wide count\n"
         )
 
     def test_refuted_text_format(self, capsys):
@@ -409,13 +448,17 @@ class TestCrosscheckCommand:
         assert "violation:" in out
 
     def test_bad_bounds(self, monkeypatch):
-        # sweep refuses each before it counts or runs a case
-        monkeypatch.setattr(designs, "_sweep_cases", None)
+        # any aleph index is a space: a tall ladder within the budget runs
+        assert run_main(["crosscheck", "--grid-max-aleph", "9"]) == (
+            0, "0 violations / 21570 cases\n", ""
+        )
+        # sweep refuses each before it builds a space or runs a case
+        monkeypatch.setattr(designs, "SpaceDescriptor", None)
         monkeypatch.setattr(designs, "_mask", None)
         for argv, message in [
-            (["--grid-max-aleph", "9"], "max_aleph must lie in 0..3, got 9"),
             (["--grid-max-aleph", "1000000000000"],
-             "max_aleph must lie in 0..3, got 1000000000000"),
+             "a sweep of 5333333333449333333334173000000000729 cases exceeds the budget "
+             "of 100000 cases"),
             (["--max-finite", "0"], "max_finite must be >= 1, got 0"),
         ]:
             assert run_main(["crosscheck", *argv]) == (2, "", f"error: {message}\n")
@@ -850,7 +893,7 @@ def crosscheck_options(draw):
     """crosscheck's options, each given or left at its default, in any order:
     (argv, the grid's max aleph, its max finite size, finite sizes only,
     faults injected)."""
-    aleph = draw(st.one_of(st.none(), st.integers(0, 6)))
+    aleph = draw(st.one_of(st.none(), st.integers(0, 6), st.integers(0, 10**12)))
     finite = draw(st.one_of(st.none(), st.integers(0, 8), st.integers(10**3, 10**12)))
     finite_only, inject = draw(st.booleans()), draw(st.booleans())
     groups = [["--grid-max-aleph", str(aleph)]] if aleph is not None else []
@@ -869,7 +912,7 @@ def crosscheck_options(draw):
           False))
 def test_crosscheck_reads_any_options_without_a_traceback(options):
     argv, aleph, finite, finite_only, inject = options
-    refused = aleph > MAX_ALEPH_INDEX or finite < 1
+    refused = finite < 1
     if not refused:
         cases = designs._sweep_cases(aleph, finite, finite_only)
         refused = cases > designs.SWEEP_BUDGET

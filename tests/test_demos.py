@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -5,9 +6,16 @@ import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
+# the SHA-256 of each demo's stdout: a demo's output changes only with this table
+STDOUT_SHA256 = {
+    "concrete_oracle": "744c7960ec51f1dfffea49625be36d43fc861fca0cbe028e455ce1f8fae90651",
+    "decide_walkthrough": "bef5ae20c92202143e9b9a393b3357c9f0d8068d35904416f568152d7f617f07",
+    "finite_designs": "21da592e4962a99be9dc48902e6cebfc97e52cd83bee69c72e8291fcd09cc100",
+}
+
 
 def test_demos_are_found():
-    assert len(DEMOS) == 3
+    assert [demo.stem for demo in DEMOS] == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -18,3 +26,4 @@ def test_demo_runs_and_repeats(demo, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0]
     assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == STDOUT_SHA256[demo.stem]

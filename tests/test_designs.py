@@ -273,7 +273,7 @@ def test_sweep_case_count_is_the_grid_closed_form():
     for m in range(30):
         for finite_only in (False, True):
             total = 0
-            for index in range(4):
+            for index in range(13):
                 grid = descriptor_grid(SpaceDescriptor(Cardinal.aleph(index)), m, finite_only)
                 total += len(grid) ** 2
                 assert designs._sweep_cases(index, m, finite_only) == total
@@ -298,15 +298,24 @@ def test_sweep_over_budget_is_refused_before_any_case(
         sweep(max_finite=max_finite, finite_sizes_only=finite_sizes_only)
 
 
-def test_sweep_past_the_aleph_ladder_is_refused_before_any_case(no_case_runs):
-    with pytest.raises(ValueError, match=re.escape("max_aleph must lie in 0..3, got 4")):
-        sweep(max_aleph=4)
+@pytest.mark.parametrize("max_aleph, cases", [
+    (20, 106_589),
+    (10**12, 5_333_333_333_449_333_333_334_173_000_000_000_729),
+])
+def test_sweep_of_a_ladder_over_budget_is_refused_before_any_space(
+    no_case_runs, monkeypatch, max_aleph, cases
+):
+    # any aleph index is a space, so the budget alone bounds the ladder,
+    # counted before a space is built
+    monkeypatch.setattr(designs, "SpaceDescriptor", None)
+    with pytest.raises(ValueError, match=f"^a sweep of {cases} cases exceeds the budget"):
+        sweep(max_aleph=max_aleph)
 
 
 @pytest.mark.parametrize("args, message", [
     # the first three once ran as other input: a vacuous 0-case sweep, 4
     # cases after a budget check of 81, and max_aleph 1
-    ((-1, 6), "max_aleph must lie in 0..3, got -1"),
+    ((-1, 6), "max_aleph must be >= 0, got -1"),
     ((0, -3), "max_finite must be >= 1, got -3"),
     ((True, 2), "max_aleph must be int, got True"),
     ((0, 0), "max_finite must be >= 1, got 0"),
@@ -862,10 +871,11 @@ def test_decider_docstrings_agree_with_the_tables(design_type, stated):
 
 
 @st.composite
-def spaced_pairs(draw):
-    """A space and two valid, nonempty descriptors in it, with finite sizes
-    up to 10^6 that often lie within a few of each other."""
-    index = draw(st.integers(0, 3))
+def spaced_pairs(draw, max_aleph=3):
+    """A space of at most aleph_{max_aleph} and two valid, nonempty
+    descriptors in it, with finite sizes up to 10^6 that often lie within a
+    few of each other."""
+    index = draw(st.integers(0, max_aleph))
     space = SpaceDescriptor(Cardinal.aleph(index))
     near = draw(st.integers(1, 10**6))
 
@@ -890,6 +900,62 @@ def spaced_pairs(draw):
 @example((sd(ALEPH0, False, F(10**6)), sd(ALEPH0, False, F(999_999)), X0))
 def test_atoms_agree_with_their_predicates_at_large_finite_sizes(case):
     assert_atoms_agree(*case)
+
+
+def ladder_map(*cards):
+    """The order-preserving map of the distinct nonzero aleph indices among
+    the cardinals onto 1, 2, ..., with aleph0 kept as aleph0."""
+    indices = sorted({card.value for card in cards if card.infinite and card.value})
+    return {0: 0, **{index: low for low, index in enumerate(indices, 1)}}
+
+
+def relabel(card, to):
+    return Cardinal.aleph(to[card.value]) if card.infinite else card
+
+
+def relabel_descriptor(s, to):
+    return sd(relabel(s.size, to), s.contains_b, relabel(s.cosize, to))
+
+
+def relabel_verdict(verdict, to):
+    """The verdict with the aleph indices of its exact multiplicity and of
+    its witness's descriptor relabelled."""
+    lam, witness = verdict.lambda_, verdict.witness
+    if lam is not None and lam.value is not None:
+        lam = LambdaValue.exact(relabel(lam.value, to))
+    if isinstance(witness, (ClassW, ClassL, Singleton)):
+        witness = type(witness)(relabel_descriptor(witness[0], to))
+    return verdict._replace(lambda_=lam, witness=witness)
+
+
+@given(spaced_pairs(max_aleph=40))
+@example((sd(Cardinal.aleph(5), True, Cardinal.aleph(40)),
+          sd(Cardinal.aleph(40), True, Cardinal.aleph(17)), SpaceDescriptor(Cardinal.aleph(40))))
+def test_the_ladder_height_changes_no_answer(case):
+    # C and D each have X's cardinality on one side, so at most three
+    # nonzero indices occur: the query on aleph0..aleph3 with the same
+    # order answers alike, its alephs mapped back
+    c, d, space = case
+    down = ladder_map(space.size, c.size, c.cosize, d.size, d.cosize)
+    assert len(down) <= 4
+    up = {low: index for index, low in down.items()}
+    small = (relabel_descriptor(c, down), relabel_descriptor(d, down),
+             SpaceDescriptor(relabel(space.size, down)))
+    for t in DesignType:
+        assert decide(t, c, d, space) == relabel_verdict(decide(t, *small), up)
+    assert crosscheck(c, d, space) == crosscheck(*small)
+
+
+def test_every_ladder_above_aleph1_realizes_the_same_masks():
+    # the guards read order comparisons and X = aleph0 only, so a taller
+    # ladder adds no guard combination: aleph2's 97 masks recur at each X
+    masks = []
+    for index in (2, 3, 4, 9, 17, 40):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        facts = [designs._facts(s, space) for s in descriptor_grid(space, 6)]
+        masks.append({designs._mask(c, d) for c, d in itertools.product(facts, repeat=2)})
+    assert len(masks[0]) == 97
+    assert all(m == masks[0] for m in masks)
 
 
 @pytest.mark.parametrize("space", [X0, X1])

@@ -171,7 +171,7 @@ INSTANCE = FiniteInstance(4, ((0, 1), (1, 2)), 1, 2)
 # they make) for every record that validates on construction
 REPLACEMENTS = [
     (F(3), {"value": -1}, "cardinal value must be >= 0, got -1", {"value": 4}, F(4)),
-    (F(5), {"infinite": True}, "aleph index 5 exceeds the supported ladder (max 3)",
+    (F(5), {"infinite": 1}, "cardinal flag infinite must be bool, got 1",
      {"infinite": True, "value": 1}, ALEPH1),
     (LambdaValue.exact(ALEPH0), {"family": "W"},
      "LambdaValue is either exact or a family size", {"value": ALEPH1},
