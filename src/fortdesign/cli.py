@@ -18,12 +18,7 @@ from typing import NamedTuple
 
 from .cardinal import ALEPH0, Cardinal, parse_natural
 from .concrete import ConcreteSet, extract_descriptor, local_design_check
-from .descriptors import (
-    SpaceDescriptor,
-    SubsetDescriptor,
-    complement,
-    subspace_homeomorphic,
-)
+from .descriptors import SpaceDescriptor, SubsetDescriptor
 from .designs import (
     ClassW,
     DesignType,
@@ -230,14 +225,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             args.cutoff,
             require_complement=require_complement,
         )
-        # condition IV (types 3 and 4): a probe's complement is shaped like X \ C
+        # condition IV (types 3 and 4): a probe shaped like C has C's descriptor
         condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
-        co_c = complement(query.c)
         bad_complement = [
             p.probe
             for p in report.probes
-            if condition_iv
-            and not subspace_homeomorphic(complement(extract_descriptor(p.probe)), co_c)
+            if condition_iv and extract_descriptor(p.probe) != query.c
         ]
         problems = []
         if report.rejected:

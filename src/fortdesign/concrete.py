@@ -48,11 +48,7 @@ from .cardinal import (
     _make_validated,
     parse_points,
 )
-from .descriptors import (
-    SubsetDescriptor,
-    complement as descriptor_complement,
-    subspace_homeomorphic,
-)
+from .descriptors import SubsetDescriptor, subspace_homeomorphic
 from .designs import ClassW, FamilyDescriptor, OddTail, Singleton
 
 
@@ -564,11 +560,11 @@ def _window_counter(
 
 
 def _window_prefix(cutoff: int, prefix: int | None) -> int:
-    if cutoff < 1:
+    if _exactly(int, cutoff, "cutoff") < 1:
         raise ValueError("cutoff must be >= 1")
     if prefix is None:
         return max(12, cutoff + 2)
-    if prefix < 0:
+    if _exactly(int, prefix, "prefix") < 0:
         raise ValueError("prefix must be >= 0")
     return prefix
 
@@ -665,12 +661,12 @@ def local_design_check(
 ) -> DesignCheckReport:
     """Check a witness family against the design conditions on a bounded window.
 
-    Every window block must be shaped like D (and have its complement
-    shaped like X \\ D when ``require_complement``, i.e. for the types that
-    constrain complements).  Probes not shaped like C are rejected and
-    listed.  For the accepted probes the report carries the window count and
-    the family-wide one (the closed form with no cutoff and no prefix, None
-    when infinite), and flags a pair with different family-wide counts, an
+    Every block must be shaped like D and, when ``require_complement`` (types
+    1 and 3), have D's descriptor: condition II, a complement shaped like
+    X \\ D, is checked as descriptor equality.  Probes not shaped like C are
+    rejected and listed.  Accepted probes get the window count and the
+    family-wide one (the closed form with no cutoff and no prefix, None when
+    infinite), and a pair with different family-wide counts is flagged, an
     infinite one differing from every finite one at any cutoff.
 
     The window is the one :func:`blocks_containing` enumerates, but nothing
@@ -683,6 +679,7 @@ def local_design_check(
     and a window of more than ``LISTING_BUDGET`` blocks raises
     ``ValueError`` before the listing starts.
     """
+    _exactly(bool, require_complement, "require_complement")
     prefix = _window_prefix(cutoff, prefix)
     blocks_checked, counts = _window_counter(family, cutoff, prefix)
     blocks = _window_blocks(family, cutoff, prefix)
@@ -692,9 +689,7 @@ def local_design_check(
         shape = extract_descriptor(first)
         if not subspace_homeomorphic(shape, d):
             failure = "not shaped like D"
-        elif require_complement and not subspace_homeomorphic(
-            descriptor_complement(shape), descriptor_complement(d)
-        ):
+        elif require_complement and shape != d:
             failure = "complement not shaped like X \\ D"
     if failure and blocks_checked > LISTING_BUDGET:
         raise ValueError(

@@ -18,7 +18,7 @@ __all__ = [
 
 from typing import Iterable, NamedTuple
 
-from .cardinal import Cardinal, ZERO, _make_validated
+from .cardinal import Cardinal, ZERO, _exactly, _make_validated
 
 
 class _SpaceFields(NamedTuple):
@@ -155,6 +155,8 @@ def descriptor_grid(
     grid has 4m+3+4i descriptors, and 2m with finite sizes only (m is
     ``max_finite``), so a caller can budget it before building it.
     """
+    _exactly(int, max_finite, "max_finite")
+    _exactly(bool, finite_sizes_only, "finite_sizes_only")
     sizes: list[Cardinal] = [Cardinal.finite(n) for n in range(1, max_finite + 1)]
     if not finite_sizes_only:
         sizes += [Cardinal.aleph(i) for i in range(space.size.value + 1)]

@@ -75,6 +75,8 @@ class DesignType(enum.IntEnum):
     its complement (condition II); probes counted may be all copies of C
     (condition III) or only complement-respecting copies (condition IV).
     Type 1 = (II, III), type 2 = (I, III), type 3 = (II, IV), type 4 = (I, IV).
+    Matching a set together with its complement (conditions II and IV) is
+    having that set's descriptor, as ``pair_equivalent`` states.
     """
 
     TYPE1 = 1

@@ -227,21 +227,27 @@ def _recounted(inst: FiniteInstance, probe: tuple[int, ...], count: int) -> int:
     return count
 
 
+def _check_all_k(n: int, k: int, t: int) -> None:
+    _exactly(int, n, "n")
+    _exactly(int, k, "k")
+    _exactly(int, t, "t")
+    if not (1 <= t < k < n):
+        raise ValueError("parameters must satisfy 1 <= t < k < n")
+
+
 def all_k_subsets_lambda(n: int, k: int, t: int) -> int:
     """Closed form for the all-k-subsets family: binomial(n-t, k-t).
 
     Must agree with :func:`brute_lambda` on the corresponding instance; the
     two routes stay independent on purpose.
     """
-    if not (1 <= t < k < n):
-        raise ValueError("parameters must satisfy 1 <= t < k < n")
+    _check_all_k(n, k, t)
     return math.comb(n - t, k - t)
 
 
 def all_k_subsets_instance(n: int, k: int, t: int) -> FiniteInstance:
     """The instance whose blocks are every k-subset of an n-set."""
-    if not (1 <= t < k < n):
-        raise ValueError("parameters must satisfy 1 <= t < k < n")
+    _check_all_k(n, k, t)
     blocks = tuple(frozenset(b) for b in itertools.combinations(range(n), k))
     return FiniteInstance(n=n, blocks=blocks, c_size=t, d_size=k)
 

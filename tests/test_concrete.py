@@ -510,6 +510,39 @@ class TestBlockCounts:
             blocks_containing(ClassW(d), F((1,)), 5, prefix=-1)
 
 
+D3 = sd(FC(3), False, ALEPH0)
+C2 = sd(FC(2), False, ALEPH0)
+D_ODD = sd(ALEPH0, True, ALEPH0)
+
+
+@pytest.mark.parametrize("make, message", [
+    # each was once read as other input or raised TypeError: True as
+    # prefix or cutoff 1, 2.5 as a cutoff, "no" and 1 as true
+    (lambda: local_design_check(ClassW(D3), C2, D3, [F((0, 5))], 5, prefix=True),
+     "prefix must be int, got True"),
+    (lambda: local_design_check(ClassW(D3), C2, D3, [F((0, 5))], 2.5),
+     "cutoff must be int, got 2.5"),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, [F((1, 4))], 2.5),
+     "cutoff must be int, got 2.5"),
+    (lambda: local_design_check(ClassW(D3), C2, D3, [], 5, require_complement="no"),
+     "require_complement must be bool, got 'no'"),
+    (lambda: local_design_check(ClassW(D3), C2, D3, [], 5, require_complement=1),
+     "require_complement must be bool, got 1"),
+    (lambda: blocks_containing(ClassW(D3), F((0, 5)), 5, prefix=True),
+     "prefix must be int, got True"),
+    (lambda: blocks_containing(ClassW(D3), F((1, 5)), 5, prefix=12.0),
+     "prefix must be int, got 12.0"),
+    (lambda: blocks_containing(ClassW(D3), F((1, 5)), True),
+     "cutoff must be int, got True"),
+    (lambda: blocks_containing(OddTail(), F((1, 4)), 2.5),
+     "cutoff must be int, got 2.5"),
+])
+def test_window_arguments_are_read_exactly(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 class TestLocalDesignCheck:
     def test_odd_tail_family_is_consistent(self):
         c, d = sd(FC(2), True, ALEPH0), sd(ALEPH0, True, ALEPH0)

@@ -1,10 +1,12 @@
 import hashlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # the SHA-256 of each demo's stdout: a demo's output changes only with this table
 STDOUT_SHA256 = {
@@ -27,3 +29,18 @@ def test_demo_runs_and_repeats(demo, capsys):
     assert outputs[0]
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == STDOUT_SHA256[demo.stem]
+
+
+def test_readme_examples_print_their_comments(capsys):
+    # the ```python blocks run in order in one namespace; each prints
+    # exactly its full-line "# ..." comments
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        expected = [
+            line.strip()[2:] for line in block.splitlines() if line.strip().startswith("# ")
+        ]
+        assert capsys.readouterr().out.splitlines() == expected

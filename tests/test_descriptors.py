@@ -165,12 +165,30 @@ def test_pair_equivalent_is_an_equivalence_relation():
 
 
 def test_pair_equivalent_implies_subspace_homeomorphic():
-    for space in (X0, X1):
-        grid = descriptor_grid(space, max_finite=4)
+    # and conversely: u ~ v with X \ u ~ X \ v is u == v, which is how the
+    # concrete check and verify test conditions II and IV
+    for index in range(4):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        grid = descriptor_grid(space, max_finite=6)
         for u, v in itertools.product(grid, repeat=2):
-            if pair_equivalent(u, v, space):
-                assert subspace_homeomorphic(u, v)
-                assert subspace_homeomorphic(complement(u), complement(v))
+            both = subspace_homeomorphic(u, v) and subspace_homeomorphic(
+                complement(u), complement(v)
+            )
+            assert pair_equivalent(u, v, space) == both == (u == v)
+
+
+@pytest.mark.parametrize("args, message", [
+    # each was once read as other input or raised TypeError: True as
+    # max_finite 1, "no" and 0 as flags, 4.0 reached range()
+    ((X0, True), "max_finite must be int, got True"),
+    ((X0, 4.0), "max_finite must be int, got 4.0"),
+    ((X0, 4, "no"), "finite_sizes_only must be bool, got 'no'"),
+    ((X0, 4, 0), "finite_sizes_only must be bool, got 0"),
+])
+def test_grid_arguments_are_read_exactly(args, message):
+    with pytest.raises(ValueError) as exc:
+        descriptor_grid(*args)
+    assert str(exc.value) == message
 
 
 def test_embeddable_reflexive_and_transitive_on_the_grid():

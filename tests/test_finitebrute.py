@@ -48,6 +48,22 @@ def test_closed_form_examples():
         all_k_subsets_instance(5, 5, 2)
 
 
+@pytest.mark.parametrize("make, message", [
+    # each was once read as other input or raised TypeError: True as t = 1,
+    # and 6.0 or 3.0 reached range() and math.comb
+    (lambda: all_k_subsets_lambda(6, 3, True), "t must be int, got True"),
+    (lambda: all_k_subsets_lambda(6.0, 3, 2), "n must be int, got 6.0"),
+    (lambda: all_k_subsets_lambda(6, 3.0, 2), "k must be int, got 3.0"),
+    (lambda: all_k_subsets_instance(6.0, 3, 2), "n must be int, got 6.0"),
+    (lambda: all_k_subsets_instance(6, 3.0, 2), "k must be int, got 3.0"),
+    (lambda: all_k_subsets_instance(6, 3, True), "t must be int, got True"),
+])
+def test_closed_form_arguments_are_read_exactly(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_removing_one_block_breaks_uniformity():
     full = all_k_subsets_instance(7, 3, 2)
     blocks = tuple(b for b in full.blocks if b != frozenset({0, 1, 2}))
