@@ -35,6 +35,8 @@ class SpaceDescriptor(_SpaceFields):
     __slots__ = ()
 
     def __new__(cls, size: Cardinal) -> "SpaceDescriptor":
+        if type(size) is not Cardinal:
+            raise ValueError(f"the space size must be a Cardinal, got {size!r}")
         if not size.infinite:
             raise ValueError("the ambient space must be infinite")
         return tuple.__new__(cls, (size,))
@@ -58,8 +60,15 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     """Check every descriptor invariant; the returned list is empty iff valid.
 
     Violations are data, not exceptions: callers that require validity raise
-    on a nonempty result, probes and complements may inspect it.
+    on a nonempty result, probes and complements may inspect it.  A size or
+    cosize that is no ``Cardinal`` is reported alone: comparing it would raise.
     """
+    if type(subset.size) is not Cardinal or type(subset.cosize) is not Cardinal:
+        named = ("size", subset.size), ("cosize", subset.cosize)
+        return [
+            f"{name} must be a Cardinal, got {value!r}"
+            for name, value in named if type(value) is not Cardinal
+        ]
     violations = []
     x = space.size
     if max(subset.size, subset.cosize) != x:
@@ -77,6 +86,7 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     return violations
 
 
+# no library code calls it; it stays public because perfbench/tracing.py wraps it
 def complement(subset: SubsetDescriptor) -> SubsetDescriptor:
     """Descriptor of X minus the subset: size and cosize swap and b changes
     sides, so the space is not needed.  An involution on valid descriptors."""

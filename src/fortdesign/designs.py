@@ -22,18 +22,18 @@ A guard is a conjunction of atoms, each one bit of an integer mask:
 the comparisons read, once per descriptor; ``_mask`` combines two of them
 into the mask of a case.  The first row whose ``required`` atoms all hold
 and whose ``forbidden`` atoms all fail decides.  An outcome is a refusal
-reason or a (multiplicity, witness) pair of functions of D and X only, never
-of C; the witness is one of four constructors: the class W(D), the class
-L(D), the space holding b exactly when D does, and the odd-tail family.  So
-``sweep`` checks each witness once per (witness, D) and builds no verdict.
+reason or a (multiplicity, witness) pair: a value, a ``LambdaValue`` or None
+for card(X), and one of four constructors of D and X, never of C: the class
+W(D), the class L(D), the space holding b exactly when D does, and the
+odd-tail family.  So ``sweep`` checks each witness once per (witness, D).
 
 Validation contract: ``decide`` and ``crosscheck``, the only checks of the
-descriptors a caller passes in, validate C and D against the space once and
-then run the tables of ``_RULES`` through ``_decide``, which assumes valid,
-nonempty descriptors and never calls a public entry; ``decide_type1`` ..
-``decide_type4`` are ``decide`` with the type fixed.  ``sweep`` runs the
-same tables directly on ``descriptor_grid``'s descriptors, valid and
-nonempty.
+descriptors a caller passes in, validate C and D against the space once.
+Then ``decide`` reads its type's deciding row into one verdict, and
+``crosscheck`` reads the four types' rows through ``_plan``, the tables'
+other reader, with no verdict, as ``sweep`` does on ``descriptor_grid``'s
+valid, nonempty descriptors.  ``decide_type1`` .. ``decide_type4`` are
+``decide`` with the type fixed.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def _mask(c: _Facts, d: _Facts) -> int:
     return m
 
 
-# The four witness constructors and the multiplicities, functions of (d, x)
+# The four witness constructors, functions of (d, x)
 def _class_w(d: SubsetDescriptor, x: SpaceDescriptor) -> ClassW:
     return ClassW(d)
 
@@ -345,20 +345,12 @@ def _odd_tail(d: SubsetDescriptor, x: SpaceDescriptor) -> OddTail:
     return OddTail()
 
 
-def _fixed(value: LambdaValue):
-    """The multiplicity that is value for every D and X."""
-    return lambda d, x: value
-
-
-_ONE_BLOCK = _fixed(LambdaValue.exact(ONE))
-_ALEPH0_BLOCKS = _fixed(LambdaValue.exact(ALEPH0))
-_CARD_W = _fixed(LambdaValue.family_size("W"))
-_CARD_L = _fixed(LambdaValue.family_size("L"))
-_CARD_W_CONTAINING_C = _fixed(LambdaValue.family_size("{E in W : C subset E}"))
-
-
-def _card_x(d: SubsetDescriptor, x: SpaceDescriptor) -> LambdaValue:
-    return LambdaValue.exact(x.size)
+_ONE_BLOCK = LambdaValue.exact(ONE)
+_ALEPH0_BLOCKS = LambdaValue.exact(ALEPH0)
+_CARD_W = LambdaValue.family_size("W")
+_CARD_L = LambdaValue.family_size("L")
+_CARD_W_CONTAINING_C = LambdaValue.family_size("{E in W : C subset E}")
+_CARD_X = None
 
 
 # The case tables.  Each is an ordered tuple of (tag, required, forbidden,
@@ -366,8 +358,8 @@ def _card_x(d: SubsetDescriptor, x: SpaceDescriptor) -> LambdaValue:
 # whose required atoms all hold and whose forbidden atoms all fail decides,
 # so a row may assume that every earlier row failed; the last row requires
 # and forbids nothing.  An outcome is either the reason no design exists,
-# or a (multiplicity, witness) pair of functions of (d, x), the witness one
-# of the four constructors above; a sweep checks each once per (witness, D).
+# or a (multiplicity, witness) pair, a value (_CARD_X is card(X)) and one of
+# the four constructors above; decide and _plan are the tables' two readers.
 
 _TYPE1 = (
     ("remark-card", C_GT_D, 0,
@@ -386,7 +378,7 @@ _TYPE1 = (
     # b is in D from here on: finite C in the c1 rows, infinite C after them
     ("c1-bound", C_FINITE | C_PLUS_2_GT_D, 0,
      "finite C with b in D requires card(C) + 2 <= card(D)"),
-    ("c1-case5", C_FINITE | D_FINITE, 0, (_card_x, _class_w)),
+    ("c1-case5", C_FINITE | D_FINITE, 0, (_CARD_X, _class_w)),
     ("c1-case4", C_FINITE | X_ALEPH0 | D_COSIZE_0, 0, (_ONE_BLOCK, _the_space)),
     ("c1-case3", C_FINITE | X_ALEPH0 | D_COSIZE_FINITE, 0, (_ALEPH0_BLOCKS, _class_w)),
     ("c1-case2", C_FINITE | X_ALEPH0, 0, (_ALEPH0_BLOCKS, _odd_tail)),
@@ -447,18 +439,6 @@ def _deciding_row(table, m: int) -> tuple:
         _, required, forbidden, _ = row
         if m & required == required and not m & forbidden:
             return row
-
-
-def _decide(
-    table, c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
-) -> Verdict:
-    """Run a case table on valid, nonempty C and D: the first row that holds decides."""
-    m = _mask(_facts(c, space), _facts(d, space))
-    tag, _, _, outcome = _deciding_row(table, m)
-    if isinstance(outcome, str):
-        return Verdict.no(tag, outcome)
-    multiplicity, witness = outcome
-    return Verdict.yes(multiplicity(d, space), witness(d, space), tag)
 
 
 def decide_type1(
@@ -523,13 +503,19 @@ def decide(
     """Decide existence of a design of the given type for C and D in the space."""
     table = _RULES[DesignType.of(design_type)]
     _require_valid(space, C=c, D=d)
-    return _decide(table, c, d, space)
+    tag, _, _, outcome = _deciding_row(table, _mask(_facts(c, space), _facts(d, space)))
+    if isinstance(outcome, str):
+        return Verdict.no(tag, outcome)
+    multiplicity, witness = outcome
+    if multiplicity is _CARD_X:
+        multiplicity = LambdaValue.exact(space.size)
+    return Verdict.yes(multiplicity, witness(d, space), tag)
 
 
 class CrosscheckReport(NamedTuple):
     """The four equivalent non-existence statements, evaluated independently.
 
-    ``no_type2`` and ``no_type4`` come from the deciders, ``obstruction`` is
+    ``no_type2`` and ``no_type4`` come from the tables, ``obstruction`` is
     the direct membership/cardinality condition, ``not_embeddable`` negates
     the embedding predicate.  All four must agree.
     """
@@ -562,12 +548,9 @@ def crosscheck(
 ) -> CrosscheckReport:
     """Evaluate the four-way non-existence equivalence for types 2 and 4."""
     _require_valid(space, C=c, D=d)
-    return CrosscheckReport(
-        not _decide(_RULES[DesignType.TYPE2], c, d, space).exists,
-        not _decide(_RULES[DesignType.TYPE4], c, d, space).exists,
-        _obstruction(c, d),
-        not embeddable(c, d),
-    )
+    m = _mask(_facts(c, space), _facts(d, space))
+    _, _, no_type2, no_type4 = _plan(tuple(_RULES.items()), m)
+    return CrosscheckReport(no_type2, no_type4, _obstruction(c, d), not embeddable(c, d))
 
 
 def _obstruction(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:
@@ -635,8 +618,8 @@ def _plan(rules: tuple, m: int) -> tuple:
     """What mask m settles under rules, a tuple of (type, table) pairs, for
     every C and D: the (type, witness constructor) of each type that exists,
     the broken edges of the condition lattice, no type 2 and no type 4."""
-    # each deciding row's tag is checked here, once per mask, since sweep
-    # builds no verdict; a type's witness is None when it does not exist
+    # each deciding row's tag is checked here, as neither sweep nor crosscheck
+    # builds a verdict; a type's witness is None when it does not exist
     witnesses = {}
     for t, table in rules:
         tag, _, _, outcome = _deciding_row(table, m)

@@ -869,6 +869,45 @@ def test_listing_budget_is_checked_against_the_window_count(monkeypatch):
         local_design_check(family, d, d, [], 7, prefix=9)
 
 
+def drawn_blocks(monkeypatch):
+    """Every block the window streams yield from now on."""
+    drawn, built = [], concrete._window_blocks
+
+    def counted(*args):
+        for block in built(*args):
+            drawn.append(block)
+            yield block
+
+    monkeypatch.setattr(concrete, "_window_blocks", counted)
+    return drawn
+
+
+def test_a_walk_past_the_budget_is_refused_before_the_next_block(monkeypatch):
+    # no block of this b-free window holds b, so at cutoff 100 the walk
+    # would draw all comb(102, 3) = 171,700 blocks
+    family = ClassW(sd(FC(3), False, ALEPH0))
+    drawn = drawn_blocks(monkeypatch)
+    monkeypatch.setattr(concrete, "LISTING_BUDGET", 1000)
+    with pytest.raises(
+        ValueError, match="^walking 171700 window blocks exceeds the budget of 1000 blocks$"
+    ):
+        blocks_containing(family, F((0,)), 100)
+    assert len(drawn) == 1000
+    # a walk that saturates first is unchanged
+    drawn.clear()
+    assert blocks_containing(family, F((1,)), 100) == BlockCount.at_least(100)
+    assert len(drawn) == 100
+    # and so is one whose window ends first, at the budget or below it
+    for budget in (1000, 220):
+        monkeypatch.setattr(concrete, "LISTING_BUDGET", budget)
+        drawn.clear()
+        assert blocks_containing(family, F((0,)), 10) == BlockCount.exactly(0)
+        assert len(drawn) == math.comb(12, 3) == 220
+    monkeypatch.setattr(concrete, "LISTING_BUDGET", 219)
+    with pytest.raises(ValueError, match="budget of 219 blocks"):
+        blocks_containing(family, F((0,)), 10)
+
+
 def test_design_check_reads_its_family_once(monkeypatch):
     # one layout gives every count, and the stream that yields the
     # shape-check block lays the window out once more

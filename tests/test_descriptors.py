@@ -74,6 +74,16 @@ def test_validate_reports_a_contains_b_that_is_not_a_bool():
     ]
 
 
+def test_validate_reports_only_a_size_that_is_not_a_cardinal():
+    # the other invariants compare sizes, which would raise
+    assert validate(sd(3, "no", None), X0) == [
+        "size must be a Cardinal, got 3",
+        "cosize must be a Cardinal, got None",
+    ]
+    assert validate(sd(F(3), True, (True, 0)), X0) == [
+        "cosize must be a Cardinal, got (True, 0)"]
+
+
 def reference_conditions(s, space):
     """The seven descriptor invariants, written out one by one."""
     x = space.size

@@ -422,6 +422,18 @@ def witness_keys(max_aleph, max_finite, finite_sizes_only=False):
     return keys
 
 
+def built_verdicts(monkeypatch):
+    """The arguments of every later ``Verdict`` construction."""
+    verdicts, build = [], Verdict.__new__
+
+    def counted_build(cls, *args, **kwargs):
+        verdicts.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Verdict, "__new__", counted_build)
+    return verdicts
+
+
 @pytest.mark.parametrize("config", [(1, 6, False), (3, 2, True), (0, 1, False)])
 def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
     # the four constructors build families of four classes, so one witness
@@ -433,14 +445,7 @@ def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
         for d in descriptor_grid(space, *config[1:])
     ]
     calls = {name: counted(monkeypatch, name) for name in ("_facts", "witness_violations")}
-    verdicts = []
-    build = Verdict.__new__
-
-    def counted_build(cls, *args, **kwargs):
-        verdicts.append(args)
-        return build(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Verdict, "__new__", counted_build)
+    verdicts = built_verdicts(monkeypatch)
 
     def work():
         return list(calls["witness_violations"]), list(calls["_facts"])
@@ -457,6 +462,30 @@ def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
     d, space = grids[0]
     decide(1, d, d, space)
     assert len(verdicts) == 1
+
+
+def test_crosscheck_builds_no_verdict(monkeypatch):
+    # crosscheck reads no_type2 and no_type4 from the case's plan, as sweep
+    # does, and agrees with decide's verdicts
+    grid = descriptor_grid(X0, 3)
+    expected = {
+        (c, d): (not decide(2, c, d, X0).exists, not decide(4, c, d, X0).exists)
+        for c, d in itertools.product(grid, repeat=2)
+    }
+    verdicts = built_verdicts(monkeypatch)
+    for (c, d), statements in expected.items():
+        report = crosscheck(c, d, X0)
+        assert (report.no_type2, report.no_type4) == statements
+    assert verdicts == []
+    # the plan checks the tag of each deciding row, as a verdict would
+    relabelled = tuple(
+        row if isinstance(row[3], str) else ("t5", *row[1:])
+        for row in designs._RULES[DesignType.TYPE2]
+    )
+    monkeypatch.setitem(designs._RULES, DesignType.TYPE2, relabelled)
+    c, d = sd(F(1), True, ALEPH0), sd(ALEPH0, True, ALEPH0)
+    with pytest.raises(ValueError, match="unknown case tag 't5'"):
+        crosscheck(c, d, X0)
 
 
 def test_sweep_checks_the_tag_of_a_row_that_shares_its_outcome(monkeypatch):
@@ -523,7 +552,13 @@ def test_every_existence_row_names_one_of_the_four_witnesses():
                 continue
             assert type(outcome) is tuple and len(outcome) == 2, tag
             multiplicity, witness = outcome
-            assert callable(multiplicity) and witness in WITNESS_CONSTRUCTORS, tag
+            # a multiplicity is a value; card(X), the one that reads the
+            # space, is the placeholder decide resolves
+            if tag == "c1-case5":
+                assert multiplicity is designs._CARD_X, tag
+            else:
+                assert type(multiplicity) is LambdaValue, tag
+            assert witness in WITNESS_CONSTRUCTORS, tag
             used.add(witness)
     assert used == WITNESS_CONSTRUCTORS
 
@@ -628,6 +663,21 @@ def test_decide_rejects_a_contains_b_that_is_not_a_bool():
     c = sd(F(3), "no", ALEPH0)
     with pytest.raises(DescriptorError, match="contains_b must be bool, got 'no'"):
         decide(2, c, VALID, X0)
+
+
+@pytest.mark.parametrize("c, message", [
+    (sd(3, True, ALEPH0), "size must be a Cardinal, got 3"),
+    (sd("3", True, ALEPH0), "size must be a Cardinal, got '3'"),
+    (sd((False, 3), True, ALEPH0), "size must be a Cardinal, got (False, 3)"),
+    (sd(F(3), True, None), "cosize must be a Cardinal, got None"),
+])
+def test_decide_and_crosscheck_reject_a_size_that_is_not_a_cardinal(c, message):
+    # comparing such a size with a Cardinal raised TypeError, or reading
+    # .infinite off it AttributeError
+    for check in (functools.partial(decide, 1), crosscheck):
+        with pytest.raises(DescriptorError) as raised:
+            check(c, VALID, X0)
+        assert raised.value.violations == (f"C: {message}",)
 
 
 def test_verdict_construction_guards():
@@ -981,8 +1031,8 @@ def test_case_tags_are_the_wire_format():
 
 def test_type4_table_agrees_with_type2_on_existence():
     for c, d, space in grid_cases():
-        v2 = designs._decide(designs._TYPE2, c, d, space)
-        v4 = designs._decide(designs._TYPE4, c, d, space)
+        v2 = decide(2, c, d, space)
+        v4 = decide(4, c, d, space)
         assert v4.exists == v2.exists
         assert (v4.lambda_, v4.witness) == (v2.lambda_, v2.witness)
         assert v4.case_tag == ("t4" if v4.exists else v2.case_tag)

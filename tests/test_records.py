@@ -139,6 +139,9 @@ def test_concrete_set_keeps_its_derived_field(cofinite, holds_b, text):
     (lambda: ConcreteSet(False, (1.5,)), "a ground-set element must be int, got 1.5"),
     (lambda: ConcreteSet(True, (True,)), "a ground-set element must be int, got True"),
     (lambda: ConcreteSet.finite((2, -1)), "ground-set elements are naturals"),
+    (lambda: SpaceDescriptor(3), "the space size must be a Cardinal, got 3"),
+    (lambda: SpaceDescriptor(None), "the space size must be a Cardinal, got None"),
+    (lambda: SpaceDescriptor((True, 0)), "the space size must be a Cardinal, got (True, 0)"),
     (lambda: OddTailBlock(True), "an odd-tail block index must be int, got True"),
     (lambda: OddTailBlock(2.0), "an odd-tail block index must be int, got 2.0"),
     (lambda: OddTailBlock(0), "odd-tail blocks are numbered from 1"),
