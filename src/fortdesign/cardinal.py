@@ -159,9 +159,10 @@ class LambdaValue(_LambdaFields):
     ) -> "LambdaValue":
         if (value is None) == (family is None):
             raise ValueError("LambdaValue is either exact or a family size")
-        if value is not None and value < ONE:
-            raise ValueError("design multiplicity must be >= 1")
-        if family is not None and not family:
+        if family is None:
+            if _exactly(Cardinal, value, "design multiplicity") < ONE:
+                raise ValueError("design multiplicity must be >= 1")
+        elif not _exactly(str, family, "family-size label"):
             raise ValueError("family-size label must be nonempty")
         return tuple.__new__(cls, (value, family))
 

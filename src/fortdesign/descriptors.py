@@ -60,9 +60,12 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     """Check every descriptor invariant; the returned list is empty iff valid.
 
     Violations are data, not exceptions: callers that require validity raise
-    on a nonempty result, probes and complements may inspect it.  A size or
-    cosize that is no ``Cardinal`` is reported alone: comparing it would raise.
+    on a nonempty result, probes and complements may inspect it.  A subset
+    that is no ``SubsetDescriptor``, or a size or cosize that is no
+    ``Cardinal``, is reported alone: reading or comparing it would raise.
     """
+    if type(subset) is not SubsetDescriptor:
+        return [f"must be a SubsetDescriptor, got {subset!r}"]
     if type(subset.size) is not Cardinal or type(subset.cosize) is not Cardinal:
         named = ("size", subset.size), ("cosize", subset.cosize)
         return [
@@ -165,7 +168,8 @@ def descriptor_grid(
     grid has 4m+3+4i descriptors, and 2m with finite sizes only (m is
     ``max_finite``), so a caller can budget it before building it.
     """
-    _exactly(int, max_finite, "max_finite")
+    if _exactly(int, max_finite, "max_finite") < 0:
+        raise ValueError(f"max_finite must be >= 0, got {max_finite}")
     _exactly(bool, finite_sizes_only, "finite_sizes_only")
     sizes: list[Cardinal] = [Cardinal.finite(n) for n in range(1, max_finite + 1)]
     if not finite_sizes_only:

@@ -106,7 +106,9 @@ class FamilyDescriptor:
 
     A family is a tuple-backed record.  Two families are equal only when
     they are of one class and hold equal fields, so W(D), L(D) and the
-    singleton {D} are three families and none equals a plain tuple.
+    singleton {D} are three families and none equals a plain tuple.  Its
+    text is the class's name for the family (``W``, ``L``, ``singleton``,
+    ``odd-tail``) followed by its one field, if it has one.
     """
 
     __slots__ = ()
@@ -121,7 +123,7 @@ class FamilyDescriptor:
         return hash((type(self), tuple.__hash__(self)))
 
     def to_text(self) -> str:
-        raise NotImplementedError
+        return self._label + "".join(map(str, self))
 
 
 class _ClassFields(NamedTuple):
@@ -132,18 +134,14 @@ class ClassW(FamilyDescriptor, _ClassFields):
     """All subsets pair-equivalent to the base: same shape and complement shape."""
 
     __slots__ = ()
-
-    def to_text(self) -> str:
-        return f"W{self.base}"
+    _label = "W"
 
 
 class ClassL(FamilyDescriptor, _ClassFields):
     """All subsets homeomorphic to the base, complements unconstrained."""
 
     __slots__ = ()
-
-    def to_text(self) -> str:
-        return f"L{self.base}"
+    _label = "L"
 
 
 class _NoFields(NamedTuple):
@@ -160,9 +158,7 @@ class OddTail(FamilyDescriptor, _NoFields):
     """
 
     __slots__ = ()
-
-    def to_text(self) -> str:
-        return "odd-tail"
+    _label = "odd-tail"
 
 
 class _SingletonFields(NamedTuple):
@@ -173,9 +169,7 @@ class Singleton(FamilyDescriptor, _SingletonFields):
     """A one-block family; the member is given by its descriptor."""
 
     __slots__ = ()
-
-    def to_text(self) -> str:
-        return f"singleton{self.member}"
+    _label = "singleton"
 
 
 # A NamedTuple body may not define __new__, so Verdict subclasses its
@@ -204,6 +198,11 @@ class Verdict(_VerdictFields):
         _check_tag(case_tag)
         if exists and (lambda_ is None or witness is None):
             raise ValueError("existence verdicts carry a multiplicity and a witness")
+        _exactly(bool, exists, "exists")
+        if lambda_ is not None:
+            _exactly(LambdaValue, lambda_, "lambda_")
+        if witness is not None and not isinstance(witness, FamilyDescriptor):
+            raise ValueError(f"witness must be a FamilyDescriptor, got {witness!r}")
         return tuple.__new__(cls, (exists, case_tag, lambda_, witness, reason))
 
     _make = classmethod(_make_validated)
@@ -240,12 +239,20 @@ def _check_tag(case_tag: str) -> None:
 
 
 def _violations(s: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
-    """Why s is not a valid, nonempty descriptor in the space; empty if it is."""
-    return validate(s, space) + (["must be nonempty"] if s.size == ZERO else [])
+    """Why s is not a valid, nonempty descriptor in the space; empty if it is.
+    Only a Cardinal size is read as empty: a plain (False, 0) equals ZERO."""
+    violations = validate(s, space)
+    if type(s) is SubsetDescriptor and type(s.size) is Cardinal and s.size == ZERO:
+        violations.append("must be nonempty")
+    return violations
 
 
 def _require_valid(space: SpaceDescriptor, **shapes: SubsetDescriptor) -> None:
-    """Raise unless every named shape is a valid, nonempty descriptor."""
+    """Raise unless the space is a SpaceDescriptor, before any shape is read,
+    and every named shape is a valid, nonempty descriptor in it."""
+    if type(space) is not SpaceDescriptor:
+        message = f"space: must be a SpaceDescriptor, got {space!r}"
+        raise DescriptorError(message, (message,))
     violations = tuple(
         f"{name}: {msg}" for name, s in shapes.items() for msg in _violations(s, space)
     )
@@ -273,18 +280,10 @@ COSIZE_D_GT_C = 1 << 13      # cosize'(D) > cosize'(C)
 _B_IN_C_OR_D = B_IN_C | B_IN_D
 
 
-class _Facts(NamedTuple):
-    """What the guards read of one descriptor in its space."""
-
-    as_c: int  # its atoms when it is C
-    as_d: int  # its atoms when it is D, with X_ALEPH0
-    size: Cardinal
-    size_plus_2: Cardinal
-    size_minus_b: Cardinal
-    cosize_minus_b: Cardinal
-
-
-def _facts(s: SubsetDescriptor, x: SpaceDescriptor) -> _Facts:
+def _facts(s: SubsetDescriptor, x: SpaceDescriptor) -> tuple:
+    """What the guards read of one descriptor in its space, in the order
+    ``_mask`` unpacks it: its atoms as C, its atoms as D (with X_ALEPH0),
+    card(S), card(S) + 2, card(S \\ {b}) and cosize'(S)."""
     finite = not s.size.infinite
     as_c = (
         (B_IN_C if s.contains_b else 0)
@@ -299,17 +298,10 @@ def _facts(s: SubsetDescriptor, x: SpaceDescriptor) -> _Facts:
         | (0 if s.cosize.infinite else D_COSIZE_FINITE)
         | (X_ALEPH0 if x.size == ALEPH0 else 0)
     )
-    return _Facts(
-        as_c,
-        as_d,
-        s.size,
-        csum(s.size, _TWO),
-        size_minus_b(s),
-        cosize_minus_b(s),
-    )
+    return as_c, as_d, s.size, csum(s.size, _TWO), size_minus_b(s), cosize_minus_b(s)
 
 
-def _mask(c: _Facts, d: _Facts) -> int:
+def _mask(c: tuple, d: tuple) -> int:
     """Every atom that holds for C and D, as one bitmask."""
     c_atoms, _, c_size, c_size_plus_2, c_size_minus_b, c_cosize_minus_b = c
     _, d_atoms, d_size, _, d_size_minus_b, d_cosize_minus_b = d
@@ -524,10 +516,6 @@ class CrosscheckReport(NamedTuple):
     no_type4: bool
     obstruction: bool
     not_embeddable: bool
-
-    @property
-    def statements(self) -> tuple[bool, bool, bool, bool]:
-        return tuple(self)
 
     @property
     def consistent(self) -> bool:

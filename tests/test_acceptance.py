@@ -70,7 +70,7 @@ def test_criterion_1_crosscheck_equivalence():
         cases += 1
         report = crosscheck(c, d, space)
         if not report.consistent:
-            failures.append(f"X={space.size} C={c} D={d}: {report.statements}")
+            failures.append(f"X={space.size} C={c} D={d}: {tuple(report)}")
     assert cases == 1690
     _report(1, "four-way non-existence equivalence", failures)
 

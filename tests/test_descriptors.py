@@ -194,6 +194,8 @@ def test_pair_equivalent_implies_subspace_homeomorphic():
     ((X0, 4.0), "max_finite must be int, got 4.0"),
     ((X0, 4, "no"), "finite_sizes_only must be bool, got 'no'"),
     ((X0, 4, 0), "finite_sizes_only must be bool, got 0"),
+    # returned 2 descriptors where 4m+3 counts -1
+    ((X0, -1), "max_finite must be >= 0, got -1"),
 ])
 def test_grid_arguments_are_read_exactly(args, message):
     with pytest.raises(ValueError) as exc:

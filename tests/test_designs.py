@@ -180,12 +180,12 @@ class TestType4:
 class TestCrosscheck:
     def test_all_true_when_no_design(self):
         report = crosscheck(sd(ALEPH0, True, ALEPH0), sd(F(3), True, ALEPH0), X0)
-        assert report.statements == (True, True, True, True)
+        assert tuple(report) == (True, True, True, True)
         assert report.consistent and report.disagreements() == []
 
     def test_all_false_when_design_exists(self):
         report = crosscheck(sd(F(2), True, ALEPH0), sd(F(4), False, ALEPH0), X0)
-        assert report.statements == (False, False, False, False)
+        assert tuple(report) == (False, False, False, False)
 
     def test_grid_sweep_is_clean(self):
         report = sweep()
@@ -233,6 +233,11 @@ INVALID_INPUTS = [
     pytest.param(sd(ALEPH1, True, ALEPH1), VALID, "C: ", id="invalid-C"),
     pytest.param(VALID, sd(F(3), True, F(5)), "D: ", id="invalid-D"),
     pytest.param(sd(F(0), False, ALEPH0), VALID, "C: must be nonempty", id="empty-C"),
+    # a plain tuple or None raised AttributeError reading .size
+    pytest.param((F(3), True, ALEPH0), VALID, "C: must be a SubsetDescriptor, got "
+                 "(Cardinal.finite(3), True, Cardinal.aleph(0))", id="tuple-C"),
+    pytest.param(None, VALID, "C: must be a SubsetDescriptor, got None", id="None-C"),
+    pytest.param(VALID, None, "D: must be a SubsetDescriptor, got None", id="None-D"),
 ]
 
 
@@ -243,6 +248,17 @@ def test_invalid_inputs_are_rejected(entry, c, d, expected):
         entry(c, d, X0)
     assert caught.value.violations
     assert all(v.startswith(expected) for v in caught.value.violations)
+
+
+@pytest.mark.parametrize("space", [(ALEPH0,), None])
+@pytest.mark.parametrize("entry", PUBLIC_ENTRIES)
+def test_a_space_of_the_wrong_type_is_refused_before_c_and_d(entry, space):
+    # reading .size off it raised AttributeError
+    message = f"space: must be a SpaceDescriptor, got {space!r}"
+    with pytest.raises(DescriptorError) as caught:
+        entry(None, None, space)
+    assert caught.value.violations == (message,)
+    assert str(caught.value) == message
 
 
 BAD_COSIZE = "max(size, cosize) must equal card(X)=aleph0, got size=3, cosize=5"
@@ -266,6 +282,9 @@ def test_witness_violations_name_the_invalid_part():
         assert witness_violations(family, VALID, X0) == ["class base: must be nonempty"]
     assert witness_violations(Singleton(sd(F(3), True, F(5))), VALID, X0) == [
         f"singleton member: {BAD_COSIZE}"
+    ]
+    assert witness_violations(ClassW(None), VALID, X0) == [
+        "class base: must be a SubsetDescriptor, got None"
     ]
 
 
@@ -670,6 +689,8 @@ def test_decide_rejects_a_contains_b_that_is_not_a_bool():
     (sd("3", True, ALEPH0), "size must be a Cardinal, got '3'"),
     (sd((False, 3), True, ALEPH0), "size must be a Cardinal, got (False, 3)"),
     (sd(F(3), True, None), "cosize must be a Cardinal, got None"),
+    # a plain tuple equal to ZERO is not also called empty
+    (sd((False, 0), True, ALEPH0), "size must be a Cardinal, got (False, 0)"),
 ])
 def test_decide_and_crosscheck_reject_a_size_that_is_not_a_cardinal(c, message):
     # comparing such a size with a Cardinal raised TypeError, or reading
@@ -693,6 +714,11 @@ def test_verdict_construction_guards():
     (lambda: Verdict.yes(None, OddTail(), "c1-case2"),
      "existence verdicts carry a multiplicity and a witness"),
     (lambda: Verdict.no("made-up-tag", "nope"), "unknown case tag 'made-up-tag'"),
+    (lambda: Verdict(1, "a2", LambdaValue.exact(F(1)), ClassW(VALID)),
+     "exists must be bool, got 1"),
+    (lambda: Verdict.yes(3, ClassW(VALID), "a2"), "lambda_ must be LambdaValue, got 3"),
+    (lambda: Verdict.yes(LambdaValue.exact(F(1)), "notafamily", "a2"),
+     "witness must be a FamilyDescriptor, got 'notafamily'"),
 ])
 def test_verdict_rejections_keep_their_messages(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -732,8 +758,7 @@ def test_verdict_and_report_equality_and_hashing():
 
 
 def test_crosscheck_report_statements_and_disagreements():
-    assert REPORT.statements == (True, False, True, True)
-    assert type(REPORT.statements) is tuple
+    assert tuple(REPORT) == (True, False, True, True)
     assert not REPORT.consistent
     assert REPORT.disagreements() == [
         ("no_type2", "no_type4"),

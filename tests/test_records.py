@@ -142,6 +142,10 @@ def test_concrete_set_keeps_its_derived_field(cofinite, holds_b, text):
     (lambda: SpaceDescriptor(3), "the space size must be a Cardinal, got 3"),
     (lambda: SpaceDescriptor(None), "the space size must be a Cardinal, got None"),
     (lambda: SpaceDescriptor((True, 0)), "the space size must be a Cardinal, got (True, 0)"),
+    (lambda: LambdaValue.exact(3), "design multiplicity must be Cardinal, got 3"),
+    (lambda: LambdaValue.exact((False, 3)),
+     "design multiplicity must be Cardinal, got (False, 3)"),
+    (lambda: LambdaValue.family_size(5), "family-size label must be str, got 5"),
     (lambda: OddTailBlock(True), "an odd-tail block index must be int, got True"),
     (lambda: OddTailBlock(2.0), "an odd-tail block index must be int, got 2.0"),
     (lambda: OddTailBlock(0), "odd-tail blocks are numbered from 1"),
