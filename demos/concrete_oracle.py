@@ -11,6 +11,7 @@ from fortdesign import (
     Cardinal,
     ConcreteSet,
     OddTail,
+    OddTailBlock,
     SubsetDescriptor,
     blocks_containing,
     canonical_homeomorphism,
@@ -19,7 +20,6 @@ from fortdesign import (
     is_open,
     limit_points,
     local_design_check,
-    realize,
 )
 
 F = ConcreteSet.finite
@@ -39,7 +39,7 @@ print(f"  {Co((0,)).to_text()} ~ {Co(()).to_text()}: "
 
 print("\n-- the odd-tail family --")
 for s in (1, 2, 3):
-    block = realize(OddTail(), s)
+    block = OddTailBlock(s)
     head = [x for x in range(12) if x in block]
     print(f"  block {s}: starts {head} ...")
 
@@ -56,4 +56,4 @@ print(f"  blocks checked: {report.blocks_checked}, shape failures: {len(report.b
 for probe_report in report.probes:
     print(f"  {probe_report.probe.to_text():10} count {probe_report.count}")
 print(f"  consistent: {report.consistent}")
-print(f"  block 1 realizes descriptor {extract_descriptor(realize(OddTail(), 1))}")
+print(f"  block 1 realizes descriptor {extract_descriptor(OddTailBlock(1))}")

@@ -74,10 +74,8 @@ class Cardinal(_CardinalFields):
 
     def __new__(cls, infinite: bool, value: int) -> "Cardinal":
         # exact types, so no float, str or bool value and no int flag passes
-        if type(value) is not int:
-            raise ValueError(f"cardinal value must be int, got {value!r}")
-        if type(infinite) is not bool:
-            raise ValueError(f"cardinal flag infinite must be bool, got {infinite!r}")
+        _exactly(int, value, "cardinal value")
+        _exactly(bool, infinite, "cardinal flag infinite")
         if value < 0:
             raise ValueError(f"cardinal value must be >= 0, got {value}")
         return tuple.__new__(cls, (infinite, value))

@@ -345,6 +345,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-
-def entrypoint() -> None:
-    sys.exit(main())

@@ -30,7 +30,7 @@ __all__ = [
     "FamilyEnumerationError", "OddTailBlock", "PointMap", "ProbeReport",
     "blocks_containing", "canonical_homeomorphism", "check_homeomorphism",
     "extract_descriptor", "is_open", "limit_points", "local_design_check",
-    "realize", "realize_descriptor",
+    "realize_descriptor",
 ]
 
 import itertools
@@ -246,8 +246,8 @@ def limit_points(s: ConcreteSet) -> ConcreteSet:
 
 
 class _PointMapFields(NamedTuple):
-    aligned: bool = True
-    exceptions: tuple[tuple[int, int], ...] = ()
+    aligned: bool
+    exceptions: tuple[tuple[int, int], ...]
 
 
 class PointMap(_PointMapFields):
@@ -419,22 +419,6 @@ def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     descriptors have no finite or cofinite realization and are rejected.
     """
     return next(_window_blocks(Singleton(d), 1, 0))
-
-
-def realize(family: FamilyDescriptor, index: int = 1) -> Block:
-    """Materialize one block of an enumerable family.
-
-    Odd-tail blocks are returned in their rule-based representation (they
-    are neither finite nor cofinite); singleton families ignore the index.
-    The symbolic classes W and L cannot be materialized block by block.
-    """
-    if isinstance(family, OddTail):
-        return OddTailBlock(index)
-    if isinstance(family, Singleton):
-        return realize_descriptor(family.member)
-    raise FamilyEnumerationError(
-        f"{family.to_text()} is a symbolic class and cannot be enumerated"
-    )
 
 
 class BlockCount(NamedTuple):

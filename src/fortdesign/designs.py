@@ -177,13 +177,13 @@ class Singleton(FamilyDescriptor, _SingletonFields):
 class _VerdictFields(NamedTuple):
     exists: bool
     case_tag: str
-    lambda_: LambdaValue | None = None
-    witness: FamilyDescriptor | None = None
-    reason: str | None = None
+    lambda_: LambdaValue | None
+    witness: FamilyDescriptor | None
+    reason: str | None
 
 
 class Verdict(_VerdictFields):
-    """Outcome of a decision: existence with witness, or the refusing case."""
+    """Existence with a multiplicity and a witness, or a refusal with its reason."""
 
     __slots__ = ()
 
@@ -203,6 +203,12 @@ class Verdict(_VerdictFields):
             _exactly(LambdaValue, lambda_, "lambda_")
         if witness is not None and not isinstance(witness, FamilyDescriptor):
             raise ValueError(f"witness must be a FamilyDescriptor, got {witness!r}")
+        if exists and reason is not None:
+            raise ValueError("existence verdicts carry no reason")
+        if not exists and (lambda_ is not None or witness is not None):
+            raise ValueError("refusals carry no multiplicity and no witness")
+        if not exists and not _exactly(str, reason, "a refusal's reason"):
+            raise ValueError("a refusal's reason must be nonempty")
         return tuple.__new__(cls, (exists, case_tag, lambda_, witness, reason))
 
     _make = classmethod(_make_validated)
@@ -229,7 +235,7 @@ class Verdict(_VerdictFields):
         return [
             ("exists", "false"),
             ("case_tag", self.case_tag),
-            ("reason", self.reason or ""),
+            ("reason", self.reason),
         ]
 
 
@@ -247,13 +253,16 @@ def _violations(s: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     return violations
 
 
+def _space_violations(space: SpaceDescriptor) -> list[str]:
+    """Why space is not a SpaceDescriptor, reported alone: no shape can be read in it."""
+    if type(space) is SpaceDescriptor:
+        return []
+    return [f"space: must be a SpaceDescriptor, got {space!r}"]
+
+
 def _require_valid(space: SpaceDescriptor, **shapes: SubsetDescriptor) -> None:
-    """Raise unless the space is a SpaceDescriptor, before any shape is read,
-    and every named shape is a valid, nonempty descriptor in it."""
-    if type(space) is not SpaceDescriptor:
-        message = f"space: must be a SpaceDescriptor, got {space!r}"
-        raise DescriptorError(message, (message,))
-    violations = tuple(
+    """Raise unless the space and every named shape, a nonempty one, are valid."""
+    violations = tuple(_space_violations(space)) or tuple(
         f"{name}: {msg}" for name, s in shapes.items() for msg in _violations(s, space)
     )
     if violations:
@@ -551,13 +560,19 @@ def witness_violations(
     d: SubsetDescriptor,
     space: SpaceDescriptor,
 ) -> list[str]:
-    """Validity conditions for a witness family in the given context."""
-    problems: list[str] = []
+    """Validity conditions for a witness family in the given context; a bad space,
+    or a D that ``validate`` refuses where odd-tail reads D, is reported alone."""
+    problems = _space_violations(space)
+    if problems:
+        return problems
     if isinstance(witness, (ClassW, ClassL)):
         problems += [f"class base: {p}" for p in _violations(witness.base, space)]
     elif isinstance(witness, Singleton):
         problems += [f"singleton member: {p}" for p in _violations(witness.member, space)]
     elif isinstance(witness, OddTail):
+        problems = [f"D: {p}" for p in validate(d, space)]
+        if problems:
+            return problems
         if space.size != ALEPH0:
             problems.append("odd-tail family needs a countable space")
         if not d.contains_b:

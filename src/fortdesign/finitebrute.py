@@ -60,7 +60,10 @@ class FiniteInstance(_FiniteInstanceFields):
             raise ValueError("ground set needs at least 2 elements")
         if not (1 <= c_size <= d_size <= n):
             raise ValueError("sizes must satisfy 1 <= c_size <= d_size <= n")
-        frozen = tuple(frozenset(b) for b in blocks)
+        try:
+            frozen = tuple(frozenset(b) for b in blocks)
+        except TypeError:
+            raise ValueError(f"blocks must be an iterable of sets, got {blocks!r}") from None
         for i, block in enumerate(frozen):
             for x in block:
                 if type(x) is not int or not 0 <= x < n:

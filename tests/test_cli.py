@@ -1,10 +1,12 @@
 import contextlib
+import importlib
 import io
 import itertools
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -948,3 +950,18 @@ def test_console_entry_point_via_subprocess(write):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("exists: true")
+
+
+def test_the_console_script_is_main_and_returns_its_exit_code(tmp_path, capsys):
+    # a console script passes the return value of its target to sys.exit
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["fortdesign"]
+    module, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module), name)
+    assert script is main
+    smallest = ["crosscheck", "--grid-max-aleph", "0", "--max-finite", "1",
+                "--finite-sizes-only"]
+    codes = [script(smallest), script(["decide", str(tmp_path / "missing.txt")])]
+    assert [(type(code), code) for code in codes] == [(int, 0), (int, 2)]
+    assert capsys.readouterr().out == "0 violations / 4 cases\n"

@@ -24,7 +24,6 @@ from fortdesign.concrete import (
     is_open,
     limit_points,
     local_design_check,
-    realize,
     realize_descriptor,
 )
 from fortdesign.descriptors import (
@@ -420,25 +419,21 @@ def test_oracle_checks_a_perturbed_map_without_churn(no_churn, u, v, exception):
 
 class TestRealize:
     def test_odd_tail_blocks(self):
-        b1 = realize(OddTail(), 1)
+        b1 = OddTailBlock(1)
         assert [x for x in range(10) if x in b1] == [0, 1, 2, 4, 6, 8]
-        b3 = realize(OddTail(), 3)
+        b3 = OddTailBlock(3)
         assert [x for x in range(10) if x in b3] == [0, 1, 2, 3, 4, 5, 6, 8]
         with pytest.raises(ValueError):
-            realize(OddTail(), 0)
+            OddTailBlock(0)
 
     def test_singleton_realization(self):
-        block = realize(Singleton(sd(ALEPH0, False, FC(1))))
+        block = realize_descriptor(sd(ALEPH0, False, FC(1)))
         assert block == Co((0,))
-        assert realize(Singleton(sd(ALEPH0, True, FC(0)))) == Co(())
-        assert realize(Singleton(sd(FC(3), True, ALEPH0))) == F((0, 1, 2))
-        assert realize(Singleton(sd(FC(3), False, ALEPH0))) == F((1, 2, 3))
+        assert realize_descriptor(sd(ALEPH0, True, FC(0))) == Co(())
+        assert realize_descriptor(sd(FC(3), True, ALEPH0)) == F((0, 1, 2))
+        assert realize_descriptor(sd(FC(3), False, ALEPH0)) == F((1, 2, 3))
 
-    def test_symbolic_classes_are_rejected(self):
-        with pytest.raises(FamilyEnumerationError):
-            realize(ClassW(sd(FC(3), True, ALEPH0)))
-        with pytest.raises(FamilyEnumerationError):
-            realize(ClassL(sd(FC(3), True, ALEPH0)))
+    def test_doubly_infinite_descriptors_are_rejected(self):
         with pytest.raises(FamilyEnumerationError):
             realize_descriptor(sd(ALEPH0, True, ALEPH0))
 

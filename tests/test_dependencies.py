@@ -176,15 +176,15 @@ def test_every_public_method_is_read_in_the_package_or_a_demo():
 
 
 def named_tuple_fields(tree: ast.Module):
-    """(line, "Class.field") per field that a module-level class declares
-    in a body whose bases include ``NamedTuple``."""
+    """(declaration, "Class.field") per field that a module-level class
+    declares in a body whose bases include ``NamedTuple``."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
             isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
         ):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield item.lineno, f"{node.name}.{item.target.id}"
+                    yield item, f"{node.name}.{item.target.id}"
 
 
 def test_every_named_tuple_field_is_read_as_an_attribute_in_the_package():
@@ -198,15 +198,39 @@ def test_every_named_tuple_field_is_read_as_an_attribute_in_the_package():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     fields = [
-        (path, line, name)
+        (path, field.lineno, name)
         for path, tree in trees.items()
-        for line, name in named_tuple_fields(tree)
+        for field, name in named_tuple_fields(tree)
     ]
     assert len(fields) > 40
     assert [
         f"{path}:{line}: {name}"
         for path, line, name in fields
         if name.split(".")[1] not in read
+    ] == []
+
+
+def test_no_fields_class_restates_the_defaults_of_its_records_new():
+    # a record that validates in __new__ takes its arguments, and their
+    # defaults, there: a default on the fields class it subclasses is never
+    # read.  A NamedTuple with no __new__ of its own keeps its defaults.
+    trees = package_trees()
+    validated = {
+        base.id
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__new__"
+                for item in node.body)
+        for base in node.bases
+        if isinstance(base, ast.Name)
+    }
+    assert {"_CardinalFields", "_PointMapFields", "_VerdictFields"} <= validated
+    assert [
+        f"{path}:{field.lineno}: {name}"
+        for path, tree in trees.items()
+        for field, name in named_tuple_fields(tree)
+        if field.value is not None and name.split(".")[0] in validated
     ] == []
 
 

@@ -288,6 +288,30 @@ def test_witness_violations_name_the_invalid_part():
     ]
 
 
+NO_SPACE = ["space: must be a SpaceDescriptor, got None"]
+
+
+@pytest.mark.parametrize("witness, d, space, problems", [
+    (OddTail(), sd(ALEPH0, True, ALEPH0), None, NO_SPACE),
+    (OddTail(), None, None, NO_SPACE),
+    (ClassW(VALID), VALID, None, NO_SPACE),
+    (Singleton(VALID), VALID, ALEPH0,
+     ["space: must be a SpaceDescriptor, got Cardinal.aleph(0)"]),
+    (OddTail(), None, X0, ["D: must be a SubsetDescriptor, got None"]),
+    (OddTail(), sd(3, True, ALEPH0), X0, ["D: size must be a Cardinal, got 3"]),
+    (OddTail(), sd(F(3), True, F(5)), X0, [f"D: {BAD_COSIZE}"]),
+    # a valid D reaches the family's own conditions; W reads no D
+    (OddTail(), VALID, X0, ["odd-tail family needs countably infinite D"]),
+    # validate accepts an empty D: the family's conditions name what it lacks
+    (OddTail(), sd(F(0), False, ALEPH0), X0,
+     ["odd-tail family needs b in D", "odd-tail family needs countably infinite D"]),
+    (ClassW(VALID), None, X0, []),
+], ids=["odd-tail", "odd-tail-no-d", "class-w", "singleton", "no-d", "size-not-cardinal",
+        "bad-cosize", "finite-d", "empty-d", "class-w-reads-no-d"])
+def test_witness_violations_report_wrong_typed_arguments(witness, d, space, problems):
+    assert witness_violations(witness, d, space) == problems
+
+
 def test_sweep_case_count_is_the_grid_closed_form():
     for m in range(30):
         for finite_only in (False, True):
@@ -719,6 +743,15 @@ def test_verdict_construction_guards():
     (lambda: Verdict.yes(3, ClassW(VALID), "a2"), "lambda_ must be LambdaValue, got 3"),
     (lambda: Verdict.yes(LambdaValue.exact(F(1)), "notafamily", "a2"),
      "witness must be a FamilyDescriptor, got 'notafamily'"),
+    (lambda: Verdict(False, "b", LambdaValue.exact(F(1)), OddTail(), "r"),
+     "refusals carry no multiplicity and no witness"),
+    (lambda: Verdict(False, "b", witness=OddTail(), reason="r"),
+     "refusals carry no multiplicity and no witness"),
+    (lambda: Verdict(True, "a2", LambdaValue.exact(F(1)), OddTail(), "r"),
+     "existence verdicts carry no reason"),
+    (lambda: Verdict.no("b", 5), "a refusal's reason must be str, got 5"),
+    (lambda: Verdict(False, "b"), "a refusal's reason must be str, got None"),
+    (lambda: Verdict.no("b", ""), "a refusal's reason must be nonempty"),
 ])
 def test_verdict_rejections_keep_their_messages(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -744,6 +777,17 @@ def test_verdict_and_report_survive_pickle_and_copy(record):
                   copy.deepcopy(record)):
         assert clone == record and type(clone) is type(record)
         assert repr(clone) == repr(record)
+
+
+def test_a_raised_descriptor_error_survives_pickle_and_copy():
+    # reconstruction calls DescriptorError(message), so violations keeps a default
+    with pytest.raises(DescriptorError) as caught:
+        decide(1, sd(F(0), True, ALEPH0), sd(F(3), True, F(5)), X0)
+    error = caught.value
+    for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error),
+                  copy.deepcopy(error)):
+        assert type(clone) is DescriptorError
+        assert (str(clone), clone.violations) == (str(error), error.violations)
 
 
 def test_verdict_and_report_equality_and_hashing():

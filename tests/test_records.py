@@ -163,6 +163,10 @@ def test_concrete_set_keeps_its_derived_field(cofinite, holds_b, text):
     (lambda: FiniteInstance(4, ((0, True),), 1, 2), "block 0 leaves the ground set at True"),
     (lambda: FiniteInstance(4, ((0, -1),), 1, 2), "block 0 leaves the ground set at -1"),
     (lambda: FiniteInstance(4, ((0, 1), (1, 0)), 1, 2), "blocks must be pairwise distinct"),
+    (lambda: FiniteInstance(3, None, 1, 2), "blocks must be an iterable of sets, got None"),
+    (lambda: FiniteInstance(3, (5,), 1, 2), "blocks must be an iterable of sets, got (5,)"),
+    (lambda: FiniteInstance(3, ((0,), [[0]]), 1, 1),
+     "blocks must be an iterable of sets, got ((0,), [[0]])"),
 ])
 def test_validation_messages_are_pinned(make, message):
     with pytest.raises(ValueError) as raised:
