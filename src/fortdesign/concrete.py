@@ -19,8 +19,9 @@ constructor; ranks and aligned images come from bisecting the sorted
 support; :func:`check_homeomorphism` answers the exception-free aligned map
 of :func:`canonical_homeomorphism` right after its kind test, building no
 set, and checks any other map in one pass over its exception table; and
-:func:`extract_descriptor` reads the descriptor of a set with fewer than 64
-listed points, or of an odd-tail block, from a table built at import.
+:func:`extract_descriptor` reads the descriptor that a set's constructor
+stored, one shared from a table built at import when the set lists fewer
+than 64 points; every odd-tail block shares its class's one descriptor.
 """
 
 from __future__ import annotations
@@ -63,29 +64,52 @@ def _normalized(elements) -> tuple[int, ...]:
     return out
 
 
+# Descriptors are immutable, so, as Cardinal.finite does for small
+# cardinals, the descriptor of every finite or cofinite set with fewer than
+# _SHARED_FINITES listed points is built once and shared, indexed by
+# [cofinite][contains_b][listed points].
+_SHARED_DESCRIPTORS = (
+    tuple(tuple(SubsetDescriptor(n, b, ALEPH0) for n in _FINITES) for b in (False, True)),
+    tuple(tuple(SubsetDescriptor(ALEPH0, b, n) for n in _FINITES) for b in (False, True)),
+)
+
+
 class ConcreteSet:
     """A finite or cofinite subset of the naturals.
 
     ``support`` lists the members when finite, the excluded elements when
     cofinite; it is kept strictly increasing and duplicate-free.  Its points
-    must be ``int`` and ``cofinite`` a ``bool``, or ``ValueError`` is raised.
+    must be naturals of type ``int`` and ``cofinite`` a ``bool``, or
+    ``ValueError`` is raised; nothing else is ever a member.
 
-    An immutable record with three slots rather than a NamedTuple: the
+    An immutable record with four slots rather than a NamedTuple: the
     oracles read its fields in their inner loops, and a slot read is about
     twice as fast as a NamedTuple field read.  ``cofinite`` and ``support``
-    are its fields; ``contains_b``, whether it holds b, is derived from them
-    by the constructor.  Equality, hashing, ``repr`` and pickling use the
-    two fields only.
+    are its fields; ``contains_b``, whether it holds b, and ``descriptor``,
+    the one :func:`extract_descriptor` returns, are derived from them by the
+    constructor.  Equality, hashing, ``repr`` and pickling use the two
+    fields only.
     """
 
-    __slots__ = ("cofinite", "support", "contains_b")
+    __slots__ = ("cofinite", "support", "contains_b", "descriptor")
 
     def __init__(self, cofinite: bool, support: tuple[int, ...]) -> None:
         setfield = object.__setattr__
-        setfield(self, "cofinite", _exactly(bool, cofinite, "cofinite"))
-        setfield(self, "support", _normalized(support))
+        cofinite = _exactly(bool, cofinite, "cofinite")
+        support = _normalized(support)
         # the support is sorted, so b = 0 can only be its first point
-        setfield(self, "contains_b", (self.support[:1] == (0,)) != self.cofinite)
+        contains_b = (support[:1] == (0,)) != cofinite
+        n = len(support)
+        if n < _SHARED_FINITES:
+            descriptor = _SHARED_DESCRIPTORS[cofinite][contains_b][n]
+        elif cofinite:
+            descriptor = SubsetDescriptor(ALEPH0, contains_b, Cardinal(False, n))
+        else:
+            descriptor = SubsetDescriptor(Cardinal(False, n), contains_b, ALEPH0)
+        setfield(self, "cofinite", cofinite)
+        setfield(self, "support", support)
+        setfield(self, "contains_b", contains_b)
+        setfield(self, "descriptor", descriptor)
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -115,7 +139,8 @@ class ConcreteSet:
         return cls(True, tuple(excluded))
 
     def __contains__(self, x: int) -> bool:
-        return (x in self.support) != self.cofinite
+        # a point is a natural: no other value is a member, even of X
+        return type(x) is int and x >= 0 and (x in self.support) != self.cofinite
 
     def complement(self) -> "ConcreteSet":
         return ConcreteSet(not self.cofinite, self.support)
@@ -181,6 +206,8 @@ class OddTailBlock(_OddTailBlockFields):
     """
 
     __slots__ = ()
+    # every block has this one descriptor, the one extract_descriptor returns
+    descriptor = SubsetDescriptor(ALEPH0, True, ALEPH0)
 
     def __new__(cls, index: int) -> "OddTailBlock":
         if _exactly(int, index, "an odd-tail block index") < 1:
@@ -190,7 +217,7 @@ class OddTailBlock(_OddTailBlockFields):
     _make = classmethod(_make_validated)
 
     def __contains__(self, x: int) -> bool:
-        return x % 2 == 0 or (x - 1) // 2 < self.index
+        return type(x) is int and x >= 0 and (x % 2 == 0 or (x - 1) // 2 < self.index)
 
     def issuperset(self, other: ConcreteSet) -> bool:
         if not other.cofinite:
@@ -205,28 +232,10 @@ class OddTailBlock(_OddTailBlockFields):
 
 Block = ConcreteSet | OddTailBlock
 
-# Descriptors are immutable, so, as Cardinal.finite does for small
-# cardinals, the descriptor of every finite or cofinite set with fewer than
-# _SHARED_FINITES listed points is built once and shared, indexed by
-# [cofinite][contains_b][listed points]; so is the odd-tail blocks' one.
-_SHARED_DESCRIPTORS = (
-    tuple(tuple(SubsetDescriptor(n, b, ALEPH0) for n in _FINITES) for b in (False, True)),
-    tuple(tuple(SubsetDescriptor(ALEPH0, b, n) for n in _FINITES) for b in (False, True)),
-)
-_ODD_TAIL_DESCRIPTOR = SubsetDescriptor(ALEPH0, True, ALEPH0)
-
 
 def extract_descriptor(s: Block) -> SubsetDescriptor:
     """The symbolic descriptor a concrete set realizes in the countable model."""
-    if isinstance(s, OddTailBlock):
-        return _ODD_TAIL_DESCRIPTOR
-    n = len(s.support)
-    if n < _SHARED_FINITES:
-        return _SHARED_DESCRIPTORS[s.cofinite][s.contains_b][n]
-    listed = Cardinal.finite(n)
-    if s.cofinite:
-        return SubsetDescriptor(ALEPH0, s.contains_b, listed)
-    return SubsetDescriptor(listed, s.contains_b, ALEPH0)
+    return s.descriptor
 
 
 def is_open(u: ConcreteSet) -> bool:
@@ -266,7 +275,8 @@ class PointMap(_PointMapFields):
     Like :class:`~fortdesign.cardinal.Cardinal` it is a tuple-backed record
     that validates in ``__new__``: the table is kept sorted, immutable and
     hashable, and equal to an equal-valued plain tuple.  It checks each entry
-    once and finds a repeated source beside itself in the sorted table.
+    once, for two naturals, and finds a repeated source beside itself in the
+    sorted table.
     """
 
     __slots__ = ()
@@ -290,9 +300,11 @@ class PointMap(_PointMapFields):
                 raise ValueError(
                     f"an exception-table entry must be a (source, target) pair, got {pair!r}"
                 ) from None
-            if type(a) is not int or type(b) is not int:
+            # a | b is negative exactly when a or b is
+            if type(a) is not int or type(b) is not int or (a | b) < 0:
                 _exactly(int, a, point)
                 _exactly(int, b, point)
+                raise ValueError(f"{point} must be a natural, got {a if a < 0 else b}")
             table.append((a, b))
         table.sort()
         previous = None  # a repeated source sorts next to itself

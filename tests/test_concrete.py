@@ -157,9 +157,23 @@ def test_every_reachable_shape_has_its_descriptor(cofinite, holds_b):
         assert extract_descriptor(one.complement()) == complement(shape)
         if listed < _SHARED_FINITES:
             assert extract_descriptor(other) is shape
-        else:  # built afresh, for one set as for two
+        else:  # built once per set, when the set is: equal, not shared
+            assert extract_descriptor(one) is shape
             assert extract_descriptor(other) is not shape
-            assert extract_descriptor(one) is not shape
+
+
+def test_reading_a_descriptor_builds_nothing(monkeypatch):
+    sets = [F(range(70)), Co(range(1, 71)), F((0, 4, 9)), OddTailBlock(2)]
+    shapes = [extract_descriptor(s) for s in sets]
+    assert shapes[:2] == [sd(FC(70), True, ALEPH0), sd(ALEPH0, True, FC(70))]
+
+    def built(*args):
+        raise AssertionError("a descriptor or cardinal was built")
+
+    monkeypatch.setattr(concrete, "SubsetDescriptor", built)
+    monkeypatch.setattr(Cardinal, "finite", built)
+    for s, shape in zip(sets, shapes):
+        assert extract_descriptor(s) is shape
 
 
 @pytest.mark.parametrize("make, value", [
@@ -179,6 +193,27 @@ def test_every_reachable_shape_has_its_descriptor(cofinite, holds_b):
 def test_concrete_values_reject_other_types(make, value):
     with pytest.raises(ValueError, match=f"must be (int|bool), got {re.escape(value)}$"):
         make()
+
+
+# each was once a member, and "a" in an odd-tail block raised TypeError
+@pytest.mark.parametrize("s, x", [
+    (Co(()), -1), (Co(()), 0.5), (Co(()), "a"), (Co(()), True), (Co(()), 1.0),
+    (F((1,)), True), (F((1,)), 1.0),
+    (OddTailBlock(1), -1), (OddTailBlock(1), 2.0), (OddTailBlock(1), True),
+    (OddTailBlock(1), "a"),
+], ids=lambda v: v.to_text() if hasattr(v, "to_text") else repr(v))
+def test_only_naturals_are_members(s, x):
+    assert x not in s
+
+
+# -1 was once sent to 0, which is b, and True to 3
+@pytest.mark.parametrize("x, source, target", [
+    (-1, Co(()), Co(())),
+    (True, F((1, 2)), F((3, 4))),
+], ids=["-1-on-cofin", "True-on-fin"])
+def test_apply_refuses_a_point_that_is_not_a_natural(x, source, target):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(x))} is not in the source set$"):
+        PointMap().apply(x, source, target)
 
 
 class TestPointMapRecord:
@@ -229,6 +264,10 @@ class TestPointMapRecord:
         (lambda: PointMap(True, ((1, 2, 3),)),
          "an exception-table entry must be a (source, target) pair, got (1, 2, 3)"),
         (lambda: PointMap(True, 5), "an exception table must be an iterable of pairs, got 5"),
+        # once accepted: the first applied 3 to -2, and check_homeomorphism
+        # refused the second on cofin: although its entry is inactive there
+        (lambda: PointMap(True, ((3, -2),)), "an exception-table point must be a natural, got -2"),
+        (lambda: PointMap(True, ((-1, 5),)), "an exception-table point must be a natural, got -1"),
     ])
     def test_invalid_maps_keep_their_message(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -654,14 +693,18 @@ DISTINCT_POINTS = st.lists(POINT, max_size=6, unique=True)
 @st.composite
 def built_sets(draw):
     """A set built through one of the paths that make ConcreteSets: the
-    public constructor on unsorted points, parse, complement, & and |,
-    realize_descriptor, or a window block."""
+    public constructor on unsorted points, on short supports or on ones of
+    64 points or more, parse, complement, & and |, realize_descriptor, or a
+    window block."""
     path = draw(st.sampled_from(
-        ("constructor", "parse", "complement", "and", "or", "realize", "window")
+        ("constructor", "long", "parse", "complement", "and", "or", "realize", "window")
     ))
     a, b = (ConcreteSet(draw(st.booleans()), tuple(draw(POINTS))) for _ in range(2))
     if path == "constructor":
         return a
+    if path == "long":  # past the shared descriptors, on a run above POINT's
+        run = range(13, 13 + draw(st.integers(_SHARED_FINITES, _SHARED_FINITES + 6)))
+        return ConcreteSet(a.cofinite, tuple(draw(POINTS)) + tuple(reversed(run)))
     if path == "parse":
         points = ",".join(map(str, draw(DISTINCT_POINTS)))
         return ConcreteSet.parse(f"{draw(st.sampled_from(('fin', 'cofin')))}:{points}")
@@ -683,11 +726,15 @@ def built_sets(draw):
 @given(built_sets())
 @example(ConcreteSet(False, (3, 0)))
 @example(ConcreteSet(True, (3, 0)))
+@example(ConcreteSet(False, range(_SHARED_FINITES)))
 def test_stored_b_membership_matches_its_definition(s):
-    assert s.contains_b == (0 in s)
-    listed = FC(len(s.support))
-    written = sd(ALEPH0, 0 in s, listed) if s.cofinite else sd(listed, 0 in s, ALEPH0)
-    assert extract_descriptor(s) == written
+    # the stored fields survive every way of copying a set, and complement
+    for t in (s, pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s),
+              s.complement()):
+        assert t.contains_b == (0 in t)
+        listed = FC(len(t.support))
+        written = sd(ALEPH0, 0 in t, listed) if t.cofinite else sd(listed, 0 in t, ALEPH0)
+        assert extract_descriptor(t) == written
     # every path builds the set the public constructor builds from its fields
     public = ConcreteSet(s.cofinite, s.support)
     assert s == public and hash(s) == hash(public)
