@@ -89,6 +89,13 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     return violations
 
 
+def _space_violations(space: SpaceDescriptor) -> list[str]:
+    """Why space is not a SpaceDescriptor, reported alone: no shape can be read in it."""
+    if type(space) is SpaceDescriptor:
+        return []
+    return [f"space: must be a SpaceDescriptor, got {space!r}"]
+
+
 # no library code calls it; it stays public because perfbench/tracing.py wraps it
 def complement(subset: SubsetDescriptor) -> SubsetDescriptor:
     """Descriptor of X minus the subset: size and cosize swap and b changes
@@ -170,6 +177,9 @@ def descriptor_grid(
     """
     if _exactly(int, max_finite, "max_finite") < 0:
         raise ValueError(f"max_finite must be >= 0, got {max_finite}")
+    problems = _space_violations(space)
+    if problems:
+        raise ValueError(problems[0])
     _exactly(bool, finite_sizes_only, "finite_sizes_only")
     sizes: list[Cardinal] = [Cardinal.finite(n) for n in range(1, max_finite + 1)]
     if not finite_sizes_only:

@@ -25,7 +25,7 @@ and whose ``forbidden`` atoms all fail decides.  An outcome is a refusal
 reason or a (multiplicity, witness) pair: a value, a ``LambdaValue`` or None
 for card(X), and one of four constructors of D and X, never of C: the class
 W(D), the class L(D), the space holding b exactly when D does, and the
-odd-tail family.  So ``sweep`` checks each witness once per (witness, D).
+odd-tail family.  ``sweep`` checks witnesses once per (what they read, D).
 
 Validation contract: ``decide`` and ``crosscheck``, the only checks of the
 descriptors a caller passes in, validate C and D against the space once.
@@ -61,6 +61,7 @@ from .cardinal import (
 from .descriptors import (
     SpaceDescriptor,
     SubsetDescriptor,
+    _space_violations,
     cosize_minus_b,
     descriptor_grid,
     embeddable,
@@ -251,13 +252,6 @@ def _violations(s: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     if type(s) is SubsetDescriptor and type(s.size) is Cardinal and s.size == ZERO:
         violations.append("must be nonempty")
     return violations
-
-
-def _space_violations(space: SpaceDescriptor) -> list[str]:
-    """Why space is not a SpaceDescriptor, reported alone: no shape can be read in it."""
-    if type(space) is SpaceDescriptor:
-        return []
-    return [f"space: must be a SpaceDescriptor, got {space!r}"]
 
 
 def _require_valid(space: SpaceDescriptor, **shapes: SubsetDescriptor) -> None:
@@ -546,7 +540,7 @@ def crosscheck(
     """Evaluate the four-way non-existence equivalence for types 2 and 4."""
     _require_valid(space, C=c, D=d)
     m = _mask(_facts(c, space), _facts(d, space))
-    _, _, no_type2, no_type4 = _plan(tuple(_RULES.items()), m)
+    *_, no_type2, no_type4 = _plan(tuple(_RULES.items()), m)
     return CrosscheckReport(no_type2, no_type4, _obstruction(c, d), not embeddable(c, d))
 
 
@@ -561,7 +555,8 @@ def witness_violations(
     space: SpaceDescriptor,
 ) -> list[str]:
     """Validity conditions for a witness family in the given context; a bad space,
-    or a D that ``validate`` refuses where odd-tail reads D, is reported alone."""
+    or a D that ``validate`` refuses where odd-tail reads D, is reported alone.
+    A class family is checked by its base alone, a singleton by its member."""
     problems = _space_violations(space)
     if problems:
         return problems
@@ -597,9 +592,8 @@ class SweepReport(NamedTuple):
         return not self.violations
 
 
-# the most cases a sweep runs: a sweep(0, 78) of 99,225 cases in a fresh
-# process takes 0.14-0.23 s, median 0.15 s or 1.6 us a case, over 12 runs
-# (2-vCPU Intel Xeon VM, Python 3.11.7)
+# the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.11-0.17 s, median
+# 0.15 s or 1.5 us a case, in 12 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
 SWEEP_BUDGET = 10**5
 # (s, t): II implies I and III implies IV, so a type-s design is a type-t one
 _IMPLIED_TYPES = ((1, 2), (1, 3), (2, 4), (3, 4))
@@ -620,7 +614,7 @@ def _sweep_cases(max_aleph: int, max_finite: int, finite_sizes_only: bool) -> in
 def _plan(rules: tuple, m: int) -> tuple:
     """What mask m settles under rules, a tuple of (type, table) pairs, for
     every C and D: the (type, witness constructor) of each type that exists,
-    the broken edges of the condition lattice, no type 2 and no type 4."""
+    the distinct constructors, the broken lattice edges, no type 2 and no type 4."""
     # each deciding row's tag is checked here, as neither sweep nor crosscheck
     # builds a verdict; a type's witness is None when it does not exist
     witnesses = {}
@@ -630,6 +624,7 @@ def _plan(rules: tuple, m: int) -> tuple:
         witnesses[t] = None if isinstance(outcome, str) else outcome[1]
     return (
         tuple((t, witness) for t, witness in witnesses.items() if witness),
+        tuple(dict.fromkeys(witness for witness in witnesses.values() if witness)),
         tuple(
             f"type {s} exists but type {t} does not"
             for s, t in _IMPLIED_TYPES
@@ -638,6 +633,26 @@ def _plan(rules: tuple, m: int) -> tuple:
         not witnesses[DesignType.TYPE2],
         not witnesses[DesignType.TYPE4],
     )
+
+
+def _witness_problems(witness, d: SubsetDescriptor, space, checked: dict) -> list[str]:
+    """The problems of witness(d, space), kept in D's record ``checked`` by
+    constructor and by the exact kind and identity of what ``witness_violations``
+    reads, kept alive there: a W or L family's base, a singleton's member,
+    odd-tail's D, else the family (an equal base may hold 1 for True)."""
+    family = witness(d, space)
+    kind = type(family)
+    if kind is ClassW or kind is ClassL:
+        key = ClassW, id(family.base)
+    elif kind is Singleton:
+        key = kind, id(family.member)
+    else:
+        key = kind, id(d if kind is OddTail else family)
+    entry = checked.get(key)
+    if entry is None:
+        entry = checked[key] = family, witness_violations(family, d, space)
+    checked[witness] = problems = entry[1]
+    return problems
 
 
 # The plans of the rule set swept last: (rules, {mask: plan}).  A sweep
@@ -666,10 +681,10 @@ def sweep(
 
     The work is split in three levels by what it reads: a mask's plan
     (``_plan``), with the check of its rows' tags, is built once per rule
-    set and kept across calls; a witness and its problems once per
-    (witness, D) in a call, and no verdict; a case computes its mask and
-    only the checks that read C, card(C) > card(D) for each existing type
-    and the crosscheck's obstruction and embedding statements.
+    set and kept across calls; in a call, a witness once per (constructor,
+    D), checked once per (what the check reads, D), and no verdict; a case
+    computes its mask and only the checks that read C, and builds nothing
+    unless one of them finds a problem.
     """
     global _plans
     if _exactly(int, max_aleph, "max_aleph") < 0:
@@ -694,44 +709,40 @@ def sweep(
         space = SpaceDescriptor(Cardinal.aleph(i))
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
         facts = [_facts(s, space) for s in grid]
-        # per D: witness constructor -> the problems of its witness.  A
-        # witness reads only D and X, and the existence rows of all four
-        # types share four constructors, so each is checked once per
-        # (witness, D).
+        # per D: the record of _witness_problems
         columns = [(d, d_facts, {}) for d, d_facts in zip(grid, facts)]
         for c, c_facts in zip(grid, facts):
-            for d, d_facts, d_checked in columns:
+            for d, d_facts, checked in columns:
                 cases += 1
                 m = _mask(c_facts, d_facts)
                 plan = plans.get(m)
                 if plan is None:
                     plan = plans[m] = _plan(rules, m)
-                existing, lattice, no_type2, no_type4 = plan
-                problems: list[str] = []
-                if existing:
-                    larger = c.size > d.size
-                    for t, witness in existing:
-                        witness_problems = d_checked.get(witness)
-                        if witness_problems is None:
-                            witness_problems = d_checked[witness] = witness_violations(
-                                witness(d, space), d, space
-                            )
-                        if larger:
-                            problems.append(f"type {t} exists with card(C) > card(D)")
-                        for problem in witness_problems:
-                            problems.append(f"type {t} witness: {problem}")
-                problems += lattice
+                existing, constructors, lattice, no_type2, no_type4 = plan
+                larger = existing and c.size > d.size
                 obstruction = _obstruction(c, d)
                 if inject_fault and cases % 7 == 0:
                     obstruction = not obstruction
                 not_embeddable = not embeddable(c, d)
-                if not no_type2 == no_type4 == obstruction == not_embeddable:
-                    report = CrosscheckReport(
-                        no_type2, no_type4, obstruction, not_embeddable
-                    )
+                clean = not (lattice or larger) and (
+                    no_type2 == no_type4 == obstruction == not_embeddable
+                )
+                for witness in constructors:
+                    problems = checked.get(witness)
+                    if problems is None:
+                        problems = _witness_problems(witness, d, space, checked)
+                    clean = clean and not problems
+                if clean:
+                    continue
+                problems = []
+                for t, witness in existing:
+                    if larger:
+                        problems.append(f"type {t} exists with card(C) > card(D)")
+                    problems += [f"type {t} witness: {p}" for p in checked[witness]]
+                problems += lattice
+                report = CrosscheckReport(no_type2, no_type4, obstruction, not_embeddable)
+                if not report.consistent:
                     pairs = ", ".join("/".join(p) for p in report.disagreements())
                     problems.append(f"crosscheck disagrees on {pairs}")
-                if problems:
-                    where = f"X={space.size} C={c} D={d}"
-                    violations += [f"{where}: {problem}" for problem in problems]
+                violations += [f"X={space.size} C={c} D={d}: {p}" for p in problems]
     return SweepReport(cases, tuple(violations))

@@ -196,6 +196,11 @@ def test_pair_equivalent_implies_subspace_homeomorphic():
     ((X0, 4, 0), "finite_sizes_only must be bool, got 0"),
     # returned 2 descriptors where 4m+3 counts -1
     ((X0, -1), "max_finite must be >= 0, got -1"),
+    # a space that is no SpaceDescriptor raised AttributeError
+    ((None, 2), "space: must be a SpaceDescriptor, got None"),
+    ((ALEPH0, 2), "space: must be a SpaceDescriptor, got Cardinal.aleph(0)"),
+    (((ALEPH0,), 2), "space: must be a SpaceDescriptor, got (Cardinal.aleph(0),)"),
+    ((None, 2, True), "space: must be a SpaceDescriptor, got None"),
 ])
 def test_grid_arguments_are_read_exactly(args, message):
     with pytest.raises(ValueError) as exc:

@@ -288,6 +288,18 @@ def test_witness_violations_name_the_invalid_part():
     ]
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_a_class_family_is_checked_by_its_base_alone(index):
+    # sweep runs one check for W(D) and L(D): it rests on this
+    space = SpaceDescriptor(Cardinal.aleph(index))
+    malformed = [None, sd(3, True, space.size), sd(F(0), False, space.size)]
+    for base in [*descriptor_grid(space, 6), *malformed]:
+        for d in (base, VALID):
+            problems = witness_violations(ClassW(base), d, space)
+            assert problems == witness_violations(ClassL(base), d, space)
+            assert bool(problems) == (base in malformed)
+
+
 NO_SPACE = ["space: must be a SpaceDescriptor, got None"]
 
 
@@ -450,10 +462,20 @@ def test_a_second_sweep_decides_no_row(monkeypatch):
     assert planned > 0 and len(calls) == planned
 
 
+def check_key(witness, d, space):
+    """(what witness_violations reads of the witness, D, X): a class's base,
+    for W and L alike, a singleton's member, or odd-tail's D."""
+    if isinstance(witness, (ClassW, ClassL)):
+        return ("class base", witness.base), d, space
+    if isinstance(witness, Singleton):
+        return ("singleton member", witness.member), d, space
+    return ("odd-tail", d), d, space
+
+
 def witness_keys(max_aleph, max_finite, finite_sizes_only=False):
-    """(witness, D, X) of every existence verdict a sweep meets, built by the
-    witness constructor of each case's deciding row."""
-    keys = set()
+    """The check key of every existence verdict a sweep meets -> the witnesses
+    behind it, built by the witness constructor of each case's deciding row."""
+    keys = {}
     for index in range(max_aleph + 1):
         space = SpaceDescriptor(Cardinal.aleph(index))
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
@@ -461,7 +483,8 @@ def witness_keys(max_aleph, max_finite, finite_sizes_only=False):
             for table in designs._RULES.values():
                 outcome = table[deciding_row(table, c, d, space)][3]
                 if not isinstance(outcome, str):
-                    keys.add((outcome[1](d, space), d, space))
+                    witness = outcome[1](d, space)
+                    keys.setdefault(check_key(witness, d, space), set()).add(witness)
     return keys
 
 
@@ -479,9 +502,11 @@ def built_verdicts(monkeypatch):
 
 @pytest.mark.parametrize("config", [(1, 6, False), (3, 2, True), (0, 1, False)])
 def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
-    # the four constructors build families of four classes, so one witness
-    # per (constructor, D, X) is one witness_violations call per key
+    # a check reads only a class's base, a singleton's member or odd-tail's
+    # D: one witness_violations call per (check key, D, X), so W(D) and
+    # L(D) share one
     expected = witness_keys(*config)
+    assert {ClassW, ClassL} in [set(map(type, witnesses)) for witnesses in expected.values()]
     grids = [
         (d, space)
         for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(config[0] + 1))
@@ -495,7 +520,8 @@ def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
 
     assert sweep(*config).consistent
     checked, facts = work()
-    assert len(checked) == len(set(checked)) and set(checked) == expected
+    keys = [check_key(*args) for args in checked]
+    assert len(keys) == len(set(keys)) and set(keys) == set(expected)
     assert facts == grids
     # nothing is kept across calls: a second sweep does the same work again
     sweep(*config)
@@ -641,16 +667,40 @@ def reference_sweep(max_aleph, max_finite, inject_fault):
     return tuple(violations)
 
 
+# invalid class bases other than D: W(D) and L(base) meet in one column, so
+# a check keyed by D, or by a base's value alone, loses the base's problems
+FOREIGN_BASES = {
+    "empty-base": lambda d, x: SubsetDescriptor(F(0), False, x.size),
+    # equal to D, with 1 or 0 for contains_b
+    "int-flag-base": lambda d, x: d._replace(contains_b=int(d.contains_b)),
+}
+
+
+def class_l_over(base):
+    """_TYPE2 with its _class_l rows building ClassL over base(d, x)."""
+    rows = []
+    for tag, required, forbidden, outcome in designs._RULES[DesignType.TYPE2]:
+        if not isinstance(outcome, str) and outcome[1] is designs._class_l:
+            outcome = outcome[0], lambda d, x: ClassL(base(d, x))
+        rows.append((tag, required, forbidden, outcome))
+    return tuple(rows)
+
+
 @pytest.mark.parametrize("inject_fault", [False, True])
-@pytest.mark.parametrize("edge", [None, *LATTICE_EDGES])
+@pytest.mark.parametrize("edge", [None, *LATTICE_EDGES, *FOREIGN_BASES])
 def test_sweep_agrees_with_a_per_case_reference(monkeypatch, edge, inject_fault):
     # a warm slot: the patched rules must replace what this sweep kept
     sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault)
-    if edge is not None:
+    if edge in FOREIGN_BASES:
+        rows = class_l_over(FOREIGN_BASES[edge])
+        monkeypatch.setitem(designs._RULES, DesignType.TYPE2, rows)
+    elif edge is not None:
         t = edge[1]
         monkeypatch.setitem(designs._RULES, DesignType(t), refusal_only(t))
     expected = reference_sweep(1, 3, inject_fault)
     assert expected or not (inject_fault or edge)
+    if edge in FOREIGN_BASES:
+        assert any(": type 2 witness: class base: " in v for v in expected)
     assert sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault).violations == expected
 
 
