@@ -13,12 +13,13 @@ probe's window and family-wide counts, all in closed form, and
 A class W(D) and a singleton share one window layout, :func:`_layout`.
 
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
-tuple-backed record that validates its table in one pass; a
-:class:`ConcreteSet` stores whether it holds b, derived once by its
-constructor; ranks and aligned images come from bisecting the sorted
-support; :func:`check_homeomorphism` answers the exception-free aligned map
-of :func:`canonical_homeomorphism` right after its kind test, building no
-set, and checks any other map in one pass over its exception table; and
+tuple-backed record that validates its table in one pass and sorts only a
+table of two or more entries; a :class:`ConcreteSet` stores whether it
+holds b, derived once by its constructor; an aligned image is the target's
+member of x's rank, read by bisecting the sorted supports; and
+:func:`check_homeomorphism` answers any aligned map, the exception-free one
+of :func:`canonical_homeomorphism` right after its kind test, with no set
+built, and any other in one pass over its exception table; and
 :func:`extract_descriptor` reads the descriptor that a set's constructor
 stored, one shared from a table built at import when the set lists fewer
 than 64 points; every odd-tail block shares its class's one descriptor.
@@ -263,10 +264,10 @@ class PointMap(_PointMapFields):
     """A point map between two concrete sets.
 
     With ``aligned`` set, the i-th smallest element of the source goes to the
-    i-th smallest of the target, except that b is pinned to b whenever both
-    sets contain it; the finite ``exceptions`` table overrides individual
-    source points.  With ``aligned`` unset the exceptions table is the whole
-    map.
+    i-th smallest of the target, so b = 0, the least natural, goes to b
+    whenever both sets contain it; the finite ``exceptions`` table overrides
+    individual source points.  With ``aligned`` unset the exceptions table
+    is the whole map.
 
     Between sets of one kind that agree on b the aligned part is a
     bijection, so the whole map is one exactly when the exceptions only
@@ -275,8 +276,8 @@ class PointMap(_PointMapFields):
     Like :class:`~fortdesign.cardinal.Cardinal` it is a tuple-backed record
     that validates in ``__new__``: the table is kept sorted, immutable and
     hashable, and equal to an equal-valued plain tuple.  It checks each entry
-    once, for two naturals, and finds a repeated source beside itself in the
-    sorted table.
+    once, for two naturals; only a table of two or more entries is sorted,
+    to find a repeated source beside itself.
     """
 
     __slots__ = ()
@@ -284,14 +285,14 @@ class PointMap(_PointMapFields):
     def __new__(
         cls, aligned: bool = True, exceptions: tuple[tuple[int, int], ...] = ()
     ) -> "PointMap":
-        _exactly(bool, aligned, "aligned")
+        if type(aligned) is not bool:
+            _exactly(bool, aligned, "aligned")
         try:
             entries = iter(exceptions)
         except TypeError:
             raise ValueError(
                 f"an exception table must be an iterable of pairs, got {exceptions!r}"
             ) from None
-        point = "an exception-table point"
         table = []
         for pair in entries:
             try:
@@ -302,16 +303,18 @@ class PointMap(_PointMapFields):
                 ) from None
             # a | b is negative exactly when a or b is
             if type(a) is not int or type(b) is not int or (a | b) < 0:
+                point = "an exception-table point"
                 _exactly(int, a, point)
                 _exactly(int, b, point)
                 raise ValueError(f"{point} must be a natural, got {a if a < 0 else b}")
             table.append((a, b))
-        table.sort()
-        previous = None  # a repeated source sorts next to itself
-        for a, _ in table:
-            if a == previous:
-                raise ValueError("exception table must map each source point once")
-            previous = a
+        if len(table) > 1:  # one entry is sorted and repeats no source
+            table.sort()
+            previous = None  # a repeated source sorts next to itself
+            for a, _ in table:
+                if a == previous:
+                    raise ValueError("exception table must map each source point once")
+                previous = a
         return tuple.__new__(cls, (aligned, tuple(table)))
 
     _make = classmethod(_make_validated)
@@ -324,7 +327,7 @@ class PointMap(_PointMapFields):
                 return b
         if not self.aligned:
             return None
-        return _aligned_image(x, source, target, source.contains_b and target.contains_b)
+        return _aligned_image(x, source, target)
 
     def to_text(self) -> str:
         kind = "align" if self.aligned else "table"
@@ -334,35 +337,26 @@ class PointMap(_PointMapFields):
         return f"{kind};{pairs}"
 
 
-def _aligned_image(
-    x: int, source: ConcreteSet, target: ConcreteSet, pin_b: bool
-) -> int | None:
-    """The image of a member x of source under the order-aligned map, or
-    None past the target's end; ``pin_b``: both sets hold b."""
-    if pin_b and x == 0:
-        return 0
-    return _nth_member(target, _rank(source, x, pin_b), pin_b)
+def _aligned_image(x: int, source: ConcreteSet, target: ConcreteSet) -> int | None:
+    """The image of a member x of source under the order-aligned map: the
+    member of target whose rank there is x's rank in source, or None past
+    the end of a finite target.
 
-
-def _rank(s: ConcreteSet, x: int, skip_zero: bool) -> int:
-    """Number of members of s strictly below x, optionally ignoring 0."""
-    listed = bisect_left(s.support, x)  # support points below x
-    below = x - listed if s.cofinite else listed
-    return below - (skip_zero and x > 0 and s.contains_b)
-
-
-def _nth_member(s: ConcreteSet, n: int, skip_zero: bool) -> int | None:
-    """The member of s of rank n (from 0), optionally ignoring 0; None
-    past the end of a finite set."""
-    n += skip_zero and s.contains_b  # a skipped b is the rank-0 member
-    if not s.cofinite:
-        return s.support[n] if n < len(s.support) else None
-    # the least x with x = n + (holes at or below x) is the rank-n member;
+    b = 0 is the least natural, so a set that holds b ranks it first: when
+    both sets hold b, b goes to b, and skipping b on both sides would shift
+    both ranks by one, so the rank needs no term for b.
+    """
+    listed = bisect_left(source.support, x)  # support points below x
+    n = x - listed if source.cofinite else listed  # members below x
+    support = target.support
+    if not target.cofinite:
+        return support[n] if n < len(support) else None
+    # the least y with y = n + (holes at or below y) is the rank-n member;
     # a cofinite set's support lists its holes
-    x, shift = n, 0
-    while (reached := bisect_right(s.support, x)) != shift:
-        x, shift = n + reached, reached
-    return x
+    y, shift = n, 0
+    while (reached := bisect_right(support, y)) != shift:
+        y, shift = n + reached, reached
+    return y
 
 
 def _same_kind(u: ConcreteSet, v: ConcreteSet) -> bool:
@@ -393,11 +387,14 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
     are those whose source lies in u.  A table-only map needs a finite u and
     exactly v as its active targets.  An aligned map with an empty table, as
     :func:`canonical_homeomorphism` returns, is the aligned bijection and is
-    answered with no set built; otherwise it takes one pass over its table:
-    it fails at once if a cofinite u sends b anywhere but b (the image of a
-    sequence converging to b would stop converging), and otherwise is a
-    homeomorphism exactly when its active targets are, as a set, the aligned
-    images of its active sources, since the aligned part is a bijection.
+    answered at once.  Any other aligned map takes one pass over its table,
+    one :func:`_aligned_image` per active entry: it fails at once if a
+    cofinite u sends b anywhere but b (the image of a sequence converging to
+    b would stop converging), and otherwise is a homeomorphism exactly when
+    its active targets are, as a set, the aligned images of its active
+    sources, since the aligned part is a bijection.  Those images are
+    distinct members of v, so that holds exactly when the two sorted lists
+    are equal, and no set is built.
     """
     if not _same_kind(u, v):
         return False
@@ -409,18 +406,16 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
     if not m.exceptions:
         return True
     support, cofinite = u.support, u.cofinite
-    # distinct sources have distinct aligned images in v, so equal sets also
-    # make the targets distinct members of v; no active entry leaves the
-    # aligned bijection, which pins b when u holds it
-    pin_b = u.contains_b and v.contains_b
-    images, targets = set(), set()
+    images, targets = [], []
     for a, b in m.exceptions:
         if (a in support) == cofinite:  # a is not in u
             continue
         if cofinite and a == 0 and b != 0:
             return False
-        images.add(_aligned_image(a, u, v, pin_b))
-        targets.add(b)
+        images.append(_aligned_image(a, u, v))
+        targets.append(b)
+    images.sort()
+    targets.sort()
     return images == targets
 
 

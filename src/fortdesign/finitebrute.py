@@ -8,9 +8,10 @@ anchor, with the closed-form binomial count as an independent cross-check.
 The first probe is counted literally; unless it lies in no block, the walk
 bound is checked before one pass indexes block bitmasks over the points some
 block holds, and probes are walked in lexicographic order, one AND per
-(t-1)-prefix drawn from range(min(n, m + 1) - 1) for m indexed points.
-So a call visits at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes, refuses
-to start a walk that this bound puts over ``WALK_BUDGET``, and costs
+probe and t - 1 per (t-1)-prefix drawn from range(min(n, m + 1) - 1) for m
+indexed points.  So a call visits at most 1 + min(C(n,t), sum_i C(|B_i|,t))
+probes, and as each prefix scans a probe, at most t ANDs per probe; it
+refuses a walk whose bound times t is over ``WALK_BUDGET``, and costs
 nothing per point that no block holds: the cost does not depend on n.
 Every count reported is checked literally, probe set against block.
 """
@@ -30,12 +31,13 @@ from typing import NamedTuple
 from .cardinal import _exactly, _make_validated, parse_natural, parse_points
 from .designs import DesignType
 
-# the largest walk bound accepted: a uniform 705,432-probe walk (one block of
-# 22 points, t = 11) takes 0.43 s on a 2-vCPU Xeon VM under Python 3.11.  A
-# walk's time grows with t as well as with its probe count, as each prefix
-# ANDs t - 1 masks: one block of 502 points with t = 500 is 125,751 probes
-# and takes 3.4 s there
-WALK_BUDGET = 10**6
+# the most mask ANDs a walk may be bounded by, its probe bound times t: each
+# prefix ANDs t - 1 masks and each probe one more.  Uniform walks of one
+# block bounded near it take 0.23-0.48 s on a 2-vCPU Xeon VM under Python
+# 3.11.7, from 4,997,541 probes at t = 2 to 324,632 at t = 30; the 705,432
+# probes of 22 points at t = 11 take 0.35 s.  One block of 502 points with
+# t = 500 is 125,751 probes, about 6.3 * 10^7 ANDs, and is refused
+WALK_BUDGET = 10**7
 
 
 class _FiniteInstanceFields(NamedTuple):
@@ -120,11 +122,12 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
     Once condition I holds, the first probe is counted literally.  When it
     lies in no block, the first other probe is the smallest t-subset of any
     block, read off the blocks.  Otherwise every probe passed lies in some
-    block, so at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes are visited;
-    when that bound exceeds ``WALK_BUDGET`` a ``ValueError`` is raised
-    before anything is indexed; C(n,t) is only built up to the blocks'
-    term.  Then one pass indexes, for each point some block holds, the
-    bitmask of the blocks holding it; a probe's count is the popcount of
+    block, so at most 1 + min(C(n,t), sum_i C(|B_i|,t)) probes are visited,
+    at most t ANDs each: a prefix ANDs t - 1 masks and scans a probe or
+    more.  When that bound times t exceeds ``WALK_BUDGET`` a ``ValueError``
+    is raised before anything is indexed; C(n,t) is only built up to the
+    blocks' term.  Then one pass indexes, for each point some block holds,
+    the bitmask of the blocks holding it; a probe's count is the popcount of
     its points' AND, and the walk stops at the first count that differs.
     Neither the index nor the walk grows with n.  The walk's count is
     recounted literally; a disagreement raises ``RuntimeError``.
@@ -146,10 +149,11 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
         second = min(tuple(sorted(block)[:t]) for block in inst.blocks)
         return BruteOutcome.non_uniform(first, 0, second, _literal_count(inst, second))
     bound = 1 + len(sizes) * math.comb(inst.d_size, t)
-    if bound > WALK_BUDGET:  # only then is C(n, t) compared with it
+    if bound * t > WALK_BUDGET:  # only then is C(n, t) compared with it
         bound = 1 + _comb_at_most(inst.n, t, bound - 1)
-    if bound > WALK_BUDGET:
-        raise ValueError(f"walk bound {bound} exceeds the budget of {WALK_BUDGET} probes")
+    if bound * t > WALK_BUDGET:
+        raise ValueError(f"walk bound {bound} exceeds the budget at t = {t}: "
+                         f"{bound * t} AND operations, more than {WALK_BUDGET}")
     found = _first_other(_index(inst.blocks), inst.n, t, c0)
     if found is None:
         return BruteOutcome.exactly(c0)

@@ -249,29 +249,46 @@ class TestPointMapRecord:
                 setattr(PointMap(), field, None)
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: PointMap(exceptions=((1.9, 3),)), "an exception-table point must be int, got 1.9"),
-        (lambda: PointMap(exceptions=((1, "3"),)), "an exception-table point must be int, got '3'"),
-        (lambda: PointMap(exceptions=((True, 3),)), "an exception-table point must be int, got True"),
         (lambda: PointMap(aligned="no"), "aligned must be bool, got 'no'"),
         (lambda: PointMap(1), "aligned must be bool, got 1"),
-        (lambda: PointMap(True, ((1, 2), (1, 3))),
-         "exception table must map each source point once"),
-        # each once escaped as a bare TypeError or an unpacking ValueError
-        (lambda: PointMap(True, (5,)),
-         "an exception-table entry must be a (source, target) pair, got 5"),
-        (lambda: PointMap(True, ((1,),)),
-         "an exception-table entry must be a (source, target) pair, got (1,)"),
-        (lambda: PointMap(True, ((1, 2, 3),)),
-         "an exception-table entry must be a (source, target) pair, got (1, 2, 3)"),
         (lambda: PointMap(True, 5), "an exception table must be an iterable of pairs, got 5"),
-        # once accepted: the first applied 3 to -2, and check_homeomorphism
-        # refused the second on cofin: although its entry is inactive there
-        (lambda: PointMap(True, ((3, -2),)), "an exception-table point must be a natural, got -2"),
-        (lambda: PointMap(True, ((-1, 5),)), "an exception-table point must be a natural, got -1"),
     ])
     def test_invalid_maps_keep_their_message(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
+
+    @pytest.mark.parametrize("lead", [(), ((7, 8),)], ids=["alone", "after-a-valid-entry"])
+    @pytest.mark.parametrize("entry, message", [
+        ((1.9, 3), "an exception-table point must be int, got 1.9"),
+        ((1, "3"), "an exception-table point must be int, got '3'"),
+        ((True, 3), "an exception-table point must be int, got True"),
+        # each once escaped as a bare TypeError or an unpacking ValueError
+        (5, "an exception-table entry must be a (source, target) pair, got 5"),
+        ((1,), "an exception-table entry must be a (source, target) pair, got (1,)"),
+        ((1, 2, 3), "an exception-table entry must be a (source, target) pair, got (1, 2, 3)"),
+        # once accepted: the first applied 3 to -2, and check_homeomorphism
+        # refused the second on cofin: although its entry is inactive there
+        ((3, -2), "an exception-table point must be a natural, got -2"),
+        ((-1, 5), "an exception-table point must be a natural, got -1"),
+    ], ids=repr)
+    def test_an_invalid_entry_keeps_its_message(self, entry, lead, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PointMap(True, (*lead, entry))
+
+    @pytest.mark.parametrize("table", [
+        ((1, 2), (1, 3)), ((1, 3), (1, 2)), ((1, 2), (1, 2)), ((1, 2), (5, 5), (1, 3)),
+    ], ids=repr)
+    def test_a_repeated_source_is_refused_in_any_order(self, table):
+        with pytest.raises(ValueError, match="^exception table must map each source point once$"):
+            PointMap(True, table)
+
+    def test_a_one_entry_table_is_read_from_any_iterable(self):
+        # a one-entry table is not sorted or scanned, so it must still be copied
+        expected = PointMap(True, ((3, 4),))
+        for table in (iter([(3, 4)]), ((a, b) for a, b in [(3, 4)]), [[3, 4]], {(3, 4)}):
+            m = PointMap(True, table)
+            assert m == expected and type(m.exceptions) is tuple
+            assert m.exceptions == ((3, 4),) and type(m.exceptions[0]) is tuple
 
 
 class TestTopology:
@@ -401,20 +418,26 @@ class TestHomeomorphisms:
 
     @given(
         st.booleans(),
-        # b = 0 is drawn often: skipping it is what the arithmetic special-cases
+        # b = 0 is drawn often: whether both sets hold it decides the ranks
+        st.sets(st.just(0) | st.integers(0, 200), max_size=40),
+        st.booleans(),
         st.sets(st.just(0) | st.integers(0, 200), max_size=40),
         st.integers(0, 300),
-        st.integers(0, 300),
-        st.booleans(),
     )
-    def test_rank_arithmetic_matches_an_enumeration(self, cofinite, support, x, n, skip_zero):
-        s = ConcreteSet(cofinite, tuple(support))
+    def test_aligned_image_matches_an_enumeration(self, u_cofinite, u_support,
+                                                  v_cofinite, v_support, k):
+        u, v = ConcreteSet(u_cofinite, tuple(u_support)), ConcreteSet(v_cofinite, tuple(v_support))
+        pin_b = 0 in u and 0 in v
         # supports lie in [0, 200], so the member of rank 300 is below 600
-        members = [m for m in range(600) if m in s and not (skip_zero and m == 0)]
-        assert concrete._rank(s, x, skip_zero) == sum(1 for m in members if m < x)
-        assert concrete._nth_member(s, n, skip_zero) == (
-            members[n] if n < len(members) else None
-        )
+        sources = [m for m in range(600) if m in u and not (pin_b and m == 0)]
+        targets = [m for m in range(600) if m in v and not (pin_b and m == 0)]
+        if pin_b:
+            assert concrete._aligned_image(0, u, v) == 0
+        assume(sources)
+        k %= len(sources)
+        # the k-th member of u other than a pinned b goes to the k-th of v
+        expected = targets[k] if k < len(targets) else None
+        assert concrete._aligned_image(sources[k], u, v) == expected
 
     def test_oracle_matches_descriptor_predicate_on_small_sets(self):
         panel = list(small_sets())

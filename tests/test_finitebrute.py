@@ -239,11 +239,23 @@ def test_first_probe_in_no_block_is_answered_from_the_blocks(walk_lookups, no_in
     # two 24-point blocks on 25 points: C(25, 12) < 2 * C(24, 12) bounds it
     (FiniteInstance(25, (frozenset(range(24)), frozenset(range(1, 25))), 12, 24),
      math.comb(25, 12) + 1),
-], ids=["one-block", "two-blocks"])
+    # 125,752 probes, but each prefix ANDs 499 masks: this walk once took 3.4 s
+    (FiniteInstance(502, (frozenset(range(502)),), 500, 502), math.comb(502, 500) + 1),
+], ids=["one-block", "two-blocks", "t-500"])
 def test_walk_over_budget_is_refused_before_it_starts(walk_lookups, no_index, inst, bound):
     with pytest.raises(ValueError, match=f"^walk bound {bound} exceeds the budget"):
         brute_lambda(inst, DesignType.TYPE2)
     assert walk_lookups == []
+
+
+def test_walk_within_the_and_budget_starts_past_a_million_probes(walk_lookups):
+    # the bound is 1 + 2 * C(2000, 2) = 3,998,001 probes of two points each,
+    # 7,996,002 ANDs: within the budget, though a probe count once refused it
+    blocks = (frozenset(range(2000)), frozenset({0, *range(2, 2001)}))
+    inst = FiniteInstance(2001, blocks, 2, 2000)
+    assert brute_lambda(inst, DesignType.TYPE2) == BruteOutcome.non_uniform(
+        (0, 1), 1, (0, 2), 2)
+    assert walk_lookups == [0, 1, 2]
 
 
 def test_walk_costs_the_probes_it_visits_not_n(walk_lookups):
@@ -294,8 +306,9 @@ def test_over_budget_refusal_never_builds_the_binomial_of_n(monkeypatch):
 
     monkeypatch.setattr(finitebrute.math, "comb", comb_but_not_of_n)
     one = FiniteInstance(n, (frozenset(range(1415)),), 1413, 1415)
-    with pytest.raises(ValueError, match=f"^walk bound 1000406 exceeds the budget of "
-                                         f"{WALK_BUDGET} probes$"):
+    with pytest.raises(ValueError, match=f"^walk bound 1000406 exceeds the budget at "
+                                         f"t = 1413: 1413573678 AND operations, "
+                                         f"more than {WALK_BUDGET}$"):
         brute_lambda(one, DesignType.TYPE2)
 
 
