@@ -22,10 +22,11 @@ A guard is a conjunction of atoms, each one bit of an integer mask:
 the comparisons read, once per descriptor; ``_mask`` combines two of them
 into the mask of a case.  The first row whose ``required`` atoms all hold
 and whose ``forbidden`` atoms all fail decides.  An outcome is a refusal
-reason or a (multiplicity, witness) pair: a value, a ``LambdaValue`` or None
-for card(X), and one of four constructors of D and X, never of C: the class
-W(D), the class L(D), the space holding b exactly when D does, and the
-odd-tail family.  ``sweep`` checks witnesses once per (what they read, D).
+reason or a (multiplicity, kind) pair: a value, a ``LambdaValue`` or None
+for card(X), and a witness kind.  ``_KINDS`` maps each of the four kinds,
+``ClassW``, ``ClassL``, ``Singleton`` and ``OddTail``, to its family built
+from D and X, never from C, and to what its check reads, on which ``sweep``
+keys the check before it builds the family.
 
 Validation contract: ``decide`` and ``crosscheck``, the only checks of the
 descriptors a caller passes in, validate C and D against the space once.
@@ -322,22 +323,21 @@ def _mask(c: tuple, d: tuple) -> int:
     return m
 
 
-# The four witness constructors, functions of (d, x)
-def _class_w(d: SubsetDescriptor, x: SpaceDescriptor) -> ClassW:
-    return ClassW(d)
-
-
-def _class_l(d: SubsetDescriptor, x: SpaceDescriptor) -> ClassL:
-    return ClassL(d)
-
-
-def _the_space(d: SubsetDescriptor, x: SpaceDescriptor) -> Singleton:
-    """One block: X, without b unless D keeps it."""
-    return Singleton(SubsetDescriptor(x.size, d.contains_b, ZERO if d.contains_b else ONE))
-
-
-def _odd_tail(d: SubsetDescriptor, x: SpaceDescriptor) -> OddTail:
-    return OddTail()
+# The witness kinds: each one's family over D in the space x, and its check's
+# key within a space, what witness_violations reads: D for W(D) and L(D), one
+# shared check; D's b flag for the singleton, X with b exactly when D has it;
+# D for odd-tail.
+_KINDS = {
+    ClassW: (lambda d, x: ClassW(d), lambda d: (ClassW, d)),
+    ClassL: (lambda d, x: ClassL(d), lambda d: (ClassW, d)),
+    Singleton: (
+        lambda d, x: Singleton(
+            SubsetDescriptor(x.size, d.contains_b, ZERO if d.contains_b else ONE)
+        ),
+        lambda d: (Singleton, d.contains_b),
+    ),
+    OddTail: (lambda d, x: OddTail(), lambda d: (OddTail, d)),
+}
 
 
 _ONE_BLOCK = LambdaValue.exact(ONE)
@@ -353,8 +353,9 @@ _CARD_X = None
 # whose required atoms all hold and whose forbidden atoms all fail decides,
 # so a row may assume that every earlier row failed; the last row requires
 # and forbids nothing.  An outcome is either the reason no design exists,
-# or a (multiplicity, witness) pair, a value (_CARD_X is card(X)) and one of
-# the four constructors above; decide and _plan are the tables' two readers.
+# or a (multiplicity, kind) pair, a value (_CARD_X is card(X)) and one of the
+# four witness kinds of _KINDS; decide and _plan are the tables' two readers,
+# and each refuses a kind _KINDS does not hold.
 
 _TYPE1 = (
     ("remark-card", C_GT_D, 0,
@@ -362,8 +363,8 @@ _TYPE1 = (
     ("a1", C_FINITE, _B_IN_C_OR_D,
      "C is finite and b is outside C and D: the b-containing copies "
      "of C lie in no block pair-equivalent to D"),
-    ("a2", C_SMALL, _B_IN_C_OR_D, (_CARD_W, _class_w)),
-    ("a3", D_COSIZE_1, _B_IN_C_OR_D, (_ONE_BLOCK, _the_space)),
+    ("a2", C_SMALL, _B_IN_C_OR_D, (_CARD_W, ClassW)),
+    ("a3", D_COSIZE_1, _B_IN_C_OR_D, (_ONE_BLOCK, Singleton)),
     ("a3", 0, _B_IN_C_OR_D,
      "with card(C) = card(D) = card(X) and b outside C and D, a design "
      "exists only when D = X \\ {b}"),
@@ -373,13 +374,13 @@ _TYPE1 = (
     # b is in D from here on: finite C in the c1 rows, infinite C after them
     ("c1-bound", C_FINITE | C_PLUS_2_GT_D, 0,
      "finite C with b in D requires card(C) + 2 <= card(D)"),
-    ("c1-case5", C_FINITE | D_FINITE, 0, (_CARD_X, _class_w)),
-    ("c1-case4", C_FINITE | X_ALEPH0 | D_COSIZE_0, 0, (_ONE_BLOCK, _the_space)),
-    ("c1-case3", C_FINITE | X_ALEPH0 | D_COSIZE_FINITE, 0, (_ALEPH0_BLOCKS, _class_w)),
-    ("c1-case2", C_FINITE | X_ALEPH0, 0, (_ALEPH0_BLOCKS, _odd_tail)),
-    ("c1-case1", C_FINITE, 0, (_CARD_W, _class_w)),
-    ("c2", C_SMALL, 0, (_CARD_W, _class_w)),
-    ("c3", D_COSIZE_0, 0, (_ONE_BLOCK, _the_space)),
+    ("c1-case5", C_FINITE | D_FINITE, 0, (_CARD_X, ClassW)),
+    ("c1-case4", C_FINITE | X_ALEPH0 | D_COSIZE_0, 0, (_ONE_BLOCK, Singleton)),
+    ("c1-case3", C_FINITE | X_ALEPH0 | D_COSIZE_FINITE, 0, (_ALEPH0_BLOCKS, ClassW)),
+    ("c1-case2", C_FINITE | X_ALEPH0, 0, (_ALEPH0_BLOCKS, OddTail)),
+    ("c1-case1", C_FINITE, 0, (_CARD_W, ClassW)),
+    ("c2", C_SMALL, 0, (_CARD_W, ClassW)),
+    ("c3", D_COSIZE_0, 0, (_ONE_BLOCK, Singleton)),
     ("c3", 0, 0,
      "with card(C) = card(D) = card(X) and b in D, a design exists only "
      "when D = X"),
@@ -392,11 +393,11 @@ _TYPE2 = (
     ("b", B_IN_C, C_FINITE | B_IN_D,
      "C is infinite and contains b while D does not: C cannot be embedded "
      "into D"),
-    ("t2-finite", C_FINITE | C_EQ_D, 0, (_ONE_BLOCK, _class_l)),
-    ("t2-finite", C_FINITE, 0, (_CARD_L, _class_l)),
+    ("t2-finite", C_FINITE | C_EQ_D, 0, (_ONE_BLOCK, ClassL)),
+    ("t2-finite", C_FINITE, 0, (_CARD_L, ClassL)),
     # the type-1 verdict here is a2 or c2: the class of D, card(W) blocks
-    ("t2-small", C_SMALL, 0, (_CARD_W, _class_w)),
-    ("t2-full", 0, 0, (_ONE_BLOCK, _the_space)),
+    ("t2-small", C_SMALL, 0, (_CARD_W, ClassW)),
+    ("t2-full", 0, 0, (_ONE_BLOCK, Singleton)),
 )
 
 _TYPE3 = (
@@ -408,7 +409,7 @@ _TYPE3 = (
     ("t3-case4", COSIZE_D_GT_C, 0,
      "the part of X outside D and b is strictly larger than the part "
      "outside C and b"),
-    ("t3", 0, 0, (_CARD_W_CONTAINING_C, _class_w)),
+    ("t3", 0, 0, (_CARD_W_CONTAINING_C, ClassW)),
 )
 
 # Any type-2 witness also satisfies the weaker probe condition IV, so type 4
@@ -429,10 +430,13 @@ CASE_TAGS = frozenset(row[0] for table in _RULES.values() for row in table)
 
 
 def _deciding_row(table, m: int) -> tuple:
-    """The first row whose required atoms all hold in m and forbidden ones all fail."""
+    """The first row whose required atoms all hold in m and forbidden ones
+    all fail; ValueError if it names a witness kind ``_KINDS`` does not hold."""
     for row in table:
-        _, required, forbidden, _ = row
+        _, required, forbidden, outcome = row
         if m & required == required and not m & forbidden:
+            if not isinstance(outcome, str) and outcome[1] not in _KINDS:
+                raise ValueError(f"unknown witness kind {outcome[1]!r}")
             return row
 
 
@@ -501,10 +505,11 @@ def decide(
     tag, _, _, outcome = _deciding_row(table, _mask(_facts(c, space), _facts(d, space)))
     if isinstance(outcome, str):
         return Verdict.no(tag, outcome)
-    multiplicity, witness = outcome
+    multiplicity, kind = outcome
     if multiplicity is _CARD_X:
         multiplicity = LambdaValue.exact(space.size)
-    return Verdict.yes(multiplicity, witness(d, space), tag)
+    build, _ = _KINDS[kind]
+    return Verdict.yes(multiplicity, build(d, space), tag)
 
 
 class CrosscheckReport(NamedTuple):
@@ -592,8 +597,8 @@ class SweepReport(NamedTuple):
         return not self.violations
 
 
-# the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.11-0.17 s, median
-# 0.15 s or 1.5 us a case, in 12 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
+# the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.09-0.18 s, median
+# 0.13 s or 1.3 us a case, in 30 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
 SWEEP_BUDGET = 10**5
 # (s, t): II implies I and III implies IV, so a type-s design is a type-t one
 _IMPLIED_TYPES = ((1, 2), (1, 3), (2, 4), (3, 4))
@@ -613,45 +618,36 @@ def _sweep_cases(max_aleph: int, max_finite: int, finite_sizes_only: bool) -> in
 
 def _plan(rules: tuple, m: int) -> tuple:
     """What mask m settles under rules, a tuple of (type, table) pairs, for
-    every C and D: the (type, witness constructor) of each type that exists,
-    the distinct constructors, the broken lattice edges, no type 2 and no type 4."""
+    every C and D: the (type, witness kind) of each type that exists, the
+    distinct kinds, the broken lattice edges, no type 2 and no type 4."""
     # each deciding row's tag is checked here, as neither sweep nor crosscheck
-    # builds a verdict; a type's witness is None when it does not exist
-    witnesses = {}
+    # builds a verdict; a type's kind is None when it does not exist
+    kinds = {}
     for t, table in rules:
         tag, _, _, outcome = _deciding_row(table, m)
         _check_tag(tag)
-        witnesses[t] = None if isinstance(outcome, str) else outcome[1]
+        kinds[t] = None if isinstance(outcome, str) else outcome[1]
     return (
-        tuple((t, witness) for t, witness in witnesses.items() if witness),
-        tuple(dict.fromkeys(witness for witness in witnesses.values() if witness)),
+        tuple((t, kind) for t, kind in kinds.items() if kind),
+        tuple(dict.fromkeys(kind for kind in kinds.values() if kind)),
         tuple(
             f"type {s} exists but type {t} does not"
             for s, t in _IMPLIED_TYPES
-            if witnesses[s] and not witnesses[t]
+            if kinds[s] and not kinds[t]
         ),
-        not witnesses[DesignType.TYPE2],
-        not witnesses[DesignType.TYPE4],
+        not kinds[DesignType.TYPE2],
+        not kinds[DesignType.TYPE4],
     )
 
 
-def _witness_problems(witness, d: SubsetDescriptor, space, checked: dict) -> list[str]:
-    """The problems of witness(d, space), kept in D's record ``checked`` by
-    constructor and by the exact kind and identity of what ``witness_violations``
-    reads, kept alive there: a W or L family's base, a singleton's member,
-    odd-tail's D, else the family (an equal base may hold 1 for True)."""
-    family = witness(d, space)
-    kind = type(family)
-    if kind is ClassW or kind is ClassL:
-        key = ClassW, id(family.base)
-    elif kind is Singleton:
-        key = kind, id(family.member)
-    else:
-        key = kind, id(d if kind is OddTail else family)
-    entry = checked.get(key)
-    if entry is None:
-        entry = checked[key] = family, witness_violations(family, d, space)
-    checked[witness] = problems = entry[1]
+def _witness_problems(kind, d: SubsetDescriptor, space, checks: dict) -> list[str]:
+    """The problems of kind's family over D, kept in the space's record
+    ``checks`` under what the check reads; the family is built on a miss."""
+    build, reads = _KINDS[kind]
+    key = reads(d)
+    problems = checks.get(key)
+    if problems is None:
+        problems = checks[key] = witness_violations(build(d, space), d, space)
     return problems
 
 
@@ -675,16 +671,17 @@ def sweep(
     ``int`` and the flags exactly ``bool``, with ``max_aleph >= 0``,
     ``max_finite >= 1`` and at most ``SWEEP_BUDGET`` cases, the only bound on
     the ladder, counted before any space is built; a deciding row with an
-    unknown case tag raises it when its mask is planned.
+    unknown case tag or witness kind raises it when its mask is planned.
     ``inject_fault`` deliberately flips the obstruction statement on a subset
     of cases so the harness can prove it detects violations.
 
     The work is split in three levels by what it reads: a mask's plan
-    (``_plan``), with the check of its rows' tags, is built once per rule
-    set and kept across calls; in a call, a witness once per (constructor,
-    D), checked once per (what the check reads, D), and no verdict; a case
-    computes its mask and only the checks that read C, and builds nothing
-    unless one of them finds a problem.
+    (``_plan``), with the check of its rows' tags and witness kinds, is
+    built once per rule set and kept across calls; in a call, a witness is
+    checked, and its family built, once per (what its kind's check reads,
+    X), and no verdict is built; a case computes its mask and only the
+    checks that read C, and builds nothing unless one of them finds a
+    problem.
     """
     global _plans
     if _exactly(int, max_aleph, "max_aleph") < 0:
@@ -709,7 +706,8 @@ def sweep(
         space = SpaceDescriptor(Cardinal.aleph(i))
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
         facts = [_facts(s, space) for s in grid]
-        # per D: the record of _witness_problems
+        checks = {}
+        # per D: its witness problems by kind, drawn from the space's checks
         columns = [(d, d_facts, {}) for d, d_facts in zip(grid, facts)]
         for c, c_facts in zip(grid, facts):
             for d, d_facts, checked in columns:
@@ -718,7 +716,7 @@ def sweep(
                 plan = plans.get(m)
                 if plan is None:
                     plan = plans[m] = _plan(rules, m)
-                existing, constructors, lattice, no_type2, no_type4 = plan
+                existing, kinds, lattice, no_type2, no_type4 = plan
                 larger = existing and c.size > d.size
                 obstruction = _obstruction(c, d)
                 if inject_fault and cases % 7 == 0:
@@ -727,18 +725,18 @@ def sweep(
                 clean = not (lattice or larger) and (
                     no_type2 == no_type4 == obstruction == not_embeddable
                 )
-                for witness in constructors:
-                    problems = checked.get(witness)
+                for kind in kinds:
+                    problems = checked.get(kind)
                     if problems is None:
-                        problems = _witness_problems(witness, d, space, checked)
+                        problems = checked[kind] = _witness_problems(kind, d, space, checks)
                     clean = clean and not problems
                 if clean:
                     continue
                 problems = []
-                for t, witness in existing:
+                for t, kind in existing:
                     if larger:
                         problems.append(f"type {t} exists with card(C) > card(D)")
-                    problems += [f"type {t} witness: {p}" for p in checked[witness]]
+                    problems += [f"type {t} witness: {p}" for p in checked[kind]]
                 problems += lattice
                 report = CrosscheckReport(no_type2, no_type4, obstruction, not_embeddable)
                 if not report.consistent:

@@ -885,8 +885,9 @@ def test_verify_reads_any_query_text_without_a_traceback(
     assert_clean_exit(*run_main(["verify", str(path), *probes, "--cutoff", str(cutoff)]))
 
 
-# the most cases a drawn crosscheck may sweep: about 0.05 s on a 2-vCPU
-# Xeon VM; larger grids are drawn only where the budget refuses them
+# the most cases a drawn crosscheck may sweep: a 1,849-case crosscheck took
+# 5-9 ms in process on a 2-vCPU Xeon VM; larger grids are drawn only where the
+# budget refuses them
 SMALL_SWEEP = 2000
 
 

@@ -24,6 +24,7 @@ from fortdesign.designs import (
     CrosscheckReport,
     DescriptorError,
     DesignType,
+    FamilyDescriptor,
     OddTail,
     Singleton,
     Verdict,
@@ -318,8 +319,10 @@ NO_SPACE = ["space: must be a SpaceDescriptor, got None"]
     (OddTail(), sd(F(0), False, ALEPH0), X0,
      ["odd-tail family needs b in D", "odd-tail family needs countably infinite D"]),
     (ClassW(VALID), None, X0, []),
+    # a descriptor is not a family
+    (VALID, VALID, X0, [f"unknown family {VALID!r}"]),
 ], ids=["odd-tail", "odd-tail-no-d", "class-w", "singleton", "no-d", "size-not-cardinal",
-        "bad-cosize", "finite-d", "empty-d", "class-w-reads-no-d"])
+        "bad-cosize", "finite-d", "empty-d", "class-w-reads-no-d", "unknown-family"])
 def test_witness_violations_report_wrong_typed_arguments(witness, d, space, problems):
     assert witness_violations(witness, d, space) == problems
 
@@ -405,7 +408,7 @@ def test_sweep_checks_each_edge_of_the_condition_lattice(monkeypatch, s, t):
 
 @pytest.mark.parametrize("outcome", [
     "never",
-    (designs._ALEPH0_BLOCKS, designs._class_w),
+    (designs._ALEPH0_BLOCKS, ClassW),
 ], ids=["refusal", "existence"])
 def test_sweep_rejects_an_unknown_case_tag(monkeypatch, outcome):
     monkeypatch.setitem(designs._RULES, DesignType.TYPE3, (("t5", 0, 0, outcome),))
@@ -462,19 +465,19 @@ def test_a_second_sweep_decides_no_row(monkeypatch):
     assert planned > 0 and len(calls) == planned
 
 
-def check_key(witness, d, space):
-    """(what witness_violations reads of the witness, D, X): a class's base,
-    for W and L alike, a singleton's member, or odd-tail's D."""
-    if isinstance(witness, (ClassW, ClassL)):
-        return ("class base", witness.base), d, space
-    if isinstance(witness, Singleton):
-        return ("singleton member", witness.member), d, space
-    return ("odd-tail", d), d, space
+def check_key(kind, d, space):
+    """(what a check of kind's family over D reads, X): D for W and L alike,
+    D's b flag for the singleton, D for odd-tail."""
+    if kind is ClassW or kind is ClassL:
+        return "class base", d, space
+    if kind is Singleton:
+        return "singleton", d.contains_b, space
+    return "odd-tail", d, space
 
 
 def witness_keys(max_aleph, max_finite, finite_sizes_only=False):
-    """The check key of every existence verdict a sweep meets -> the witnesses
-    behind it, built by the witness constructor of each case's deciding row."""
+    """The check key of every existence verdict a sweep meets -> the (kind,
+    D) pairs behind it, read off each case's deciding row."""
     keys = {}
     for index in range(max_aleph + 1):
         space = SpaceDescriptor(Cardinal.aleph(index))
@@ -483,9 +486,21 @@ def witness_keys(max_aleph, max_finite, finite_sizes_only=False):
             for table in designs._RULES.values():
                 outcome = table[deciding_row(table, c, d, space)][3]
                 if not isinstance(outcome, str):
-                    witness = outcome[1](d, space)
-                    keys.setdefault(check_key(witness, d, space), set()).add(witness)
+                    keys.setdefault(check_key(outcome[1], d, space), set()).add(
+                        (outcome[1], d)
+                    )
     return keys
+
+
+def counted_builds(monkeypatch):
+    """The (kind, D, X) of every later family built from ``designs._KINDS``."""
+    builds = []
+    for kind, (build, reads) in list(designs._KINDS.items()):
+        def counted_build(d, x, kind=kind, build=build):
+            builds.append((kind, d, x))
+            return build(d, x)
+        monkeypatch.setitem(designs._KINDS, kind, (counted_build, reads))
+    return builds
 
 
 def built_verdicts(monkeypatch):
@@ -502,30 +517,39 @@ def built_verdicts(monkeypatch):
 
 @pytest.mark.parametrize("config", [(1, 6, False), (3, 2, True), (0, 1, False)])
 def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
-    # a check reads only a class's base, a singleton's member or odd-tail's
-    # D: one witness_violations call per (check key, D, X), so W(D) and
-    # L(D) share one
+    # a check reads D for W and L, D's b flag for the singleton, D for
+    # odd-tail: one witness_violations call, and at most one family built,
+    # per (what the kind reads, X), so W(D) and L(D) share one check, and
+    # every D with b shares one singleton check
     expected = witness_keys(*config)
-    assert {ClassW, ClassL} in [set(map(type, witnesses)) for witnesses in expected.values()]
+    kinds_per_key = [{kind for kind, _ in pairs} for pairs in expected.values()]
+    assert {ClassW, ClassL} in kinds_per_key
+    # the finite-sizes grid has no singleton witness
+    assert config[2] or any(
+        key[0] == "singleton" and len(pairs) > 1 for key, pairs in expected.items()
+    )
     grids = [
         (d, space)
         for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(config[0] + 1))
         for d in descriptor_grid(space, *config[1:])
     ]
     calls = {name: counted(monkeypatch, name) for name in ("_facts", "witness_violations")}
+    builds = counted_builds(monkeypatch)
     verdicts = built_verdicts(monkeypatch)
 
     def work():
-        return list(calls["witness_violations"]), list(calls["_facts"])
+        return list(calls["witness_violations"]), list(builds), list(calls["_facts"])
 
     assert sweep(*config).consistent
-    checked, facts = work()
-    keys = [check_key(*args) for args in checked]
+    checked, built, facts = work()
+    keys = [check_key(type(family), d, space) for family, d, space in checked]
     assert len(keys) == len(set(keys)) and set(keys) == set(expected)
+    built_keys = [check_key(*args) for args in built]
+    assert len(built_keys) == len(set(built_keys)) and set(built_keys) == set(expected)
     assert facts == grids
     # nothing is kept across calls: a second sweep does the same work again
     sweep(*config)
-    assert work() == (checked * 2, facts * 2)
+    assert work() == (checked * 2, built * 2, facts * 2)
     # and neither sweep builds a verdict, as decide does
     assert verdicts == []
     d, space = grids[0]
@@ -573,7 +597,7 @@ def test_a_patched_rule_set_meets_a_warm_slot(monkeypatch):
     sweep()
     before = sweep(max_aleph=1, max_finite=2)
     assert before.consistent
-    odd_tail = (designs._ALEPH0_BLOCKS, designs._odd_tail)
+    odd_tail = (designs._ALEPH0_BLOCKS, OddTail)
     patched = tuple(
         row if isinstance(row[3], str) else (*row[:3], odd_tail)
         for row in designs._RULES[DesignType.TYPE3]
@@ -590,7 +614,7 @@ def test_a_patched_rule_set_meets_a_warm_slot(monkeypatch):
 
 
 def test_sweep_reports_an_existing_type_with_a_larger_c(monkeypatch):
-    always = (("t3", 0, 0, (designs._CARD_W_CONTAINING_C, designs._class_w)),)
+    always = (("t3", 0, 0, (designs._CARD_W_CONTAINING_C, ClassW)),)
     monkeypatch.setitem(designs._RULES, DesignType.TYPE3, always)
     c, d = sd(F(2), False, ALEPH0), sd(F(1), False, ALEPH0)
     assert (
@@ -598,38 +622,73 @@ def test_sweep_reports_an_existing_type_with_a_larger_c(monkeypatch):
     ) in sweep(max_aleph=0, max_finite=2).violations
 
 
-def test_sweep_reports_a_witness_of_an_unknown_family(monkeypatch):
-    # a constructor that returns D itself, a descriptor and not a family
-    always = (("t3", 0, 0, (designs._CARD_W_CONTAINING_C, lambda d, x: d)),)
+@pytest.mark.parametrize("kind", [
+    # a family class that is not a kind, a function of (D, X) that builds a
+    # kind's family, and a kind's name
+    FamilyDescriptor, lambda d, x: ClassW(d), "W",
+], ids=["family-base-class", "function", "name"])
+def test_a_row_naming_an_unknown_kind_is_refused(monkeypatch, kind):
+    always = (("t3", 0, 0, (designs._CARD_W_CONTAINING_C, kind)),)
     monkeypatch.setitem(designs._RULES, DesignType.TYPE3, always)
     d = sd(F(1), False, ALEPH0)
-    assert (
-        f"X=aleph0 C={d} D={d}: type 3 witness: unknown family {d!r}"
-    ) in sweep(max_aleph=0, max_finite=1).violations
+    message = re.escape(f"unknown witness kind {kind!r}")
+    for refused in (
+        lambda: sweep(max_aleph=0, max_finite=1),
+        lambda: decide(3, d, d, X0),
+        lambda: crosscheck(d, d, X0),
+    ):
+        with pytest.raises(ValueError, match=message):
+            refused()
 
 
-WITNESS_CONSTRUCTORS = {
-    designs._class_w, designs._class_l, designs._the_space, designs._odd_tail,
-}
+WITNESS_KINDS = {ClassW, ClassL, Singleton, OddTail}
 
 
 def test_every_existence_row_names_one_of_the_four_witnesses():
+    assert set(designs._KINDS) == WITNESS_KINDS
     used = set()
     for table in designs._RULES.values():
         for tag, _, _, outcome in table:
             if isinstance(outcome, str):
                 continue
             assert type(outcome) is tuple and len(outcome) == 2, tag
-            multiplicity, witness = outcome
+            multiplicity, kind = outcome
             # a multiplicity is a value; card(X), the one that reads the
             # space, is the placeholder decide resolves
             if tag == "c1-case5":
                 assert multiplicity is designs._CARD_X, tag
             else:
                 assert type(multiplicity) is LambdaValue, tag
-            assert witness in WITNESS_CONSTRUCTORS, tag
-            used.add(witness)
-    assert used == WITNESS_CONSTRUCTORS
+            # a kind is a family class, never a function of D and X
+            assert kind in WITNESS_KINDS, tag
+            used.add(kind)
+    assert used == WITNESS_KINDS
+
+
+def with_kind(t, tag, kind):
+    """Type t's table with the existence row(s) tagged ``tag`` naming kind."""
+    return tuple(
+        (*row[:3], (row[3][0], kind)) if row[0] == tag and not isinstance(row[3], str)
+        else row
+        for row in designs._RULES[DesignType(t)]
+    )
+
+
+@pytest.mark.parametrize("t, tag", dict.fromkeys(
+    (int(t), tag)
+    for t, table in designs._RULES.items()
+    for tag, _, _, outcome in table
+    if not isinstance(outcome, str) and outcome[1] is not OddTail
+))
+def test_sweep_flags_a_row_whose_kind_becomes_odd_tail(monkeypatch, t, tag):
+    # odd-tail needs X, D and X \ D countable and b in D; every other
+    # existence row decides some case where one of these fails, as c1-case5
+    # does in every case: its D is finite
+    monkeypatch.setitem(designs._RULES, DesignType(t), with_kind(t, tag, OddTail))
+    assert any(
+        f": type {t} witness: odd-tail family needs " in v
+        for v in sweep(max_aleph=1, max_finite=3).violations
+    )
 
 
 def reference_sweep(max_aleph, max_finite, inject_fault):
@@ -667,40 +726,16 @@ def reference_sweep(max_aleph, max_finite, inject_fault):
     return tuple(violations)
 
 
-# invalid class bases other than D: W(D) and L(base) meet in one column, so
-# a check keyed by D, or by a base's value alone, loses the base's problems
-FOREIGN_BASES = {
-    "empty-base": lambda d, x: SubsetDescriptor(F(0), False, x.size),
-    # equal to D, with 1 or 0 for contains_b
-    "int-flag-base": lambda d, x: d._replace(contains_b=int(d.contains_b)),
-}
-
-
-def class_l_over(base):
-    """_TYPE2 with its _class_l rows building ClassL over base(d, x)."""
-    rows = []
-    for tag, required, forbidden, outcome in designs._RULES[DesignType.TYPE2]:
-        if not isinstance(outcome, str) and outcome[1] is designs._class_l:
-            outcome = outcome[0], lambda d, x: ClassL(base(d, x))
-        rows.append((tag, required, forbidden, outcome))
-    return tuple(rows)
-
-
 @pytest.mark.parametrize("inject_fault", [False, True])
-@pytest.mark.parametrize("edge", [None, *LATTICE_EDGES, *FOREIGN_BASES])
+@pytest.mark.parametrize("edge", [None, *LATTICE_EDGES])
 def test_sweep_agrees_with_a_per_case_reference(monkeypatch, edge, inject_fault):
     # a warm slot: the patched rules must replace what this sweep kept
     sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault)
-    if edge in FOREIGN_BASES:
-        rows = class_l_over(FOREIGN_BASES[edge])
-        monkeypatch.setitem(designs._RULES, DesignType.TYPE2, rows)
-    elif edge is not None:
+    if edge is not None:
         t = edge[1]
         monkeypatch.setitem(designs._RULES, DesignType(t), refusal_only(t))
     expected = reference_sweep(1, 3, inject_fault)
     assert expected or not (inject_fault or edge)
-    if edge in FOREIGN_BASES:
-        assert any(": type 2 witness: class base: " in v for v in expected)
     assert sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault).violations == expected
 
 
