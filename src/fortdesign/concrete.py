@@ -6,11 +6,15 @@ neither finite nor cofinite.  The functions here ground the symbolic
 classifiers: homeomorphisms are built and checked exactly from the
 exception table, and block families are counted over bounded windows.
 Containment counts are reported as exact-within-window or saturated lower
-bounds, never extrapolated.  :func:`local_design_check` reads its family
-once: :func:`_window_counter` gives the window's size and one rule for each
-probe's window and family-wide counts, all in closed form, and
-:func:`blocks_containing` enumerates the window and gives the same numbers.
-A class W(D) and a singleton share one window layout, :func:`_layout`.
+bounds, never extrapolated.  :func:`local_design_check` and
+:func:`blocks_containing` each lay their window out once, by
+:func:`_layout` (None for the odd-tail family), and hand the layout to
+:func:`_window_counter`, which gives the window's size and one rule for
+each probe's window and family-wide counts, all in closed form, and to
+:func:`_window_blocks`, which streams the blocks; :func:`blocks_containing`
+walks them and gives the same numbers.  A window generates its blocks'
+supports sorted and valid, so :func:`_fill` derives each block's fields
+without the constructor's re-validation.
 
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
 tuple-backed record that validates its table in one pass and sorts only a
@@ -87,30 +91,16 @@ class ConcreteSet:
     oracles read its fields in their inner loops, and a slot read is about
     twice as fast as a NamedTuple field read.  ``cofinite`` and ``support``
     are its fields; ``contains_b``, whether it holds b, and ``descriptor``,
-    the one :func:`extract_descriptor` returns, are derived from them by the
-    constructor.  Equality, hashing, ``repr`` and pickling use the two
-    fields only.
+    the one :func:`extract_descriptor` returns, are derived from them by
+    :func:`_fill`, which the constructor calls once it has validated and
+    sorted the support.  Equality, hashing, ``repr`` and pickling use the
+    two fields only.
     """
 
     __slots__ = ("cofinite", "support", "contains_b", "descriptor")
 
     def __init__(self, cofinite: bool, support: tuple[int, ...]) -> None:
-        setfield = object.__setattr__
-        cofinite = _exactly(bool, cofinite, "cofinite")
-        support = _normalized(support)
-        # the support is sorted, so b = 0 can only be its first point
-        contains_b = (support[:1] == (0,)) != cofinite
-        n = len(support)
-        if n < _SHARED_FINITES:
-            descriptor = _SHARED_DESCRIPTORS[cofinite][contains_b][n]
-        elif cofinite:
-            descriptor = SubsetDescriptor(ALEPH0, contains_b, Cardinal(False, n))
-        else:
-            descriptor = SubsetDescriptor(Cardinal(False, n), contains_b, ALEPH0)
-        setfield(self, "cofinite", cofinite)
-        setfield(self, "support", support)
-        setfield(self, "contains_b", contains_b)
-        setfield(self, "descriptor", descriptor)
+        _fill(self, _exactly(bool, cofinite, "cofinite"), _normalized(support))
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -192,6 +182,37 @@ class ConcreteSet:
         except ValueError as exc:
             raise ValueError(f"malformed concrete set {text!r}") from exc
         return cls(head == "cofin", tuple(points))
+
+
+# The slots' own setters: ConcreteSet.__setattr__ refuses every name, and
+# object.__setattr__ past it costs about three times what a slot's setter does.
+_set_cofinite, _set_support, _set_contains_b, _set_descriptor = (
+    ConcreteSet.__dict__[name].__set__ for name in ConcreteSet.__slots__
+)
+
+
+def _fill(s: "ConcreteSet", cofinite: bool, support: tuple[int, ...]) -> "ConcreteSet":
+    """Set a new set's two fields and derive ``contains_b`` and
+    ``descriptor`` from them; returns the set.
+
+    Nothing is checked: ``cofinite`` must be a ``bool`` and ``support`` a
+    strictly increasing tuple of naturals, as the constructor's validation
+    leaves it and as a window's blocks are generated.
+    """
+    # the support is sorted, so b = 0 can only be its first point
+    contains_b = (support[:1] == (0,)) != cofinite
+    n = len(support)
+    if n < _SHARED_FINITES:
+        descriptor = _SHARED_DESCRIPTORS[cofinite][contains_b][n]
+    elif cofinite:
+        descriptor = SubsetDescriptor(ALEPH0, contains_b, Cardinal(False, n))
+    else:
+        descriptor = SubsetDescriptor(Cardinal(False, n), contains_b, ALEPH0)
+    _set_cofinite(s, cofinite)
+    _set_support(s, support)
+    _set_contains_b(s, contains_b)
+    _set_descriptor(s, descriptor)
+    return s
 
 
 class _OddTailBlockFields(NamedTuple):
@@ -425,7 +446,7 @@ def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     It is the one block of ``Singleton(d)``'s window.  Doubly-infinite
     descriptors have no finite or cofinite realization and are rejected.
     """
-    return next(_window_blocks(Singleton(d), 1, 0))
+    return next(_window_blocks(_layout(Singleton(d), 0), 1))
 
 
 class BlockCount(NamedTuple):
@@ -446,21 +467,34 @@ class BlockCount(NamedTuple):
         return f"AtLeast({self.value})" if self.saturated else f"Exactly({self.value})"
 
 
-def _layout(family: FamilyDescriptor, prefix: int) -> tuple:
-    """How the window of a class W(D) or a singleton is laid out.
+def _layout(family: FamilyDescriptor, prefix: int) -> tuple | None:
+    """How the window of a class W(D) or a singleton is laid out; None for
+    the odd-tail family, whose window is its first ``cutoff`` blocks.
 
-    Returns ``(cofinite, pinned, free, top)``: a finite block is ``R``, plus
-    b when ``pinned``; a cofinite block excludes ``R``, and b too when
-    ``pinned``; ``R`` ranges over the ``free``-subsets of ``[1, top]``.  A
-    class's ``top`` is the prefix; a singleton is its member's layout with
-    ``top = free``, so its window is one block.  A doubly-infinite base or
-    member, and any other family, are rejected.
+    Returns ``(cofinite, pinned, free, top, singleton)``: a finite block is
+    ``R``, plus b when ``pinned``; a cofinite block excludes ``R``, and b
+    too when ``pinned``; ``R`` ranges over the ``free``-subsets of ``[1,
+    top]``.  A class's ``top`` is the prefix; a singleton is its member's
+    layout with ``top = free``, so its window is one block.  The family is
+    dispatched on by its exact type, once: a family that is no
+    ``FamilyDescriptor``, or whose base or member is no
+    ``SubsetDescriptor``, raises ``ValueError`` naming it; a doubly-infinite
+    base or member, and any other family, raise
+    :class:`FamilyEnumerationError`.
     """
-    if not isinstance(family, (ClassW, Singleton)):
+    kind = type(family)
+    if kind is OddTail:
+        return None
+    if kind is ClassW:
+        base = _exactly(SubsetDescriptor, family.base, "class base")
+    elif kind is Singleton:
+        base = _exactly(SubsetDescriptor, family.member, "singleton member")
+    elif isinstance(family, FamilyDescriptor):
         raise FamilyEnumerationError(
             f"{family.to_text()} has no bounded enumeration strategy"
         )
-    base = family.member if isinstance(family, Singleton) else family.base
+    else:
+        raise ValueError(f"family must be FamilyDescriptor, got {family!r}")
     if not base.size.infinite:
         cofinite, pinned, finite = False, base.contains_b, base.size
     elif not base.cosize.infinite:
@@ -471,49 +505,53 @@ def _layout(family: FamilyDescriptor, prefix: int) -> tuple:
             "cofinite realization"
         )
     free = finite.value - pinned
-    return cofinite, pinned, free, free if isinstance(family, Singleton) else prefix
+    singleton = kind is Singleton
+    return cofinite, pinned, free, free if singleton else prefix, singleton
 
 
-def _window_blocks(
-    family: FamilyDescriptor, cutoff: int, prefix: int
-) -> Iterator[Block]:
-    """Stream the blocks of the family's bounded window, in a fixed order.
+def _window_blocks(layout: tuple | None, cutoff: int) -> Iterator[Block]:
+    """Stream the blocks of a window laid out by :func:`_layout`, in a fixed
+    order.
 
-    The window is the first ``cutoff`` odd-tail blocks, the single block,
-    or every class member whose symmetric difference with the canonical
-    representative lies inside the prefix.  A class's or singleton's first
-    block, ``R = {1..free}`` (:func:`_layout`), is built from the layout
-    alone; ``itertools.combinations`` copies the pool ``[1, prefix]`` into
-    a tuple only when a second block is drawn, and a window of one block
+    The window is the first ``cutoff`` odd-tail blocks (``layout`` None),
+    the single block, or every class member whose symmetric difference
+    with the canonical representative lies inside the prefix.  A class's or
+    singleton's first block, ``R = {1..free}``, is built from the layout
+    alone; ``itertools.combinations`` copies the pool ``[1, top]`` into a
+    tuple only when a second block is drawn, and a window of one block
     (``free = 0``) has an empty pool.  So drawing one block costs nothing
-    per point of the prefix.
+    per point of the prefix.  Every block's support is generated sorted
+    and valid, so it is filled by :func:`_fill` without the constructor's
+    re-validation.
     """
-    if isinstance(family, OddTail):
+    if layout is None:
         yield from map(OddTailBlock, range(1, cutoff + 1))
         return
-    cofinite, pinned, free, top = _layout(family, prefix)
+    cofinite, pinned, free, top, _ = layout
     if free > top:
         return
     fixed = (0,) if pinned else ()
-    yield ConcreteSet(cofinite, fixed + tuple(range(1, free + 1)))
+    new, fill = object.__new__, _fill
+    yield fill(new(ConcreteSet), cofinite, fixed + tuple(range(1, free + 1)))
     rests = itertools.combinations(range(1, top + 1) if free else (), free)
     for rest in itertools.islice(rests, 1, None):
-        yield ConcreteSet(cofinite, fixed + rest)
+        yield fill(new(ConcreteSet), cofinite, fixed + rest)
 
 
 def _window_counter(
-    family: FamilyDescriptor, cutoff: int, prefix: int
+    layout: tuple | None, cutoff: int
 ) -> tuple[int, Callable[[ConcreteSet], tuple[int, int | None]]]:
-    """The window's size, and a rule giving a probe's window count and its
-    family-wide count (None when infinite), both in closed form.
+    """The size of a window laid out by :func:`_layout`, and a rule giving
+    a probe's window count and its family-wide count (None when infinite),
+    both in closed form.
 
-    The family is read once: the odd-tail family by arithmetic on the
-    probe's largest odd point, a class W(D) or a singleton by one
-    :func:`_layout`.  The family-wide window is unbounded for a class, so
-    its ``R`` ranges over all points past b, and is the one block (``top =
-    free``) for a singleton, whose two counts are equal.
+    The odd-tail family (``layout`` None) is counted by arithmetic on the
+    probe's largest odd point, a class W(D) or a singleton from its layout.
+    The family-wide window is unbounded for a class, so its ``R`` ranges
+    over all points past b, and is the one block (``top = free``) for a
+    singleton, whose two counts are equal.
     """
-    if isinstance(family, OddTail):
+    if layout is None:
         def odd_tail(probe: ConcreteSet) -> tuple[int, int | None]:
             if probe.cofinite:
                 return 0, 0
@@ -523,8 +561,7 @@ def _window_counter(
             return max(cutoff - need + 1, 0), None
 
         return cutoff, odd_tail
-    cofinite, pinned, free, top = _layout(family, prefix)
-    singleton = isinstance(family, Singleton)
+    cofinite, pinned, free, top, singleton = layout
 
     def counts(probe: ConcreteSet) -> tuple[int, int | None]:
         support = probe.support
@@ -561,7 +598,8 @@ def _window_prefix(cutoff: int, prefix: int | None) -> int:
 
 
 # the most blocks local_design_check lists or blocks_containing draws: 10^5
-# failure strings take 0.5 s, 10^5 drawn blocks 0.6 s (2-vCPU Xeon, Python 3.11)
+# failure strings take 0.17 s, 10^5 drawn blocks 0.15 s (best of 5, 2-vCPU
+# Xeon VM, Python 3.11.7)
 LISTING_BUDGET = 10**5
 
 
@@ -580,15 +618,18 @@ def blocks_containing(
     one by one until ``cutoff`` of them hold the probe, and drawing more
     than ``LISTING_BUDGET`` raises ``ValueError``.  :func:`local_design_check`
     gives the same counts in closed form; this is their literal reference.
+    A family or probe of the wrong type raises ``ValueError`` naming it.
     """
     prefix = _window_prefix(cutoff, prefix)
+    layout = _layout(family, prefix)
+    _exactly(ConcreteSet, probe, "probe")
     count = 0
-    for block in itertools.islice(_window_blocks(family, cutoff, prefix), LISTING_BUDGET):
+    for block in itertools.islice(_window_blocks(layout, cutoff), LISTING_BUDGET):
         if block.issuperset(probe):
             count += 1
             if count >= cutoff:
                 return BlockCount(count, True)
-    window, _ = _window_counter(family, cutoff, prefix)
+    window, _ = _window_counter(layout, cutoff)
     if window > LISTING_BUDGET:
         raise ValueError(
             f"walking {window} window blocks exceeds the budget of {LISTING_BUDGET} blocks"
@@ -667,19 +708,25 @@ def local_design_check(
     infinite one differing from every finite one at any cutoff.
 
     The window is the one :func:`blocks_containing` enumerates, but nothing
-    here walks it: the family is read once, by :func:`_window_counter`, and
+    here walks it: the family is read once, by one :func:`_layout` that both
+    :func:`_window_counter` and :func:`_window_blocks` read, and
     ``blocks_checked`` and the counts come in closed form (binomial
     coefficients over ``[1, prefix]`` for W(D), arithmetic on the largest
     odd point for the odd-tail family) and equal the literal ones.  All
     blocks of a window share one descriptor, so only the first block is
     shape-checked; when it fails, every block is listed with its failure,
     and a window of more than ``LISTING_BUDGET`` blocks raises
-    ``ValueError`` before the listing starts.
+    ``ValueError`` before the listing starts.  A family, C, D or probe of
+    the wrong type raises ``ValueError`` naming it.
     """
     _exactly(bool, require_complement, "require_complement")
     prefix = _window_prefix(cutoff, prefix)
-    blocks_checked, counts = _window_counter(family, cutoff, prefix)
-    blocks = _window_blocks(family, cutoff, prefix)
+    layout = _layout(family, prefix)
+    if type(c) is not SubsetDescriptor or type(d) is not SubsetDescriptor:
+        _exactly(SubsetDescriptor, c, "C")
+        _exactly(SubsetDescriptor, d, "D")
+    blocks_checked, counts = _window_counter(layout, cutoff)
+    blocks = _window_blocks(layout, cutoff)
     first = next(blocks, None)
     failure = None
     if first is not None:
@@ -702,17 +749,20 @@ def local_design_check(
     accepted: list[ProbeReport] = []
     rejected: list[ConcreteSet] = []
     for probe in probes:
+        if type(probe) is not ConcreteSet:
+            _exactly(ConcreteSet, probe, "probe")
         if not subspace_homeomorphic(extract_descriptor(probe), c):
             rejected.append(probe)
             continue
         count, wide = counts(probe)
         accepted.append(ProbeReport(probe, BlockCount(min(count, cutoff), count >= cutoff), wide))
 
+    reports = tuple(accepted)
     return DesignCheckReport(
         family=family,
         blocks_checked=blocks_checked,
         block_failures=tuple(failures),
-        probes=tuple(accepted),
+        probes=reports,
         rejected=tuple(rejected),
-        refutation=_find_refutation(tuple(accepted)),
+        refutation=_find_refutation(reports),
     )

@@ -52,6 +52,11 @@ def small_sets(max_element=4):
                 yield ConcreteSet(kind, support)
 
 
+def window_of(family, cutoff, prefix):
+    """Stream the family's window as the library lays it out and draws it."""
+    return concrete._window_blocks(concrete._layout(family, prefix), cutoff)
+
+
 class TestConcreteSet:
     def test_membership_and_normalization(self):
         s = ConcreteSet.finite((5, 1, 9, 1))
@@ -508,7 +513,7 @@ class TestRealize:
             block = realize_descriptor(d)
             assert extract_descriptor(block) == d
             for prefix in (0, 1, 3, 8, 12):
-                assert list(concrete._window_blocks(Singleton(d), 1, prefix)) == [block]
+                assert list(window_of(Singleton(d), 1, prefix)) == [block]
 
 
 class TestBlockCounts:
@@ -593,6 +598,45 @@ D_ODD = sd(ALEPH0, True, ALEPH0)
      "cutoff must be int, got True"),
     (lambda: blocks_containing(OddTail(), F((1, 4)), 2.5),
      "cutoff must be int, got 2.5"),
+    # each once raised AttributeError: a probe, a family, its base or
+    # member, C or D of the wrong type
+    (lambda: local_design_check(ClassW(D3), C2, D3, ["fin:0"], 5),
+     "probe must be ConcreteSet, got 'fin:0'"),
+    (lambda: local_design_check(ClassW(D3), C2, D3, [F((1, 2)), None], 5),
+     "probe must be ConcreteSet, got None"),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, [(False, (0,))], 5),
+     "probe must be ConcreteSet, got (False, (0,))"),
+    (lambda: blocks_containing(ClassW(D3), "fin:0", 5),
+     "probe must be ConcreteSet, got 'fin:0'"),
+    (lambda: blocks_containing(ClassW(D3), None, 5),
+     "probe must be ConcreteSet, got None"),
+    (lambda: blocks_containing(OddTail(), (False, (0,)), 5),
+     "probe must be ConcreteSet, got (False, (0,))"),
+    # an odd-tail block is no probe, whether or not C matches its shape
+    (lambda: local_design_check(OddTail(), D_ODD, D_ODD, [OddTailBlock(1)], 5),
+     "probe must be ConcreteSet, got OddTailBlock(index=1)"),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, [OddTailBlock(1)], 5),
+     "probe must be ConcreteSet, got OddTailBlock(index=1)"),
+    (lambda: blocks_containing(OddTail(), OddTailBlock(2), 5),
+     "probe must be ConcreteSet, got OddTailBlock(index=2)"),
+    (lambda: local_design_check(None, C2, D3, [], 5),
+     "family must be FamilyDescriptor, got None"),
+    (lambda: local_design_check("W", C2, D3, [], 5),
+     "family must be FamilyDescriptor, got 'W'"),
+    (lambda: blocks_containing(None, F((1,)), 5),
+     "family must be FamilyDescriptor, got None"),
+    (lambda: local_design_check(ClassW(None), C2, D3, [], 5),
+     "class base must be SubsetDescriptor, got None"),
+    (lambda: blocks_containing(ClassW(None), F((1,)), 5),
+     "class base must be SubsetDescriptor, got None"),
+    (lambda: blocks_containing(Singleton("fin:1"), F((1,)), 5),
+     "singleton member must be SubsetDescriptor, got 'fin:1'"),
+    (lambda: local_design_check(ClassW(D3), None, D3, [F((1, 2))], 5),
+     "C must be SubsetDescriptor, got None"),
+    (lambda: local_design_check(ClassW(D3), C2, "D3", [], 5),
+     "D must be SubsetDescriptor, got 'D3'"),
+    (lambda: local_design_check(OddTail(), C2, None, [], 5),
+     "D must be SubsetDescriptor, got None"),
 ])
 def test_window_arguments_are_read_exactly(make, message):
     with pytest.raises(ValueError) as exc:
@@ -741,7 +785,7 @@ def built_sets(draw):
     if path == "realize":
         return realize_descriptor(d)
     family = draw(st.sampled_from((ClassW(d), Singleton(d))))
-    window = list(concrete._window_blocks(family, 10, draw(st.integers(0, 8))))
+    window = list(window_of(family, 10, draw(st.integers(0, 8))))
     assume(window)
     return draw(st.sampled_from(window))
 
@@ -762,6 +806,31 @@ def test_stored_b_membership_matches_its_definition(s):
     public = ConcreteSet(s.cofinite, s.support)
     assert s == public and hash(s) == hash(public)
     assert s.contains_b is public.contains_b
+
+
+@pytest.mark.parametrize("kind", [ClassW, Singleton])
+def test_filled_window_blocks_equal_validated_ones(kind):
+    # a window fills its blocks without the constructor's validation: each
+    # must be the set the public constructor builds from its fields
+    realizable = [d for d in descriptor_grid(SpaceDescriptor(ALEPH0), 6)
+                  if not (d.size.infinite and d.cosize.infinite)]
+    drawn = 0
+    for d in realizable:
+        for prefix in range(9):
+            for block in window_of(kind(d), 10, prefix):
+                drawn += 1
+                public = ConcreteSet(block.cofinite, block.support)
+                assert type(block) is ConcreteSet
+                assert block == public
+                assert block.contains_b is public.contains_b is (0 in block)
+                listed = FC(len(block.support))
+                written = (sd(ALEPH0, 0 in block, listed) if block.cofinite
+                           else sd(listed, 0 in block, ALEPH0))
+                assert block.descriptor == public.descriptor == written
+                # below 64 listed points both read the one shared descriptor
+                assert len(block.support) < _SHARED_FINITES
+                assert block.descriptor is public.descriptor
+    assert len(realizable) == 25 and drawn == (1923 if kind is ClassW else 25 * 9)
 
 
 @st.composite
@@ -786,7 +855,7 @@ def literal_failures(family, d, cutoff, prefix, require_complement):
     """Walk the whole window and list each block's shape failure."""
     co_d = complement(d)
     out = []
-    for block in concrete._window_blocks(family, cutoff, prefix):
+    for block in window_of(family, cutoff, prefix):
         desc = extract_descriptor(block)
         if not subspace_homeomorphic(desc, d):
             out.append(f"{block.to_text()}: not shaped like D")
@@ -805,7 +874,7 @@ class TestClosedFormWindows:
     @example((Singleton(sd(FC(1), False, ALEPH0)), sd(FC(1), False, ALEPH0), 1, 0, [F(())]))
     def test_closed_form_matches_literal_enumeration(self, case):
         family, d, cutoff, prefix, probes = case
-        window = list(concrete._window_blocks(family, cutoff, 0 if prefix is None else prefix))
+        window = list(window_of(family, cutoff, 0 if prefix is None else prefix))
         # the shape check reads the first block only: all blocks share it
         assert len({extract_descriptor(block) for block in window}) <= 1
         for probe in probes:
@@ -857,11 +926,11 @@ class TestClosedFormWindows:
         )
         if require_complement:
             assert report.block_failures
-        block_d = extract_descriptor(next(concrete._window_blocks(family, cutoff, prefix)))
+        block_d = extract_descriptor(next(window_of(family, cutoff, prefix)))
         matching = local_design_check(family, block_d, block_d, [], cutoff, prefix=prefix)
         assert matching.block_failures == ()
         assert report.blocks_checked == matching.blocks_checked == sum(
-            1 for _ in concrete._window_blocks(family, cutoff, prefix)
+            1 for _ in window_of(family, cutoff, prefix)
         )
 
 
@@ -974,8 +1043,8 @@ def test_a_walk_past_the_budget_is_refused_before_the_next_block(monkeypatch):
 
 
 def test_design_check_reads_its_family_once(monkeypatch):
-    # one layout gives every count, and the stream that yields the
-    # shape-check block lays the window out once more
+    # one layout gives every count and the stream that yields the
+    # shape-check block; a walk lays its window out once too
     calls = {"_layout": 0, "_window_blocks": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(concrete, name)):
@@ -986,7 +1055,11 @@ def test_design_check_reads_its_family_once(monkeypatch):
     d = sd(FC(3), False, ALEPH0)
     probes = [F((1, 2)), F((3, 4)), F((0,))]
     local_design_check(ClassW(d), sd(FC(2), False, ALEPH0), d, probes, 10)
-    assert calls == {"_layout": 2, "_window_blocks": 1}
+    assert calls == {"_layout": 1, "_window_blocks": 1}
+    for family, probe in ((ClassW(d), F((0,))), (OddTail(), F((0, 2)))):
+        calls.update(_layout=0, _window_blocks=0)
+        blocks_containing(family, probe, 10)
+        assert calls == {"_layout": 1, "_window_blocks": 1}
 
 
 def oracle_transcript():
