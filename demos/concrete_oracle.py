@@ -51,7 +51,7 @@ print("\n-- full witness check --")
 c = SubsetDescriptor(Cardinal.finite(2), True, ALEPH0)
 d = SubsetDescriptor(ALEPH0, True, ALEPH0)
 probes = [F((0, 4)), F((0, 8)), F((3, 7))]
-report = local_design_check(OddTail(), c, d, probes, cutoff=50)
+report = local_design_check(OddTail(), c, d, probes, cutoff=50, require_complement=True)
 print(f"  blocks checked: {report.blocks_checked}, shape failures: {len(report.block_failures)}")
 for probe_report in report.probes:
     print(f"  {probe_report.probe.to_text():10} count {probe_report.count}")

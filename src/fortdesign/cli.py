@@ -154,7 +154,7 @@ def _refutation_demo_report(cutoff: int):
     d = SubsetDescriptor(Cardinal.finite(3), True, ALEPH0)
     c = SubsetDescriptor(Cardinal.finite(2), True, ALEPH0)
     probes = [ConcreteSet.finite((0, 5)), ConcreteSet.finite((5, 6))]
-    return local_design_check(ClassW(d), c, d, probes, cutoff)
+    return local_design_check(ClassW(d), c, d, probes, cutoff, require_complement=True)
 
 
 def _print_check_report(report, fmt: str) -> None:
@@ -216,21 +216,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"nothing to verify: decision is NotExists [case {verdict.case_tag}]"
             )
         probes = [ConcreteSet.parse(text) for text in args.probes]
-        require_complement = query.design_type in (DesignType.TYPE1, DesignType.TYPE3)
         report = local_design_check(
             verdict.witness,
             query.c,
             query.d,
             probes,
             args.cutoff,
-            require_complement=require_complement,
+            require_complement=query.design_type.condition_ii,
         )
-        # condition IV (types 3 and 4): a probe shaped like C has C's descriptor
-        condition_iv = query.design_type in (DesignType.TYPE3, DesignType.TYPE4)
+        # condition IV: a probe shaped like C has C's descriptor
         bad_complement = [
             p.probe
             for p in report.probes
-            if condition_iv and extract_descriptor(p.probe) != query.c
+            if query.design_type.condition_iv and extract_descriptor(p.probe) != query.c
         ]
         problems = []
         if report.rejected:

@@ -477,24 +477,33 @@ def _layout(family: FamilyDescriptor, prefix: int) -> tuple | None:
     top]``.  A class's ``top`` is the prefix; a singleton is its member's
     layout with ``top = free``, so its window is one block.  The family is
     dispatched on by its exact type, once: a family that is no
-    ``FamilyDescriptor``, or whose base or member is no
-    ``SubsetDescriptor``, raises ``ValueError`` naming it; a doubly-infinite
-    base or member, and any other family, raise
-    :class:`FamilyEnumerationError`.
+    ``FamilyDescriptor``, or whose base or member is no exact
+    ``SubsetDescriptor`` of ``Cardinal``, ``bool`` and ``Cardinal``, raises
+    ``ValueError`` naming the field; a doubly-infinite base or member, and
+    any other family, raise :class:`FamilyEnumerationError`.
     """
     kind = type(family)
     if kind is OddTail:
         return None
     if kind is ClassW:
-        base = _exactly(SubsetDescriptor, family.base, "class base")
+        what, base = "class base", family.base
     elif kind is Singleton:
-        base = _exactly(SubsetDescriptor, family.member, "singleton member")
+        what, base = "singleton member", family.member
     elif isinstance(family, FamilyDescriptor):
         raise FamilyEnumerationError(
             f"{family.to_text()} has no bounded enumeration strategy"
         )
     else:
         raise ValueError(f"family must be FamilyDescriptor, got {family!r}")
+    _exactly(SubsetDescriptor, base, what)
+    if (
+        type(base.size) is not Cardinal
+        or type(base.contains_b) is not bool
+        or type(base.cosize) is not Cardinal
+    ):
+        _exactly(Cardinal, base.size, f"{what} size")
+        _exactly(bool, base.contains_b, f"{what} contains_b")
+        _exactly(Cardinal, base.cosize, f"{what} cosize")
     if not base.size.infinite:
         cofinite, pinned, finite = False, base.contains_b, base.size
     elif not base.cosize.infinite:
@@ -694,18 +703,18 @@ def local_design_check(
     d: SubsetDescriptor,
     probes: list[ConcreteSet],
     cutoff: int,
-    require_complement: bool = True,
+    require_complement: bool,
     prefix: int | None = None,
 ) -> DesignCheckReport:
     """Check a witness family against the design conditions on a bounded window.
 
-    Every block must be shaped like D and, when ``require_complement`` (types
-    1 and 3), have D's descriptor: condition II, a complement shaped like
-    X \\ D, is checked as descriptor equality.  Probes not shaped like C are
-    rejected and listed.  Accepted probes get the window count and the
-    family-wide one (the closed form with no cutoff and no prefix, None when
-    infinite), and a pair with different family-wide counts is flagged, an
-    infinite one differing from every finite one at any cutoff.
+    Every block must be shaped like D and, when ``require_complement`` (the
+    type's ``condition_ii``), have D's descriptor, condition II; the type's
+    ``condition_iv`` is the caller's.  Probes not shaped like C are rejected
+    and listed.  Accepted probes get the window count and the family-wide
+    one (the closed form with no cutoff and no prefix, None when infinite),
+    and a pair with different family-wide counts is flagged, an infinite
+    one differing from every finite one at any cutoff.
 
     The window is the one :func:`blocks_containing` enumerates, but nothing
     here walks it: the family is read once, by one :func:`_layout` that both

@@ -76,15 +76,27 @@ class DesignType(enum.IntEnum):
     Blocks may be required to match D alone (condition I) or D together with
     its complement (condition II); probes counted may be all copies of C
     (condition III) or only complement-respecting copies (condition IV).
-    Type 1 = (II, III), type 2 = (I, III), type 3 = (II, IV), type 4 = (I, IV).
-    Matching a set together with its complement (conditions II and IV) is
-    having that set's descriptor, as ``pair_equivalent`` states.
+    ``condition_ii`` and ``condition_iv`` say which a type asks, and only
+    they.  Matching a set together with its complement (conditions II and
+    IV) is having that set's descriptor, as ``pair_equivalent`` states.
     """
 
     TYPE1 = 1
     TYPE2 = 2
     TYPE3 = 3
     TYPE4 = 4
+
+    @property
+    def condition_ii(self) -> bool:
+        """Blocks must have D's descriptor (condition II), not only D's
+        shape (condition I)."""
+        return self in (DesignType.TYPE1, DesignType.TYPE3)
+
+    @property
+    def condition_iv(self) -> bool:
+        """Probes are only the copies of C that have C's descriptor
+        (condition IV), not every copy (condition III)."""
+        return self in (DesignType.TYPE3, DesignType.TYPE4)
 
     @classmethod
     def of(cls, value) -> "DesignType":
@@ -600,7 +612,7 @@ class SweepReport(NamedTuple):
 # the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.09-0.18 s, median
 # 0.13 s or 1.3 us a case, in 30 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
 SWEEP_BUDGET = 10**5
-# (s, t): II implies I and III implies IV, so a type-s design is a type-t one
+# (s, t): t weakens one of s's conditions, II to I or III to IV, so s implies t
 _IMPLIED_TYPES = ((1, 2), (1, 3), (2, 4), (3, 4))
 
 
@@ -665,15 +677,15 @@ def sweep(
     """Run every consistency property over the full descriptor grid.
 
     Per (C, D, space) triple: the four-way crosscheck, the condition lattice
-    (type 1 => 2, 1 => 3, 2 => 4, 3 => 4), card(C) <= card(D) for every
-    existence verdict, and witness validity.  ``ValueError`` is raised
-    before any case runs unless ``max_aleph`` and ``max_finite`` are exactly
-    ``int`` and the flags exactly ``bool``, with ``max_aleph >= 0``,
-    ``max_finite >= 1`` and at most ``SWEEP_BUDGET`` cases, the only bound on
-    the ladder, counted before any space is built; a deciding row with an
-    unknown case tag or witness kind raises it when its mask is planned.
-    ``inject_fault`` deliberately flips the obstruction statement on a subset
-    of cases so the harness can prove it detects violations.
+    (a type implies one with a weaker ``condition_ii`` or ``condition_iv``),
+    card(C) <= card(D) for every existence verdict, and witness validity.
+    ``ValueError`` is raised before any case runs unless ``max_aleph`` and
+    ``max_finite`` are exactly ``int`` and the flags exactly ``bool``, with
+    ``max_aleph >= 0``, ``max_finite >= 1`` and at most ``SWEEP_BUDGET``
+    cases, the only bound on the ladder, counted before any space is built;
+    a deciding row with an unknown case tag or witness kind raises it when
+    its mask is planned.  ``inject_fault`` flips the obstruction statement
+    on a subset of cases so the harness can prove it detects violations.
 
     The work is split in three levels by what it reads: a mask's plan
     (``_plan``), with the check of its rows' tags and witness kinds, is

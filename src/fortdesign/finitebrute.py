@@ -115,9 +115,9 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
 
     On a finite discrete ground set every subset of a size is homeomorphic
     to every other of that size, and a block's complement size is fixed by
-    its size.  So condition II (types 1 and 3) holds once condition I does,
-    and the probes of matching complement size (types 3 and 4) are all the
-    probes: the four types ask one question, and only condition I is checked.
+    its size.  So condition II (``condition_ii``) holds once condition I
+    does, and the probes of matching complement size (``condition_iv``) are
+    all the probes: the four types ask one question, and only I is checked.
 
     Once condition I holds, the first probe is counted literally.  When it
     lies in no block, the first other probe is the smallest t-subset of any

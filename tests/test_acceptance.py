@@ -152,7 +152,7 @@ def test_criterion_4_odd_tail_witness():
         probe = ConcreteSet.finite(rng.sample(range(1, 30), 2))
         probes.append(probe)
 
-    report = local_design_check(OddTail(), c, d, probes, cutoff)
+    report = local_design_check(OddTail(), c, d, probes, cutoff, require_complement=True)
     failures = [f"block failure: {msg}" for msg in report.block_failures]
     if report.rejected:
         failures.append(f"rejected probes: {report.rejected}")
@@ -187,7 +187,7 @@ def test_criterion_5_boundary_refutation():
     d = SubsetDescriptor(F(3), True, ALEPH0)
     report = local_design_check(
         ClassW(d), c, d, [ConcreteSet.finite((0, 5)), ConcreteSet.finite((5, 6))],
-        cutoff,
+        cutoff, require_complement=True,
     )
     counts = {p.probe.to_text(): p for p in report.probes}
     if str(counts["fin:0,5"].count) != f"AtLeast({cutoff})":

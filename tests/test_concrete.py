@@ -34,7 +34,7 @@ from fortdesign.descriptors import (
     subspace_homeomorphic,
     validate,
 )
-from fortdesign.designs import ClassL, ClassW, OddTail, Singleton
+from fortdesign.designs import ClassL, ClassW, DesignType, OddTail, Singleton, decide
 
 F = ConcreteSet.finite
 Co = ConcreteSet.cofinite_set
@@ -548,18 +548,22 @@ class TestBlockCounts:
             blocks_containing(OddTail(), F((1,)), 0)
         d = sd(ALEPH0, True, ALEPH0)
         with pytest.raises(ValueError, match="cutoff"):
-            local_design_check(OddTail(), d, d, [], cutoff=0)
+            local_design_check(OddTail(), d, d, [], cutoff=0, require_complement=True)
 
     def test_prefix_zero_is_the_empty_prefix(self):
         # W(D) blocks differ from the canonical one only inside [1, 0]: the
         # pinned {0} is the only block with b, and none has size 2 without b
         c, d = sd(FC(0), False, ALEPH0), sd(FC(1), True, ALEPH0)
-        report = local_design_check(ClassW(d), c, d, [F(())], cutoff=5, prefix=0)
+        report = local_design_check(
+            ClassW(d), c, d, [F(())], cutoff=5, require_complement=True, prefix=0
+        )
         assert report.blocks_checked == 1
         assert [p.count for p in report.probes] == [BlockCount.exactly(1)]
         assert blocks_containing(ClassW(d), F((0,)), 5, prefix=0) == BlockCount.exactly(1)
         c, d = sd(FC(1), False, ALEPH0), sd(FC(2), False, ALEPH0)
-        report = local_design_check(ClassW(d), c, d, [F((1,))], cutoff=5, prefix=0)
+        report = local_design_check(
+            ClassW(d), c, d, [F((1,))], cutoff=5, require_complement=True, prefix=0
+        )
         assert report.blocks_checked == 0
         assert [p.count for p in report.probes] == [BlockCount.exactly(0)]
         assert blocks_containing(ClassW(d), F((1,)), 5, prefix=0) == BlockCount.exactly(0)
@@ -567,7 +571,7 @@ class TestBlockCounts:
     def test_negative_prefix_is_rejected(self):
         d = sd(FC(2), False, ALEPH0)
         with pytest.raises(ValueError, match="prefix"):
-            local_design_check(ClassW(d), d, d, [], cutoff=5, prefix=-1)
+            local_design_check(ClassW(d), d, d, [], cutoff=5, require_complement=True, prefix=-1)
         with pytest.raises(ValueError, match="prefix"):
             blocks_containing(ClassW(d), F((1,)), 5, prefix=-1)
 
@@ -575,16 +579,26 @@ class TestBlockCounts:
 D3 = sd(FC(3), False, ALEPH0)
 C2 = sd(FC(2), False, ALEPH0)
 D_ODD = sd(ALEPH0, True, ALEPH0)
+# a W base or singleton member with one field of the wrong type, and its refusal
+BAD_FIELDS = [
+    (ClassW(sd(3, False, ALEPH0)), "class base size must be Cardinal, got 3"),
+    (ClassW(sd(FC(3), "no", ALEPH0)), "class base contains_b must be bool, got 'no'"),
+    (ClassW(sd(ALEPH0, True, 5)), "class base cosize must be Cardinal, got 5"),
+    (Singleton(sd(True, False, ALEPH0)), "singleton member size must be Cardinal, got True"),
+    (Singleton(sd(FC(1), 1, ALEPH0)), "singleton member contains_b must be bool, got 1"),
+    (Singleton(sd(ALEPH0, False, 1.0)), "singleton member cosize must be Cardinal, got 1.0"),
+]
 
 
 @pytest.mark.parametrize("make, message", [
     # each was once read as other input or raised TypeError: True as
     # prefix or cutoff 1, 2.5 as a cutoff, "no" and 1 as true
-    (lambda: local_design_check(ClassW(D3), C2, D3, [F((0, 5))], 5, prefix=True),
+    (lambda: local_design_check(ClassW(D3), C2, D3, [F((0, 5))], 5, require_complement=True,
+                                prefix=True),
      "prefix must be int, got True"),
-    (lambda: local_design_check(ClassW(D3), C2, D3, [F((0, 5))], 2.5),
+    (lambda: local_design_check(ClassW(D3), C2, D3, [F((0, 5))], 2.5, require_complement=True),
      "cutoff must be int, got 2.5"),
-    (lambda: local_design_check(OddTail(), C2, D_ODD, [F((1, 4))], 2.5),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, [F((1, 4))], 2.5, require_complement=True),
      "cutoff must be int, got 2.5"),
     (lambda: local_design_check(ClassW(D3), C2, D3, [], 5, require_complement="no"),
      "require_complement must be bool, got 'no'"),
@@ -600,11 +614,11 @@ D_ODD = sd(ALEPH0, True, ALEPH0)
      "cutoff must be int, got 2.5"),
     # each once raised AttributeError: a probe, a family, its base or
     # member, C or D of the wrong type
-    (lambda: local_design_check(ClassW(D3), C2, D3, ["fin:0"], 5),
+    (lambda: local_design_check(ClassW(D3), C2, D3, ["fin:0"], 5, require_complement=True),
      "probe must be ConcreteSet, got 'fin:0'"),
-    (lambda: local_design_check(ClassW(D3), C2, D3, [F((1, 2)), None], 5),
+    (lambda: local_design_check(ClassW(D3), C2, D3, [F((1, 2)), None], 5, require_complement=True),
      "probe must be ConcreteSet, got None"),
-    (lambda: local_design_check(OddTail(), C2, D_ODD, [(False, (0,))], 5),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, [(False, (0,))], 5, require_complement=True),
      "probe must be ConcreteSet, got (False, (0,))"),
     (lambda: blocks_containing(ClassW(D3), "fin:0", 5),
      "probe must be ConcreteSet, got 'fin:0'"),
@@ -613,29 +627,36 @@ D_ODD = sd(ALEPH0, True, ALEPH0)
     (lambda: blocks_containing(OddTail(), (False, (0,)), 5),
      "probe must be ConcreteSet, got (False, (0,))"),
     # an odd-tail block is no probe, whether or not C matches its shape
-    (lambda: local_design_check(OddTail(), D_ODD, D_ODD, [OddTailBlock(1)], 5),
+    (lambda: local_design_check(OddTail(), D_ODD, D_ODD, [OddTailBlock(1)], 5,
+                                require_complement=True),
      "probe must be ConcreteSet, got OddTailBlock(index=1)"),
-    (lambda: local_design_check(OddTail(), C2, D_ODD, [OddTailBlock(1)], 5),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, [OddTailBlock(1)], 5,
+                                require_complement=True),
      "probe must be ConcreteSet, got OddTailBlock(index=1)"),
     (lambda: blocks_containing(OddTail(), OddTailBlock(2), 5),
      "probe must be ConcreteSet, got OddTailBlock(index=2)"),
-    (lambda: local_design_check(None, C2, D3, [], 5),
+    (lambda: local_design_check(None, C2, D3, [], 5, require_complement=True),
      "family must be FamilyDescriptor, got None"),
-    (lambda: local_design_check("W", C2, D3, [], 5),
+    (lambda: local_design_check("W", C2, D3, [], 5, require_complement=True),
      "family must be FamilyDescriptor, got 'W'"),
     (lambda: blocks_containing(None, F((1,)), 5),
      "family must be FamilyDescriptor, got None"),
-    (lambda: local_design_check(ClassW(None), C2, D3, [], 5),
+    (lambda: local_design_check(ClassW(None), C2, D3, [], 5, require_complement=True),
      "class base must be SubsetDescriptor, got None"),
     (lambda: blocks_containing(ClassW(None), F((1,)), 5),
      "class base must be SubsetDescriptor, got None"),
     (lambda: blocks_containing(Singleton("fin:1"), F((1,)), 5),
      "singleton member must be SubsetDescriptor, got 'fin:1'"),
-    (lambda: local_design_check(ClassW(D3), None, D3, [F((1, 2))], 5),
+    # a base's or member's field once raised AttributeError or TypeError
+    *[(lambda f=family: local_design_check(f, D3, D3, [], 5, require_complement=True), message)
+      for family, message in BAD_FIELDS],
+    *[(lambda f=family: blocks_containing(f, F((1,)), 5), message)
+      for family, message in BAD_FIELDS],
+    (lambda: local_design_check(ClassW(D3), None, D3, [F((1, 2))], 5, require_complement=True),
      "C must be SubsetDescriptor, got None"),
-    (lambda: local_design_check(ClassW(D3), C2, "D3", [], 5),
+    (lambda: local_design_check(ClassW(D3), C2, "D3", [], 5, require_complement=True),
      "D must be SubsetDescriptor, got 'D3'"),
-    (lambda: local_design_check(OddTail(), C2, None, [], 5),
+    (lambda: local_design_check(OddTail(), C2, None, [], 5, require_complement=True),
      "D must be SubsetDescriptor, got None"),
 ])
 def test_window_arguments_are_read_exactly(make, message):
@@ -648,7 +669,7 @@ class TestLocalDesignCheck:
     def test_odd_tail_family_is_consistent(self):
         c, d = sd(FC(2), True, ALEPH0), sd(ALEPH0, True, ALEPH0)
         report = local_design_check(
-            OddTail(), c, d, [F((0, 4)), F((0, 8))], cutoff=50
+            OddTail(), c, d, [F((0, 4)), F((0, 8))], cutoff=50, require_complement=True
         )
         assert report.blocks_checked == 50
         assert report.block_failures == ()
@@ -658,7 +679,7 @@ class TestLocalDesignCheck:
     def test_tight_finite_d_is_refuted(self):
         c, d = sd(FC(2), True, ALEPH0), sd(FC(3), True, ALEPH0)
         report = local_design_check(
-            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50
+            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50, require_complement=True
         )
         assert not report.consistent
         assert report.refutation is not None
@@ -671,7 +692,7 @@ class TestLocalDesignCheck:
         # infinitely many blocks of the family and fin:5,6 in exactly one
         c, d = sd(FC(2), True, ALEPH0), sd(FC(3), True, ALEPH0)
         report = local_design_check(
-            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50, prefix=3
+            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50, require_complement=True, prefix=3
         )
         assert [p.count for p in report.probes] == [BlockCount.exactly(0)] * 2
         first, second = report.refutation
@@ -684,7 +705,7 @@ class TestLocalDesignCheck:
         # the family: its count shows as at least the window's, not exactly
         c, d = sd(FC(2), True, ALEPH0), sd(FC(3), True, ALEPH0)
         report = local_design_check(
-            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50, prefix=3
+            ClassW(d), c, d, [F((0, 5)), F((5, 6))], cutoff=50, require_complement=True, prefix=3
         )
         first, second = report.refutation
         assert (
@@ -695,22 +716,40 @@ class TestLocalDesignCheck:
     def test_space_minus_b_singleton(self):
         c = sd(ALEPH0, False, FC(1))
         report = local_design_check(
-            Singleton(c), c, c, [Co((0,))], cutoff=10
+            Singleton(c), c, c, [Co((0,))], cutoff=10, require_complement=True
         )
         assert [str(p.count) for p in report.probes] == ["Exactly(1)"]
         assert report.consistent
 
     def test_probes_not_shaped_like_c_are_rejected(self):
         c, d = sd(FC(2), True, ALEPH0), sd(ALEPH0, True, ALEPH0)
-        report = local_design_check(OddTail(), c, d, [F((1, 2, 3))], cutoff=5)
+        report = local_design_check(
+            OddTail(), c, d, [F((1, 2, 3))], cutoff=5, require_complement=True
+        )
         assert report.rejected == (F((1, 2, 3)),)
         assert report.probes == ()
+
+    def test_a_type_2_witness_is_checked_under_its_own_block_condition(self):
+        # t2-full's witness is the one block X, whose complement is not
+        # shaped like X \ D: type 2 asks condition I of it, type 1 asks II
+        c, d = sd(ALEPH0, False, ALEPH0), sd(ALEPH0, True, FC(5))
+        verdict = decide(DesignType.TYPE2, c, d, SpaceDescriptor(ALEPH0))
+        assert verdict.case_tag == "t2-full"
+        report = local_design_check(
+            verdict.witness, c, d, [], 5, DesignType.TYPE2.condition_ii
+        )
+        assert report.block_failures == () and report.consistent
+        strict = local_design_check(
+            verdict.witness, c, d, [], 5, DesignType.TYPE1.condition_ii
+        )
+        assert strict.block_failures == ("cofin:: complement not shaped like X \\ D",)
+        assert not strict.consistent
 
     def test_blocks_violating_the_complement_condition_are_flagged(self):
         # blocks are full-size singletons but D has an infinite complement
         c, d = sd(ALEPH0, True, FC(0)), sd(ALEPH0, True, ALEPH0)
         report = local_design_check(
-            Singleton(sd(ALEPH0, True, FC(0))), c, d, [], cutoff=5
+            Singleton(sd(ALEPH0, True, FC(0))), c, d, [], cutoff=5, require_complement=True
         )
         assert report.block_failures
         relaxed = local_design_check(
@@ -740,7 +779,7 @@ class TestLocalDesignCheck:
         monkeypatch.setattr(concrete, "_window_blocks", drawn)
         d = sd(FC(3), True, ALEPH0)
         with pytest.raises(FamilyEnumerationError, match=message):
-            local_design_check(family, d, d, [F((0, 1, 2))], cutoff=10)
+            local_design_check(family, d, d, [F((0, 1, 2))], cutoff=10, require_complement=True)
 
 
 # every base whose class has a bounded window: a finite size or a finite
@@ -879,7 +918,8 @@ class TestClosedFormWindows:
         assert len({extract_descriptor(block) for block in window}) <= 1
         for probe in probes:
             report = local_design_check(
-                family, extract_descriptor(probe), d, [probe], cutoff, prefix=prefix
+                family, extract_descriptor(probe), d, [probe], cutoff,
+                require_complement=True, prefix=prefix,
             )
             assert report.blocks_checked == len(window)
             assert report.block_failures == ()
@@ -927,7 +967,9 @@ class TestClosedFormWindows:
         if require_complement:
             assert report.block_failures
         block_d = extract_descriptor(next(window_of(family, cutoff, prefix)))
-        matching = local_design_check(family, block_d, block_d, [], cutoff, prefix=prefix)
+        matching = local_design_check(
+            family, block_d, block_d, [], cutoff, require_complement=True, prefix=prefix
+        )
         assert matching.block_failures == ()
         assert report.blocks_checked == matching.blocks_checked == sum(
             1 for _ in window_of(family, cutoff, prefix)
@@ -954,7 +996,7 @@ class TestNoEnumeration:
         cutoff = 10**6
         c, d = sd(FC(3), False, ALEPH0), sd(FC(4), False, ALEPH0)
         probes = [F((1, 2, 3)), F((0, 1, 2)), F((1, 2, cutoff + 2)), F((1, 2, cutoff + 3))]
-        report = local_design_check(ClassW(d), c, d, probes, cutoff)
+        report = local_design_check(ClassW(d), c, d, probes, cutoff, require_complement=True)
         assert report.blocks_checked == math.comb(cutoff + 2, 4)
         assert [p.count for p in report.probes] == [
             BlockCount.exactly(cutoff - 1),
@@ -969,7 +1011,9 @@ class TestNoEnumeration:
         cutoff = 10**9
         c = sd(FC(2), True, ALEPH0)
         probes = [F((0, 2 * 10**6 + 1)), F((0, 2))]
-        report = local_design_check(OddTail(), c, ODD_TAIL_D, probes, cutoff)
+        report = local_design_check(
+            OddTail(), c, ODD_TAIL_D, probes, cutoff, require_complement=True
+        )
         assert report.blocks_checked == cutoff
         assert [p.count for p in report.probes] == [
             BlockCount.exactly(cutoff - 10**6),
@@ -985,22 +1029,22 @@ class TestNoEnumeration:
         # C(802, 2) = 321,201 blocks of size 3 checked against a D of size 2
         d3, d2 = sd(FC(3), True, ALEPH0), sd(FC(2), True, ALEPH0)
         with pytest.raises(ValueError, match="321201 blocks are not shaped like D"):
-            local_design_check(ClassW(d3), d2, d2, [], 800)
+            local_design_check(ClassW(d3), d2, d2, [], 800, require_complement=True)
         # odd-tail blocks hold b, this D does not
         d = sd(ALEPH0, False, ALEPH0)
         with pytest.raises(ValueError, match=r"exceeds the budget of 100000 blocks"):
-            local_design_check(OddTail(), d, d, [], 10**9)
+            local_design_check(OddTail(), d, d, [], 10**9, require_complement=True)
 
 
 def test_listing_budget_is_checked_against_the_window_count(monkeypatch):
     family, d = ClassW(sd(FC(3), True, ALEPH0)), sd(FC(2), True, ALEPH0)
     window = math.comb(9, 2)  # the b-pinned blocks' 2 other points among [1, 9]
     monkeypatch.setattr(concrete, "LISTING_BUDGET", window)
-    report = local_design_check(family, d, d, [], 7, prefix=9)
+    report = local_design_check(family, d, d, [], 7, require_complement=True, prefix=9)
     assert len(report.block_failures) == report.blocks_checked == window
     monkeypatch.setattr(concrete, "LISTING_BUDGET", window - 1)
     with pytest.raises(ValueError, match="budget"):
-        local_design_check(family, d, d, [], 7, prefix=9)
+        local_design_check(family, d, d, [], 7, require_complement=True, prefix=9)
 
 
 def drawn_blocks(monkeypatch):
@@ -1054,7 +1098,7 @@ def test_design_check_reads_its_family_once(monkeypatch):
         monkeypatch.setattr(concrete, name, counted)
     d = sd(FC(3), False, ALEPH0)
     probes = [F((1, 2)), F((3, 4)), F((0,))]
-    local_design_check(ClassW(d), sd(FC(2), False, ALEPH0), d, probes, 10)
+    local_design_check(ClassW(d), sd(FC(2), False, ALEPH0), d, probes, 10, require_complement=True)
     assert calls == {"_layout": 1, "_window_blocks": 1}
     for family, probe in ((ClassW(d), F((0,))), (OddTail(), F((0, 2)))):
         calls.update(_layout=0, _window_blocks=0)

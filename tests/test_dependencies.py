@@ -131,6 +131,43 @@ def test_every_unlisted_public_name_is_read_in_the_package():
     assert [f"{path}:{line}: {name}" for path, line, name in unlisted if name not in read] == []
 
 
+def is_design_type_member(node: ast.expr) -> bool:
+    """Whether node reads an attribute of ``DesignType``, as ``DesignType.TYPE1``
+    or ``designs.DesignType.TYPE1`` does."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Name) and owner.id == "DesignType") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "DesignType"
+    )
+
+
+def design_type_collection_tests(tree: ast.Module):
+    """The line of each comparison of a value with a tuple, list or set
+    literal that holds a ``DesignType`` member."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, (ast.Tuple, ast.List, ast.Set))
+            and any(map(is_design_type_member, side.elts))
+            for side in (node.left, *node.comparators)
+        ):
+            yield node.lineno
+
+
+def test_only_designs_says_which_types_take_which_condition():
+    # DesignType.condition_ii and condition_iv hold the one type-to-condition
+    # table: a test of a type against a collection of types elsewhere
+    # restates part of it
+    trees = package_trees()
+    assert list(design_type_collection_tests(trees["designs.py"]))
+    assert [
+        f"{path}:{line}"
+        for path, tree in trees.items()
+        if path != "designs.py"
+        for line in design_type_collection_tests(tree)
+    ] == []
+
+
 DEMOS = SRC.parents[1] / "demos"
 
 # public methods that no module of the package or demo reads, each with why

@@ -390,6 +390,29 @@ def test_sweep_bad_arguments_are_refused_before_any_case(no_case_runs, args, mes
 LATTICE_EDGES = [(1, 2), (1, 3), (2, 4), (3, 4)]
 
 
+def strength(t):
+    """Where t holds the stronger condition: II over I, III over IV."""
+    return t.condition_ii, not t.condition_iv
+
+
+@pytest.mark.parametrize("t, conditions", [
+    (DesignType.TYPE1, (True, False)),
+    (DesignType.TYPE2, (False, False)),
+    (DesignType.TYPE3, (True, True)),
+    (DesignType.TYPE4, (False, True)),
+])
+def test_each_type_names_its_conditions_and_implies_each_weakening(t, conditions):
+    assert (t.condition_ii, t.condition_iv) == conditions
+    # the lattice's edges out of t go to the types that weaken exactly one of
+    # its conditions, II to I or III to IV
+    weakenings = {
+        u for u in DesignType
+        if [a - b for a, b in zip(strength(t), strength(u))] in ([1, 0], [0, 1])
+    }
+    assert {u for s, u in designs._IMPLIED_TYPES if s == t} == weakenings
+    assert len(set(designs._IMPLIED_TYPES)) == len(designs._IMPLIED_TYPES)
+
+
 def refusal_only(t):
     """A table for type t whose one row refuses every case, with a known tag."""
     table = designs._RULES[DesignType(t)]
