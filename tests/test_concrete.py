@@ -14,9 +14,11 @@ from fortdesign.cli import main
 from fortdesign.concrete import (
     BlockCount,
     ConcreteSet,
+    DesignCheckReport,
     FamilyEnumerationError,
     OddTailBlock,
     PointMap,
+    ProbeReport,
     blocks_containing,
     canonical_homeomorphism,
     check_homeomorphism,
@@ -658,6 +660,11 @@ BAD_FIELDS = [
      "D must be SubsetDescriptor, got 'D3'"),
     (lambda: local_design_check(OddTail(), C2, None, [], 5, require_complement=True),
      "D must be SubsetDescriptor, got None"),
+    # probes that are no iterable once raised TypeError
+    (lambda: local_design_check(ClassW(D3), C2, D3, None, 5, require_complement=True),
+     "probes must be an iterable of ConcreteSet, got None"),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, 5, 5, require_complement=True),
+     "probes must be an iterable of ConcreteSet, got 5"),
 ])
 def test_window_arguments_are_read_exactly(make, message):
     with pytest.raises(ValueError) as exc:
@@ -870,6 +877,70 @@ def test_filled_window_blocks_equal_validated_ones(kind):
                 assert len(block.support) < _SHARED_FINITES
                 assert block.descriptor is public.descriptor
     assert len(realizable) == 25 and drawn == (1923 if kind is ClassW else 25 * 9)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 1000])
+def test_odd_tail_window_is_its_first_blocks(cutoff):
+    # the window makes its blocks without the constructor's check on the
+    # index: each must be the block the constructor makes, of its exact type,
+    # as an equal plain tuple would compare equal too
+    window = list(concrete._window_blocks(None, cutoff))
+    assert window == [OddTailBlock(i) for i in range(1, cutoff + 1)]
+    assert all(type(block) is OddTailBlock for block in window)
+
+
+@pytest.mark.parametrize("base", [
+    sd(FC(0), True, ALEPH0),  # size 0, yet b in it
+    sd(ALEPH0, False, FC(0)),  # cosize 0, yet b outside it
+])
+def test_an_inconsistent_base_keeps_its_first_block(base):
+    # _layout takes these bases, with free = -1; the window's first block is
+    # b alone, or everything but b, and a probe inside it is counted there
+    probe = F((0,)) if base.contains_b else F((1,))
+    first = next(window_of(ClassW(base), 1, 4))
+    assert first == ConcreteSet(not base.contains_b, (0,))
+    assert blocks_containing(ClassW(base), probe, 1) == BlockCount(1, True)
+
+
+def test_design_check_reports_keep_their_field_order():
+    # the reports are built positionally, which checks neither arity nor
+    # field order: the round trip through the field names catches a wrong
+    # arity, and a check of each field's value a swap of any two
+    realizable = [d for d in descriptor_grid(SpaceDescriptor(ALEPH0), 6)
+                  if not (d.size.infinite and d.cosize.infinite)]
+    families = [(kind(d), d) for d in realizable for kind in (ClassW, Singleton)]
+    probes = list(small_sets(3))
+    shapes = sorted({extract_descriptor(p) for p in probes}, key=repr)
+    seen = set()
+    for family, block_d in families + [(OddTail(), ODD_TAIL_D)]:
+        window = len(list(window_of(family, 3, 4)))
+        for d, c in itertools.product((block_d, complement(block_d)), shapes):
+            report = local_design_check(family, c, d, probes, 3, require_complement=True,
+                                        prefix=4)
+            assert type(report) is DesignCheckReport
+            assert report == DesignCheckReport(**report._asdict())
+            assert report.family is family and report.blocks_checked == window
+            assert len(report.block_failures) in (0, window)
+            assert all(failure.endswith("shaped like D") or failure.endswith("X \\ D")
+                       for failure in report.block_failures)
+            assert report.rejected == tuple(
+                p for p in probes if not subspace_homeomorphic(extract_descriptor(p), c)
+            )
+            for probe_report in report.probes:
+                assert type(probe_report) is ProbeReport
+                assert probe_report == ProbeReport(**probe_report._asdict())
+                assert type(probe_report.count) is BlockCount
+                assert probe_report.count == blocks_containing(family, probe_report.probe, 3,
+                                                               prefix=4)
+                assert probe_report.global_exact is None or probe_report.global_exact >= 0
+            if report.refutation is not None:
+                first, second = report.refutation
+                assert first.global_exact is not None
+                assert first.global_exact != second.global_exact
+                seen.add("refuted")
+            seen.update(name for name in ("probes", "rejected", "block_failures")
+                        if getattr(report, name))
+    assert seen == {"probes", "rejected", "block_failures", "refuted"}
 
 
 @st.composite
