@@ -119,9 +119,10 @@ def parse_query(text: str) -> Query:
         raise QueryError(f"field space.size: {exc}") from exc
     if "type" not in fields:
         raise QueryError("missing field type")
-    if fields["type"] not in ("1", "2", "3", "4"):
-        raise QueryError(f"field type: expected 1..4, got {fields['type']!r}")
-    design_type = DesignType(int(fields["type"]))
+    try:
+        design_type = DesignType.of(parse_natural(fields["type"]))
+    except ValueError as exc:
+        raise QueryError(f"field type: expected 1..4, got {fields['type']!r}") from exc
     c = _parse_subset("C", fields, space)
     d = _parse_subset("D", fields, space)
     return Query(space, c, d, design_type)
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--t", type=parse_natural, default=None, help="override the probe size"
     )
     brute_p.add_argument(
-        "--design-type", type=parse_natural, choices=(1, 2, 3, 4), default=2
+        "--design-type", type=parse_natural, choices=[t.value for t in DesignType], default=2
     )
     brute_p.set_defaults(handler=_cmd_brute)
     return parser

@@ -7,15 +7,15 @@ classifiers: homeomorphisms are built and checked exactly from the
 exception table, and block families are counted over bounded windows.
 Containment counts are reported as exact-within-window or saturated lower
 bounds, never extrapolated.  :func:`local_design_check` and
-:func:`blocks_containing` each lay their window out once, by
-:func:`_layout` (None for the odd-tail family), and hand the layout to
-:func:`_window_counter`, which gives the window's size and one rule for
-each probe's window and family-wide counts, all in closed form, and to
-:func:`_window_blocks`, which streams the blocks; :func:`blocks_containing`
-walks them and gives the same numbers.  A window generates its blocks
-valid, so none is re-validated: :func:`_fill` derives a class block's
-fields from its sorted support, and an odd-tail block is made from its
-index as its constructor makes it.  :func:`local_design_check` reads the
+:func:`blocks_containing` read their window's arguments once, by
+:func:`_layout`, which refuses a base it cannot lay out in ``validate``'s
+words and returns the layout (None for the odd-tail family) that three
+plain functions read: :func:`_window_size` and :func:`_probe_counts` count
+in closed form, and :func:`_window_blocks` streams the blocks, which
+:func:`blocks_containing` walks.  A window generates its blocks valid, so
+none is re-validated: :func:`_fill` derives a class block's fields from
+its sorted support, and an odd-tail block is made from its index as its
+constructor makes it.  :func:`local_design_check` reads the
 checked block's and each probe's stored descriptor and builds its reports
 through ``tuple.__new__``, so it pays only for its layout, its counts and
 one drawn block.
@@ -46,7 +46,7 @@ __all__ = [
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .cardinal import (
@@ -58,7 +58,7 @@ from .cardinal import (
     _make_validated,
     parse_points,
 )
-from .descriptors import SubsetDescriptor, subspace_homeomorphic
+from .descriptors import SpaceDescriptor, SubsetDescriptor, subspace_homeomorphic, validate
 from .designs import ClassW, FamilyDescriptor, OddTail, Singleton
 
 
@@ -448,9 +448,10 @@ def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     """A canonical concrete set with the given descriptor.
 
     It is the one block of ``Singleton(d)``'s window.  Doubly-infinite
-    descriptors have no finite or cofinite realization and are rejected.
+    descriptors have no finite or cofinite realization and are rejected;
+    one that :func:`_layout` cannot lay out is refused in its words.
     """
-    return next(_window_blocks(_layout(Singleton(d), 0), 1))
+    return next(_window_blocks(_layout(Singleton(d), 1, 0), 1))
 
 
 class BlockCount(NamedTuple):
@@ -471,9 +472,11 @@ class BlockCount(NamedTuple):
         return f"AtLeast({self.value})" if self.saturated else f"Exactly({self.value})"
 
 
-def _layout(family: FamilyDescriptor, prefix: int) -> tuple | None:
-    """How the window of a class W(D) or a singleton is laid out; None for
-    the odd-tail family, whose window is its first ``cutoff`` blocks.
+def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple | None:
+    """Read a window's arguments in order, ``cutoff`` (>= 1), ``prefix``
+    (>= 0, ``max(12, cutoff + 2)`` when None) and the family, and lay the
+    window of a class W(D) or a singleton out; None for the odd-tail
+    family, whose window is its first ``cutoff`` blocks.
 
     Returns ``(cofinite, pinned, free, top, singleton)``: a finite block is
     ``R``, plus b when ``pinned``; a cofinite block excludes ``R``, and b
@@ -481,11 +484,19 @@ def _layout(family: FamilyDescriptor, prefix: int) -> tuple | None:
     top]``.  A class's ``top`` is the prefix; a singleton is its member's
     layout with ``top = free``, so its window is one block.  The family is
     dispatched on by its exact type, once: a family that is no
-    ``FamilyDescriptor``, or whose base or member is no exact
-    ``SubsetDescriptor`` of ``Cardinal``, ``bool`` and ``Cardinal``, raises
-    ``ValueError`` naming the field; a doubly-infinite base or member, and
-    any other family, raise :class:`FamilyEnumerationError`.
+    ``FamilyDescriptor`` raises ``ValueError`` naming it; a base or member
+    that is no exact ``SubsetDescriptor`` of ``Cardinal``, ``bool`` and
+    ``Cardinal``, or whose layout has ``free < 0``, raises ``ValueError`` in
+    ``validate``'s words, as ``witness_violations`` words it; a
+    doubly-infinite base or member, and any other family, raise
+    :class:`FamilyEnumerationError`.
     """
+    if _exactly(int, cutoff, "cutoff") < 1:
+        raise ValueError("cutoff must be >= 1")
+    if prefix is None:
+        prefix = max(12, cutoff + 2)
+    elif _exactly(int, prefix, "prefix") < 0:
+        raise ValueError("prefix must be >= 0")
     kind = type(family)
     if kind is OddTail:
         return None
@@ -499,27 +510,26 @@ def _layout(family: FamilyDescriptor, prefix: int) -> tuple | None:
         )
     else:
         raise ValueError(f"family must be FamilyDescriptor, got {family!r}")
-    _exactly(SubsetDescriptor, base, what)
     if (
-        type(base.size) is not Cardinal
-        or type(base.contains_b) is not bool
-        or type(base.cosize) is not Cardinal
+        type(base) is SubsetDescriptor
+        and type(base.size) is Cardinal
+        and type(base.contains_b) is bool
+        and type(base.cosize) is Cardinal
     ):
-        _exactly(Cardinal, base.size, f"{what} size")
-        _exactly(bool, base.contains_b, f"{what} contains_b")
-        _exactly(Cardinal, base.cosize, f"{what} cosize")
-    if not base.size.infinite:
-        cofinite, pinned, finite = False, base.contains_b, base.size
-    elif not base.cosize.infinite:
-        cofinite, pinned, finite = True, not base.contains_b, base.cosize
-    else:
-        raise FamilyEnumerationError(
-            "a set with infinite size and infinite complement has no finite or "
-            "cofinite realization"
-        )
-    free = finite.value - pinned
-    singleton = kind is Singleton
-    return cofinite, pinned, free, free if singleton else prefix, singleton
+        if not base.size.infinite:
+            cofinite, pinned, finite = False, base.contains_b, base.size
+        elif not base.cosize.infinite:
+            cofinite, pinned, finite = True, not base.contains_b, base.cosize
+        else:
+            raise FamilyEnumerationError(
+                "a set with infinite size and infinite complement has no finite or "
+                "cofinite realization"
+            )
+        free = finite.value - pinned
+        if free >= 0:
+            singleton = kind is Singleton
+            return cofinite, pinned, free, free if singleton else prefix, singleton
+    raise ValueError(f"{what}: " + "; ".join(validate(base, SpaceDescriptor(ALEPH0))))
 
 
 def _window_blocks(layout: tuple | None, cutoff: int) -> Iterator[Block]:
@@ -553,63 +563,46 @@ def _window_blocks(layout: tuple | None, cutoff: int) -> Iterator[Block]:
         yield fill(new(ConcreteSet), cofinite, fixed + rest)
 
 
-def _window_counter(
-    layout: tuple | None, cutoff: int
-) -> tuple[int, Callable[[ConcreteSet], tuple[int, int | None]]]:
-    """The size of a window laid out by :func:`_layout`, and a rule giving
-    a probe's window count and its family-wide count (None when infinite),
-    both in closed form.
+def _window_size(layout: tuple | None, cutoff: int) -> int:
+    """How many blocks :func:`_window_blocks` streams from this layout."""
+    return cutoff if layout is None else math.comb(layout[3], layout[2])  # C(top, free)
 
-    The odd-tail family (``layout`` None) is counted by arithmetic on the
-    probe's largest odd point, a class W(D) or a singleton from its layout.
-    The family-wide window is unbounded for a class, so its ``R`` ranges
-    over all points past b, and is the one block (``top = free``) for a
-    singleton, whose two counts are equal.
+
+def _probe_counts(layout: tuple | None, cutoff: int, probe: ConcreteSet) -> tuple[int, int | None]:
+    """A probe's window count and family-wide count (None when infinite) in
+    closed form: by arithmetic on the probe's largest odd point for the
+    odd-tail family (``layout`` None), from the layout for a class W(D) or
+    a singleton.  A class's family-wide window is unbounded, so its ``R``
+    ranges over all points past b; a singleton's is its one block (``top =
+    free``), so its two counts are equal.
     """
     if layout is None:
-        def odd_tail(probe: ConcreteSet) -> tuple[int, int | None]:
-            if probe.cofinite:
-                return 0, 0
-            # block s holds the odd point 2j+1 exactly when j < s, and every
-            # finite probe lies in cofinally many blocks
-            need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
-            return max(cutoff - need + 1, 0), None
-
-        return cutoff, odd_tail
-    cofinite, pinned, free, top, singleton = layout
-
-    def counts(probe: ConcreteSet) -> tuple[int, int | None]:
-        support = probe.support
-        lead = bisect_left(support, 1)  # 1 when the probe lists b
-        listed = len(support) - lead  # the listed points past b
-        inside = bisect_right(support, top) - lead  # those up to top
-        if cofinite:
-            if pinned and probe.contains_b:  # a pinned cofinite block lacks b
-                return 0, 0
-            if probe.cofinite:  # R lies among the probe's excluded points
-                window = math.comb(inside, free)
-                return window, window if singleton else math.comb(listed, free)
-            # R avoids the probe's points; infinitely many R do unless free = 0
-            window = math.comb(top - inside, free)
-            return window, window if singleton else (None if free else 1)
-        # every probe point must be b on a pinned block or lie in R
-        left = free - listed  # the points of R that the probe leaves open
-        if probe.cofinite or lead > pinned or left < 0:
+        if probe.cofinite:
             return 0, 0
-        window = math.comb(top - listed, left) if inside == listed else 0
-        return window, window if singleton else (None if left else 1)
-
-    return math.comb(top, free), counts
-
-
-def _window_prefix(cutoff: int, prefix: int | None) -> int:
-    if _exactly(int, cutoff, "cutoff") < 1:
-        raise ValueError("cutoff must be >= 1")
-    if prefix is None:
-        return max(12, cutoff + 2)
-    if _exactly(int, prefix, "prefix") < 0:
-        raise ValueError("prefix must be >= 0")
-    return prefix
+        # block s holds the odd point 2j+1 exactly when j < s, and every
+        # finite probe lies in cofinally many blocks
+        need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
+        return max(cutoff - need + 1, 0), None
+    cofinite, pinned, free, top, singleton = layout
+    support = probe.support
+    lead = bisect_left(support, 1)  # 1 when the probe lists b
+    listed = len(support) - lead  # the listed points past b
+    inside = bisect_right(support, top) - lead  # those up to top
+    if cofinite:
+        if pinned and probe.contains_b:  # a pinned cofinite block lacks b
+            return 0, 0
+        if probe.cofinite:  # R lies among the probe's excluded points
+            window = math.comb(inside, free)
+            return window, window if singleton else math.comb(listed, free)
+        # R avoids the probe's points; infinitely many R do unless free = 0
+        window = math.comb(top - inside, free)
+        return window, window if singleton else (None if free else 1)
+    # every probe point must be b on a pinned block or lie in R
+    left = free - listed  # the points of R that the probe leaves open
+    if probe.cofinite or lead > pinned or left < 0:
+        return 0, 0
+    window = math.comb(top - listed, left) if inside == listed else 0
+    return window, window if singleton else (None if left else 1)
 
 
 # the most blocks local_design_check lists or blocks_containing draws: 10^5
@@ -634,10 +627,10 @@ def blocks_containing(
     one by one until ``cutoff`` of them hold the probe, and drawing more
     than ``LISTING_BUDGET`` raises ``ValueError``.  :func:`local_design_check`
     gives the same counts in closed form; this is their literal reference.
-    A family or probe of the wrong type raises ``ValueError`` naming it.
+    The window's arguments are read by :func:`_layout`, as for that check;
+    a probe of the wrong type raises ``ValueError`` naming it.
     """
-    prefix = _window_prefix(cutoff, prefix)
-    layout = _layout(family, prefix)
+    layout = _layout(family, cutoff, prefix)
     _exactly(ConcreteSet, probe, "probe")
     count = 0
     for block in itertools.islice(_window_blocks(layout, cutoff), LISTING_BUDGET):
@@ -645,7 +638,7 @@ def blocks_containing(
             count += 1
             if count >= cutoff:
                 return BlockCount(count, True)
-    window, _ = _window_counter(layout, cutoff)
+    window = _window_size(layout, cutoff)
     if window > LISTING_BUDGET:
         raise ValueError(
             f"walking {window} window blocks exceeds the budget of {LISTING_BUDGET} blocks"
@@ -724,27 +717,28 @@ def local_design_check(
     one differing from every finite one at any cutoff.
 
     The window is the one :func:`blocks_containing` enumerates, but nothing
-    here walks it: the family is read once, by one :func:`_layout` that both
-    :func:`_window_counter` and :func:`_window_blocks` read, and
-    ``blocks_checked`` and the counts come in closed form (binomial
+    here walks it: the window's arguments are read once, by one
+    :func:`_layout` that :func:`_window_size`, :func:`_probe_counts` and
+    :func:`_window_blocks` read, and ``blocks_checked`` and the counts come
+    in closed form (binomial
     coefficients over ``[1, prefix]`` for W(D), arithmetic on the largest
     odd point for the odd-tail family) and equal the literal ones.  All
     blocks of a window share one descriptor, so only the first block is
     shape-checked; when it fails, every block is listed with its failure,
     and a window of more than ``LISTING_BUDGET`` blocks raises
-    ``ValueError`` before the listing starts.  A family, C, D or probe of
-    the wrong type, or ``probes`` that is no iterable, raises ``ValueError``
-    naming it.  Past its layout, its counts and one drawn block the check
-    pays for nothing: descriptors are read from their slots once each type
-    is checked, and the reports are built positionally.
+    ``ValueError`` before the listing starts.  A family, base, C, D or
+    probe of the wrong type, a base that cannot be laid out, or ``probes``
+    that is no iterable or is text, raises ``ValueError`` naming it.  Past
+    its layout, its counts and one drawn block the check pays for nothing:
+    descriptors are read from their slots once each type is checked, and
+    the reports are built positionally.
     """
     _exactly(bool, require_complement, "require_complement")
-    prefix = _window_prefix(cutoff, prefix)
-    layout = _layout(family, prefix)
+    layout = _layout(family, cutoff, prefix)
     if type(c) is not SubsetDescriptor or type(d) is not SubsetDescriptor:
         _exactly(SubsetDescriptor, c, "C")
         _exactly(SubsetDescriptor, d, "D")
-    blocks_checked, counts = _window_counter(layout, cutoff)
+    blocks_checked = _window_size(layout, cutoff)
     blocks = _window_blocks(layout, cutoff)
     first = next(blocks, None)
     failure = None
@@ -769,6 +763,8 @@ def local_design_check(
     accepted: list[ProbeReport] = []
     rejected: list[ConcreteSet] = []
     try:
+        if isinstance(probes, (str, bytes, bytearray)):  # iterates into characters
+            raise TypeError
         probes = iter(probes)
     except TypeError:
         raise ValueError(f"probes must be an iterable of ConcreteSet, got {probes!r}") from None
@@ -778,7 +774,7 @@ def local_design_check(
         if not subspace_homeomorphic(probe.descriptor, c):
             rejected.append(probe)
             continue
-        window, wide = counts(probe)
+        window, wide = _probe_counts(layout, cutoff, probe)
         count = new(BlockCount, (cutoff, True) if window >= cutoff else (window, False))
         accepted.append(new(ProbeReport, (probe, count, wide)))
 

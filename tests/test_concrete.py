@@ -36,7 +36,15 @@ from fortdesign.descriptors import (
     subspace_homeomorphic,
     validate,
 )
-from fortdesign.designs import ClassL, ClassW, DesignType, OddTail, Singleton, decide
+from fortdesign.designs import (
+    ClassL,
+    ClassW,
+    DesignType,
+    OddTail,
+    Singleton,
+    decide,
+    witness_violations,
+)
 
 F = ConcreteSet.finite
 Co = ConcreteSet.cofinite_set
@@ -56,7 +64,7 @@ def small_sets(max_element=4):
 
 def window_of(family, cutoff, prefix):
     """Stream the family's window as the library lays it out and draws it."""
-    return concrete._window_blocks(concrete._layout(family, prefix), cutoff)
+    return concrete._window_blocks(concrete._layout(family, cutoff, prefix), cutoff)
 
 
 class TestConcreteSet:
@@ -583,13 +591,15 @@ C2 = sd(FC(2), False, ALEPH0)
 D_ODD = sd(ALEPH0, True, ALEPH0)
 # a W base or singleton member with one field of the wrong type, and its refusal
 BAD_FIELDS = [
-    (ClassW(sd(3, False, ALEPH0)), "class base size must be Cardinal, got 3"),
-    (ClassW(sd(FC(3), "no", ALEPH0)), "class base contains_b must be bool, got 'no'"),
-    (ClassW(sd(ALEPH0, True, 5)), "class base cosize must be Cardinal, got 5"),
-    (Singleton(sd(True, False, ALEPH0)), "singleton member size must be Cardinal, got True"),
-    (Singleton(sd(FC(1), 1, ALEPH0)), "singleton member contains_b must be bool, got 1"),
-    (Singleton(sd(ALEPH0, False, 1.0)), "singleton member cosize must be Cardinal, got 1.0"),
+    (ClassW(sd(3, False, ALEPH0)), "class base: size must be a Cardinal, got 3"),
+    (ClassW(sd(FC(3), "no", ALEPH0)), "class base: contains_b must be bool, got 'no'"),
+    (ClassW(sd(ALEPH0, True, 5)), "class base: cosize must be a Cardinal, got 5"),
+    (Singleton(sd(True, False, ALEPH0)), "singleton member: size must be a Cardinal, got True"),
+    (Singleton(sd(FC(1), 1, ALEPH0)), "singleton member: contains_b must be bool, got 1"),
+    (Singleton(sd(ALEPH0, False, 1.0)), "singleton member: cosize must be a Cardinal, got 1.0"),
 ]
+# size 0 with b, or cosize 0 without it: no layout has room for b's side
+INCONSISTENT_BASES = [sd(FC(0), True, ALEPH0), sd(ALEPH0, False, FC(0))]
 
 
 @pytest.mark.parametrize("make, message", [
@@ -644,11 +654,11 @@ BAD_FIELDS = [
     (lambda: blocks_containing(None, F((1,)), 5),
      "family must be FamilyDescriptor, got None"),
     (lambda: local_design_check(ClassW(None), C2, D3, [], 5, require_complement=True),
-     "class base must be SubsetDescriptor, got None"),
+     "class base: must be a SubsetDescriptor, got None"),
     (lambda: blocks_containing(ClassW(None), F((1,)), 5),
-     "class base must be SubsetDescriptor, got None"),
+     "class base: must be a SubsetDescriptor, got None"),
     (lambda: blocks_containing(Singleton("fin:1"), F((1,)), 5),
-     "singleton member must be SubsetDescriptor, got 'fin:1'"),
+     "singleton member: must be a SubsetDescriptor, got 'fin:1'"),
     # a base's or member's field once raised AttributeError or TypeError
     *[(lambda f=family: local_design_check(f, D3, D3, [], 5, require_complement=True), message)
       for family, message in BAD_FIELDS],
@@ -665,6 +675,15 @@ BAD_FIELDS = [
      "probes must be an iterable of ConcreteSet, got None"),
     (lambda: local_design_check(OddTail(), C2, D_ODD, 5, 5, require_complement=True),
      "probes must be an iterable of ConcreteSet, got 5"),
+    # text once iterated into characters or byte values, each refused as
+    # a probe: "f", or 97
+    (lambda: local_design_check(ClassW(D3), C2, D3, "fin:1,2", 5, require_complement=True),
+     "probes must be an iterable of ConcreteSet, got 'fin:1,2'"),
+    (lambda: local_design_check(ClassW(D3), C2, D3, b"ab", 5, require_complement=True),
+     "probes must be an iterable of ConcreteSet, got b'ab'"),
+    (lambda: local_design_check(OddTail(), C2, D_ODD, bytearray(b"ab"), 5,
+                                require_complement=True),
+     "probes must be an iterable of ConcreteSet, got bytearray(b'ab')"),
 ])
 def test_window_arguments_are_read_exactly(make, message):
     with pytest.raises(ValueError) as exc:
@@ -889,17 +908,34 @@ def test_odd_tail_window_is_its_first_blocks(cutoff):
     assert all(type(block) is OddTailBlock for block in window)
 
 
-@pytest.mark.parametrize("base", [
-    sd(FC(0), True, ALEPH0),  # size 0, yet b in it
-    sd(ALEPH0, False, FC(0)),  # cosize 0, yet b outside it
-])
-def test_an_inconsistent_base_keeps_its_first_block(base):
-    # _layout takes these bases, with free = -1; the window's first block is
-    # b alone, or everything but b, and a probe inside it is counted there
+@pytest.mark.parametrize("base", INCONSISTENT_BASES)
+@pytest.mark.parametrize("kind, what", [(ClassW, "class base"), (Singleton, "singleton member")])
+def test_an_inconsistent_base_is_refused(base, kind, what):
+    # each once crashed inside math.comb or itertools.combinations, was
+    # counted as AtLeast(1), or was realized as a set of another descriptor
+    message = f"{what}: {validate(base, SpaceDescriptor(ALEPH0))[0]}"
     probe = F((0,)) if base.contains_b else F((1,))
-    first = next(window_of(ClassW(base), 1, 4))
-    assert first == ConcreteSet(not base.contains_b, (0,))
-    assert blocks_containing(ClassW(base), probe, 1) == BlockCount(1, True)
+    calls = [lambda: local_design_check(kind(base), base, base, [probe], 5,
+                                        require_complement=True)]
+    calls += [lambda c=cutoff: blocks_containing(kind(base), probe, c) for cutoff in (1, 2, 5)]
+    if kind is Singleton:
+        calls.append(lambda: realize_descriptor(base))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("base", [
+    # each BAD_FIELDS family's base or member, the inconsistent bases, two non-descriptors
+    *(family[0] for family, _ in BAD_FIELDS), *INCONSISTENT_BASES, None, "fin:1",
+])
+@pytest.mark.parametrize("kind", [ClassW, Singleton])
+def test_layout_refuses_a_base_in_witness_violations_words(base, kind):
+    # a base that cannot be laid out is refused as the witness check words it
+    with pytest.raises(ValueError) as exc:
+        concrete._layout(kind(base), 5, None)
+    assert str(exc.value) == witness_violations(kind(base), base, SpaceDescriptor(ALEPH0))[0]
 
 
 def test_design_check_reports_keep_their_field_order():
