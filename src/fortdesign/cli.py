@@ -159,38 +159,40 @@ def _refutation_demo_report(cutoff: int):
 
 
 def _print_check_report(report, fmt: str) -> None:
+    """Write the report's lines, every one formatted before the first is
+    written, so that a report that cannot be formatted leaves stdout empty."""
     if fmt == "record":
-        print(f"family: {report.family.to_text()}")
-        print(f"blocks_checked: {report.blocks_checked}")
-        print(f"block_failures: {len(report.block_failures)}")
-        for failure in report.block_failures:
-            print(f"block_failure: {failure}")
-        for probe in report.probes:
-            print(f"probe: {probe.probe.to_text()} count: {probe.count}")
+        lines = [
+            f"family: {report.family.to_text()}",
+            f"blocks_checked: {report.blocks_checked}",
+            f"block_failures: {len(report.block_failures)}",
+        ]
+        lines += [f"block_failure: {failure}" for failure in report.block_failures]
+        lines += [f"probe: {p.probe.to_text()} count: {p.count}" for p in report.probes]
         if report.refutation is None:
-            print("refutation: none")
+            lines.append("refutation: none")
         else:
             first, second = report.refutation
-            print(
+            lines.append(
                 f"refutation: {first.probe.to_text()} {first.display_count()} "
                 f"vs {second.probe.to_text()} {second.display_count()}"
             )
-        print(f"consistent: {'true' if report.consistent else 'false'}")
+        lines.append(f"consistent: {'true' if report.consistent else 'false'}")
     else:
-        print(
+        lines = [
             f"checked {report.blocks_checked} blocks of {report.family.to_text()}: "
             f"{len(report.block_failures)} shape failure(s)"
-        )
-        for probe in report.probes:
-            print(f"  {probe.probe.to_text()} lies in {probe.count} blocks")
+        ]
+        lines += [f"  {p.probe.to_text()} lies in {p.count} blocks" for p in report.probes]
         if report.refutation is None:
-            print("no refutation found: every probe has the same family-wide count")
+            lines.append("no refutation found: every probe has the same family-wide count")
         else:
             first, second = report.refutation
-            print(
+            lines.append(
                 f"refuted: {first.probe.to_text()} ({first.display_count()}) vs "
                 f"{second.probe.to_text()} ({second.display_count()})"
             )
+    print("\n".join(lines))
 
 
 def _set_list(sets) -> str:

@@ -486,7 +486,8 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
     dispatched on by its exact type, once: a family that is no
     ``FamilyDescriptor`` raises ``ValueError`` naming it; a base or member
     that is no exact ``SubsetDescriptor`` of ``Cardinal``, ``bool`` and
-    ``Cardinal``, or whose layout has ``free < 0``, raises ``ValueError`` in
+    ``Cardinal``, whose layout has ``free < 0``, or whose unbounded side is
+    not aleph0 (a descriptor of another space), raises ``ValueError`` in
     ``validate``'s words, as ``witness_violations`` words it; a
     doubly-infinite base or member, and any other family, raise
     :class:`FamilyEnumerationError`.
@@ -517,16 +518,16 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
         and type(base.cosize) is Cardinal
     ):
         if not base.size.infinite:
-            cofinite, pinned, finite = False, base.contains_b, base.size
+            cofinite, pinned, finite, unbounded = False, base.contains_b, base.size, base.cosize
         elif not base.cosize.infinite:
-            cofinite, pinned, finite = True, not base.contains_b, base.cosize
+            cofinite, pinned, finite, unbounded = True, not base.contains_b, base.cosize, base.size
         else:
             raise FamilyEnumerationError(
                 "a set with infinite size and infinite complement has no finite or "
                 "cofinite realization"
             )
         free = finite.value - pinned
-        if free >= 0:
+        if free >= 0 and unbounded == ALEPH0:
             singleton = kind is Singleton
             return cofinite, pinned, free, free if singleton else prefix, singleton
     raise ValueError(f"{what}: " + "; ".join(validate(base, SpaceDescriptor(ALEPH0))))

@@ -185,10 +185,11 @@ def descriptor_grid(
     if not finite_sizes_only:
         sizes += [Cardinal.aleph(i) for i in range(space.size.value + 1)]
     grid: list[SubsetDescriptor] = []
+    new = tuple.__new__  # SubsetDescriptor is a plain NamedTuple: built positionally
     for size in sizes:
         if size < space.size:
             for flag in (True, False):
-                grid.append(SubsetDescriptor(size, flag, space.size))
+                grid.append(new(SubsetDescriptor, (size, flag, space.size)))
         else:
             cosizes: Iterable[Cardinal] = [
                 Cardinal.finite(n) for n in range(0, max_finite + 1)
@@ -196,5 +197,5 @@ def descriptor_grid(
             for cosize in cosizes:
                 flags = (True,) if cosize == ZERO else (True, False)
                 for flag in flags:
-                    grid.append(SubsetDescriptor(size, flag, cosize))
+                    grid.append(new(SubsetDescriptor, (size, flag, cosize)))
     return grid

@@ -433,6 +433,17 @@ def test_verify_memory_does_not_grow_with_the_cutoff(query, probes, code, out, w
     assert capsys.readouterr() == (out, "")
 
 
+@pytest.mark.parametrize("fmt", ["record", "text"])
+def test_verify_writes_nothing_before_it_fails(fmt, write):
+    # blocks_checked, C(20002, 9999), has about 6,000 digits, more than str()
+    # of an int may write; the family line once went out before the error
+    path = write("q.txt", "space.size: aleph0\ntype: 1\nC.size: 2\nC.b: true\n"
+                          "D.size: 10000\nD.b: true\n")
+    code, out, err = run_main(["verify", path, "fin:0,1", "--cutoff", "20000", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCrosscheckCommand:
     def test_default_grid(self, capsys):
         assert main(["crosscheck"]) == 0
@@ -456,7 +467,7 @@ class TestCrosscheckCommand:
         )
         # sweep refuses each before it builds a space or runs a case
         monkeypatch.setattr(designs, "SpaceDescriptor", None)
-        monkeypatch.setattr(designs, "_mask", None)
+        monkeypatch.setattr(designs, "_obstruction", None)
         for argv, message in [
             (["--grid-max-aleph", "1000000000000"],
              "a sweep of 5333333333449333333334173000000000729 cases exceeds the budget "
@@ -466,7 +477,7 @@ class TestCrosscheckCommand:
             assert run_main(["crosscheck", *argv]) == (2, "", f"error: {message}\n")
 
     def test_over_budget_is_refused_before_any_case(self, monkeypatch, capsys):
-        monkeypatch.setattr(designs, "_mask", None)  # any case would fail
+        monkeypatch.setattr(designs, "_obstruction", None)  # any case would fail
         assert main(["crosscheck", "--max-finite", "100000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fortdesign import concrete
-from fortdesign.cardinal import ALEPH0, Cardinal, _SHARED_FINITES
+from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, _SHARED_FINITES
 from fortdesign.cli import main
 from fortdesign.concrete import (
     BlockCount,
@@ -600,6 +600,13 @@ BAD_FIELDS = [
 ]
 # size 0 with b, or cosize 0 without it: no layout has room for b's side
 INCONSISTENT_BASES = [sd(FC(0), True, ALEPH0), sd(ALEPH0, False, FC(0))]
+# descriptors of another space, whose unbounded side is not aleph0: each was
+# once realized as a set of another descriptor, fin:0,1,2 and cofin:1,2
+OTHER_SPACE_BASES = [
+    (sd(FC(3), True, FC(2)), "max(size, cosize) must equal card(X)=aleph0, got size=3, cosize=2"),
+    (sd(ALEPH1, True, FC(2)),
+     "max(size, cosize) must equal card(X)=aleph0, got size=aleph1, cosize=2"),
+]
 
 
 @pytest.mark.parametrize("make, message", [
@@ -664,6 +671,15 @@ INCONSISTENT_BASES = [sd(FC(0), True, ALEPH0), sd(ALEPH0, False, FC(0))]
       for family, message in BAD_FIELDS],
     *[(lambda f=family: blocks_containing(f, F((1,)), 5), message)
       for family, message in BAD_FIELDS],
+    *[(lambda b=base, k=kind: local_design_check(k(b), D3, D3, [], 5, require_complement=True),
+       f"{what}: {message}")
+      for base, message in OTHER_SPACE_BASES
+      for kind, what in [(ClassW, "class base"), (Singleton, "singleton member")]],
+    *[(lambda b=base, k=kind: blocks_containing(k(b), F((1,)), 5), f"{what}: {message}")
+      for base, message in OTHER_SPACE_BASES
+      for kind, what in [(ClassW, "class base"), (Singleton, "singleton member")]],
+    *[(lambda b=base: realize_descriptor(b), f"singleton member: {message}")
+      for base, message in OTHER_SPACE_BASES],
     (lambda: local_design_check(ClassW(D3), None, D3, [F((1, 2))], 5, require_complement=True),
      "C must be SubsetDescriptor, got None"),
     (lambda: local_design_check(ClassW(D3), C2, "D3", [], 5, require_complement=True),
@@ -927,8 +943,10 @@ def test_an_inconsistent_base_is_refused(base, kind, what):
 
 
 @pytest.mark.parametrize("base", [
-    # each BAD_FIELDS family's base or member, the inconsistent bases, two non-descriptors
-    *(family[0] for family, _ in BAD_FIELDS), *INCONSISTENT_BASES, None, "fin:1",
+    # each BAD_FIELDS family's base or member, the inconsistent bases, the
+    # other space's bases, two non-descriptors
+    *(family[0] for family, _ in BAD_FIELDS), *INCONSISTENT_BASES,
+    *(base for base, _ in OTHER_SPACE_BASES), None, "fin:1",
 ])
 @pytest.mark.parametrize("kind", [ClassW, Singleton])
 def test_layout_refuses_a_base_in_witness_violations_words(base, kind):

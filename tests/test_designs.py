@@ -341,7 +341,7 @@ def test_sweep_case_count_is_the_grid_closed_form():
 def no_case_runs(monkeypatch):
     """Any grid built or case run fails the test."""
     monkeypatch.setattr(designs, "descriptor_grid", None)
-    monkeypatch.setattr(designs, "_mask", None)
+    monkeypatch.setattr(designs, "_obstruction", None)
 
 
 @pytest.mark.parametrize("max_finite, finite_sizes_only, cases", [
@@ -474,6 +474,21 @@ def counted(monkeypatch, name):
 
     monkeypatch.setattr(designs, name, wrapper)
     return calls
+
+
+def test_faulted_sweeps_in_one_process_keep_their_own_text(monkeypatch):
+    # a violation's parts, a descriptor's text and a crosscheck clause, are
+    # made once per call: a second faulted sweep, over another grid that
+    # shares descriptors with the first, equals the same sweep run first
+    configs = [(1, 2, False, True), (2, 3, True, True)]
+    first = {}
+    for config in configs:
+        monkeypatch.setattr(designs, "_plans", ((), {}))
+        first[config] = sweep(*config)
+        assert first[config].violations
+    for order in (configs, configs[::-1]):
+        monkeypatch.setattr(designs, "_plans", ((), {}))
+        assert [sweep(*config) for config in order] == [first[config] for config in order]
 
 
 def test_a_second_sweep_decides_no_row(monkeypatch):
