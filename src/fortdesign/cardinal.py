@@ -119,8 +119,6 @@ class Cardinal(_CardinalFields):
 
 # Finite cardinals below this are built once and shared by every
 # Cardinal.finite call: descriptors of small sets ask for them constantly.
-# It bounds concrete.ConcreteSet's constructor's table too: the descriptor of
-# every finite or cofinite set with fewer listed points is built once from these.
 _SHARED_FINITES = 64
 _FINITES = tuple(Cardinal(False, n) for n in range(_SHARED_FINITES))
 

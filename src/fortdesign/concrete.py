@@ -9,28 +9,30 @@ Containment counts are reported as exact-within-window or saturated lower
 bounds, never extrapolated.  :func:`local_design_check` and
 :func:`blocks_containing` read their window's arguments once, by
 :func:`_layout`, which refuses a base it cannot lay out in ``validate``'s
-words and returns the layout (None for the odd-tail family) that three
-plain functions read: :func:`_window_size` and :func:`_probe_counts` count
-in closed form, and :func:`_window_blocks` streams the blocks, which
-:func:`blocks_containing` walks.  A window generates its blocks valid, so
-none is re-validated: :func:`_fill` derives a class block's fields from
-its sorted support, and an odd-tail block is made from its index as its
-constructor makes it.  :func:`local_design_check` reads the
-checked block's and each probe's stored descriptor and builds its reports
-through ``tuple.__new__``, so it pays only for its layout, its counts and
-one drawn block.
+words and returns the layout (None for the odd-tail family), the checked
+base included, that three plain functions read: :func:`_window_size` and
+:func:`_probe_counts` count in closed form, and :func:`_window_blocks`
+streams the blocks, which :func:`blocks_containing` walks.  A window
+generates its blocks valid, so none is re-validated and nothing is
+derived: :func:`_fill` gives a class or singleton block its sorted support
+and the layout's base, which is every such block's descriptor, and an
+odd-tail block is made from its index as its constructor makes it.
+:func:`local_design_check` reads the checked block's (or, for an empty
+window, the base's) and each probe's stored descriptor and builds its
+reports through ``tuple.__new__``, so it pays only for its layout, its
+counts and one drawn block.
 
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
 tuple-backed record that validates its table in one pass and sorts only a
 table of two or more entries; a :class:`ConcreteSet` stores whether it
-holds b, derived once by its constructor; an aligned image is the target's
+holds b, as its descriptor records it; an aligned image is the target's
 member of x's rank, read by bisecting the sorted supports; and
 :func:`check_homeomorphism` answers any aligned map, the exception-free one
 of :func:`canonical_homeomorphism` right after its kind test, with no set
 built, and any other in one pass over its exception table; and
-:func:`extract_descriptor` reads the descriptor that a set's constructor
-stored, one shared from a table built at import when the set lists fewer
-than 64 points; every odd-tail block shares its class's one descriptor.
+:func:`extract_descriptor` reads the descriptor a set stores: the one its
+constructor built, or its window's base for a class or singleton block;
+every odd-tail block shares its class's one descriptor.
 """
 
 from __future__ import annotations
@@ -49,15 +51,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .cardinal import (
-    ALEPH0,
-    Cardinal,
-    _FINITES,
-    _SHARED_FINITES,
-    _exactly,
-    _make_validated,
-    parse_points,
-)
+from .cardinal import ALEPH0, Cardinal, _exactly, _make_validated, parse_points
 from .descriptors import SpaceDescriptor, SubsetDescriptor, subspace_homeomorphic, validate
 from .designs import ClassW, FamilyDescriptor, OddTail, Singleton
 
@@ -73,16 +67,6 @@ def _normalized(elements) -> tuple[int, ...]:
     return out
 
 
-# Descriptors are immutable, so, as Cardinal.finite does for small
-# cardinals, the descriptor of every finite or cofinite set with fewer than
-# _SHARED_FINITES listed points is built once and shared, indexed by
-# [cofinite][contains_b][listed points].
-_SHARED_DESCRIPTORS = (
-    tuple(tuple(SubsetDescriptor(n, b, ALEPH0) for n in _FINITES) for b in (False, True)),
-    tuple(tuple(SubsetDescriptor(ALEPH0, b, n) for n in _FINITES) for b in (False, True)),
-)
-
-
 class ConcreteSet:
     """A finite or cofinite subset of the naturals.
 
@@ -94,17 +78,24 @@ class ConcreteSet:
     An immutable record with four slots rather than a NamedTuple: the
     oracles read its fields in their inner loops, and a slot read is about
     twice as fast as a NamedTuple field read.  ``cofinite`` and ``support``
-    are its fields; ``contains_b``, whether it holds b, and ``descriptor``,
-    the one :func:`extract_descriptor` returns, are derived from them by
-    :func:`_fill`, which the constructor calls once it has validated and
-    sorted the support.  Equality, hashing, ``repr`` and pickling use the
-    two fields only.
+    are its fields; ``descriptor``, the one :func:`extract_descriptor`
+    returns, and ``contains_b``, whether it holds b, are derived from them:
+    the constructor builds the descriptor once it has validated and sorted
+    the support, and a window gives each of its blocks its base's (see
+    :func:`_window_blocks`).  Equality, hashing, ``repr`` and pickling use
+    the two fields only.
     """
 
     __slots__ = ("cofinite", "support", "contains_b", "descriptor")
 
     def __init__(self, cofinite: bool, support: tuple[int, ...]) -> None:
-        _fill(self, _exactly(bool, cofinite, "cofinite"), _normalized(support))
+        cofinite = _exactly(bool, cofinite, "cofinite")
+        support = _normalized(support)
+        # the support is sorted, so b = 0 can only be its first point
+        b = (support[:1] == (0,)) != cofinite
+        n = Cardinal.finite(len(support))
+        shape = (ALEPH0, b, n) if cofinite else (n, b, ALEPH0)
+        _fill(self, cofinite, support, tuple.__new__(SubsetDescriptor, shape))
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -195,26 +186,20 @@ _set_cofinite, _set_support, _set_contains_b, _set_descriptor = (
 )
 
 
-def _fill(s: "ConcreteSet", cofinite: bool, support: tuple[int, ...]) -> "ConcreteSet":
-    """Set a new set's two fields and derive ``contains_b`` and
-    ``descriptor`` from them; returns the set.
+def _fill(
+    s: "ConcreteSet", cofinite: bool, support: tuple[int, ...], descriptor: SubsetDescriptor
+) -> "ConcreteSet":
+    """Set a new set's four slots, ``contains_b`` as ``descriptor`` records
+    it; returns the set.
 
-    Nothing is checked: ``cofinite`` must be a ``bool`` and ``support`` a
-    strictly increasing tuple of naturals, as the constructor's validation
-    leaves it and as a window's blocks are generated.
+    Nothing is checked or derived: ``cofinite`` must be a ``bool``,
+    ``support`` a strictly increasing tuple of naturals and ``descriptor``
+    the set's own, as the constructor builds them and as a window
+    generates its blocks.
     """
-    # the support is sorted, so b = 0 can only be its first point
-    contains_b = (support[:1] == (0,)) != cofinite
-    n = len(support)
-    if n < _SHARED_FINITES:
-        descriptor = _SHARED_DESCRIPTORS[cofinite][contains_b][n]
-    elif cofinite:
-        descriptor = SubsetDescriptor(ALEPH0, contains_b, Cardinal(False, n))
-    else:
-        descriptor = SubsetDescriptor(Cardinal(False, n), contains_b, ALEPH0)
     _set_cofinite(s, cofinite)
     _set_support(s, support)
-    _set_contains_b(s, contains_b)
+    _set_contains_b(s, descriptor.contains_b)
     _set_descriptor(s, descriptor)
     return s
 
@@ -447,9 +432,10 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     """A canonical concrete set with the given descriptor.
 
-    It is the one block of ``Singleton(d)``'s window.  Doubly-infinite
-    descriptors have no finite or cofinite realization and are rejected;
-    one that :func:`_layout` cannot lay out is refused in its words.
+    It is the one block of ``Singleton(d)``'s window, so its descriptor is
+    ``d`` itself.  Doubly-infinite descriptors have no finite or cofinite
+    realization and are rejected; one that :func:`_layout` cannot lay out
+    is refused in its words.
     """
     return next(_window_blocks(_layout(Singleton(d), 1, 0), 1))
 
@@ -478,18 +464,19 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
     window of a class W(D) or a singleton out; None for the odd-tail
     family, whose window is its first ``cutoff`` blocks.
 
-    Returns ``(cofinite, pinned, free, top, singleton)``: a finite block is
-    ``R``, plus b when ``pinned``; a cofinite block excludes ``R``, and b
-    too when ``pinned``; ``R`` ranges over the ``free``-subsets of ``[1,
-    top]``.  A class's ``top`` is the prefix; a singleton is its member's
-    layout with ``top = free``, so its window is one block.  The family is
-    dispatched on by its exact type, once: a family that is no
-    ``FamilyDescriptor`` raises ``ValueError`` naming it; a base or member
-    that is no exact ``SubsetDescriptor`` of ``Cardinal``, ``bool`` and
-    ``Cardinal``, whose layout has ``free < 0``, or whose unbounded side is
-    not aleph0 (a descriptor of another space), raises ``ValueError`` in
-    ``validate``'s words, as ``witness_violations`` words it; a
-    doubly-infinite base or member, and any other family, raise
+    Returns ``(cofinite, pinned, free, top, singleton, base)``: a finite
+    block is ``R``, plus b when ``pinned``; a cofinite block excludes
+    ``R``, and b too when ``pinned``; ``R`` ranges over the
+    ``free``-subsets of ``[1, top]``.  A class's ``top`` is the prefix; a
+    singleton is its member's layout with ``top = free``, so its window is
+    one block.  ``base`` is the checked base or member, the descriptor of
+    every block.  The family is dispatched on by its exact type, once: a
+    family that is no ``FamilyDescriptor`` raises ``ValueError`` naming
+    it; a base or member that is no exact ``SubsetDescriptor`` of
+    ``Cardinal``, ``bool`` and ``Cardinal``, whose layout has ``free < 0``,
+    or whose unbounded side is not aleph0 (a descriptor of another space),
+    raises ``ValueError`` in ``validate``'s words, as ``witness_violations``
+    words it; a doubly-infinite base or member, and any other family, raise
     :class:`FamilyEnumerationError`.
     """
     if _exactly(int, cutoff, "cutoff") < 1:
@@ -529,7 +516,7 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
         free = finite.value - pinned
         if free >= 0 and unbounded == ALEPH0:
             singleton = kind is Singleton
-            return cofinite, pinned, free, free if singleton else prefix, singleton
+            return cofinite, pinned, free, free if singleton else prefix, singleton, base
     raise ValueError(f"{what}: " + "; ".join(validate(base, SpaceDescriptor(ALEPH0))))
 
 
@@ -545,23 +532,24 @@ def _window_blocks(layout: tuple | None, cutoff: int) -> Iterator[Block]:
     tuple only when a second block is drawn, and a window of one block
     (``free = 0``) has an empty pool.  So drawing one block costs nothing
     per point of the prefix.  Every block is generated valid, so none is
-    re-validated: a class block's sorted support is filled by
-    :func:`_fill`, and an odd-tail block, whose index is one of
-    ``1..cutoff``, is made as :class:`OddTailBlock`'s constructor makes it
-    once its index is checked.
+    re-validated and nothing is derived: :func:`_fill` gives a class or
+    singleton block its sorted support and the layout's base, the
+    descriptor every such block has, and an odd-tail block, whose index is
+    one of ``1..cutoff``, is made as :class:`OddTailBlock`'s constructor
+    makes it once its index is checked.
     """
     if layout is None:
         yield from map(tuple.__new__, itertools.repeat(OddTailBlock), zip(range(1, cutoff + 1)))
         return
-    cofinite, pinned, free, top, _ = layout
+    cofinite, pinned, free, top, _, base = layout
     if free > top:
         return
     fixed = (0,) if pinned else ()
     new, fill = object.__new__, _fill
-    yield fill(new(ConcreteSet), cofinite, fixed + tuple(range(1, free + 1)))
+    yield fill(new(ConcreteSet), cofinite, fixed + tuple(range(1, free + 1)), base)
     rests = itertools.combinations(range(1, top + 1) if free else (), free)
     for rest in itertools.islice(rests, 1, None):
-        yield fill(new(ConcreteSet), cofinite, fixed + rest)
+        yield fill(new(ConcreteSet), cofinite, fixed + rest, base)
 
 
 def _window_size(layout: tuple | None, cutoff: int) -> int:
@@ -584,7 +572,7 @@ def _probe_counts(layout: tuple | None, cutoff: int, probe: ConcreteSet) -> tupl
         # finite probe lies in cofinally many blocks
         need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
         return max(cutoff - need + 1, 0), None
-    cofinite, pinned, free, top, singleton = layout
+    cofinite, pinned, free, top, singleton, _ = layout
     support = probe.support
     lead = bisect_left(support, 1)  # 1 when the probe lists b
     listed = len(support) - lead  # the listed points past b
@@ -666,9 +654,13 @@ class DesignCheckReport(NamedTuple):
     """Everything the bounded design check observed.
 
     ``block_failures`` lists enumerated blocks that are not shaped like D
-    (or whose complement is not shaped like X \\ D when required);
+    (or whose complement is not shaped like X \\ D when required), or names
+    the family once when its window has no block;
     ``refutation`` names two probes whose family-wide counts differ (an
     infinite one differs from every finite one): no multiplicity is uniform.
+    ``consistent`` also needs a uniform count other than 0: a design's
+    multiplicity is at least 1, as ``LambdaValue`` requires, so accepted
+    probes that no block of the family holds refute it with no pair to name.
     """
 
     family: FamilyDescriptor
@@ -680,7 +672,12 @@ class DesignCheckReport(NamedTuple):
 
     @property
     def consistent(self) -> bool:
-        return self.refutation is None and not self.block_failures
+        # with no refutation every accepted probe has the first's count
+        return (
+            self.refutation is None
+            and not self.block_failures
+            and not (self.probes and self.probes[0].global_exact == 0)
+        )
 
 
 def _find_refutation(
@@ -724,12 +721,18 @@ def local_design_check(
     in closed form (binomial
     coefficients over ``[1, prefix]`` for W(D), arithmetic on the largest
     odd point for the odd-tail family) and equal the literal ones.  All
-    blocks of a window share one descriptor, so only the first block is
-    shape-checked; when it fails, every block is listed with its failure,
-    and a window of more than ``LISTING_BUDGET`` blocks raises
-    ``ValueError`` before the listing starts.  A family, base, C, D or
-    probe of the wrong type, a base that cannot be laid out, or ``probes``
-    that is no iterable or is text, raises ``ValueError`` naming it.  Past
+    blocks of a window share one descriptor, a class's or singleton's base,
+    so only the first block is shape-checked; when it fails, every block is
+    listed with its failure, and a window of more than ``LISTING_BUDGET``
+    blocks raises ``ValueError`` before the listing starts.  A class window
+    whose prefix holds fewer points than a block's free ones has no block:
+    its base is checked instead, and a failure names the family once.  The
+    check is consistent only with no block failure, no refutation, and a
+    uniform count other than 0: accepted probes that all count 0 refute a
+    design, whose multiplicity is at least 1, though no pair is named.  A
+    family, base, C, D or probe of the wrong type, a base that cannot be
+    laid out, or ``probes`` that is no iterable or is text, raises
+    ``ValueError`` naming it.  Past
     its layout, its counts and one drawn block the check pays for nothing:
     descriptors are read from their slots once each type is checked, and
     the reports are built positionally.
@@ -742,23 +745,23 @@ def local_design_check(
     blocks_checked = _window_size(layout, cutoff)
     blocks = _window_blocks(layout, cutoff)
     first = next(blocks, None)
+    # an empty window is a class's whose prefix holds too few points: its
+    # base is still every block's shape
+    shape = layout[5] if first is None else first.descriptor
     failure = None
-    if first is not None:
-        shape = first.descriptor
-        if not subspace_homeomorphic(shape, d):
-            failure = "not shaped like D"
-        elif require_complement and shape != d:
-            failure = "complement not shaped like X \\ D"
+    if not subspace_homeomorphic(shape, d):
+        failure = "not shaped like D"
+    elif require_complement and shape != d:
+        failure = "complement not shaped like X \\ D"
     if failure and blocks_checked > LISTING_BUDGET:
         raise ValueError(
             f"{blocks_checked} blocks are {failure}; listing them exceeds the "
             f"budget of {LISTING_BUDGET} blocks"
         )
-    failures = (
-        tuple(f"{block.to_text()}: {failure}" for block in itertools.chain((first,), blocks))
-        if failure
-        else ()
-    )
+    failures = ()
+    if failure:  # every block, or the family once when there is none
+        named = (family,) if first is None else itertools.chain((first,), blocks)
+        failures = tuple(f"{x.to_text()}: {failure}" for x in named)
 
     new = tuple.__new__
     accepted: list[ProbeReport] = []

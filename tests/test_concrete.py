@@ -157,7 +157,8 @@ def of_shape(cofinite, holds_b, listed, first_free):
 @pytest.mark.parametrize("cofinite", [False, True])
 @pytest.mark.parametrize("holds_b", [False, True])
 def test_every_reachable_shape_has_its_descriptor(cofinite, holds_b):
-    assert 0 < _SHARED_FINITES <= 70  # so both sides of the bound are covered
+    # both sides of the bound below which Cardinal.finite shares its values
+    assert 0 < _SHARED_FINITES <= 70
     # a listed 0 is b in a finite set and its absence in a cofinite one
     for listed in range(holds_b != cofinite, 71):
         one = of_shape(cofinite, holds_b, listed, 1)
@@ -170,11 +171,7 @@ def test_every_reachable_shape_has_its_descriptor(cofinite, holds_b):
         assert shape == written == extract_descriptor(other)
         assert validate(shape, SpaceDescriptor(ALEPH0)) == []
         assert extract_descriptor(one.complement()) == complement(shape)
-        if listed < _SHARED_FINITES:
-            assert extract_descriptor(other) is shape
-        else:  # built once per set, when the set is: equal, not shared
-            assert extract_descriptor(one) is shape
-            assert extract_descriptor(other) is not shape
+        assert extract_descriptor(one) is shape  # built once, when the set is
 
 
 def test_reading_a_descriptor_builds_nothing(monkeypatch):
@@ -908,10 +905,26 @@ def test_filled_window_blocks_equal_validated_ones(kind):
                 written = (sd(ALEPH0, 0 in block, listed) if block.cofinite
                            else sd(listed, 0 in block, ALEPH0))
                 assert block.descriptor == public.descriptor == written
-                # below 64 listed points both read the one shared descriptor
-                assert len(block.support) < _SHARED_FINITES
-                assert block.descriptor is public.descriptor
+                # a window gives every block its base, builds none
+                assert block.descriptor is d
+        if kind is Singleton:
+            assert realize_descriptor(d).descriptor is d
     assert len(realizable) == 25 and drawn == (1923 if kind is ClassW else 25 * 9)
+
+
+@pytest.mark.parametrize("kind", [ClassW, Singleton])
+@pytest.mark.parametrize("listed", [_SHARED_FINITES - 1, _SHARED_FINITES, _SHARED_FINITES + 2])
+@pytest.mark.parametrize("cofinite", [False, True])
+def test_large_window_blocks_carry_their_base(kind, listed, cofinite):
+    # on both sides of the bound below which Cardinal.finite shares its values
+    n = FC(listed)
+    for b in (False, True):
+        base = sd(ALEPH0, b, n) if cofinite else sd(n, b, ALEPH0)
+        blocks = list(window_of(kind(base), 3, listed + 1))
+        assert blocks and (kind is ClassW or len(blocks) == 1)
+        for block in blocks:
+            assert block.descriptor is base
+            assert block.descriptor == ConcreteSet(block.cofinite, block.support).descriptor
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 1000])
@@ -974,7 +987,8 @@ def test_design_check_reports_keep_their_field_order():
             assert type(report) is DesignCheckReport
             assert report == DesignCheckReport(**report._asdict())
             assert report.family is family and report.blocks_checked == window
-            assert len(report.block_failures) in (0, window)
+            # an empty window with a wrong base names its family once
+            assert len(report.block_failures) in (0, window or 1)
             assert all(failure.endswith("shaped like D") or failure.endswith("X \\ D")
                        for failure in report.block_failures)
             assert report.rejected == tuple(
@@ -995,6 +1009,38 @@ def test_design_check_reports_keep_their_field_order():
             seen.update(name for name in ("probes", "rejected", "block_failures")
                         if getattr(report, name))
     assert seen == {"probes", "rejected", "block_failures", "refuted"}
+
+
+@pytest.mark.parametrize("d, failures", [
+    (sd(FC(3), True, ALEPH0), ("W(size=20,b=true,cosize=aleph0): not shaped like D",)),
+    (sd(FC(20), True, ALEPH0), ()),
+])
+def test_an_empty_window_is_checked_by_its_base(d, failures):
+    # a prefix of 5 holds too few points for a block of 19 free points; the
+    # wrong base was once called consistent with no block checked
+    base = sd(FC(20), True, ALEPH0)
+    c = sd(FC(2), True, ALEPH0)
+    report = local_design_check(ClassW(base), c, d, [F((0, 1)), F((0, 5))], 5,
+                                require_complement=True)
+    assert report.blocks_checked == 0 and list(window_of(ClassW(base), 5, None)) == []
+    assert report.block_failures == failures
+    assert report.refutation is None
+    assert report.consistent is (failures == ())
+
+
+def test_a_uniform_count_of_zero_is_no_design():
+    # no block of a b-free W(D) holds the probe {b}: every accepted probe
+    # counts 0, with no pair of counts to differ, and LambdaValue refuses 0
+    d, c = sd(FC(3), False, ALEPH0), sd(FC(1), True, ALEPH0)
+    report = local_design_check(ClassW(d), c, d, [F((0,))], 10, require_complement=True)
+    assert [p.global_exact for p in report.probes] == [0]
+    assert report.refutation is None and not report.block_failures
+    assert not report.consistent
+    # a uniform nonzero count, and no accepted probe, stay consistent
+    one = local_design_check(ClassW(d), sd(FC(3), False, ALEPH0), d, [F((1, 2, 3))], 10,
+                             require_complement=True)
+    assert [p.global_exact for p in one.probes] == [1] and one.consistent
+    assert local_design_check(ClassW(d), c, d, [], 10, require_complement=True).consistent
 
 
 @st.composite
