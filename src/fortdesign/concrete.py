@@ -472,11 +472,11 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
     one block.  ``base`` is the checked base or member, the descriptor of
     every block.  The family is dispatched on by its exact type, once: a
     family that is no ``FamilyDescriptor`` raises ``ValueError`` naming
-    it; a base or member that is no exact ``SubsetDescriptor`` of
-    ``Cardinal``, ``bool`` and ``Cardinal``, whose layout has ``free < 0``,
-    or whose unbounded side is not aleph0 (a descriptor of another space),
-    raises ``ValueError`` in ``validate``'s words, as ``witness_violations``
-    words it; a doubly-infinite base or member, and any other family, raise
+    it; a base or member that is no ``SubsetDescriptor`` (whose fields its
+    constructor has typed), whose layout has ``free < 0``, or whose
+    unbounded side is not aleph0 (a descriptor of another space), raises
+    ``ValueError`` in ``validate``'s words, as ``witness_violations`` words
+    it; a doubly-infinite base or member, and any other family, raise
     :class:`FamilyEnumerationError`.
     """
     if _exactly(int, cutoff, "cutoff") < 1:
@@ -498,12 +498,7 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
         )
     else:
         raise ValueError(f"family must be FamilyDescriptor, got {family!r}")
-    if (
-        type(base) is SubsetDescriptor
-        and type(base.size) is Cardinal
-        and type(base.contains_b) is bool
-        and type(base.cosize) is Cardinal
-    ):
+    if type(base) is SubsetDescriptor:
         if not base.size.infinite:
             cofinite, pinned, finite, unbounded = False, base.contains_b, base.size, base.cosize
         elif not base.cosize.infinite:
@@ -732,10 +727,11 @@ def local_design_check(
     design, whose multiplicity is at least 1, though no pair is named.  A
     family, base, C, D or probe of the wrong type, a base that cannot be
     laid out, or ``probes`` that is no iterable or is text, raises
-    ``ValueError`` naming it.  Past
-    its layout, its counts and one drawn block the check pays for nothing:
-    descriptors are read from their slots once each type is checked, and
-    the reports are built positionally.
+    ``ValueError`` naming it; C's and D's record type is all that is
+    checked of them, since a ``SubsetDescriptor`` types its own fields.
+    Past its layout, its counts and one drawn block the check pays for
+    nothing: descriptors are read from their slots once each type is
+    checked, and the reports are built positionally.
     """
     _exactly(bool, require_complement, "require_complement")
     layout = _layout(family, cutoff, prefix)

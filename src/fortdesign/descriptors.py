@@ -44,12 +44,30 @@ class SpaceDescriptor(_SpaceFields):
     _make = classmethod(_make_validated)
 
 
-class SubsetDescriptor(NamedTuple):
-    """(size, contains_b, cosize) triple for a subset of the space."""
-
+class _SubsetFields(NamedTuple):
     size: Cardinal
     contains_b: bool
     cosize: Cardinal
+
+
+class SubsetDescriptor(_SubsetFields):
+    """(size, contains_b, cosize) triple for a subset of the space.
+
+    Each field is taken only as exactly ``Cardinal``, ``bool`` and
+    ``Cardinal``, so no plain tuple equal to a Cardinal and no int flag is
+    read as one; a field of another type raises ``ValueError`` naming it.
+    Whether the triple fits a space is :func:`validate`'s question.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, size: Cardinal, contains_b: bool, cosize: Cardinal) -> "SubsetDescriptor":
+        _exactly(Cardinal, size, "size")
+        _exactly(bool, contains_b, "contains_b")
+        _exactly(Cardinal, cosize, "cosize")
+        return tuple.__new__(cls, (size, contains_b, cosize))
+
+    _make = classmethod(_make_validated)
 
     def __str__(self) -> str:
         b = "true" if self.contains_b else "false"
@@ -61,17 +79,12 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
 
     Violations are data, not exceptions: callers that require validity raise
     on a nonempty result, probes and complements may inspect it.  A subset
-    that is no ``SubsetDescriptor``, or a size or cosize that is no
-    ``Cardinal``, is reported alone: reading or comparing it would raise.
+    that is no ``SubsetDescriptor`` is reported alone; a descriptor's fields
+    are its constructor's to check, so only the rules of the space are
+    checked here.
     """
     if type(subset) is not SubsetDescriptor:
         return [f"must be a SubsetDescriptor, got {subset!r}"]
-    if type(subset.size) is not Cardinal or type(subset.cosize) is not Cardinal:
-        named = ("size", subset.size), ("cosize", subset.cosize)
-        return [
-            f"{name} must be a Cardinal, got {value!r}"
-            for name, value in named if type(value) is not Cardinal
-        ]
     violations = []
     x = space.size
     if max(subset.size, subset.cosize) != x:
@@ -79,12 +92,9 @@ def validate(subset: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
             f"max(size, cosize) must equal card(X)={x}, "
             f"got size={subset.size}, cosize={subset.cosize}"
         )
-    b = subset.contains_b
-    if type(b) is not bool:
-        violations.append(f"contains_b must be bool, got {b!r}")
-    elif b and subset.size == ZERO:
+    if subset.contains_b and subset.size == ZERO:
         violations.append("the empty set cannot contain b")
-    elif not b and subset.cosize == ZERO:
+    elif not subset.contains_b and subset.cosize == ZERO:
         violations.append("a set with empty complement must contain b")
     return violations
 
@@ -185,7 +195,7 @@ def descriptor_grid(
     if not finite_sizes_only:
         sizes += [Cardinal.aleph(i) for i in range(space.size.value + 1)]
     grid: list[SubsetDescriptor] = []
-    new = tuple.__new__  # SubsetDescriptor is a plain NamedTuple: built positionally
+    new = tuple.__new__  # every field is typed already: built positionally, unchecked
     for size in sizes:
         if size < space.size:
             for flag in (True, False):

@@ -30,7 +30,8 @@ pair: a value, a ``LambdaValue`` or None for card(X), and a witness kind.
 C, and to what its check reads, on which ``sweep`` keys the check before it
 builds the family.
 
-Validation contract: ``decide`` and ``crosscheck``, the only checks of the
+Validation contract: a ``SubsetDescriptor`` types its own fields when it
+is built, and ``decide`` and ``crosscheck``, the only checks of the
 descriptors a caller passes in, validate C and D against the space once.
 Then ``decide`` reads its type's deciding row into one verdict, and
 ``crosscheck`` reads the four types' rows through ``_plan``, the tables'
@@ -261,10 +262,9 @@ def _check_tag(case_tag: str) -> None:
 
 
 def _violations(s: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
-    """Why s is not a valid, nonempty descriptor in the space; empty if it is.
-    Only a Cardinal size is read as empty: a plain (False, 0) equals ZERO."""
+    """Why s is not a valid, nonempty descriptor in the space; empty if it is."""
     violations = validate(s, space)
-    if type(s) is SubsetDescriptor and type(s.size) is Cardinal and s.size == ZERO:
+    if type(s) is SubsetDescriptor and s.size == ZERO:
         violations.append("must be nonempty")
     return violations
 

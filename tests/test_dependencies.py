@@ -168,6 +168,34 @@ def test_only_designs_says_which_types_take_which_condition():
     ] == []
 
 
+DESCRIPTOR_FIELDS = {"size", "contains_b", "cosize"}
+
+
+def descriptor_field_type_tests(tree: ast.Module):
+    """The line of each ``type``, ``isinstance`` or ``_exactly`` call with
+    an argument that reads a descriptor's field, as ``type(s.size)`` does."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in {"type", "isinstance", "_exactly"}
+            and any(isinstance(arg, ast.Attribute) and arg.attr in DESCRIPTOR_FIELDS
+                    for arg in node.args)
+        ):
+            yield node.lineno
+
+
+def test_only_a_descriptor_types_its_own_fields():
+    # SubsetDescriptor's constructor refuses a field of the wrong type: a
+    # reader that tests one restates that rule, and a reader that does not
+    # would have to
+    assert [
+        f"{path}:{line}"
+        for path, tree in package_trees().items()
+        for line in descriptor_field_type_tests(tree)
+    ] == []
+
+
 DEMOS = SRC.parents[1] / "demos"
 
 # public methods that no module of the package or demo reads, each with why
@@ -262,7 +290,7 @@ def test_no_fields_class_restates_the_defaults_of_its_records_new():
         for base in node.bases
         if isinstance(base, ast.Name)
     }
-    assert {"_CardinalFields", "_PointMapFields", "_VerdictFields"} <= validated
+    assert {"_CardinalFields", "_PointMapFields", "_SubsetFields", "_VerdictFields"} <= validated
     assert [
         f"{path}:{field.lineno}: {name}"
         for path, tree in trees.items()

@@ -3,6 +3,7 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal
 from fortdesign.descriptors import (
@@ -63,25 +64,104 @@ def test_validate_reports_each_violation():
     assert validate(sd(ALEPH1, True, ALEPH1), X0) != []  # size above card(X)
 
 
-def test_validate_reports_a_contains_b_that_is_not_a_bool():
-    # "no" is truthy: it was read as b in C
-    for flag in ("no", 1, None):
-        assert validate(sd(F(3), flag, ALEPH0), X0) == [
-            f"contains_b must be bool, got {flag!r}"]
-    assert validate(sd(F(0), "yes", F(2)), X0) == [
-        "max(size, cosize) must equal card(X)=aleph0, got size=0, cosize=2",
-        "contains_b must be bool, got 'yes'",
-    ]
+# A field of the wrong type is refused where the descriptor is built, in
+# words that name the field.  Each row was once a reader's case, refused
+# only if validate, designs' _violations or concrete's _layout repeated the
+# field rules; readers that did not repeat them misread it or raised
+# TypeError.
+WRONG_FIELDS = [
+    # once W bases and singleton members that local_design_check,
+    # blocks_containing and _layout refused
+    pytest.param((3, False, ALEPH0), "size must be Cardinal, got 3", id="base-size-int"),
+    pytest.param((F(3), "no", ALEPH0), "contains_b must be bool, got 'no'", id="base-b-str"),
+    pytest.param((ALEPH0, True, 5), "cosize must be Cardinal, got 5", id="base-cosize-int"),
+    pytest.param((True, False, ALEPH0), "size must be Cardinal, got True", id="member-size-bool"),
+    pytest.param((F(1), 1, ALEPH0), "contains_b must be bool, got 1", id="member-b-int"),
+    pytest.param((ALEPH0, False, 1.0), "cosize must be Cardinal, got 1.0",
+                 id="member-cosize-float"),
+    # once W(base) and L(base) bases that witness_violations refused alike,
+    # in each of four spaces
+    *[pytest.param((3, True, Cardinal.aleph(i)), "size must be Cardinal, got 3",
+                   id=f"class-base-size-int-aleph{i}") for i in range(4)],
+    # once a D that witness_violations refused
+    pytest.param((3, True, ALEPH0), "size must be Cardinal, got 3", id="witness-d-size-int"),
+    # once C's that decide, or decide and crosscheck, raised DescriptorError
+    # for; comparing such a size with a Cardinal raised TypeError, and a
+    # plain tuple equal to ZERO was not also called empty
+    pytest.param((F(3), "no", ALEPH0), "contains_b must be bool, got 'no'", id="decide-b-str"),
+    pytest.param((3, True, ALEPH0), "size must be Cardinal, got 3", id="decide-size-int"),
+    pytest.param(("3", True, ALEPH0), "size must be Cardinal, got '3'", id="decide-size-str"),
+    pytest.param(((False, 3), True, ALEPH0), "size must be Cardinal, got (False, 3)",
+                 id="decide-size-tuple"),
+    pytest.param((F(3), True, None), "cosize must be Cardinal, got None",
+                 id="decide-cosize-none"),
+    pytest.param(((False, 0), True, ALEPH0), "size must be Cardinal, got (False, 0)",
+                 id="decide-size-tuple-zero"),
+    # once descriptors that validate reported; "no" is truthy and was read
+    # as b in C, and a size of the wrong type hid every other rule
+    *[pytest.param((F(3), flag, ALEPH0), f"contains_b must be bool, got {flag!r}",
+                   id=f"validate-b-{type(flag).__name__}") for flag in ("no", 1, None)],
+    pytest.param((F(0), "yes", F(2)), "contains_b must be bool, got 'yes'",
+                 id="validate-b-str-other-space"),
+    pytest.param((3, "no", None), "size must be Cardinal, got 3", id="validate-all-wrong"),
+    pytest.param((F(3), True, (True, 0)), "cosize must be Cardinal, got (True, 0)",
+                 id="validate-cosize-tuple"),
+]
 
 
-def test_validate_reports_only_a_size_that_is_not_a_cardinal():
-    # the other invariants compare sizes, which would raise
-    assert validate(sd(3, "no", None), X0) == [
-        "size must be a Cardinal, got 3",
-        "cosize must be a Cardinal, got None",
-    ]
-    assert validate(sd(F(3), True, (True, 0)), X0) == [
-        "cosize must be a Cardinal, got (True, 0)"]
+@pytest.mark.parametrize("fields, message", WRONG_FIELDS)
+def test_a_field_of_the_wrong_type_is_refused_when_the_descriptor_is_built(fields, message):
+    with pytest.raises(ValueError) as raised:
+        SubsetDescriptor(*fields)
+    assert str(raised.value) == message
+    # a record built past the constructor is refused by every copy of it
+    unchecked = tuple.__new__(SubsetDescriptor, fields)
+    for clone in (lambda: pickle.loads(pickle.dumps(unchecked)), lambda: copy.copy(unchecked),
+                  lambda: copy.deepcopy(unchecked), lambda: SubsetDescriptor._make(fields),
+                  lambda: unchecked._replace()):
+        with pytest.raises(ValueError) as raised:
+            clone()
+        assert str(raised.value) == message
+
+
+CARDINALS = st.one_of(st.integers(0, 4).map(F), st.integers(0, 2).map(Cardinal.aleph))
+# ints, bools, None, text, plain tuples equal to Cardinals, and Cardinals
+FIELD_VALUES = st.one_of(
+    st.integers(-1, 4), st.booleans(), st.none(), st.text(max_size=2),
+    CARDINALS.map(tuple), CARDINALS,
+)
+FIELD_KINDS = (("size", Cardinal), ("contains_b", bool), ("cosize", Cardinal))
+
+
+def built_or_refused(fields):
+    """The descriptor of ``fields``, or None once its refusal is checked:
+    the first field of the wrong type is named."""
+    wrong = [(name, kind, value) for (name, kind), value in zip(FIELD_KINDS, fields)
+             if type(value) is not kind]
+    if wrong:
+        name, kind, value = wrong[0]
+        with pytest.raises(ValueError) as raised:
+            SubsetDescriptor(*fields)
+        assert str(raised.value) == f"{name} must be {kind.__name__}, got {value!r}"
+        return None
+    s = SubsetDescriptor(*fields)
+    assert [type(value) for value in s] == [Cardinal, bool, Cardinal]
+    return s
+
+
+@given(st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES),
+       st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES), st.integers(0, 2))
+def test_no_reader_misreads_a_descriptor_that_was_built(u_fields, v_fields, index):
+    # every descriptor that exists has typed fields, so no reader raises on
+    # one, or reads a plain tuple or an int flag as some other input
+    space = SpaceDescriptor(Cardinal.aleph(index))
+    built = [s for s in map(built_or_refused, (u_fields, v_fields)) if s is not None]
+    for s in built:
+        assert type(validate(s, space)) is list
+        assert type(size_minus_b(s)) is Cardinal and type(cosize_minus_b(s)) is Cardinal
+    for u, v in itertools.product(built, repeat=2):
+        assert type(embeddable(u, v)) is bool
+        assert type(subspace_homeomorphic(u, v)) is bool
 
 
 def reference_conditions(s, space):

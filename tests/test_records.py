@@ -139,6 +139,9 @@ def test_concrete_set_keeps_its_derived_field(cofinite, holds_b, text):
     (lambda: ConcreteSet(False, (1.5,)), "a ground-set element must be int, got 1.5"),
     (lambda: ConcreteSet(True, (True,)), "a ground-set element must be int, got True"),
     (lambda: ConcreteSet.finite((2, -1)), "ground-set elements are naturals"),
+    (lambda: SubsetDescriptor(3, True, ALEPH0), "size must be Cardinal, got 3"),
+    (lambda: SubsetDescriptor(F(3), 1, ALEPH0), "contains_b must be bool, got 1"),
+    (lambda: SubsetDescriptor(F(3), True, (True, 0)), "cosize must be Cardinal, got (True, 0)"),
     (lambda: SpaceDescriptor(3), "the space size must be a Cardinal, got 3"),
     (lambda: SpaceDescriptor(None), "the space size must be a Cardinal, got None"),
     (lambda: SpaceDescriptor((True, 0)), "the space size must be a Cardinal, got (True, 0)"),
@@ -187,6 +190,9 @@ REPLACEMENTS = [
     (LambdaValue.exact(ALEPH0), {"family": "W"},
      "LambdaValue is either exact or a family size", {"value": ALEPH1},
      LambdaValue.exact(ALEPH1)),
+    (D, {"size": (False, 3)}, "size must be Cardinal, got (False, 3)", {"size": F(2)}, C),
+    (D, {"contains_b": "no"}, "contains_b must be bool, got 'no'", {"contains_b": False},
+     SubsetDescriptor(F(3), False, ALEPH0)),
     (SpaceDescriptor(ALEPH0), {"size": F(3)}, "the ambient space must be infinite",
      {"size": ALEPH1}, SpaceDescriptor(ALEPH1)),
     (NO, {"case_tag": "bogus"}, "unknown case tag 'bogus'", {"case_tag": "t3-case2"},
