@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal
+from fortdesign.concrete import ConcreteSet
 from fortdesign.descriptors import (
     SpaceDescriptor,
     SubsetDescriptor,
@@ -122,6 +123,29 @@ def test_a_field_of_the_wrong_type_is_refused_when_the_descriptor_is_built(field
         with pytest.raises(ValueError) as raised:
             clone()
         assert str(raised.value) == message
+
+
+def grid_descriptors():
+    return [d for index in range(4)
+            for d in descriptor_grid(SpaceDescriptor(Cardinal.aleph(index)), 5)]
+
+
+def concrete_set_descriptors():
+    return [ConcreteSet(cofinite, support).descriptor
+            for cofinite in (False, True)
+            for support in ((), (0,), (3,), (0, 2, 5), tuple(range(1, 40)))]
+
+
+@pytest.mark.parametrize("built", [grid_descriptors, concrete_set_descriptors])
+def test_descriptors_built_past_the_constructor_hold_what_it_takes(built):
+    # descriptor_grid and ConcreteSet build from fields they have typed
+    # already, without the constructor: each record must be one it accepts
+    descriptors = built()
+    assert descriptors
+    for d in descriptors:
+        assert type(d) is SubsetDescriptor
+        assert [type(value) for value in d] == [Cardinal, bool, Cardinal]
+        assert SubsetDescriptor(*d) == d
 
 
 CARDINALS = st.one_of(st.integers(0, 4).map(F), st.integers(0, 2).map(Cardinal.aleph))

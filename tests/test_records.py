@@ -193,6 +193,8 @@ REPLACEMENTS = [
     (D, {"size": (False, 3)}, "size must be Cardinal, got (False, 3)", {"size": F(2)}, C),
     (D, {"contains_b": "no"}, "contains_b must be bool, got 'no'", {"contains_b": False},
      SubsetDescriptor(F(3), False, ALEPH0)),
+    (D, {"cosize": 0}, "cosize must be Cardinal, got 0", {"cosize": F(4)},
+     SubsetDescriptor(F(3), True, F(4))),
     (SpaceDescriptor(ALEPH0), {"size": F(3)}, "the ambient space must be infinite",
      {"size": ALEPH1}, SpaceDescriptor(ALEPH1)),
     (NO, {"case_tag": "bogus"}, "unknown case tag 'bogus'", {"case_tag": "t3-case2"},
