@@ -47,21 +47,28 @@ def _exactly(kind: type, value, what: str):
     return value
 
 
-def _make_validated(cls, fields):
-    """``_make``, and so ``_replace``, of a record that validates in
-    ``__new__``: NamedTuple's own ``_make`` builds the tuple unchecked."""
-    return cls(*fields)
+class _Validated:
+    """The first base of a record that validates in ``__new__``.
+
+    A NamedTuple body may not define ``__new__``, so a validated record
+    subclasses ``_Validated`` first and its fields' NamedTuple second.  This
+    ``_make``, which ``_replace`` calls, goes through ``__new__``; with the
+    bases the other way round, NamedTuple's own unchecked ``_make`` wins.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-# A NamedTuple body may not define __new__, so each validated record is a
-# subclass of its fields' NamedTuple that validates in __new__, and whose
-# _make is _make_validated.
 class _CardinalFields(NamedTuple):
     infinite: bool
     value: int
 
 
-class Cardinal(_CardinalFields):
+class Cardinal(_Validated, _CardinalFields):
     """A natural number or an aleph of any natural index.
 
     The field order ``(infinite, value)`` is the cardinal order: every finite
@@ -79,8 +86,6 @@ class Cardinal(_CardinalFields):
         if value < 0:
             raise ValueError(f"cardinal value must be >= 0, got {value}")
         return tuple.__new__(cls, (infinite, value))
-
-    _make = classmethod(_make_validated)
 
     # the one ordering, named in the class so it can be wrapped and restored
     __lt__ = tuple.__lt__
@@ -140,7 +145,7 @@ class _LambdaFields(NamedTuple):
     family: str | None
 
 
-class LambdaValue(_LambdaFields):
+class LambdaValue(_Validated, _LambdaFields):
     """A design's block-multiplicity: an exact cardinal or a named family size.
 
     ``Exact`` values must be nonzero.  Family sizes (``card(W)`` etc.) stay
@@ -161,8 +166,6 @@ class LambdaValue(_LambdaFields):
         elif not _exactly(str, family, "family-size label"):
             raise ValueError("family-size label must be nonempty")
         return tuple.__new__(cls, (value, family))
-
-    _make = classmethod(_make_validated)
 
     @classmethod
     def exact(cls, value: Cardinal) -> "LambdaValue":

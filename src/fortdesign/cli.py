@@ -7,7 +7,8 @@ or consistency, 1 for non-existence or a refutation, 2 for malformed input.
 Outputs are line-oriented and deterministic; diagnostics go to stderr.
 ``parse_query`` checks a query's fields, not its descriptors: ``decide``
 validates C and D, and every command that reads a query calls it before
-using them.
+using them.  ``verify`` then refuses a query given no probe, whose report
+would read as consistent having checked nothing.
 """
 
 from __future__ import annotations
@@ -218,6 +219,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise QueryError(
                 f"nothing to verify: decision is NotExists [case {verdict.case_tag}]"
             )
+        if not args.probes:
+            raise QueryError("a query needs at least one probe, as fin:... or cofin:...")
         probes = [ConcreteSet.parse(text) for text in args.probes]
         report = local_design_check(
             verdict.witness,

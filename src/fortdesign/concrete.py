@@ -51,7 +51,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .cardinal import ALEPH0, Cardinal, _exactly, _make_validated, parse_points
+from .cardinal import ALEPH0, Cardinal, _Validated, _exactly, parse_points
 from .descriptors import SpaceDescriptor, SubsetDescriptor, subspace_homeomorphic, validate
 from .designs import ClassW, FamilyDescriptor, OddTail, Singleton
 
@@ -208,7 +208,7 @@ class _OddTailBlockFields(NamedTuple):
     index: int
 
 
-class OddTailBlock(_OddTailBlockFields):
+class OddTailBlock(_Validated, _OddTailBlockFields):
     """Block number s of the odd-tail family: X minus {2k+1 : k >= s}.
 
     Neither finite nor cofinite, so membership is decided by the rule: the
@@ -224,8 +224,6 @@ class OddTailBlock(_OddTailBlockFields):
         if _exactly(int, index, "an odd-tail block index") < 1:
             raise ValueError("odd-tail blocks are numbered from 1")
         return tuple.__new__(cls, (index,))
-
-    _make = classmethod(_make_validated)
 
     def __contains__(self, x: int) -> bool:
         return type(x) is int and x >= 0 and (x % 2 == 0 or (x - 1) // 2 < self.index)
@@ -270,7 +268,7 @@ class _PointMapFields(NamedTuple):
     exceptions: tuple[tuple[int, int], ...]
 
 
-class PointMap(_PointMapFields):
+class PointMap(_Validated, _PointMapFields):
     """A point map between two concrete sets.
 
     With ``aligned`` set, the i-th smallest element of the source goes to the
@@ -326,8 +324,6 @@ class PointMap(_PointMapFields):
                     raise ValueError("exception table must map each source point once")
                 previous = a
         return tuple.__new__(cls, (aligned, tuple(table)))
-
-    _make = classmethod(_make_validated)
 
     def apply(self, x: int, source: ConcreteSet, target: ConcreteSet) -> int | None:
         if x not in source:

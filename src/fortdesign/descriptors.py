@@ -18,14 +18,14 @@ __all__ = [
 
 from typing import Iterable, NamedTuple
 
-from .cardinal import Cardinal, ZERO, _exactly, _make_validated
+from .cardinal import Cardinal, ZERO, _Validated, _exactly
 
 
 class _SpaceFields(NamedTuple):
     size: Cardinal
 
 
-class SpaceDescriptor(_SpaceFields):
+class SpaceDescriptor(_Validated, _SpaceFields):
     """The ambient space: infinite, with a distinguished point ``b``.
 
     ``b`` is part of every space and is not parameterized; descriptors only
@@ -41,8 +41,6 @@ class SpaceDescriptor(_SpaceFields):
             raise ValueError("the ambient space must be infinite")
         return tuple.__new__(cls, (size,))
 
-    _make = classmethod(_make_validated)
-
 
 class _SubsetFields(NamedTuple):
     size: Cardinal
@@ -50,7 +48,7 @@ class _SubsetFields(NamedTuple):
     cosize: Cardinal
 
 
-class SubsetDescriptor(_SubsetFields):
+class SubsetDescriptor(_Validated, _SubsetFields):
     """(size, contains_b, cosize) triple for a subset of the space.
 
     Each field is taken only as exactly ``Cardinal``, ``bool`` and
@@ -66,8 +64,6 @@ class SubsetDescriptor(_SubsetFields):
         _exactly(bool, contains_b, "contains_b")
         _exactly(Cardinal, cosize, "cosize")
         return tuple.__new__(cls, (size, contains_b, cosize))
-
-    _make = classmethod(_make_validated)
 
     def __str__(self) -> str:
         b = "true" if self.contains_b else "false"

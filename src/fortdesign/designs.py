@@ -58,8 +58,8 @@ from .cardinal import (
     LambdaValue,
     ZERO,
     ONE,
+    _Validated,
     _exactly,
-    _make_validated,
     csum,
 )
 from .descriptors import (
@@ -189,8 +189,6 @@ class Singleton(FamilyDescriptor, _SingletonFields):
     _label = "singleton"
 
 
-# A NamedTuple body may not define __new__, so Verdict subclasses its
-# fields' NamedTuple and validates in __new__, as Cardinal does.
 class _VerdictFields(NamedTuple):
     exists: bool
     case_tag: str
@@ -199,7 +197,7 @@ class _VerdictFields(NamedTuple):
     reason: str | None
 
 
-class Verdict(_VerdictFields):
+class Verdict(_Validated, _VerdictFields):
     """Existence with a multiplicity and a witness, or a refusal with its reason."""
 
     __slots__ = ()
@@ -227,8 +225,6 @@ class Verdict(_VerdictFields):
         if not exists and not _exactly(str, reason, "a refusal's reason"):
             raise ValueError("a refusal's reason must be nonempty")
         return tuple.__new__(cls, (exists, case_tag, lambda_, witness, reason))
-
-    _make = classmethod(_make_validated)
 
     @classmethod
     def yes(

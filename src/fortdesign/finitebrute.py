@@ -28,7 +28,7 @@ import math
 from collections import defaultdict
 from typing import NamedTuple
 
-from .cardinal import _exactly, _make_validated, parse_natural, parse_points
+from .cardinal import _Validated, _exactly, parse_natural, parse_points
 from .designs import DesignType
 
 # the most mask ANDs a walk may be bounded by, its probe bound times t: each
@@ -47,7 +47,7 @@ class _FiniteInstanceFields(NamedTuple):
     d_size: int
 
 
-class FiniteInstance(_FiniteInstanceFields):
+class FiniteInstance(_Validated, _FiniteInstanceFields):
     """A ground set {0..n-1}, a block family, and the probe/block sizes."""
 
     __slots__ = ()
@@ -73,8 +73,6 @@ class FiniteInstance(_FiniteInstanceFields):
         if len(set(frozen)) != len(frozen):
             raise ValueError("blocks must be pairwise distinct")
         return tuple.__new__(cls, (n, frozen, c_size, d_size))
-
-    _make = classmethod(_make_validated)
 
 
 class BruteOutcome(NamedTuple):
@@ -130,8 +128,11 @@ def brute_lambda(inst: FiniteInstance, design_type: DesignType) -> BruteOutcome:
     the bitmask of the blocks holding it; a probe's count is the popcount of
     its points' AND, and the walk stops at the first count that differs.
     Neither the index nor the walk grows with n.  The walk's count is
-    recounted literally; a disagreement raises ``RuntimeError``.
+    recounted literally; a disagreement raises ``RuntimeError``.  An
+    ``inst`` that is not a ``FiniteInstance`` raises ``ValueError`` naming it.
     """
+    if type(inst) is not FiniteInstance:
+        _exactly(FiniteInstance, inst, "inst")
     DesignType.of(design_type)  # rejects an unknown type; the four agree here
     sizes = list(map(len, inst.blocks))
     if sizes.count(inst.d_size) != len(sizes):

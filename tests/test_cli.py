@@ -291,6 +291,15 @@ class TestVerifyCommand:
                 2, "", "error: --refutation-demo takes no query file or probes\n"
             )
 
+    @pytest.mark.parametrize("fmt", ["record", "text"])
+    def test_a_query_without_a_probe_is_an_input_error(self, fmt, write):
+        # once printed consistent: true and exited 0, having probed nothing
+        path = write("q.txt", "space.size: aleph0\ntype: 1\nC.size: 2\nC.b: true\n"
+                     "D.size: 4\nD.b: true\n")
+        assert run_main(["verify", path, "--format", fmt]) == (
+            2, "", "error: a query needs at least one probe, as fin:... or cofin:...\n"
+        )
+
     def test_probe_shape_mismatch_is_an_input_error(self, write, capsys):
         path = write("q.txt", QUERY_C1_CASE2)
         assert main(["verify", path, "fin:1,2,3"]) == 2

@@ -59,8 +59,9 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
-def top_level_definitions(tree: ast.Module):
-    """(line, name) per top-level function, class or assigned name."""
+def top_level_definitions(tree: ast.Module | ast.ClassDef):
+    """(line, name) per function, class or assigned name at the top level of
+    a module's or a class's body."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -240,16 +241,22 @@ def test_every_public_method_is_read_in_the_package_or_a_demo():
     assert [name for name in UNREAD_PUBLIC_METHODS if name.split(".")[1] in read] == []
 
 
-def named_tuple_fields(tree: ast.Module):
-    """(declaration, "Class.field") per field that a module-level class
-    declares in a body whose bases include ``NamedTuple``."""
+def named_tuple_classes(tree: ast.Module):
+    """Each module-level class whose bases include ``NamedTuple``."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
             isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
         ):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield item, f"{node.name}.{item.target.id}"
+            yield node
+
+
+def named_tuple_fields(tree: ast.Module):
+    """(declaration, "Class.field") per field that a module-level class
+    declares in a body whose bases include ``NamedTuple``."""
+    for node in named_tuple_classes(tree):
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield item, f"{node.name}.{item.target.id}"
 
 
 def test_every_named_tuple_field_is_read_as_an_attribute_in_the_package():
@@ -296,6 +303,36 @@ def test_no_fields_class_restates_the_defaults_of_its_records_new():
         for path, tree in trees.items()
         for field, name in named_tuple_fields(tree)
         if field.value is not None and name.split(".")[0] in validated
+    ] == []
+
+
+def validated_record_faults(tree: ast.Module, fields_classes: set[str]):
+    """(line, name) per module-level class that defines ``__new__`` over a
+    NamedTuple fields class without ``_Validated`` as its first base, or
+    that binds ``_make`` in its body, ``_Validated`` itself aside."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bound = {name for _, name in top_level_definitions(node)}
+        bases = [base.id if isinstance(base, ast.Name) else None for base in node.bases]
+        new_over_fields = "__new__" in bound and fields_classes & set(bases)
+        if (new_over_fields and bases[0] != "_Validated") or (
+            "_make" in bound and node.name != "_Validated"
+        ):
+            yield node.lineno, node.name
+
+
+def test_every_validated_record_takes_its_make_from_one_base():
+    # NamedTuple's _make, which _replace calls, builds the tuple unchecked.
+    # _Validated's _make goes through __new__, and a record inherits it only
+    # with _Validated as its first base; a _make bound in a class restates it
+    trees = package_trees()
+    fields_classes = {node.name for tree in trees.values() for node in named_tuple_classes(tree)}
+    assert len(fields_classes) > 15
+    assert [
+        f"{path}:{line}: {name}"
+        for path, tree in trees.items()
+        for line, name in validated_record_faults(tree, fields_classes)
     ] == []
 
 

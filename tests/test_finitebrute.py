@@ -128,6 +128,20 @@ def test_brute_lambda_rejects_an_unknown_design_type(design_type):
         brute_lambda(all_k_subsets_instance(5, 3, 2), design_type)
 
 
+@pytest.mark.parametrize("inst, message", [
+    (None, "inst must be FiniteInstance, got None"),
+    ("x", "inst must be FiniteInstance, got 'x'"),
+    # an equal-valued plain tuple is no instance: it skipped every check
+    ((5, (frozenset({0, 1}),), 1, 2),
+     "inst must be FiniteInstance, got (5, (frozenset({0, 1}),), 1, 2)"),
+], ids=["none", "text", "plain-tuple"])
+def test_brute_lambda_takes_only_a_finite_instance(inst, message):
+    # each once raised AttributeError: ... has no attribute 'blocks'
+    with pytest.raises(ValueError) as raised:
+        brute_lambda(inst, DesignType.TYPE2)
+    assert str(raised.value) == message
+
+
 def test_types_collapse_pairwise_on_random_instances():
     rng = random.Random(7)
     for _ in range(25):

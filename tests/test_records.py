@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, LambdaValue
+from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, LambdaValue, _Validated
 from fortdesign.cli import Query
 from fortdesign.concrete import (
     BlockCount, ConcreteSet, DesignCheckReport, OddTailBlock, PointMap, ProbeReport,
@@ -211,6 +211,13 @@ REPLACEMENTS = [
     (INSTANCE, {"blocks": ((0, 4),)}, "block 0 leaves the ground set at 4",
      {"blocks": [[2, 3]]}, FiniteInstance(4, (frozenset({2, 3}),), 1, 2)),
 ]
+
+
+def test_every_validated_record_has_a_replacement_row():
+    # a record that validates in __new__ has a _make and a _replace that
+    # validate too, and its rows below check that they do
+    rows = {type(record) for record, *_ in REPLACEMENTS}
+    assert set(_Validated.__subclasses__()) - rows == set()
 
 
 @pytest.mark.parametrize("record, bad, message, good, expected", REPLACEMENTS, ids=[
