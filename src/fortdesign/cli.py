@@ -2,8 +2,10 @@
 
 The CLI parses and prints: every bound it enforces on an option or an
 instance belongs to the library call it feeds, and a refusal prints that
-call's message.  Exit codes are uniform across subcommands: 0 for existence
-or consistency, 1 for non-existence or a refutation, 2 for malformed input.
+call's message.  Its own one bound is on what it prints: ``verify`` refuses
+a count of more than ``DIGIT_BUDGET`` digits.  Exit codes are uniform across
+subcommands: 0 for existence or consistency, 1 for non-existence or a
+refutation, 2 for malformed input.
 Outputs are line-oriented and deterministic; diagnostics go to stderr.
 ``parse_query`` checks a query's fields, not its descriptors: ``decide``
 validates C and D, and every command that reads a query calls it before
@@ -159,9 +161,27 @@ def _refutation_demo_report(cutoff: int):
     return local_design_check(ClassW(d), c, d, probes, cutoff, require_complement=True)
 
 
+# the most digits a printed count may have: an int of up to 640 digits is
+# written under any sys.set_int_max_str_digits limit, whose least nonzero
+# value is 640
+DIGIT_BUDGET = 640
+# below 2**2126 an int has at most DIGIT_BUDGET digits, as 2**2126 < 10**640
+_BUDGET_BITS = 2126
+
+
 def _print_check_report(report, fmt: str) -> None:
     """Write the report's lines, every one formatted before the first is
-    written, so that a report that cannot be formatted leaves stdout empty."""
+    written, so that a report that cannot be formatted leaves stdout empty.
+    A count of more than ``DIGIT_BUDGET`` digits, found from its bit length
+    before any is formatted, raises ``ValueError`` naming the budget."""
+    counts = [report.blocks_checked]
+    for p in report.probes:
+        counts += (p.count.value, p.global_exact or 0)
+    if any(n.bit_length() > _BUDGET_BITS and n >= 10**DIGIT_BUDGET for n in counts):
+        raise ValueError(
+            f"a count of more than {DIGIT_BUDGET} digits exceeds the budget of "
+            f"{DIGIT_BUDGET} digits for a printed count"
+        )
     if fmt == "record":
         lines = [
             f"family: {report.family.to_text()}",

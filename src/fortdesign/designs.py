@@ -27,8 +27,10 @@ all fail decides.  An outcome is a refusal reason or a (multiplicity, kind)
 pair: a value, a ``LambdaValue`` or None for card(X), and a witness kind.
 ``_KINDS`` maps each of the four kinds, ``ClassW``, ``ClassL``,
 ``Singleton`` and ``OddTail``, to its family built from D and X, never from
-C, and to what its check reads, on which ``sweep`` keys the check before it
-builds the family.
+C, and to what its check reads, one object per distinct check: W(D) and
+L(D) share theirs.  ``sweep`` makes a check that reads D itself (W, L and
+odd-tail) once in D's column, with no key, and keys only a shared check,
+the singleton's on D's b flag, in the space's record.
 
 Validation contract: a ``SubsetDescriptor`` types its own fields when it
 is built, and ``decide`` and ``crosscheck``, the only checks of the
@@ -333,20 +335,23 @@ def _mask(c: tuple, d: tuple) -> int:
     return m
 
 
-# The witness kinds: each one's family over D in the space x, and its check's
-# key within a space, what witness_violations reads: D for W(D) and L(D), one
-# shared check; D's b flag for the singleton, X with b exactly when D has it;
-# D for odd-tail.
+# The witness kinds: each one's family over D in the space x, and what its
+# check reads, one (name, key) object per distinct check.  W(D) and L(D) share
+# one, as witness_violations reads a class family's base, D, alone.  A check
+# whose key is None reads D itself, so sweep makes it in D's column and keys
+# nothing; the singleton's reads D's b flag, its key, and is shared by every
+# column of the space with that flag, as X holds b exactly when D does.
+_CLASS_BASE = ("class base", None)
 _KINDS = {
-    ClassW: (lambda d, x: tuple.__new__(ClassW, (d,)), lambda d: (ClassW, d)),
-    ClassL: (lambda d, x: tuple.__new__(ClassL, (d,)), lambda d: (ClassW, d)),
+    ClassW: (lambda d, x: tuple.__new__(ClassW, (d,)), _CLASS_BASE),
+    ClassL: (lambda d, x: tuple.__new__(ClassL, (d,)), _CLASS_BASE),
     Singleton: (
         lambda d, x: Singleton(
             SubsetDescriptor(x.size, d.contains_b, ZERO if d.contains_b else ONE)
         ),
-        lambda d: (Singleton, d.contains_b),
+        ("singleton member", lambda d: d.contains_b),
     ),
-    OddTail: (lambda d, x: OddTail(), lambda d: (OddTail, d)),
+    OddTail: (lambda d, x: OddTail(), ("odd-tail", None)),
 }
 
 
@@ -572,27 +577,27 @@ def witness_violations(
     """Validity conditions for a witness family in the given context; a bad space,
     or a D that ``validate`` refuses where odd-tail reads D, is reported alone.
     A class family is checked by its base alone, a singleton by its member."""
-    problems = _space_violations(space)
+    if type(space) is not SpaceDescriptor:
+        return _space_violations(space)
+    if isinstance(witness, (ClassW, ClassL)):
+        problems = _violations(witness.base, space)
+        return [f"class base: {p}" for p in problems] if problems else problems
+    if isinstance(witness, Singleton):
+        problems = _violations(witness.member, space)
+        return [f"singleton member: {p}" for p in problems] if problems else problems
+    if not isinstance(witness, OddTail):
+        return [f"unknown family {witness!r}"]
+    problems = [f"D: {p}" for p in validate(d, space)]
     if problems:
         return problems
-    if isinstance(witness, (ClassW, ClassL)):
-        problems += [f"class base: {p}" for p in _violations(witness.base, space)]
-    elif isinstance(witness, Singleton):
-        problems += [f"singleton member: {p}" for p in _violations(witness.member, space)]
-    elif isinstance(witness, OddTail):
-        problems = [f"D: {p}" for p in validate(d, space)]
-        if problems:
-            return problems
-        if space.size != ALEPH0:
-            problems.append("odd-tail family needs a countable space")
-        if not d.contains_b:
-            problems.append("odd-tail family needs b in D")
-        if d.size != ALEPH0:
-            problems.append("odd-tail family needs countably infinite D")
-        if d.cosize != ALEPH0:
-            problems.append("odd-tail family needs countably infinite X \\ D")
-    else:
-        problems.append(f"unknown family {witness!r}")
+    if space.size != ALEPH0:
+        problems.append("odd-tail family needs a countable space")
+    if not d.contains_b:
+        problems.append("odd-tail family needs b in D")
+    if d.size != ALEPH0:
+        problems.append("odd-tail family needs countably infinite D")
+    if d.cosize != ALEPH0:
+        problems.append("odd-tail family needs countably infinite X \\ D")
     return problems
 
 
@@ -607,8 +612,8 @@ class SweepReport(NamedTuple):
         return not self.violations
 
 
-# the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.067-0.12 s, median
-# 0.071 s or 0.7 us a case, in 30 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
+# the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.068-0.082 s, median
+# 0.073 s or 0.7 us a case, in 30 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
 SWEEP_BUDGET = 10**5
 # (s, t): t weakens one of s's conditions, II to I or III to IV, so s implies t
 _IMPLIED_TYPES = ((1, 2), (1, 3), (2, 4), (3, 4))
@@ -628,8 +633,9 @@ def _sweep_cases(max_aleph: int, max_finite: int, finite_sizes_only: bool) -> in
 
 def _plan(rules: tuple, m: int) -> tuple:
     """What mask m settles under rules, a tuple of (type, table) pairs, for
-    every C and D: the (type, witness kind) of each type that exists, the
-    distinct kinds, the broken lattice edges, no type 2 and no type 4."""
+    every C and D: the (type, check) of each type that exists, each distinct
+    check with a kind whose family it builds, the broken lattice edges, no
+    type 2 and no type 4; a check is what its kind reads in ``_KINDS``."""
     # each deciding row's tag is checked here, as neither sweep nor crosscheck
     # builds a verdict; a type's kind is None when it does not exist
     kinds = {}
@@ -638,8 +644,8 @@ def _plan(rules: tuple, m: int) -> tuple:
         _check_tag(tag)
         kinds[t] = None if isinstance(outcome, str) else outcome[1]
     return (
-        tuple((t, kind) for t, kind in kinds.items() if kind),
-        tuple(dict.fromkeys(kind for kind in kinds.values() if kind)),
+        tuple((t, _KINDS[kind][1]) for t, kind in kinds.items() if kind),
+        {_KINDS[kind][1]: kind for kind in kinds.values() if kind},
         tuple(
             f"type {s} exists but type {t} does not"
             for s, t in _IMPLIED_TYPES
@@ -648,17 +654,6 @@ def _plan(rules: tuple, m: int) -> tuple:
         not kinds[DesignType.TYPE2],
         not kinds[DesignType.TYPE4],
     )
-
-
-def _witness_problems(kind, d: SubsetDescriptor, space, checks: dict) -> list[str]:
-    """The problems of kind's family over D, kept in the space's record
-    ``checks`` under what the check reads; the family is built on a miss."""
-    build, reads = _KINDS[kind]
-    key = reads(d)
-    problems = checks.get(key)
-    if problems is None:
-        problems = checks[key] = witness_violations(build(d, space), d, space)
-    return problems
 
 
 # The plans of the rule set swept last: (rules, {mask: plan}).  A sweep
@@ -687,16 +682,21 @@ def sweep(
 
     The work is split by what it reads.  A mask's plan (``_plan``), with
     the check of its rows' tags and witness kinds, is built once per rule
-    set and kept across calls.  In a call, each descriptor's ``_facts`` are
-    unpacked once for its row, as C, and once for its column, as D, which
-    also keeps D's witness problems; a witness is checked, and its family
-    built, once per (what its kind's check reads, X), and no verdict is
-    built.  A case composes ``_mask``'s atoms from its row's and column's
-    reads, with no call, runs only the checks that read C, and builds
-    nothing unless one of them finds a problem.  A violation's text is
-    built from parts made once per call: X's text once per space, a
-    descriptor's text when a violation first names it, and the crosscheck
-    clause once per tuple of the four statements.
+    set and kept across calls; it lists each distinct witness check once,
+    so W(D) and L(D) are one entry.  In a call, each descriptor's
+    ``_facts`` are unpacked once for its row, as C, and once for its
+    column, as D, which also keeps D's witness problems by check.  A check
+    that reads D itself is made in D's column with one
+    ``witness_violations`` call and no key; a shared one, which ``_KINDS``
+    gives a key of D, is made once per (key, X) in the space's record.  So
+    a witness is checked, and its family built, once per (what its check
+    reads, X), and no verdict is built.  A case composes ``_mask``'s atoms
+    from its row's and column's reads, with no call, runs only the checks
+    that read C, and builds nothing unless one of them finds a problem.  A
+    violation's text is built from parts made once per call: X's text at a
+    space's first violation, a descriptor's text when a violation first
+    names it, and the crosscheck clause once per tuple of the four
+    statements.
     """
     global _plans
     if _exactly(int, max_aleph, "max_aleph") < 0:
@@ -723,17 +723,17 @@ def sweep(
     cases = 0
     for i in range(max_aleph + 1):
         space = SpaceDescriptor(Cardinal.aleph(i))
-        x_text = f"X={space.size}"
+        x_text = None
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
         rows = []
-        # per D: what the mask reads of it, and its witness problems by kind,
-        # drawn from the space's checks
+        # per D: what the mask reads of it, and its witness problems by check
         columns = []
         for s in grid:
             as_c, as_d, size, size_plus_2, size_minus_b, cosize_minus_b = _facts(s, space)
             rows.append((s, as_c, size, size_plus_2, size_minus_b, cosize_minus_b))
             columns.append((s, as_d, size, size_minus_b, cosize_minus_b, {}))
-        checks = {}
+        # the problems of a check shared by the space's columns, by (check, key)
+        shared = {}
         for c, c_atoms, c_size, c_size_plus_2, c_size_minus_b, c_cosize_minus_b in rows:
             for d, d_atoms, d_size, d_size_minus_b, d_cosize_minus_b, checked in columns:
                 cases += 1
@@ -753,7 +753,7 @@ def sweep(
                 plan = plans.get(m)
                 if plan is None:
                     plan = plans[m] = _plan(rules, m)
-                existing, kinds, lattice, no_type2, no_type4 = plan
+                existing, checks, lattice, no_type2, no_type4 = plan
                 larger = existing and c_gt_d
                 obstruction = _obstruction(c, d)
                 if inject_fault and cases % 7 == 0:
@@ -762,18 +762,30 @@ def sweep(
                 clean = not (lattice or larger) and (
                     no_type2 == no_type4 == obstruction == not_embeddable
                 )
-                for kind in kinds:
-                    problems = checked.get(kind)
+                for reads in checks:
+                    problems = checked.get(reads)
                     if problems is None:
-                        problems = checked[kind] = _witness_problems(kind, d, space, checks)
+                        build = _KINDS[checks[reads]][0]
+                        _, key = reads
+                        if key is None:
+                            # the check reads D itself: made in D's column
+                            problems = witness_violations(build(d, space), d, space)
+                        else:
+                            read = reads, key(d)
+                            problems = shared.get(read)
+                            if problems is None:
+                                problems = shared[read] = witness_violations(
+                                    build(d, space), d, space
+                                )
+                        checked[reads] = problems
                     clean = clean and not problems
                 if clean:
                     continue
                 problems = []
-                for t, kind in existing:
+                for t, reads in existing:
                     if larger:
                         problems.append(f"type {t} exists with card(C) > card(D)")
-                    problems += [f"type {t} witness: {p}" for p in checked[kind]]
+                    problems += [f"type {t} witness: {p}" for p in checked[reads]]
                 problems += lattice
                 statements = (no_type2, no_type4, obstruction, not_embeddable)
                 clause = clauses.get(statements)
@@ -782,6 +794,7 @@ def sweep(
                 problems += clause
                 c_text = names.get(c) or names.setdefault(c, str(c))
                 d_text = names.get(d) or names.setdefault(d, str(d))
+                x_text = x_text or f"X={space.size}"
                 violations += [f"{x_text} C={c_text} D={d_text}: {p}" for p in problems]
     return SweepReport(cases, tuple(violations))
 

@@ -442,15 +442,74 @@ def test_verify_memory_does_not_grow_with_the_cutoff(query, probes, code, out, w
     assert capsys.readouterr() == (out, "")
 
 
+OVER_DIGIT_BUDGET = (
+    "error: a count of more than 640 digits exceeds the budget of 640 digits "
+    "for a printed count\n"
+)
+QUERY_OVER_DIGIT_BUDGET = (
+    "space.size: aleph0\ntype: 1\nC.size: 2\nC.b: true\nD.size: 10000\nD.b: true\n"
+)
+
+
 @pytest.mark.parametrize("fmt", ["record", "text"])
 def test_verify_writes_nothing_before_it_fails(fmt, write):
     # blocks_checked, C(20002, 9999), has about 6,000 digits, more than str()
     # of an int may write; the family line once went out before the error
-    path = write("q.txt", "space.size: aleph0\ntype: 1\nC.size: 2\nC.b: true\n"
-                          "D.size: 10000\nD.b: true\n")
-    code, out, err = run_main(["verify", path, "fin:0,1", "--cutoff", "20000", "--format", fmt])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    path = write("q.txt", QUERY_OVER_DIGIT_BUDGET)
+    argv = ["verify", path, "fin:0,1", "--cutoff", "20000", "--format", fmt]
+    assert run_main(argv) == (2, "", OVER_DIGIT_BUDGET)
+
+
+@contextlib.contextmanager
+def int_digits_limit(digits):
+    """Python's limit on int-to-str conversion set to ``digits`` (0 lifts
+    it), where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["record", "text"])
+@pytest.mark.parametrize("digits", [640, 0], ids=["least-limit", "no-limit"])
+def test_verify_refuses_a_count_over_its_digit_budget(fmt, digits, write):
+    # the refusal is the library's, whatever the interpreter's own limit
+    path = write("q.txt", QUERY_OVER_DIGIT_BUDGET)
+    argv = ["verify", path, "fin:0,1", "--cutoff", "20000", "--format", fmt]
+    with int_digits_limit(digits):
+        assert run_main(argv) == (2, "", OVER_DIGIT_BUDGET)
+
+
+@pytest.mark.parametrize("field", ["blocks_checked", "window count", "family-wide count"])
+def test_the_digit_budget_admits_exactly_640_digits(field, monkeypatch):
+    check = cli.local_design_check
+
+    def with_count(n):
+        def patched(*args, **kwargs):
+            report = check(*args, **kwargs)
+            if field == "blocks_checked":
+                return report._replace(blocks_checked=n)
+            # the demo's refutation is (fin:5,6 with 1 block, fin:0,5)
+            wide, other = report.refutation
+            if field == "window count":
+                wide = wide._replace(count=wide.count._replace(value=n))
+            else:
+                wide = wide._replace(global_exact=n)
+            return report._replace(probes=(other, wide), refutation=(wide, other))
+        return patched
+
+    largest = 10**640 - 1
+    with int_digits_limit(640):
+        monkeypatch.setattr(cli, "local_design_check", with_count(largest))
+        code, out, err = run_main(["verify", "--refutation-demo"])
+        assert code in (0, 1) and err == "" and str(largest) in out
+        monkeypatch.setattr(cli, "local_design_check", with_count(largest + 1))
+        assert run_main(["verify", "--refutation-demo"]) == (2, "", OVER_DIGIT_BUDGET)
 
 
 class TestCrosscheckCommand:

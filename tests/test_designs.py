@@ -763,12 +763,36 @@ def reference_sweep(max_aleph, max_finite, inject_fault):
     return tuple(violations)
 
 
+def cosize_twice(d):
+    """D's cosize as both size and cosize: invalid unless X \\ D is as large as
+    X, and with b when D has b and an empty complement."""
+    return sd(d.cosize, d.contains_b, d.cosize)
+
+
+# invalid families, each built only from what its kind's check reads: W(D) and
+# L(D) on one base made from D, the singleton's member from D's b flag and X
+WITNESS_FAULTS = {
+    "invalid-class-base": {
+        ClassW: lambda d, x: ClassW(cosize_twice(d)),
+        ClassL: lambda d, x: ClassL(cosize_twice(d)),
+    },
+    "invalid-singleton-member": {
+        Singleton: lambda d, x: Singleton(sd(F(0), d.contains_b, x.size)),
+    },
+}
+
+
 @pytest.mark.parametrize("inject_fault", [False, True])
-@pytest.mark.parametrize("edge", [None, *LATTICE_EDGES])
+@pytest.mark.parametrize("edge", [None, *LATTICE_EDGES, *WITNESS_FAULTS])
 def test_sweep_agrees_with_a_per_case_reference(monkeypatch, edge, inject_fault):
-    # a warm slot: the patched rules must replace what this sweep kept
+    # edge is a lattice edge whose weaker type then refuses every case, or a
+    # witness fault.  A warm slot: the patched rules must replace what this
+    # sweep kept, and the patched builds must be read past the kept plans
     sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault)
-    if edge is not None:
+    if edge in WITNESS_FAULTS:
+        for kind, build in WITNESS_FAULTS[edge].items():
+            monkeypatch.setitem(designs._KINDS, kind, (build, designs._KINDS[kind][1]))
+    elif edge is not None:
         t = edge[1]
         monkeypatch.setitem(designs._RULES, DesignType(t), refusal_only(t))
     expected = reference_sweep(1, 3, inject_fault)
