@@ -3,7 +3,9 @@
 The CLI parses and prints: every bound it enforces on an option or an
 instance belongs to the library call it feeds, and a refusal prints that
 call's message.  Its own one bound is on what it prints: ``verify`` refuses
-a count of more than ``DIGIT_BUDGET`` digits.  Exit codes are uniform across
+a count of more than ``DIGIT_BUDGET`` digits, and refuses a window whose
+block count passes that budget before ``local_design_check`` computes it,
+as every window count is at most the block count.  Exit codes are uniform across
 subcommands: 0 for existence or consistency, 1 for non-existence or a
 refutation, 2 for malformed input.
 Outputs are line-oriented and deterministic; diagnostics go to stderr.
@@ -20,7 +22,7 @@ import sys
 from typing import NamedTuple
 
 from .cardinal import ALEPH0, Cardinal, parse_natural
-from .concrete import ConcreteSet, extract_descriptor, local_design_check
+from .concrete import ConcreteSet, _layout, extract_descriptor, local_design_check
 from .descriptors import SpaceDescriptor, SubsetDescriptor
 from .designs import (
     ClassW,
@@ -29,7 +31,7 @@ from .designs import (
     decide,
     sweep,
 )
-from .finitebrute import brute_lambda, parse_instance
+from .finitebrute import _comb_at_most, brute_lambda, parse_instance
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -158,7 +160,9 @@ def _refutation_demo_report(cutoff: int):
     d = SubsetDescriptor(Cardinal.finite(3), True, ALEPH0)
     c = SubsetDescriptor(Cardinal.finite(2), True, ALEPH0)
     probes = [ConcreteSet.finite((0, 5)), ConcreteSet.finite((5, 6))]
-    return local_design_check(ClassW(d), c, d, probes, cutoff, require_complement=True)
+    family = ClassW(d)
+    _check_window_budget(family, cutoff)
+    return local_design_check(family, c, d, probes, cutoff, require_complement=True)
 
 
 # the most digits a printed count may have: an int of up to 640 digits is
@@ -167,6 +171,28 @@ def _refutation_demo_report(cutoff: int):
 DIGIT_BUDGET = 640
 # below 2**2126 an int has at most DIGIT_BUDGET digits, as 2**2126 < 10**640
 _BUDGET_BITS = 2126
+
+
+def _over_digit_budget() -> ValueError:
+    return ValueError(
+        f"a count of more than {DIGIT_BUDGET} digits exceeds the budget of "
+        f"{DIGIT_BUDGET} digits for a printed count"
+    )
+
+
+def _check_window_budget(family, cutoff: int) -> None:
+    """Refuse a window whose block count passes the digit budget before
+    ``local_design_check`` computes it, in ``_print_check_report``'s words.
+
+    A class's or singleton's window has C(top, free) blocks, bounded here
+    without computing it in full, and every window count is at most that;
+    an odd-tail window has ``cutoff`` blocks, which costs nothing to count.
+    """
+    layout = _layout(family, cutoff, None)
+    if layout is not None:
+        cap = 10**DIGIT_BUDGET
+        if _comb_at_most(layout[3], layout[2], cap) >= cap:
+            raise _over_digit_budget()
 
 
 def _print_check_report(report, fmt: str) -> None:
@@ -178,10 +204,7 @@ def _print_check_report(report, fmt: str) -> None:
     for p in report.probes:
         counts += (p.count.value, p.global_exact or 0)
     if any(n.bit_length() > _BUDGET_BITS and n >= 10**DIGIT_BUDGET for n in counts):
-        raise ValueError(
-            f"a count of more than {DIGIT_BUDGET} digits exceeds the budget of "
-            f"{DIGIT_BUDGET} digits for a printed count"
-        )
+        raise _over_digit_budget()
     if fmt == "record":
         lines = [
             f"family: {report.family.to_text()}",
@@ -242,6 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not args.probes:
             raise QueryError("a query needs at least one probe, as fin:... or cofin:...")
         probes = [ConcreteSet.parse(text) for text in args.probes]
+        _check_window_budget(verdict.witness, args.cutoff)
         report = local_design_check(
             verdict.witness,
             query.c,

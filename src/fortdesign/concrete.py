@@ -20,16 +20,18 @@ odd-tail block is made from its index as its constructor makes it.
 :func:`local_design_check` reads the checked block's (or, for an empty
 window, the base's) and each probe's stored descriptor and builds its
 reports through ``tuple.__new__``, so it pays only for its layout, its
-counts and one drawn block.
+counts and one drawn block; it and :func:`_layout` test each argument's
+exact type inline and call ``_exactly`` only to word a refusal.
 
 The homeomorphism oracle costs only its arithmetic: :class:`PointMap` is a
 tuple-backed record that validates its table in one pass and sorts only a
 table of two or more entries; a :class:`ConcreteSet` stores whether it
 holds b, as its descriptor records it; an aligned image is the target's
-member of x's rank, read by bisecting the sorted supports; and
-:func:`check_homeomorphism` answers any aligned map, the exception-free one
-of :func:`canonical_homeomorphism` right after its kind test, with no set
-built, and any other in one pass over its exception table; and
+member of x's rank, read by bisecting the sorted supports;
+:func:`canonical_homeomorphism` and :func:`check_homeomorphism` each test
+the kind inline, and the check answers the canonical map, one shared
+instance, by identity right after that test, and any other aligned map in
+one pass over its exception table, with no set built; and
 :func:`extract_descriptor` reads the descriptor a set stores: the one its
 constructor built, or its window's base for a class or singleton block;
 every odd-tail block shares its class's one descriptor.
@@ -365,14 +367,8 @@ def _aligned_image(x: int, source: ConcreteSet, target: ConcreteSet) -> int | No
     return y
 
 
-def _same_kind(u: ConcreteSet, v: ConcreteSet) -> bool:
-    """Finite sets of one size, or cofinite sets that agree on b."""
-    if u.cofinite:
-        return v.cofinite and u.contains_b == v.contains_b
-    return not v.cofinite and len(u.support) == len(v.support)
-
-
-# immutable, so one instance serves every canonical_homeomorphism call
+# immutable, so one instance serves every canonical_homeomorphism call, and
+# check_homeomorphism answers it by identity
 _ALIGNED = PointMap()
 
 
@@ -382,46 +378,59 @@ def canonical_homeomorphism(u: ConcreteSet, v: ConcreteSet) -> PointMap | None:
     Finite sets are discrete: any size-matched alignment works.  Infinite
     (cofinite) sets must agree on membership of b, whose presence is what
     gives the subspace its limit point; the alignment then pins b to b.
+    The kind test is inline, as in :func:`check_homeomorphism`, and the map
+    is the one shared ``_ALIGNED``, which that check answers by identity.
     """
-    return _ALIGNED if _same_kind(u, v) else None
+    if u.cofinite:
+        same = v.cofinite and u.contains_b == v.contains_b
+    else:
+        same = not v.cofinite and len(u.support) == len(v.support)
+    return _ALIGNED if same else None
 
 
 def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
     """Decide exactly whether a point map is a homeomorphism u -> v.
 
-    u and v must be of one kind (:func:`_same_kind`).  The active exceptions
-    are those whose source lies in u.  A table-only map needs a finite u and
-    exactly v as its active targets.  An aligned map with an empty table, as
-    :func:`canonical_homeomorphism` returns, is the aligned bijection and is
-    answered at once.  Any other aligned map takes one pass over its table,
-    one :func:`_aligned_image` per active entry: it fails at once if a
-    cofinite u sends b anywhere but b (the image of a sequence converging to
-    b would stop converging), and otherwise is a homeomorphism exactly when
-    its active targets are, as a set, the aligned images of its active
-    sources, since the aligned part is a bijection.  Those images are
-    distinct members of v, so that holds exactly when the two sorted lists
-    are equal, and no set is built.
+    u and v must be of one kind: finite sets of one size, or cofinite sets
+    that agree on b, tested inline as :func:`canonical_homeomorphism` tests
+    it.  The map that function returns, the shared ``_ALIGNED``, is the
+    aligned bijection and is answered by identity right after that test.
+    The active exceptions are those whose source lies in u.  A table-only
+    map needs a finite u and exactly v as its active targets.  Any other
+    aligned map takes one pass over its table, one :func:`_aligned_image`
+    per active entry: it fails at once if a cofinite u sends b anywhere but
+    b (the image of a sequence converging to b would stop converging), and
+    otherwise is a homeomorphism exactly when its active targets are, as a
+    set, the aligned images of its active sources, since the aligned part
+    is a bijection.  Those images are distinct members of v, so that holds
+    exactly when the two lists are equal once sorted, which only two or
+    more active entries need, and no set is built.
     """
-    if not _same_kind(u, v):
+    cofinite = u.cofinite
+    if cofinite:
+        if not v.cofinite or u.contains_b != v.contains_b:
+            return False
+    elif v.cofinite or len(u.support) != len(v.support):
         return False
-    if not m.aligned:
+    if m is _ALIGNED:
+        return True
+    aligned, exceptions = m
+    support = u.support
+    if not aligned:
         # u and v have one size, so targets that are all of v leave no
         # member of u unmapped
-        support = u.support
-        return not u.cofinite and {b for a, b in m.exceptions if a in support} == set(v.support)
-    if not m.exceptions:
-        return True
-    support, cofinite = u.support, u.cofinite
+        return not cofinite and {b for a, b in exceptions if a in support} == set(v.support)
     images, targets = [], []
-    for a, b in m.exceptions:
+    for a, b in exceptions:
         if (a in support) == cofinite:  # a is not in u
             continue
         if cofinite and a == 0 and b != 0:
             return False
         images.append(_aligned_image(a, u, v))
         targets.append(b)
-    images.sort()
-    targets.sort()
+    if len(images) > 1:
+        images.sort()
+        targets.sort()
     return images == targets
 
 
@@ -475,11 +484,15 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
     it; a doubly-infinite base or member, and any other family, raise
     :class:`FamilyEnumerationError`.
     """
-    if _exactly(int, cutoff, "cutoff") < 1:
+    if type(cutoff) is not int:
+        _exactly(int, cutoff, "cutoff")
+    if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if prefix is None:
         prefix = max(12, cutoff + 2)
-    elif _exactly(int, prefix, "prefix") < 0:
+    elif type(prefix) is not int:
+        _exactly(int, prefix, "prefix")  # raises
+    elif prefix < 0:
         raise ValueError("prefix must be >= 0")
     kind = type(family)
     if kind is OddTail:
@@ -560,8 +573,13 @@ def _probe_counts(layout: tuple | None, cutoff: int, probe: ConcreteSet) -> tupl
         if probe.cofinite:
             return 0, 0
         # block s holds the odd point 2j+1 exactly when j < s, and every
-        # finite probe lies in cofinally many blocks
-        need = max(((x - 1) // 2 + 1 for x in probe.support if x % 2), default=1)
+        # finite probe lies in cofinally many blocks; the largest odd point
+        # is the first found from the top of the sorted support
+        need = 1
+        for x in reversed(probe.support):
+            if x % 2:
+                need = (x - 1) // 2 + 1
+                break
         return max(cutoff - need + 1, 0), None
     cofinite, pinned, free, top, singleton, _ = layout
     support = probe.support
@@ -729,7 +747,8 @@ def local_design_check(
     nothing: descriptors are read from their slots once each type is
     checked, and the reports are built positionally.
     """
-    _exactly(bool, require_complement, "require_complement")
+    if type(require_complement) is not bool:
+        _exactly(bool, require_complement, "require_complement")
     layout = _layout(family, cutoff, prefix)
     if type(c) is not SubsetDescriptor or type(d) is not SubsetDescriptor:
         _exactly(SubsetDescriptor, c, "C")

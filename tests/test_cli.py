@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import itertools
+import math
 import re
 import subprocess
 import sys
@@ -483,6 +484,23 @@ def test_verify_refuses_a_count_over_its_digit_budget(fmt, digits, write):
     argv = ["verify", path, "fin:0,1", "--cutoff", "20000", "--format", fmt]
     with int_digits_limit(digits):
         assert run_main(argv) == (2, "", OVER_DIGIT_BUDGET)
+
+
+@pytest.mark.parametrize("fmt", ["record", "text"])
+def test_verify_refuses_an_over_budget_window_before_computing_it(fmt, write, monkeypatch):
+    # the window has C(1000002, 399999) blocks, which math.comb once took
+    # 16 s to compute only for the count to be refused
+    comb = math.comb
+
+    def small_comb(n, k):
+        if n > 10**5:
+            raise AssertionError(f"computed C({n}, {k})")
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", small_comb)
+    path = write("q.txt", QUERY_OVER_DIGIT_BUDGET.replace("D.size: 10000", "D.size: 400000"))
+    argv = ["verify", path, "fin:0,1", "--cutoff", "1000000", "--format", fmt]
+    assert run_main(argv) == (2, "", OVER_DIGIT_BUDGET)
 
 
 @pytest.mark.parametrize("field", ["blocks_checked", "window count", "family-wide count"])

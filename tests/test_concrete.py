@@ -451,6 +451,24 @@ class TestHomeomorphisms:
         expected = targets[k] if k < len(targets) else None
         assert concrete._aligned_image(sources[k], u, v) == expected
 
+    def test_inline_kind_tests_agree_with_the_classifier(self):
+        # finite and cofinite sets, with and without b, listing 0-3 points
+        panel = [ConcreteSet(cofinite, support)
+                 for cofinite in (False, True)
+                 for r in range(4)
+                 for support in itertools.combinations((0, 1, 2, 5), r)]
+        # equal to the shared map, so it takes the general path, not identity
+        fresh = PointMap()
+        assert fresh == concrete._ALIGNED and fresh is not concrete._ALIGNED
+        for u, v in itertools.product(panel, repeat=2):
+            routes = [
+                canonical_homeomorphism(u, v) is not None,
+                check_homeomorphism(fresh, u, v),
+                check_homeomorphism(concrete._ALIGNED, u, v),
+                subspace_homeomorphic(extract_descriptor(u), extract_descriptor(v)),
+            ]
+            assert routes == [routes[-1]] * 4, (u, v)
+
     def test_oracle_matches_descriptor_predicate_on_small_sets(self):
         panel = list(small_sets())
         for u, v in itertools.product(panel, repeat=2):
@@ -1080,6 +1098,11 @@ class TestClosedFormWindows:
     @example((ClassW(sd(ALEPH0, False, FC(2))), sd(ALEPH0, False, FC(2)), 10, 8, [F((0, 5))]))
     # a singleton's family-wide window is its one block, not unbounded
     @example((Singleton(sd(FC(1), False, ALEPH0)), sd(FC(1), False, ALEPH0), 1, 0, [F(())]))
+    # the odd-tail count reads the largest odd point: one below an even top,
+    # none at all, and the empty probe
+    @example((OddTail(), ODD_TAIL_D, 10, None, [F((1, 3, 8))]))
+    @example((OddTail(), ODD_TAIL_D, 10, None, [F((0, 2))]))
+    @example((OddTail(), ODD_TAIL_D, 10, None, [F(())]))
     def test_closed_form_matches_literal_enumeration(self, case):
         family, d, cutoff, prefix, probes = case
         window = list(window_of(family, cutoff, 0 if prefix is None else prefix))
