@@ -20,12 +20,28 @@ from typing import NamedTuple
 # (other scripts' digits, underscores, signs, leading zeros) is read as one.
 _NATURAL = re.compile(r"0|[1-9][0-9]*")
 
+# the most digits a natural number may have, read or printed: an int of up
+# to 640 digits converts to and from text under any sys.set_int_max_str_digits
+# limit, whose least nonzero value is 640
+DIGIT_BUDGET = 640
+
+
+class _OverDigitBudget(ValueError):
+    """A well-formed numeral of more than ``DIGIT_BUDGET`` digits."""
+
 
 def parse_natural(text: str) -> int:
-    """Read a natural number in its canonical spelling, after ``.strip()``."""
+    """Read a natural number in its canonical spelling, after ``.strip()``.
+    A numeral of more than ``DIGIT_BUDGET`` digits raises
+    ``_OverDigitBudget``, a ``ValueError``, before ``int()`` reads it."""
     digits = text.strip()
     if _NATURAL.fullmatch(digits) is None:
         raise ValueError(f"malformed natural number {text!r}")
+    if len(digits) > DIGIT_BUDGET:
+        raise _OverDigitBudget(
+            f"a natural number of {len(digits)} digits exceeds the budget of "
+            f"{DIGIT_BUDGET} digits"
+        )
     return int(digits)
 
 
@@ -109,16 +125,14 @@ class Cardinal(_Validated, _CardinalFields):
 
     @classmethod
     def parse(cls, text: str) -> "Cardinal":
-        """Inverse of ``str``: ``"3"`` or ``"aleph1"``, in canonical ASCII."""
+        """Inverse of ``str``: ``"3"`` or ``"aleph1"``, in canonical ASCII; a
+        numeral over the digit budget is refused in ``parse_natural``'s words."""
         text = text.strip()
         index = text.removeprefix("aleph")
-        try:
-            n = parse_natural(index)
-        except ValueError:
-            n = None
-        # parse_natural strips, but "aleph 1" is not what str prints
-        if n is None or index[:1].isspace():
+        # matched unstripped, as "aleph 1" is not what str prints
+        if _NATURAL.fullmatch(index) is None:
             raise ValueError(f"malformed cardinal {text!r}")
+        n = parse_natural(index)
         return cls.finite(n) if index == text else cls.aleph(n)
 
 

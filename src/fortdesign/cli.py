@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import NamedTuple
 
-from .cardinal import ALEPH0, Cardinal, parse_natural
+from .cardinal import ALEPH0, DIGIT_BUDGET, Cardinal, parse_natural
 from .concrete import ConcreteSet, _layout, extract_descriptor, local_design_check
 from .descriptors import SpaceDescriptor, SubsetDescriptor
 from .designs import (
@@ -165,10 +165,6 @@ def _refutation_demo_report(cutoff: int):
     return local_design_check(family, c, d, probes, cutoff, require_complement=True)
 
 
-# the most digits a printed count may have: an int of up to 640 digits is
-# written under any sys.set_int_max_str_digits limit, whose least nonzero
-# value is 640
-DIGIT_BUDGET = 640
 # below 2**2126 an int has at most DIGIT_BUDGET digits, as 2**2126 < 10**640
 _BUDGET_BITS = 2126
 
@@ -184,9 +180,9 @@ def _check_window_budget(family, cutoff: int) -> None:
     """Refuse a window whose block count passes the digit budget before
     ``local_design_check`` computes it, in ``_print_check_report``'s words.
 
-    A class's or singleton's window has C(top, free) blocks, bounded here
-    without computing it in full, and every window count is at most that;
-    an odd-tail window has ``cutoff`` blocks, which costs nothing to count.
+    A class's window has C(top, free) blocks, bounded here without
+    computing it in full, and every window count is at most that; an
+    odd-tail window has ``cutoff`` blocks, which costs nothing to count.
     """
     layout = _layout(family, cutoff, None)
     if layout is not None:

@@ -14,9 +14,9 @@ base included, that three plain functions read: :func:`_window_size` and
 :func:`_probe_counts` count in closed form, and :func:`_window_blocks`
 streams the blocks, which :func:`blocks_containing` walks.  A window
 generates its blocks valid, so none is re-validated and nothing is
-derived: :func:`_fill` gives a class or singleton block its sorted support
-and the layout's base, which is every such block's descriptor, and an
-odd-tail block is made from its index as its constructor makes it.
+derived: :func:`_fill` gives a class block its sorted support and the
+layout's base, which is every such block's descriptor, and an odd-tail
+block is made from its index as its constructor makes it.
 :func:`local_design_check` reads the checked block's (or, for an empty
 window, the base's) and each probe's stored descriptor and builds its
 reports through ``tuple.__new__``, so it pays only for its layout, its
@@ -33,8 +33,8 @@ the kind inline, and the check answers the canonical map, one shared
 instance, by identity right after that test, and any other aligned map in
 one pass over its exception table, with no set built; and
 :func:`extract_descriptor` reads the descriptor a set stores: the one its
-constructor built, or its window's base for a class or singleton block;
-every odd-tail block shares its class's one descriptor.
+constructor built, or its window's base for a class block; every
+odd-tail block shares its class's one descriptor.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .cardinal import ALEPH0, Cardinal, _Validated, _exactly, parse_points
+from .cardinal import ALEPH0, Cardinal, _OverDigitBudget, _Validated, _exactly, parse_points
 from .descriptors import SpaceDescriptor, SubsetDescriptor, subspace_homeomorphic, validate
-from .designs import ClassW, FamilyDescriptor, OddTail, Singleton
+from .designs import ClassW, FamilyDescriptor, OddTail
 
 
 class FamilyEnumerationError(ValueError):
@@ -176,6 +176,8 @@ class ConcreteSet:
             raise ValueError(f"concrete set must start with fin: or cofin:, got {text!r}")
         try:
             points = parse_points(body)
+        except _OverDigitBudget:
+            raise
         except ValueError as exc:
             raise ValueError(f"malformed concrete set {text!r}") from exc
         return cls(head == "cofin", tuple(points))
@@ -437,12 +439,15 @@ def check_homeomorphism(m: PointMap, u: ConcreteSet, v: ConcreteSet) -> bool:
 def realize_descriptor(d: SubsetDescriptor) -> ConcreteSet:
     """A canonical concrete set with the given descriptor.
 
-    It is the one block of ``Singleton(d)``'s window, so its descriptor is
-    ``d`` itself.  Doubly-infinite descriptors have no finite or cofinite
+    It is the first block of ``ClassW(d)``'s window, ``R = {1..free}``
+    plus b when pinned, built from the layout, so its descriptor is ``d``
+    itself.  Doubly-infinite descriptors have no finite or cofinite
     realization and are rejected; one that :func:`_layout` cannot lay out
     is refused in its words.
     """
-    return next(_window_blocks(_layout(Singleton(d), 1, 0), 1))
+    cofinite, pinned, free, _, base = _layout(ClassW(d), 1, 0)
+    fixed = (0,) if pinned else ()
+    return _fill(object.__new__(ConcreteSet), cofinite, fixed + tuple(range(1, free + 1)), base)
 
 
 class BlockCount(NamedTuple):
@@ -466,23 +471,22 @@ class BlockCount(NamedTuple):
 def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple | None:
     """Read a window's arguments in order, ``cutoff`` (>= 1), ``prefix``
     (>= 0, ``max(12, cutoff + 2)`` when None) and the family, and lay the
-    window of a class W(D) or a singleton out; None for the odd-tail
-    family, whose window is its first ``cutoff`` blocks.
+    window of a class W(D) out; None for the odd-tail family, whose window
+    is its first ``cutoff`` blocks.
 
-    Returns ``(cofinite, pinned, free, top, singleton, base)``: a finite
-    block is ``R``, plus b when ``pinned``; a cofinite block excludes
-    ``R``, and b too when ``pinned``; ``R`` ranges over the
-    ``free``-subsets of ``[1, top]``.  A class's ``top`` is the prefix; a
-    singleton is its member's layout with ``top = free``, so its window is
-    one block.  ``base`` is the checked base or member, the descriptor of
-    every block.  The family is dispatched on by its exact type, once: a
-    family that is no ``FamilyDescriptor`` raises ``ValueError`` naming
-    it; a base or member that is no ``SubsetDescriptor`` (whose fields its
-    constructor has typed), whose layout has ``free < 0``, or whose
-    unbounded side is not aleph0 (a descriptor of another space), raises
-    ``ValueError`` in ``validate``'s words, as ``witness_violations`` words
-    it; a doubly-infinite base or member, and any other family, raise
-    :class:`FamilyEnumerationError`.
+    Returns ``(cofinite, pinned, free, top, base)``: a finite block is
+    ``R``, plus b when ``pinned``; a cofinite block excludes ``R``, and b
+    too when ``pinned``; ``R`` ranges over the ``free``-subsets of
+    ``[1, top]``, and ``top`` is the prefix.  A base with ``free = 0``, such
+    as X or X \\ {b}, has a window of one block.  ``base`` is the checked
+    base, the descriptor of every block.  The family is dispatched on by
+    its exact type, once: a family that is no ``FamilyDescriptor`` raises
+    ``ValueError`` naming it; a base that is no ``SubsetDescriptor``
+    (whose fields its constructor has typed), whose layout has
+    ``free < 0``, or whose unbounded side is not aleph0 (a descriptor of
+    another space), raises ``ValueError`` in ``validate``'s words, as
+    ``witness_violations`` words it; a doubly-infinite base, and any other
+    family, raise :class:`FamilyEnumerationError`.
     """
     if type(cutoff) is not int:
         _exactly(int, cutoff, "cutoff")
@@ -498,9 +502,7 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
     if kind is OddTail:
         return None
     if kind is ClassW:
-        what, base = "class base", family.base
-    elif kind is Singleton:
-        what, base = "singleton member", family.member
+        base = family.base
     elif isinstance(family, FamilyDescriptor):
         raise FamilyEnumerationError(
             f"{family.to_text()} has no bounded enumeration strategy"
@@ -519,9 +521,8 @@ def _layout(family: FamilyDescriptor, cutoff: int, prefix: int | None) -> tuple 
             )
         free = finite.value - pinned
         if free >= 0 and unbounded == ALEPH0:
-            singleton = kind is Singleton
-            return cofinite, pinned, free, free if singleton else prefix, singleton, base
-    raise ValueError(f"{what}: " + "; ".join(validate(base, SpaceDescriptor(ALEPH0))))
+            return cofinite, pinned, free, prefix, base
+    raise ValueError("class base: " + "; ".join(validate(base, SpaceDescriptor(ALEPH0))))
 
 
 def _window_blocks(layout: tuple | None, cutoff: int) -> Iterator[Block]:
@@ -529,23 +530,23 @@ def _window_blocks(layout: tuple | None, cutoff: int) -> Iterator[Block]:
     order.
 
     The window is the first ``cutoff`` odd-tail blocks (``layout`` None),
-    the single block, or every class member whose symmetric difference
-    with the canonical representative lies inside the prefix.  A class's or
-    singleton's first block, ``R = {1..free}``, is built from the layout
-    alone; ``itertools.combinations`` copies the pool ``[1, top]`` into a
-    tuple only when a second block is drawn, and a window of one block
+    or every class member whose symmetric difference with the canonical
+    representative lies inside the prefix.  A class's first block,
+    ``R = {1..free}``, is built from the layout alone;
+    ``itertools.combinations`` copies the pool ``[1, top]`` into a tuple
+    only when a second block is drawn, and a window of one block
     (``free = 0``) has an empty pool.  So drawing one block costs nothing
     per point of the prefix.  Every block is generated valid, so none is
-    re-validated and nothing is derived: :func:`_fill` gives a class or
-    singleton block its sorted support and the layout's base, the
-    descriptor every such block has, and an odd-tail block, whose index is
-    one of ``1..cutoff``, is made as :class:`OddTailBlock`'s constructor
-    makes it once its index is checked.
+    re-validated and nothing is derived: :func:`_fill` gives a class block
+    its sorted support and the layout's base, the descriptor every such
+    block has, and an odd-tail block, whose index is one of ``1..cutoff``,
+    is made as :class:`OddTailBlock`'s constructor makes it once its index
+    is checked.
     """
     if layout is None:
         yield from map(tuple.__new__, itertools.repeat(OddTailBlock), zip(range(1, cutoff + 1)))
         return
-    cofinite, pinned, free, top, _, base = layout
+    cofinite, pinned, free, top, base = layout
     if free > top:
         return
     fixed = (0,) if pinned else ()
@@ -564,10 +565,9 @@ def _window_size(layout: tuple | None, cutoff: int) -> int:
 def _probe_counts(layout: tuple | None, cutoff: int, probe: ConcreteSet) -> tuple[int, int | None]:
     """A probe's window count and family-wide count (None when infinite) in
     closed form: by arithmetic on the probe's largest odd point for the
-    odd-tail family (``layout`` None), from the layout for a class W(D) or
-    a singleton.  A class's family-wide window is unbounded, so its ``R``
-    ranges over all points past b; a singleton's is its one block (``top =
-    free``), so its two counts are equal.
+    odd-tail family (``layout`` None), from the layout for a class W(D).
+    A class's family-wide window is unbounded, so its ``R`` ranges over
+    all points past b.
     """
     if layout is None:
         if probe.cofinite:
@@ -581,7 +581,7 @@ def _probe_counts(layout: tuple | None, cutoff: int, probe: ConcreteSet) -> tupl
                 need = (x - 1) // 2 + 1
                 break
         return max(cutoff - need + 1, 0), None
-    cofinite, pinned, free, top, singleton, _ = layout
+    cofinite, pinned, free, top, _ = layout
     support = probe.support
     lead = bisect_left(support, 1)  # 1 when the probe lists b
     listed = len(support) - lead  # the listed points past b
@@ -591,16 +591,16 @@ def _probe_counts(layout: tuple | None, cutoff: int, probe: ConcreteSet) -> tupl
             return 0, 0
         if probe.cofinite:  # R lies among the probe's excluded points
             window = math.comb(inside, free)
-            return window, window if singleton else math.comb(listed, free)
+            return window, math.comb(listed, free)
         # R avoids the probe's points; infinitely many R do unless free = 0
         window = math.comb(top - inside, free)
-        return window, window if singleton else (None if free else 1)
+        return window, None if free else 1
     # every probe point must be b on a pinned block or lie in R
     left = free - listed  # the points of R that the probe leaves open
     if probe.cofinite or lead > pinned or left < 0:
         return 0, 0
     window = math.comb(top - listed, left) if inside == listed else 0
-    return window, window if singleton else (None if left else 1)
+    return window, None if left else 1
 
 
 # the most blocks local_design_check lists or blocks_containing draws: 10^5
@@ -619,11 +619,11 @@ def blocks_containing(
     """Count window blocks containing the probe by literal enumeration.
 
     The count is over the family's bounded window (the first ``cutoff``
-    odd-tail blocks, the class members that differ from the canonical one
-    only inside ``[1, prefix]``, or the single block) and is a lower bound
-    for the family at large; it is never extrapolated.  Blocks are drawn
-    one by one until ``cutoff`` of them hold the probe, and drawing more
-    than ``LISTING_BUDGET`` raises ``ValueError``.  :func:`local_design_check`
+    odd-tail blocks, or the class members that differ from the canonical
+    one only inside ``[1, prefix]``) and is a lower bound for the family
+    at large; it is never extrapolated.  Blocks are drawn one by one until
+    ``cutoff`` of them hold the probe, and drawing more than
+    ``LISTING_BUDGET`` raises ``ValueError``.  :func:`local_design_check`
     gives the same counts in closed form; this is their literal reference.
     The window's arguments are read by :func:`_layout`, as for that check;
     a probe of the wrong type raises ``ValueError`` naming it.
@@ -727,22 +727,22 @@ def local_design_check(
     here walks it: the window's arguments are read once, by one
     :func:`_layout` that :func:`_window_size`, :func:`_probe_counts` and
     :func:`_window_blocks` read, and ``blocks_checked`` and the counts come
-    in closed form (binomial
-    coefficients over ``[1, prefix]`` for W(D), arithmetic on the largest
-    odd point for the odd-tail family) and equal the literal ones.  All
-    blocks of a window share one descriptor, a class's or singleton's base,
-    so only the first block is shape-checked; when it fails, every block is
-    listed with its failure, and a window of more than ``LISTING_BUDGET``
-    blocks raises ``ValueError`` before the listing starts.  A class window
-    whose prefix holds fewer points than a block's free ones has no block:
-    its base is checked instead, and a failure names the family once.  The
-    check is consistent only with no block failure, no refutation, and a
-    uniform count other than 0: accepted probes that all count 0 refute a
-    design, whose multiplicity is at least 1, though no pair is named.  A
-    family, base, C, D or probe of the wrong type, a base that cannot be
-    laid out, or ``probes`` that is no iterable or is text, raises
-    ``ValueError`` naming it; C's and D's record type is all that is
-    checked of them, since a ``SubsetDescriptor`` types its own fields.
+    in closed form (binomial coefficients over ``[1, prefix]`` for W(D),
+    arithmetic on the largest odd point for the odd-tail family) and equal
+    the literal ones.  All blocks of a window share one descriptor, a
+    class's base, so only the first block is shape-checked; when it fails,
+    every block is listed with its failure, and a window of more than
+    ``LISTING_BUDGET`` blocks raises ``ValueError`` before the listing
+    starts.  A class window whose prefix holds fewer points than a block's
+    free ones has no block: its base is checked instead, and a failure
+    names the family once.  The check is consistent only with no block
+    failure, no refutation, and a uniform count other than 0: accepted
+    probes that all count 0 refute a design, whose multiplicity is at least
+    1, though no pair is named.  A family, base, C, D or probe of the wrong
+    type, a base that cannot be laid out, or ``probes`` that is no iterable
+    or is text, raises ``ValueError`` naming it; C's and D's record type is
+    all that is checked of them, since a ``SubsetDescriptor`` types its own
+    fields.
     Past its layout, its counts and one drawn block the check pays for
     nothing: descriptors are read from their slots once each type is
     checked, and the reports are built positionally.
@@ -758,7 +758,7 @@ def local_design_check(
     first = next(blocks, None)
     # an empty window is a class's whose prefix holds too few points: its
     # base is still every block's shape
-    shape = layout[5] if first is None else first.descriptor
+    shape = layout[4] if first is None else first.descriptor
     failure = None
     if not subspace_homeomorphic(shape, d):
         failure = "not shaped like D"

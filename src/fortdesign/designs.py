@@ -25,12 +25,12 @@ composes the same atoms inline from each row's and column's reads.  The
 first row whose ``required`` atoms all hold and whose ``forbidden`` atoms
 all fail decides.  An outcome is a refusal reason or a (multiplicity, kind)
 pair: a value, a ``LambdaValue`` or None for card(X), and a witness kind.
-``_KINDS`` maps each of the four kinds, ``ClassW``, ``ClassL``,
-``Singleton`` and ``OddTail``, to its family built from D and X, never from
-C, and to what its check reads, one object per distinct check: W(D) and
-L(D) share theirs.  ``sweep`` makes a check that reads D itself (W, L and
-odd-tail) once in D's column, with no key, and keys only a shared check,
-the singleton's on D's b flag, in the space's record.
+``_KINDS`` maps each of the four kinds, ``ClassW``, ``ClassL``, the
+whole-space kind and ``OddTail``, to its family built from D and X, never
+from C, and to the name of its check: W(D) and L(D) share theirs.  The
+whole-space kind's family is W of X or of X \\ {b}, whichever D's b flag
+names, a class with one member.  ``sweep`` makes each check once in D's
+column.
 
 Validation contract: a ``SubsetDescriptor`` types its own fields when it
 is built, and ``decide`` and ``crosscheck``, the only checks of the
@@ -46,9 +46,9 @@ from __future__ import annotations
 
 __all__ = [
     "CASE_TAGS", "ClassL", "ClassW", "CrosscheckReport", "DescriptorError",
-    "DesignType", "FamilyDescriptor", "OddTail", "Singleton", "SweepReport",
-    "Verdict", "crosscheck", "decide", "decide_type1", "decide_type2",
-    "decide_type3", "decide_type4", "sweep", "witness_violations",
+    "DesignType", "FamilyDescriptor", "OddTail", "SweepReport", "Verdict",
+    "crosscheck", "decide", "decide_type1", "decide_type2", "decide_type3",
+    "decide_type4", "sweep", "witness_violations",
 ]
 
 import enum
@@ -124,10 +124,10 @@ class FamilyDescriptor:
     """Base class for symbolic block families.
 
     A family is a tuple-backed record.  Two families are equal only when
-    they are of one class and hold equal fields, so W(D), L(D) and the
-    singleton {D} are three families and none equals a plain tuple.  Its
-    text is the class's name for the family (``W``, ``L``, ``singleton``,
-    ``odd-tail``) followed by its one field, if it has one.
+    they are of one class and hold equal fields, so W(D) and L(D) are two
+    families and neither equals a plain tuple.  Its text is the class's
+    name for the family (``W``, ``L``, ``odd-tail``) followed by its one
+    field, if it has one.
     """
 
     __slots__ = ()
@@ -178,17 +178,6 @@ class OddTail(FamilyDescriptor, _NoFields):
 
     __slots__ = ()
     _label = "odd-tail"
-
-
-class _SingletonFields(NamedTuple):
-    member: SubsetDescriptor
-
-
-class Singleton(FamilyDescriptor, _SingletonFields):
-    """A one-block family; the member is given by its descriptor."""
-
-    __slots__ = ()
-    _label = "singleton"
 
 
 class _VerdictFields(NamedTuple):
@@ -335,23 +324,22 @@ def _mask(c: tuple, d: tuple) -> int:
     return m
 
 
-# The witness kinds: each one's family over D in the space x, and what its
-# check reads, one (name, key) object per distinct check.  W(D) and L(D) share
-# one, as witness_violations reads a class family's base, D, alone.  A check
-# whose key is None reads D itself, so sweep makes it in D's column and keys
-# nothing; the singleton's reads D's b flag, its key, and is shared by every
-# column of the space with that flag, as X holds b exactly when D does.
-_CLASS_BASE = ("class base", None)
+# The witness kinds: each one's family over D in the space x, and the name of
+# its check, which reads D and x alone.  W(D) and L(D) share one, as
+# witness_violations reads a class family's base, D, alone.  The whole-space
+# kind's family is W(X), or W(X \ {b}) when D lacks b: a class whose one
+# member is the one block of the rows that name it.
+_WHOLE_SPACE = "whole space"
 _KINDS = {
-    ClassW: (lambda d, x: tuple.__new__(ClassW, (d,)), _CLASS_BASE),
-    ClassL: (lambda d, x: tuple.__new__(ClassL, (d,)), _CLASS_BASE),
-    Singleton: (
-        lambda d, x: Singleton(
+    ClassW: (lambda d, x: tuple.__new__(ClassW, (d,)), "class base"),
+    ClassL: (lambda d, x: tuple.__new__(ClassL, (d,)), "class base"),
+    _WHOLE_SPACE: (
+        lambda d, x: ClassW(
             SubsetDescriptor(x.size, d.contains_b, ZERO if d.contains_b else ONE)
         ),
-        ("singleton member", lambda d: d.contains_b),
+        _WHOLE_SPACE,
     ),
-    OddTail: (lambda d, x: OddTail(), ("odd-tail", None)),
+    OddTail: (lambda d, x: OddTail(), "odd-tail"),
 }
 
 
@@ -379,7 +367,7 @@ _TYPE1 = (
      "C is finite and b is outside C and D: the b-containing copies "
      "of C lie in no block pair-equivalent to D"),
     ("a2", C_SMALL, _B_IN_C_OR_D, (_CARD_W, ClassW)),
-    ("a3", D_COSIZE_1, _B_IN_C_OR_D, (_ONE_BLOCK, Singleton)),
+    ("a3", D_COSIZE_1, _B_IN_C_OR_D, (_ONE_BLOCK, _WHOLE_SPACE)),
     ("a3", 0, _B_IN_C_OR_D,
      "with card(C) = card(D) = card(X) and b outside C and D, a design "
      "exists only when D = X \\ {b}"),
@@ -390,12 +378,12 @@ _TYPE1 = (
     ("c1-bound", C_FINITE | C_PLUS_2_GT_D, 0,
      "finite C with b in D requires card(C) + 2 <= card(D)"),
     ("c1-case5", C_FINITE | D_FINITE, 0, (_CARD_X, ClassW)),
-    ("c1-case4", C_FINITE | X_ALEPH0 | D_COSIZE_0, 0, (_ONE_BLOCK, Singleton)),
+    ("c1-case4", C_FINITE | X_ALEPH0 | D_COSIZE_0, 0, (_ONE_BLOCK, _WHOLE_SPACE)),
     ("c1-case3", C_FINITE | X_ALEPH0 | D_COSIZE_FINITE, 0, (_ALEPH0_BLOCKS, ClassW)),
     ("c1-case2", C_FINITE | X_ALEPH0, 0, (_ALEPH0_BLOCKS, OddTail)),
     ("c1-case1", C_FINITE, 0, (_CARD_W, ClassW)),
     ("c2", C_SMALL, 0, (_CARD_W, ClassW)),
-    ("c3", D_COSIZE_0, 0, (_ONE_BLOCK, Singleton)),
+    ("c3", D_COSIZE_0, 0, (_ONE_BLOCK, _WHOLE_SPACE)),
     ("c3", 0, 0,
      "with card(C) = card(D) = card(X) and b in D, a design exists only "
      "when D = X"),
@@ -412,7 +400,7 @@ _TYPE2 = (
     ("t2-finite", C_FINITE, 0, (_CARD_L, ClassL)),
     # the type-1 verdict here is a2 or c2: the class of D, card(W) blocks
     ("t2-small", C_SMALL, 0, (_CARD_W, ClassW)),
-    ("t2-full", 0, 0, (_ONE_BLOCK, Singleton)),
+    ("t2-full", 0, 0, (_ONE_BLOCK, _WHOLE_SPACE)),
 )
 
 _TYPE3 = (
@@ -576,15 +564,12 @@ def witness_violations(
 ) -> list[str]:
     """Validity conditions for a witness family in the given context; a bad space,
     or a D that ``validate`` refuses where odd-tail reads D, is reported alone.
-    A class family is checked by its base alone, a singleton by its member."""
+    A class family is checked by its base alone."""
     if type(space) is not SpaceDescriptor:
         return _space_violations(space)
     if isinstance(witness, (ClassW, ClassL)):
         problems = _violations(witness.base, space)
         return [f"class base: {p}" for p in problems] if problems else problems
-    if isinstance(witness, Singleton):
-        problems = _violations(witness.member, space)
-        return [f"singleton member: {p}" for p in problems] if problems else problems
     if not isinstance(witness, OddTail):
         return [f"unknown family {witness!r}"]
     problems = [f"D: {p}" for p in validate(d, space)]
@@ -635,7 +620,7 @@ def _plan(rules: tuple, m: int) -> tuple:
     """What mask m settles under rules, a tuple of (type, table) pairs, for
     every C and D: the (type, check) of each type that exists, each distinct
     check with a kind whose family it builds, the broken lattice edges, no
-    type 2 and no type 4; a check is what its kind reads in ``_KINDS``."""
+    type 2 and no type 4; a check is its kind's check name in ``_KINDS``."""
     # each deciding row's tag is checked here, as neither sweep nor crosscheck
     # builds a verdict; a type's kind is None when it does not exist
     kinds = {}
@@ -685,18 +670,16 @@ def sweep(
     set and kept across calls; it lists each distinct witness check once,
     so W(D) and L(D) are one entry.  In a call, each descriptor's
     ``_facts`` are unpacked once for its row, as C, and once for its
-    column, as D, which also keeps D's witness problems by check.  A check
-    that reads D itself is made in D's column with one
-    ``witness_violations`` call and no key; a shared one, which ``_KINDS``
-    gives a key of D, is made once per (key, X) in the space's record.  So
-    a witness is checked, and its family built, once per (what its check
-    reads, X), and no verdict is built.  A case composes ``_mask``'s atoms
-    from its row's and column's reads, with no call, runs only the checks
-    that read C, and builds nothing unless one of them finds a problem.  A
-    violation's text is built from parts made once per call: X's text at a
-    space's first violation, a descriptor's text when a violation first
-    names it, and the crosscheck clause once per tuple of the four
-    statements.
+    column, as D, which also keeps D's witness problems by check name.
+    Every check reads D and X alone, so it is made in D's column with one
+    ``witness_violations`` call: a witness is checked, and its family
+    built, once per (check, D, X), and no verdict is built.  A case
+    composes ``_mask``'s atoms from its row's and column's reads, with no
+    call, runs only the checks that read C, and builds nothing unless one
+    of them finds a problem.  A violation's text is built from parts made
+    once per call: X's text at a space's first violation, a descriptor's
+    text when a violation first names it, and the crosscheck clause once
+    per tuple of the four statements.
     """
     global _plans
     if _exactly(int, max_aleph, "max_aleph") < 0:
@@ -732,8 +715,6 @@ def sweep(
             as_c, as_d, size, size_plus_2, size_minus_b, cosize_minus_b = _facts(s, space)
             rows.append((s, as_c, size, size_plus_2, size_minus_b, cosize_minus_b))
             columns.append((s, as_d, size, size_minus_b, cosize_minus_b, {}))
-        # the problems of a check shared by the space's columns, by (check, key)
-        shared = {}
         for c, c_atoms, c_size, c_size_plus_2, c_size_minus_b, c_cosize_minus_b in rows:
             for d, d_atoms, d_size, d_size_minus_b, d_cosize_minus_b, checked in columns:
                 cases += 1
@@ -762,30 +743,21 @@ def sweep(
                 clean = not (lattice or larger) and (
                     no_type2 == no_type4 == obstruction == not_embeddable
                 )
-                for reads in checks:
-                    problems = checked.get(reads)
+                for check in checks:
+                    problems = checked.get(check)
                     if problems is None:
-                        build = _KINDS[checks[reads]][0]
-                        _, key = reads
-                        if key is None:
-                            # the check reads D itself: made in D's column
-                            problems = witness_violations(build(d, space), d, space)
-                        else:
-                            read = reads, key(d)
-                            problems = shared.get(read)
-                            if problems is None:
-                                problems = shared[read] = witness_violations(
-                                    build(d, space), d, space
-                                )
-                        checked[reads] = problems
+                        build = _KINDS[checks[check]][0]
+                        problems = checked[check] = witness_violations(
+                            build(d, space), d, space
+                        )
                     clean = clean and not problems
                 if clean:
                     continue
                 problems = []
-                for t, reads in existing:
+                for t, check in existing:
                     if larger:
                         problems.append(f"type {t} exists with card(C) > card(D)")
-                    problems += [f"type {t} witness: {p}" for p in checked[reads]]
+                    problems += [f"type {t} witness: {p}" for p in checked[check]]
                 problems += lattice
                 statements = (no_type2, no_type4, obstruction, not_embeddable)
                 clause = clauses.get(statements)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fortdesign.cardinal import (
-    ALEPH0, ONE, Cardinal, LambdaValue, csum, parse_natural, parse_points,
+    ALEPH0, DIGIT_BUDGET, ONE, Cardinal, LambdaValue, csum, parse_natural, parse_points,
 )
 
 GRID = [Cardinal.finite(n) for n in range(11)] + [Cardinal.aleph(i) for i in range(4)]
@@ -98,6 +98,19 @@ def test_parse_natural():
     for text in ("\u0663", "\uff10", "1_0", "07", "+3", "-1", "", "3 4", "0x1"):
         with pytest.raises(ValueError, match="malformed natural number"):
             parse_natural(text)
+
+
+def test_a_numeral_over_the_digit_budget_is_refused_before_it_is_read():
+    assert DIGIT_BUDGET == 640
+    assert parse_natural(" " + "9" * 640) == 10**640 - 1
+    assert Cardinal.parse("aleph" + "9" * 640) == Cardinal.aleph(10**640 - 1)
+    # the readers that call parse_natural pass its words on unwrapped
+    message = "^a natural number of 641 digits exceeds the budget of 640 digits$"
+    numeral = "1" + "0" * 640
+    for read in (parse_natural, parse_points, Cardinal.parse, lambda t: Cardinal.parse("aleph" + t),
+                 lambda t: parse_points("3, " + t)):
+        with pytest.raises(ValueError, match=message):
+            read(numeral)
 
 
 def test_parse_points():

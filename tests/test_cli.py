@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from fortdesign import cli, designs
 from fortdesign.cli import main, parse_query, QueryError
 from fortdesign.cardinal import ALEPH0, Cardinal
 from fortdesign.descriptors import SpaceDescriptor, SubsetDescriptor, descriptor_grid
-from fortdesign.designs import DesignType, Singleton
+from fortdesign.designs import ClassW, DesignType
 from fortdesign.finitebrute import brute_lambda, parse_instance
 
 QUERY_C1_CASE2 = """\
@@ -352,16 +353,16 @@ class TestVerifyCommand:
 
     def test_a_witness_block_not_shaped_like_d_is_listed(self, monkeypatch, write, capsys):
         # no decided witness has a block of the wrong shape, so a wrong one
-        # is patched in: its one block has three points where D has two
-        d3 = SubsetDescriptor(Cardinal.finite(3), False, ALEPH0)
+        # is patched in: W of {b}, whose one block has one point where D has two
+        b_only = SubsetDescriptor(Cardinal.finite(1), True, ALEPH0)
         decide = cli.decide
         monkeypatch.setattr(
-            cli, "decide", lambda *args: decide(*args)._replace(witness=Singleton(d3))
+            cli, "decide", lambda *args: decide(*args)._replace(witness=ClassW(b_only))
         )
         path = write("q.txt", QUERY_T2_FINITE_C_AND_D)
         assert main(["verify", path, "fin:5", "--format", "record"]) == 1
         out = capsys.readouterr().out
-        assert "block_failures: 1\nblock_failure: fin:1,2,3: not shaped like D\n" in out
+        assert "block_failures: 1\nblock_failure: fin:0: not shaped like D\n" in out
         assert out.endswith("consistent: false\n")
 
     def test_not_exists_leaves_nothing_to_verify(self, write, capsys):
@@ -501,6 +502,34 @@ def test_verify_refuses_an_over_budget_window_before_computing_it(fmt, write, mo
     path = write("q.txt", QUERY_OVER_DIGIT_BUDGET.replace("D.size: 10000", "D.size: 400000"))
     argv = ["verify", path, "fin:0,1", "--cutoff", "1000000", "--format", fmt]
     assert run_main(argv) == (2, "", OVER_DIGIT_BUDGET)
+
+
+NUMERAL_OVER_BUDGET = "1" + "0" * 5000
+NUMERAL_OVER_BUDGET_ERROR = "a natural number of 5001 digits exceeds the budget of 640 digits"
+
+
+@pytest.mark.parametrize("digits", [640, 4300, 0], ids=["least-limit", "default-limit", "no-limit"])
+@pytest.mark.parametrize("where", ["query-field", "probe"])
+def test_a_numeral_over_the_digit_budget_is_refused_in_its_own_words(where, digits, write):
+    # a well-formed 5001-digit numeral was once called malformed, echoed in
+    # full, or read, as the interpreter's own limit decided
+    if where == "query-field":
+        text = QUERY_OVER_DIGIT_BUDGET.replace("D.size: 10000", f"D.size: {NUMERAL_OVER_BUDGET}")
+        argv = ["decide", write("q.txt", text)]
+        err = f"error: field D.size: {NUMERAL_OVER_BUDGET_ERROR}\n"
+    else:
+        argv = ["verify", write("q.txt", QUERY_OVER_DIGIT_BUDGET), f"fin:0,{NUMERAL_OVER_BUDGET}"]
+        err = f"error: {NUMERAL_OVER_BUDGET_ERROR}\n"
+    with int_digits_limit(digits):
+        assert run_main(argv) == (2, "", err)
+
+
+def test_a_query_field_of_640_digits_is_read(write):
+    size = "9" * 640
+    path = write("q.txt", QUERY_OVER_DIGIT_BUDGET.replace("D.size: 10000", f"D.size: {size}"))
+    with int_digits_limit(640):
+        code, out, err = run_main(["decide", path])
+    assert (code, err) == (0, "") and f"W(size={size},b=true,cosize=aleph0)" in out
 
 
 @pytest.mark.parametrize("field", ["blocks_checked", "window count", "family-wide count"])
@@ -980,6 +1009,44 @@ def test_verify_reads_any_query_text_without_a_traceback(
     path = tmp_path_factory.getbasetemp() / "fuzzed-verify-query.txt"
     path.write_text(text, encoding="utf-8")
     assert_clean_exit(*run_main(["verify", str(path), *probes, "--cutoff", str(cutoff)]))
+
+
+@st.composite
+def large_verify_queries(draw):
+    """(query text, verify's arguments after the query path): any type, a
+    finite D of 1 to 10^6 points and a C of 1 to 3, each with or without b,
+    one probe shaped like C and a cutoff of 1 to 10^6."""
+    d = SubsetDescriptor(Cardinal.finite(draw(st.integers(1, 10**6))), draw(st.booleans()), ALEPH0)
+    c = SubsetDescriptor(Cardinal.finite(draw(st.integers(1, 3))), draw(st.booleans()), ALEPH0)
+    text = f"space.size: aleph0\ntype: {draw(st.sampled_from('1234'))}\n"
+    probe = draw(probes_shaped_like(c))
+    cutoff = draw(st.integers(1, 10**6))
+    return text + subset_fields("C", c) + subset_fields("D", d), [probe, "--cutoff", str(cutoff)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_verify_queries())
+@example((QUERY_OVER_DIGIT_BUDGET.replace("D.size: 10000", "D.size: 1000000"),
+          ["fin:0,1", "--cutoff", "1000000"]))
+def test_verify_at_the_large_end_computes_no_count_over_its_digit_budget(
+    tmp_path_factory, query
+):
+    # every count verify computes stays below 2**2126, so within the digit
+    # budget; a window over it is refused before any count is computed
+    text, argv = query
+    path = tmp_path_factory.getbasetemp() / "large-query.txt"
+    path.write_text(text, encoding="utf-8")
+    comb = math.comb
+
+    def bounded_comb(n, k):
+        result = comb(n, k)
+        assert result.bit_length() <= cli._BUDGET_BITS, f"computed C({n}, {k})"
+        return result
+
+    with unittest.mock.patch("math.comb", bounded_comb):
+        code, out, err = run_main(["verify", str(path), *argv])
+    assert_clean_exit(code, out, err)
+    assert code == 2 or out
 
 
 # the most cases a drawn crosscheck may sweep: a 1,849-case crosscheck took

@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import itertools
@@ -8,7 +9,7 @@ import re
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fortdesign import concrete
+from fortdesign import concrete, designs
 from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, _SHARED_FINITES
 from fortdesign.cli import main
 from fortdesign.concrete import (
@@ -41,7 +42,6 @@ from fortdesign.designs import (
     ClassW,
     DesignType,
     OddTail,
-    Singleton,
     decide,
     witness_violations,
 )
@@ -108,6 +108,9 @@ class TestConcreteSet:
                      "fin:1,,2", "fin:0,4,4", "cofin:3,10,", " cofin: 3 , 10,"):
             with pytest.raises(ValueError, match="malformed concrete set"):
                 ConcreteSet.parse(text)
+        # a numeral over the digit budget is refused in parse_natural's words
+        with pytest.raises(ValueError, match="^a natural number of 641 digits exceeds"):
+            ConcreteSet.parse("cofin:0," + "9" * 641)
 
     @given(
         st.booleans(),
@@ -529,7 +532,9 @@ class TestRealize:
         with pytest.raises(FamilyEnumerationError):
             realize_descriptor(sd(ALEPH0, True, ALEPH0))
 
-    def test_each_realizable_descriptor_is_its_singleton_window(self):
+    def test_each_realizable_descriptor_is_its_class_windows_first_block(self):
+        # whenever the prefix holds the base's free points; a grid base
+        # has at most 8 of them
         for d in descriptor_grid(SpaceDescriptor(ALEPH0), 8):
             if d.size.infinite and d.cosize.infinite:
                 with pytest.raises(FamilyEnumerationError):
@@ -538,7 +543,8 @@ class TestRealize:
             block = realize_descriptor(d)
             assert extract_descriptor(block) == d
             for prefix in (0, 1, 3, 8, 12):
-                assert list(window_of(Singleton(d), 1, prefix)) == [block]
+                first = next(window_of(ClassW(d), 1, prefix), None)
+                assert first == block or (first is None and prefix < 8)
 
 
 class TestBlockCounts:
@@ -559,9 +565,10 @@ class TestBlockCounts:
         assert blocks_containing(OddTail(), F((5,)), 50) == BlockCount.exactly(48)
 
     def test_singleton_counts(self):
-        family = Singleton(sd(ALEPH0, True, FC(0)))
+        # W(X) and W(X \ {b}) each have one block
+        family = ClassW(sd(ALEPH0, True, FC(0)))
         assert blocks_containing(family, F((1, 2)), 10) == BlockCount.exactly(1)
-        family = Singleton(sd(ALEPH0, False, FC(1)))
+        family = ClassW(sd(ALEPH0, False, FC(1)))
         assert blocks_containing(family, F((0,)), 10) == BlockCount.exactly(0)
 
     def test_class_l_has_no_window(self):
@@ -670,16 +677,12 @@ OTHER_SPACE_BASES = [
      "class base: must be a SubsetDescriptor, got None"),
     (lambda: blocks_containing(ClassW(None), F((1,)), 5),
      "class base: must be a SubsetDescriptor, got None"),
-    (lambda: blocks_containing(Singleton("fin:1"), F((1,)), 5),
-     "singleton member: must be a SubsetDescriptor, got 'fin:1'"),
-    *[(lambda b=base, k=kind: local_design_check(k(b), D3, D3, [], 5, require_complement=True),
-       f"{what}: {message}")
-      for base, message in OTHER_SPACE_BASES
-      for kind, what in [(ClassW, "class base"), (Singleton, "singleton member")]],
-    *[(lambda b=base, k=kind: blocks_containing(k(b), F((1,)), 5), f"{what}: {message}")
-      for base, message in OTHER_SPACE_BASES
-      for kind, what in [(ClassW, "class base"), (Singleton, "singleton member")]],
-    *[(lambda b=base: realize_descriptor(b), f"singleton member: {message}")
+    *[(lambda b=base: local_design_check(ClassW(b), D3, D3, [], 5, require_complement=True),
+       f"class base: {message}")
+      for base, message in OTHER_SPACE_BASES],
+    *[(lambda b=base: blocks_containing(ClassW(b), F((1,)), 5), f"class base: {message}")
+      for base, message in OTHER_SPACE_BASES],
+    *[(lambda b=base: realize_descriptor(b), f"class base: {message}")
       for base, message in OTHER_SPACE_BASES],
     (lambda: local_design_check(ClassW(D3), None, D3, [F((1, 2))], 5, require_complement=True),
      "C must be SubsetDescriptor, got None"),
@@ -773,7 +776,7 @@ class TestLocalDesignCheck:
     def test_space_minus_b_singleton(self):
         c = sd(ALEPH0, False, FC(1))
         report = local_design_check(
-            Singleton(c), c, c, [Co((0,))], cutoff=10, require_complement=True
+            ClassW(c), c, c, [Co((0,))], cutoff=10, require_complement=True
         )
         assert [str(p.count) for p in report.probes] == ["Exactly(1)"]
         assert report.consistent
@@ -803,14 +806,14 @@ class TestLocalDesignCheck:
         assert not strict.consistent
 
     def test_blocks_violating_the_complement_condition_are_flagged(self):
-        # blocks are full-size singletons but D has an infinite complement
+        # the one block is X, but D has an infinite complement
         c, d = sd(ALEPH0, True, FC(0)), sd(ALEPH0, True, ALEPH0)
         report = local_design_check(
-            Singleton(sd(ALEPH0, True, FC(0))), c, d, [], cutoff=5, require_complement=True
+            ClassW(sd(ALEPH0, True, FC(0))), c, d, [], cutoff=5, require_complement=True
         )
         assert report.block_failures
         relaxed = local_design_check(
-            Singleton(sd(ALEPH0, True, FC(0))), c, d, [], cutoff=5,
+            ClassW(sd(ALEPH0, True, FC(0))), c, d, [], cutoff=5,
             require_complement=False,
         )
         assert relaxed.block_failures == ()
@@ -880,8 +883,7 @@ def built_sets(draw):
     d = draw(st.sampled_from(REALIZABLE_BASES))
     if path == "realize":
         return realize_descriptor(d)
-    family = draw(st.sampled_from((ClassW(d), Singleton(d))))
-    window = list(window_of(family, 10, draw(st.integers(0, 8))))
+    window = list(window_of(ClassW(d), 10, draw(st.integers(0, 8))))
     assume(window)
     return draw(st.sampled_from(window))
 
@@ -904,8 +906,7 @@ def test_stored_b_membership_matches_its_definition(s):
     assert s.contains_b is public.contains_b
 
 
-@pytest.mark.parametrize("kind", [ClassW, Singleton])
-def test_filled_window_blocks_equal_validated_ones(kind):
+def test_filled_window_blocks_equal_validated_ones():
     # a window fills its blocks without the constructor's validation: each
     # must be the set the public constructor builds from its fields
     realizable = [d for d in descriptor_grid(SpaceDescriptor(ALEPH0), 6)
@@ -913,7 +914,7 @@ def test_filled_window_blocks_equal_validated_ones(kind):
     drawn = 0
     for d in realizable:
         for prefix in range(9):
-            for block in window_of(kind(d), 10, prefix):
+            for block in window_of(ClassW(d), 10, prefix):
                 drawn += 1
                 public = ConcreteSet(block.cofinite, block.support)
                 assert type(block) is ConcreteSet
@@ -925,21 +926,19 @@ def test_filled_window_blocks_equal_validated_ones(kind):
                 assert block.descriptor == public.descriptor == written
                 # a window gives every block its base, builds none
                 assert block.descriptor is d
-        if kind is Singleton:
-            assert realize_descriptor(d).descriptor is d
-    assert len(realizable) == 25 and drawn == (1923 if kind is ClassW else 25 * 9)
+        assert realize_descriptor(d).descriptor is d
+    assert len(realizable) == 25 and drawn == 1923
 
 
-@pytest.mark.parametrize("kind", [ClassW, Singleton])
 @pytest.mark.parametrize("listed", [_SHARED_FINITES - 1, _SHARED_FINITES, _SHARED_FINITES + 2])
 @pytest.mark.parametrize("cofinite", [False, True])
-def test_large_window_blocks_carry_their_base(kind, listed, cofinite):
+def test_large_window_blocks_carry_their_base(listed, cofinite):
     # on both sides of the bound below which Cardinal.finite shares its values
     n = FC(listed)
     for b in (False, True):
         base = sd(ALEPH0, b, n) if cofinite else sd(n, b, ALEPH0)
-        blocks = list(window_of(kind(base), 3, listed + 1))
-        assert blocks and (kind is ClassW or len(blocks) == 1)
+        blocks = list(window_of(ClassW(base), 3, listed + 1))
+        assert blocks
         for block in blocks:
             assert block.descriptor is base
             assert block.descriptor == ConcreteSet(block.cofinite, block.support).descriptor
@@ -956,17 +955,15 @@ def test_odd_tail_window_is_its_first_blocks(cutoff):
 
 
 @pytest.mark.parametrize("base", INCONSISTENT_BASES)
-@pytest.mark.parametrize("kind, what", [(ClassW, "class base"), (Singleton, "singleton member")])
-def test_an_inconsistent_base_is_refused(base, kind, what):
+def test_an_inconsistent_base_is_refused(base):
     # each once crashed inside math.comb or itertools.combinations, was
     # counted as AtLeast(1), or was realized as a set of another descriptor
-    message = f"{what}: {validate(base, SpaceDescriptor(ALEPH0))[0]}"
+    message = f"class base: {validate(base, SpaceDescriptor(ALEPH0))[0]}"
     probe = F((0,)) if base.contains_b else F((1,))
-    calls = [lambda: local_design_check(kind(base), base, base, [probe], 5,
+    calls = [lambda: local_design_check(ClassW(base), base, base, [probe], 5,
                                         require_complement=True)]
-    calls += [lambda c=cutoff: blocks_containing(kind(base), probe, c) for cutoff in (1, 2, 5)]
-    if kind is Singleton:
-        calls.append(lambda: realize_descriptor(base))
+    calls += [lambda c=cutoff: blocks_containing(ClassW(base), probe, c) for cutoff in (1, 2, 5)]
+    calls.append(lambda: realize_descriptor(base))
     for call in calls:
         with pytest.raises(ValueError) as exc:
             call()
@@ -977,12 +974,39 @@ def test_an_inconsistent_base_is_refused(base, kind, what):
     # the inconsistent bases, the other space's bases, two non-descriptors
     *INCONSISTENT_BASES, *(base for base, _ in OTHER_SPACE_BASES), None, "fin:1",
 ])
-@pytest.mark.parametrize("kind", [ClassW, Singleton])
-def test_layout_refuses_a_base_in_witness_violations_words(base, kind):
+def test_layout_refuses_a_base_in_witness_violations_words(base):
     # a base that cannot be laid out is refused as the witness check words it
     with pytest.raises(ValueError) as exc:
-        concrete._layout(kind(base), 5, None)
-    assert str(exc.value) == witness_violations(kind(base), base, SpaceDescriptor(ALEPH0))[0]
+        concrete._layout(ClassW(base), 5, None)
+    assert str(exc.value) == witness_violations(ClassW(base), base, SpaceDescriptor(ALEPH0))[0]
+
+
+def test_every_one_block_witness_passes_the_concrete_check_with_count_1():
+    # the rows that name the whole-space kind answer lambda = 1 with W(X) or
+    # W(X \ {b}), whose window is one block: C's realization lies in it
+    # exactly once, in the window and family-wide
+    space = SpaceDescriptor(ALEPH0)
+    grid = descriptor_grid(space, 6)
+    passed, skipped = collections.Counter(), collections.Counter()
+    for c, d in itertools.product(grid, repeat=2):
+        mask = designs._mask(designs._facts(c, space), designs._facts(d, space))
+        for t in DesignType:
+            tag, _, _, outcome = designs._deciding_row(designs._RULES[t], mask)
+            if isinstance(outcome, str) or outcome[1] != designs._WHOLE_SPACE:
+                continue
+            witness = decide(t, c, d, space).witness
+            assert len(list(window_of(witness, 5, None))) == 1, (t, c, d)
+            if c.size.infinite and c.cosize.infinite:
+                skipped[tag] += 1
+                continue
+            report = local_design_check(
+                witness, c, d, [realize_descriptor(c)], 5, t.condition_ii
+            )
+            assert report.consistent and report.rejected == (), (t, c, d)
+            assert [p.global_exact for p in report.probes] == [1], (t, c, d)
+            passed[tag] += 1
+    assert passed == {"a3": 6, "c1-case4": 12, "c3": 13, "t2-full": 146, "t4": 146}
+    assert sum(skipped.values()) == 49
 
 
 def test_design_check_reports_keep_their_field_order():
@@ -991,7 +1015,7 @@ def test_design_check_reports_keep_their_field_order():
     # arity, and a check of each field's value a swap of any two
     realizable = [d for d in descriptor_grid(SpaceDescriptor(ALEPH0), 6)
                   if not (d.size.infinite and d.cosize.infinite)]
-    families = [(kind(d), d) for d in realizable for kind in (ClassW, Singleton)]
+    families = [(ClassW(d), d) for d in realizable]
     probes = list(small_sets(3))
     shapes = sorted({extract_descriptor(p) for p in probes}, key=repr)
     seen = set()
@@ -1063,13 +1087,13 @@ def test_a_uniform_count_of_zero_is_no_design():
 def windows_and_probes(draw):
     """A window (family, block descriptor, cutoff, prefix) and probes on
     points of [0, prefix + 3], or [0, 2 * cutoff + 5] for the odd-tail."""
-    kind = draw(st.sampled_from(("class-w", "odd-tail", "singleton")))
+    kind = draw(st.sampled_from(("class-w", "odd-tail")))
     cutoff = draw(st.integers(1, 60))
     if kind == "odd-tail":
         family, d, prefix, top = OddTail(), ODD_TAIL_D, None, 2 * cutoff + 5
     else:
         d = draw(st.sampled_from(REALIZABLE_BASES))
-        family = ClassW(d) if kind == "class-w" else Singleton(d)
+        family = ClassW(d)
         prefix = draw(st.integers(0, 14))
         top = prefix + 3
     points = st.frozensets(st.integers(0, top), max_size=6)
@@ -1096,8 +1120,8 @@ class TestClosedFormWindows:
     # no block of W(cofinite, b not in D, cosize 2) holds b, so none holds
     # fin:0,5; the family-wide count is 0, not unknown
     @example((ClassW(sd(ALEPH0, False, FC(2))), sd(ALEPH0, False, FC(2)), 10, 8, [F((0, 5))]))
-    # a singleton's family-wide window is its one block, not unbounded
-    @example((Singleton(sd(FC(1), False, ALEPH0)), sd(FC(1), False, ALEPH0), 1, 0, [F(())]))
+    # a base with no free point has one block, in the window and family-wide
+    @example((ClassW(sd(FC(1), True, ALEPH0)), sd(FC(1), True, ALEPH0), 1, 0, [F(())]))
     # the odd-tail count reads the largest odd point: one below an even top,
     # none at all, and the empty probe
     @example((OddTail(), ODD_TAIL_D, 10, None, [F((1, 3, 8))]))
@@ -1142,7 +1166,7 @@ class TestClosedFormWindows:
             (ClassW(sd(ALEPH0, False, FC(2))), sd(ALEPH0, True, FC(2))),
             # shaped like D, but the complements are finite
             (ClassW(sd(ALEPH0, True, FC(2))), sd(ALEPH0, True, ALEPH0)),
-            (Singleton(sd(ALEPH0, True, FC(0))), sd(ALEPH0, True, ALEPH0)),
+            (ClassW(sd(ALEPH0, True, FC(0))), sd(ALEPH0, True, ALEPH0)),
             # shaped like D, but the complements are infinite
             (OddTail(), sd(ALEPH0, True, FC(2))),
         ],

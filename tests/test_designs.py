@@ -26,7 +26,6 @@ from fortdesign.designs import (
     DesignType,
     FamilyDescriptor,
     OddTail,
-    Singleton,
     Verdict,
     crosscheck,
     decide,
@@ -66,7 +65,7 @@ class TestType1:
         v = decide_type1(sd(ALEPH0, False, F(1)), sd(ALEPH0, False, F(1)), X0)
         assert v.exists and v.case_tag == "a3"
         assert v.lambda_ == LambdaValue.exact(F(1))
-        assert v.witness == Singleton(sd(ALEPH0, False, F(1)))
+        assert v.witness == ClassW(sd(ALEPH0, False, F(1)))
 
     def test_finite_d_multiplicity_is_the_space_size(self):
         v = decide_type1(sd(F(3), True, ALEPH1), sd(F(6), True, ALEPH1), X1)
@@ -87,7 +86,7 @@ class TestType1:
         # full-size C with b in D: only D = X works
         v = decide_type1(sd(ALEPH0, True, ALEPH0), sd(ALEPH0, True, F(0)), X0)
         assert v.exists and v.case_tag == "c3"
-        assert v.witness == Singleton(sd(ALEPH0, True, F(0)))
+        assert v.witness == ClassW(sd(ALEPH0, True, F(0)))
         v = decide_type1(sd(ALEPH0, True, ALEPH0), sd(ALEPH0, True, ALEPH0), X0)
         assert not v.exists and v.case_tag == "c3"
         # infinite C without b, below the space size
@@ -127,10 +126,10 @@ class TestType2:
         v = decide_type2(sd(ALEPH1, True, ALEPH1), sd(ALEPH1, True, F(0)), X1)
         assert v.exists and v.case_tag == "t2-full"
         assert v.lambda_ == LambdaValue.exact(F(1))
-        assert v.witness == Singleton(sd(ALEPH1, True, F(0)))
+        assert v.witness == ClassW(sd(ALEPH1, True, F(0)))
         # when D misses b the block is the space without b
         v = decide_type2(sd(ALEPH0, False, ALEPH0), sd(ALEPH0, False, ALEPH0), X0)
-        assert v.exists and v.witness == Singleton(sd(ALEPH0, False, F(1)))
+        assert v.exists and v.witness == ClassW(sd(ALEPH0, False, F(1)))
 
     def test_delegation_to_type1(self):
         v = decide_type2(sd(ALEPH0, True, ALEPH1), sd(ALEPH0, True, ALEPH1), X1)
@@ -281,8 +280,8 @@ def test_witness_violations_name_the_invalid_part():
     empty = sd(F(0), False, ALEPH0)
     for family in (ClassW(empty), ClassL(empty)):
         assert witness_violations(family, VALID, X0) == ["class base: must be nonempty"]
-    assert witness_violations(Singleton(sd(F(3), True, F(5))), VALID, X0) == [
-        f"singleton member: {BAD_COSIZE}"
+    assert witness_violations(ClassW(sd(F(3), True, F(5))), VALID, X0) == [
+        f"class base: {BAD_COSIZE}"
     ]
     assert witness_violations(ClassW(None), VALID, X0) == [
         "class base: must be a SubsetDescriptor, got None"
@@ -308,7 +307,7 @@ NO_SPACE = ["space: must be a SpaceDescriptor, got None"]
     (OddTail(), sd(ALEPH0, True, ALEPH0), None, NO_SPACE),
     (OddTail(), None, None, NO_SPACE),
     (ClassW(VALID), VALID, None, NO_SPACE),
-    (Singleton(VALID), VALID, ALEPH0,
+    (ClassL(VALID), VALID, ALEPH0,
      ["space: must be a SpaceDescriptor, got Cardinal.aleph(0)"]),
     (OddTail(), None, X0, ["D: must be a SubsetDescriptor, got None"]),
     (OddTail(), sd(F(3), True, F(5)), X0, [f"D: {BAD_COSIZE}"]),
@@ -320,7 +319,7 @@ NO_SPACE = ["space: must be a SpaceDescriptor, got None"]
     (ClassW(VALID), None, X0, []),
     # a descriptor is not a family
     (VALID, VALID, X0, [f"unknown family {VALID!r}"]),
-], ids=["odd-tail", "odd-tail-no-d", "class-w", "singleton", "no-d", "bad-cosize",
+], ids=["odd-tail", "odd-tail-no-d", "class-w", "class-l", "no-d", "bad-cosize",
         "finite-d", "empty-d", "class-w-reads-no-d", "unknown-family"])
 def test_witness_violations_report_wrong_typed_arguments(witness, d, space, problems):
     assert witness_violations(witness, d, space) == problems
@@ -503,13 +502,9 @@ def test_a_second_sweep_decides_no_row(monkeypatch):
 
 
 def check_key(kind, d, space):
-    """(what a check of kind's family over D reads, X): D for W and L alike,
-    D's b flag for the singleton, D for odd-tail."""
-    if kind is ClassW or kind is ClassL:
-        return "class base", d, space
-    if kind is Singleton:
-        return "singleton", d.contains_b, space
-    return "odd-tail", d, space
+    """(the name of kind's check, D, X): W and L share "class base", and
+    every check reads D and X alone, so none is shared across columns."""
+    return designs._KINDS[kind][1], d, space
 
 
 def witness_keys(max_aleph, max_finite, finite_sizes_only=False):
@@ -554,22 +549,20 @@ def built_verdicts(monkeypatch):
 
 @pytest.mark.parametrize("config", [(1, 6, False), (3, 2, True), (0, 1, False)])
 def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
-    # a check reads D for W and L, D's b flag for the singleton, D for
-    # odd-tail: one witness_violations call, and at most one family built,
-    # per (what the kind reads, X), so W(D) and L(D) share one check, and
-    # every D with b shares one singleton check
+    # one witness_violations call, and one family built, per (check, D, X),
+    # made in D's column: W(D) and L(D) share one check, and no check is
+    # shared across columns
     expected = witness_keys(*config)
     kinds_per_key = [{kind for kind, _ in pairs} for pairs in expected.values()]
     assert {ClassW, ClassL} in kinds_per_key
-    # the finite-sizes grid has no singleton witness
-    assert config[2] or any(
-        key[0] == "singleton" and len(pairs) > 1 for key, pairs in expected.items()
-    )
+    # the finite-sizes grid has no whole-space witness
+    assert config[2] or any(key[0] == designs._WHOLE_SPACE for key in expected)
     grids = [
         (d, space)
         for space in (SpaceDescriptor(Cardinal.aleph(i)) for i in range(config[0] + 1))
         for d in descriptor_grid(space, *config[1:])
     ]
+    build_of = {kind: build for kind, (build, _) in designs._KINDS.items()}
     calls = {name: counted(monkeypatch, name) for name in ("_facts", "witness_violations")}
     builds = counted_builds(monkeypatch)
     verdicts = built_verdicts(monkeypatch)
@@ -579,10 +572,10 @@ def test_a_sweep_checks_each_witness_once_per_descriptor(monkeypatch, config):
 
     assert sweep(*config).consistent
     checked, built, facts = work()
-    keys = [check_key(type(family), d, space) for family, d, space in checked]
-    assert len(keys) == len(set(keys)) and set(keys) == set(expected)
     built_keys = [check_key(*args) for args in built]
     assert len(built_keys) == len(set(built_keys)) and set(built_keys) == set(expected)
+    # each call checks the family built just before it
+    assert checked == [(build_of[kind](d, x), d, x) for kind, d, x in built]
     assert facts == grids
     # nothing is kept across calls: a second sweep does the same work again
     sweep(*config)
@@ -678,7 +671,7 @@ def test_a_row_naming_an_unknown_kind_is_refused(monkeypatch, kind):
             refused()
 
 
-WITNESS_KINDS = {ClassW, ClassL, Singleton, OddTail}
+WITNESS_KINDS = {ClassW, ClassL, designs._WHOLE_SPACE, OddTail}
 
 
 def test_every_existence_row_names_one_of_the_four_witnesses():
@@ -696,7 +689,8 @@ def test_every_existence_row_names_one_of_the_four_witnesses():
                 assert multiplicity is designs._CARD_X, tag
             else:
                 assert type(multiplicity) is LambdaValue, tag
-            # a kind is a family class, never a function of D and X
+            # a kind is a family class or the whole-space kind, never a
+            # function of D and X
             assert kind in WITNESS_KINDS, tag
             used.add(kind)
     assert used == WITNESS_KINDS
@@ -770,14 +764,14 @@ def cosize_twice(d):
 
 
 # invalid families, each built only from what its kind's check reads: W(D) and
-# L(D) on one base made from D, the singleton's member from D's b flag and X
+# L(D) on one base made from D, the whole-space base from D's b flag and X
 WITNESS_FAULTS = {
     "invalid-class-base": {
         ClassW: lambda d, x: ClassW(cosize_twice(d)),
         ClassL: lambda d, x: ClassL(cosize_twice(d)),
     },
-    "invalid-singleton-member": {
-        Singleton: lambda d, x: Singleton(sd(F(0), d.contains_b, x.size)),
+    "invalid-whole-space-base": {
+        designs._WHOLE_SPACE: lambda d, x: ClassW(sd(F(0), d.contains_b, x.size)),
     },
 }
 
@@ -832,7 +826,7 @@ def test_verdict_record_shape():
     (2, sd(ALEPH0, True, F(0)), sd(ALEPH0, True, F(0)), X0,
      "Verdict(exists=True, case_tag='t2-full', "
      "lambda_=LambdaValue(value=Cardinal.finite(1), family=None), "
-     "witness=Singleton(member=SubsetDescriptor(size=Cardinal.aleph(0), contains_b=True, "
+     "witness=ClassW(base=SubsetDescriptor(size=Cardinal.aleph(0), contains_b=True, "
      "cosize=Cardinal.finite(0))), reason=None)"),
     (3, sd(F(1), True, ALEPH0), sd(F(1), False, ALEPH0), X0,
      "Verdict(exists=False, case_tag='t3-case1', lambda_=None, witness=None, "
@@ -982,7 +976,7 @@ def test_verdicts_on_the_aleph3_grid_are_pinned():
                 verdicts += 1
     assert verdicts == 27_216
     assert digest.hexdigest() == (
-        "ab6935327ce6b6112783ef6e42fa10c1e08fe67c8ab45256687b2b1cefc64da6"
+        "0feae09b4203c5491d4b3bc9c8ee1a51bb3bbd9d65dc568354dfac4245e7a684"
     )
 
 
@@ -1165,7 +1159,7 @@ def relabel_verdict(verdict, to):
     lam, witness = verdict.lambda_, verdict.witness
     if lam is not None and lam.value is not None:
         lam = LambdaValue.exact(relabel(lam.value, to))
-    if isinstance(witness, (ClassW, ClassL, Singleton)):
+    if isinstance(witness, (ClassW, ClassL)):
         witness = type(witness)(relabel_descriptor(witness[0], to))
     return verdict._replace(lambda_=lam, witness=witness)
 

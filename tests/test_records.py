@@ -13,7 +13,7 @@ from fortdesign.concrete import (
 )
 from fortdesign.descriptors import SpaceDescriptor, SubsetDescriptor
 from fortdesign.designs import (
-    ClassL, ClassW, DesignType, OddTail, Singleton, SweepReport, Verdict,
+    ClassL, ClassW, CrosscheckReport, DesignType, OddTail, SweepReport, Verdict,
 )
 from fortdesign.finitebrute import BruteOutcome, FiniteInstance
 
@@ -22,6 +22,9 @@ D = SubsetDescriptor(F(3), True, ALEPH0)
 C = SubsetDescriptor(F(2), True, ALEPH0)
 D_TEXT = "SubsetDescriptor(size=Cardinal.finite(3), contains_b=True, cosize=Cardinal.aleph(0))"
 C_TEXT = "SubsetDescriptor(size=Cardinal.finite(2), contains_b=True, cosize=Cardinal.aleph(0))"
+# the whole space, the one block of W(X) that answers t2-full
+X = SubsetDescriptor(ALEPH0, True, F(0))
+X_TEXT = "SubsetDescriptor(size=Cardinal.aleph(0), contains_b=True, cosize=Cardinal.finite(0))"
 PROBE_TEXT = (
     "ProbeReport(probe=ConcreteSet(cofinite=False, support=(0, 5)), "
     "count=BlockCount(value=4, saturated=True), global_exact=None)"
@@ -35,10 +38,23 @@ def probe_report():
 # (make a fresh record, its repr, a field to assign); make() builds an
 # equal-valued record each call
 RECORDS = [
+    (lambda: Cardinal.aleph(2), "Cardinal.aleph(2)", "value"),
+    (lambda: LambdaValue.family_size("W"), "LambdaValue(value=None, family='W')", "family"),
+    (lambda: SpaceDescriptor(ALEPH1), "SpaceDescriptor(size=Cardinal.aleph(1))", "size"),
+    (lambda: SubsetDescriptor(F(3), True, ALEPH0), D_TEXT, "contains_b"),
+    (lambda: PointMap(False, ((4, 6), (1, 2))),
+     "PointMap(aligned=False, exceptions=((1, 2), (4, 6)))", "exceptions"),
+    (lambda: Verdict.yes(LambdaValue.exact(F(1)), ClassW(X), "t2-full"),
+     f"Verdict(exists=True, case_tag='t2-full', "
+     f"lambda_=LambdaValue(value=Cardinal.finite(1), family=None), "
+     f"witness=ClassW(base={X_TEXT}), reason=None)",
+     "witness"),
+    (lambda: CrosscheckReport(True, False, True, True),
+     "CrosscheckReport(no_type2=True, no_type4=False, obstruction=True, not_embeddable=True)",
+     "obstruction"),
     (lambda: ClassW(D), f"ClassW(base={D_TEXT})", "base"),
     (lambda: ClassL(D), f"ClassL(base={D_TEXT})", "base"),
     (OddTail, "OddTail()", "base"),
-    (lambda: Singleton(D), f"Singleton(member={D_TEXT})", "member"),
     (lambda: SweepReport(3, ("x",)), "SweepReport(cases=3, violations=('x',))", "cases"),
     (lambda: ConcreteSet(True, (3, 0)), "ConcreteSet(cofinite=True, support=(0, 3))",
      "support"),
@@ -88,12 +104,12 @@ def test_equal_values_make_equal_records(make, text, field):
 
 
 def test_witness_families_differ_across_classes():
-    families = [ClassW(D), ClassL(D), Singleton(D)]
+    families = [ClassW(D), ClassL(D)]
     for i, a in enumerate(families):
         for j, b in enumerate(families):
             assert (a == b) == (i == j)
             assert (a != b) == (i != j)
-    assert len(set(families)) == 3
+    assert len(set(families)) == 2
     assert ClassW(D) != ClassW(C)
     assert OddTail() == OddTail() and OddTail() != ClassW(D)
 
