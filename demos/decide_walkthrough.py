@@ -1,7 +1,8 @@
 """Walk through the decision engine on a handful of representative shapes.
 
-Each query fixes the ambient space, the probe shape C and the block shape D
-symbolically, then asks for all four design types.  Run from the repo root:
+Each ``Query`` fixes the ambient space, the probe shape C and the block
+shape D symbolically and is validated once, when it is built; then it is
+asked for all four design types and the crosscheck.  Run from the repo root:
 
     python demos/decide_walkthrough.py
 """
@@ -11,10 +12,9 @@ from fortdesign import (
     ALEPH1,
     Cardinal,
     DesignType,
+    Query,
     SpaceDescriptor,
     SubsetDescriptor,
-    crosscheck,
-    decide,
 )
 
 F = Cardinal.finite
@@ -23,8 +23,9 @@ F = Cardinal.finite
 def show(title, c, d, space):
     print(f"\n{title}")
     print(f"  space: card(X) = {space.size},  C = {c},  D = {d}")
+    query = Query(space, c, d)
     for t in DesignType:
-        verdict = decide(t, c, d, space)
+        verdict = query.decide(t)
         if verdict.exists:
             print(
                 f"  type {int(t)}: exists, lambda = {verdict.lambda_}, "
@@ -32,7 +33,7 @@ def show(title, c, d, space):
             )
         else:
             print(f"  type {int(t)}: none  [{verdict.case_tag}] {verdict.reason}")
-    report = crosscheck(c, d, space)
+    report = query.crosscheck()
     print(f"  four-way crosscheck consistent: {report.consistent}")
 
 

@@ -9,26 +9,29 @@ as every window count is at most the block count.  Exit codes are uniform across
 subcommands: 0 for existence or consistency, 1 for non-existence or a
 refutation, 2 for malformed input.
 Outputs are line-oriented and deterministic; diagnostics go to stderr.
-``parse_query`` checks a query's fields, not its descriptors: ``decide``
-validates C and D, and every command that reads a query calls it before
-using them.  ``verify`` then refuses a query given no probe, whose report
-would read as consistent having checked nothing.
+A query is validated once, when it is built: ``parse_query`` reads a query
+file's fields, and a command builds one ``Query`` of its space, C and D,
+which checks them, and decides its design type from it.  ``verify`` refuses
+a space other than aleph0 before it builds the query, and then a query
+given no probe, whose report would read as consistent having checked
+nothing.  A numeral of more than ``DIGIT_BUDGET`` digits, in a query field,
+a probe, an instance line or an integer option, is refused in
+``parse_natural``'s words, naming the budget, and is not echoed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import NamedTuple
 
-from .cardinal import ALEPH0, DIGIT_BUDGET, Cardinal, parse_natural
+from .cardinal import ALEPH0, DIGIT_BUDGET, Cardinal, _OverDigitBudget, parse_natural
 from .concrete import ConcreteSet, _layout, extract_descriptor, local_design_check
 from .descriptors import SpaceDescriptor, SubsetDescriptor
 from .designs import (
     ClassW,
     DesignType,
+    Query,
     Verdict,
-    decide,
     sweep,
 )
 from .finitebrute import _comb_at_most, brute_lambda, parse_instance
@@ -40,13 +43,6 @@ EXIT_INPUT_ERROR = 2
 
 class QueryError(ValueError):
     """Malformed query file; the message carries line/field context."""
-
-
-class Query(NamedTuple):
-    space: SpaceDescriptor
-    c: SubsetDescriptor
-    d: SubsetDescriptor
-    design_type: DesignType
 
 
 def _parse_fields(text: str) -> dict[str, str]:
@@ -110,7 +106,11 @@ def _parse_subset(
     return SubsetDescriptor(size, contains_b, cosize)
 
 
-def parse_query(text: str) -> Query:
+def parse_query(
+    text: str,
+) -> tuple[SpaceDescriptor, SubsetDescriptor, SubsetDescriptor, DesignType]:
+    """A query file's space, C, D and design type, each field read; whether
+    C and D fit the space is the ``Query`` built from them to check."""
     fields = _parse_fields(text)
     unknown = sorted(set(fields) - _KNOWN_KEYS)
     if unknown:
@@ -126,11 +126,13 @@ def parse_query(text: str) -> Query:
         raise QueryError("missing field type")
     try:
         design_type = DesignType.of(parse_natural(fields["type"]))
+    except _OverDigitBudget as exc:
+        raise QueryError(f"field type: {exc}") from exc
     except ValueError as exc:
         raise QueryError(f"field type: expected 1..4, got {fields['type']!r}") from exc
     c = _parse_subset("C", fields, space)
     d = _parse_subset("D", fields, space)
-    return Query(space, c, d, design_type)
+    return space, c, d, design_type
 
 
 def _print_verdict(verdict: Verdict, design_type: DesignType, fmt: str) -> None:
@@ -149,9 +151,9 @@ def _print_verdict(verdict: Verdict, design_type: DesignType, fmt: str) -> None:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    query = parse_query(_read_file(args.query))
-    verdict = decide(query.design_type, query.c, query.d, query.space)
-    _print_verdict(verdict, query.design_type, args.format)
+    space, c, d, design_type = parse_query(_read_file(args.query))
+    verdict = Query(space, c, d).decide(design_type)
+    _print_verdict(verdict, design_type, args.format)
     return EXIT_EXISTS if verdict.exists else EXIT_NOT_EXISTS
 
 
@@ -247,13 +249,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.query is None:
             raise QueryError("a query file is required unless --refutation-demo is given")
-        query = parse_query(_read_file(args.query))
-        if query.space.size != ALEPH0:
+        space, c, d, design_type = parse_query(_read_file(args.query))
+        if space.size != ALEPH0:
             raise QueryError(
                 "concrete verification runs over the countable model; "
                 "space.size must be aleph0"
             )
-        verdict = decide(query.design_type, query.c, query.d, query.space)
+        verdict = Query(space, c, d).decide(design_type)
         if not verdict.exists:
             raise QueryError(
                 f"nothing to verify: decision is NotExists [case {verdict.case_tag}]"
@@ -264,17 +266,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _check_window_budget(verdict.witness, args.cutoff)
         report = local_design_check(
             verdict.witness,
-            query.c,
-            query.d,
+            c,
+            d,
             probes,
             args.cutoff,
-            require_complement=query.design_type.condition_ii,
+            require_complement=design_type.condition_ii,
         )
         # condition IV: a probe shaped like C has C's descriptor
         bad_complement = [
             p.probe
             for p in report.probes
-            if query.design_type.condition_iv and extract_descriptor(p.probe) != query.c
+            if design_type.condition_iv and extract_descriptor(p.probe) != c
         ]
         problems = []
         if report.rejected:
@@ -321,6 +323,20 @@ def _read_file(path: str) -> str:
         raise QueryError(f"cannot read {path}: {exc}") from exc
 
 
+def _natural_option(text: str) -> int:
+    """An integer option's value, read by ``parse_natural``.  argparse words
+    a refused value itself and echoes it; an over-budget numeral is refused
+    in ``parse_natural``'s words instead, with no echo."""
+    try:
+        return parse_natural(text)
+    except _OverDigitBudget as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# argparse names the type of a malformed value: "invalid parse_natural value"
+_natural_option.__name__ = parse_natural.__name__
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fortdesign",
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument(
         "probes", nargs="*", help="probes as fin:... / cofin:... strings"
     )
-    verify_p.add_argument("--cutoff", type=parse_natural, default=50)
+    verify_p.add_argument("--cutoff", type=_natural_option, default=50)
     verify_p.add_argument(
         "--refutation-demo",
         action="store_true",
@@ -356,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     cross_p = sub.add_parser(
         "crosscheck", help="sweep the descriptor grid for consistency"
     )
-    cross_p.add_argument("--grid-max-aleph", type=parse_natural, default=1)
-    cross_p.add_argument("--max-finite", type=parse_natural, default=6)
+    cross_p.add_argument("--grid-max-aleph", type=_natural_option, default=1)
+    cross_p.add_argument("--max-finite", type=_natural_option, default=6)
     cross_p.add_argument("--finite-sizes-only", action="store_true")
     cross_p.add_argument(
         "--inject-fault",
@@ -371,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     brute_p.add_argument("instance", help="instance file (n, c_size, d_size header)")
     brute_p.add_argument(
-        "--t", type=parse_natural, default=None, help="override the probe size"
+        "--t", type=_natural_option, default=None, help="override the probe size"
     )
     brute_p.add_argument(
-        "--design-type", type=parse_natural, choices=[t.value for t in DesignType], default=2
+        "--design-type", type=_natural_option, choices=[t.value for t in DesignType], default=2
     )
     brute_p.set_defaults(handler=_cmd_brute)
     return parser

@@ -20,11 +20,11 @@ A guard is a conjunction of atoms, each one bit of an integer mask:
 
 ``_facts`` computes a descriptor's own atoms, as C and as D, and the sizes
 the comparisons read, once per descriptor; ``_mask`` combines two of them
-into the mask of a case for ``decide`` and ``crosscheck``, and ``sweep``
-composes the same atoms inline from each row's and column's reads.  The
-first row whose ``required`` atoms all hold and whose ``forbidden`` atoms
-all fail decides.  An outcome is a refusal reason or a (multiplicity, kind)
-pair: a value, a ``LambdaValue`` or None for card(X), and a witness kind.
+into the mask of a ``Query``'s case, and ``sweep`` composes the same atoms
+inline from each row's and column's reads.  The first row whose
+``required`` atoms all hold and whose ``forbidden`` atoms all fail
+decides.  An outcome is a refusal reason or a (multiplicity, kind) pair: a
+value, a ``LambdaValue`` or None for card(X), and a witness kind.
 ``_KINDS`` maps each of the four kinds, ``ClassW``, ``ClassL``, the
 whole-space kind and ``OddTail``, to its family built from D and X, never
 from C, and to the name of its check: W(D) and L(D) share theirs.  The
@@ -32,21 +32,23 @@ whole-space kind's family is W of X or of X \\ {b}, whichever D's b flag
 names, a class with one member.  ``sweep`` makes each check once in D's
 column.
 
-Validation contract: a ``SubsetDescriptor`` types its own fields when it
-is built, and ``decide`` and ``crosscheck``, the only checks of the
-descriptors a caller passes in, validate C and D against the space once.
-Then ``decide`` reads its type's deciding row into one verdict, and
-``crosscheck`` reads the four types' rows through ``_plan``, the tables'
-other reader, with no verdict, as ``sweep`` does on ``descriptor_grid``'s
-valid, nonempty descriptors.  ``decide_type1`` .. ``decide_type4`` are
-``decide`` with the type fixed.
+Validation contract: a query is validated once, when it is built.  A
+``SubsetDescriptor`` types its own fields, and a ``Query(space, c, d)``
+checks the space and C and D against it in its constructor, the only check
+of the descriptors a caller passes in.  Then ``Query.decide`` reads its
+type's deciding row into one verdict, and ``Query.crosscheck`` reads the
+four types' rows through ``_plan``, the tables' other reader, with no
+verdict, as ``sweep`` does on ``descriptor_grid``'s valid, nonempty
+descriptors.  ``decide`` and ``crosscheck`` build one query and ask it;
+``decide`` checks the design type first.  ``decide_type1`` ..
+``decide_type4`` are ``decide`` with the type fixed.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "CASE_TAGS", "ClassL", "ClassW", "CrosscheckReport", "DescriptorError",
-    "DesignType", "FamilyDescriptor", "OddTail", "SweepReport", "Verdict",
+    "DesignType", "FamilyDescriptor", "OddTail", "Query", "SweepReport", "Verdict",
     "crosscheck", "decide", "decide_type1", "decide_type2", "decide_type3",
     "decide_type4", "sweep", "witness_violations",
 ]
@@ -256,15 +258,6 @@ def _violations(s: SubsetDescriptor, space: SpaceDescriptor) -> list[str]:
     return violations
 
 
-def _require_valid(space: SpaceDescriptor, **shapes: SubsetDescriptor) -> None:
-    """Raise unless the space and every named shape, a nonempty one, are valid."""
-    violations = tuple(_space_violations(space)) or tuple(
-        f"{name}: {msg}" for name, s in shapes.items() for msg in _violations(s, space)
-    )
-    if violations:
-        raise DescriptorError("; ".join(violations), violations)
-
-
 _TWO = Cardinal.finite(2)
 
 # The guard atoms, one bit each; cosize'(S) is card(X \ (S u {b})).
@@ -443,6 +436,58 @@ def _deciding_row(table, m: int) -> tuple:
             return row
 
 
+class _QueryFields(NamedTuple):
+    space: SpaceDescriptor
+    c: SubsetDescriptor
+    d: SubsetDescriptor
+
+
+class Query(_Validated, _QueryFields):
+    """One question (X, C, D): a space and two valid, nonempty descriptors
+    in it, checked once, when the query is built.
+
+    A space that is no ``SpaceDescriptor`` is reported alone, as no shape
+    can be read in it; otherwise every violation of C, then of D, each
+    prefixed with its name, is listed in one ``DescriptorError``.  A query
+    then answers each design type, and the crosscheck of types 2 and 4,
+    from its fields' mask without checking them again.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, space: SpaceDescriptor, c: SubsetDescriptor, d: SubsetDescriptor
+    ) -> "Query":
+        violations = tuple(_space_violations(space)) or tuple(
+            f"{name}: {msg}" for name, s in (("C", c), ("D", d)) for msg in _violations(s, space)
+        )
+        if violations:
+            raise DescriptorError("; ".join(violations), violations)
+        return tuple.__new__(cls, (space, c, d))
+
+    def _atoms(self) -> int:
+        """Every guard atom that holds for C and D, as ``_mask`` combines them."""
+        return _mask(_facts(self.c, self.space), _facts(self.d, self.space))
+
+    def decide(self, design_type: DesignType) -> Verdict:
+        """The verdict of the given type's deciding row."""
+        tag, _, _, outcome = _deciding_row(_RULES[DesignType.of(design_type)], self._atoms())
+        if isinstance(outcome, str):
+            return Verdict.no(tag, outcome)
+        multiplicity, kind = outcome
+        if multiplicity is _CARD_X:
+            multiplicity = LambdaValue.exact(self.space.size)
+        build, _ = _KINDS[kind]
+        return Verdict.yes(multiplicity, build(self.d, self.space), tag)
+
+    def crosscheck(self) -> "CrosscheckReport":
+        """The four non-existence statements for types 2 and 4: the tables'
+        two, read through ``_plan`` with no verdict, and the direct ones."""
+        *_, no_type2, no_type4 = _plan(tuple(_RULES.items()), self._atoms())
+        c, d = self.c, self.d
+        return CrosscheckReport(no_type2, no_type4, _obstruction(c, d), not embeddable(c, d))
+
+
 def decide_type1(
     c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
 ) -> Verdict:
@@ -502,17 +547,10 @@ def decide(
     d: SubsetDescriptor,
     space: SpaceDescriptor,
 ) -> Verdict:
-    """Decide existence of a design of the given type for C and D in the space."""
-    table = _RULES[DesignType.of(design_type)]
-    _require_valid(space, C=c, D=d)
-    tag, _, _, outcome = _deciding_row(table, _mask(_facts(c, space), _facts(d, space)))
-    if isinstance(outcome, str):
-        return Verdict.no(tag, outcome)
-    multiplicity, kind = outcome
-    if multiplicity is _CARD_X:
-        multiplicity = LambdaValue.exact(space.size)
-    build, _ = _KINDS[kind]
-    return Verdict.yes(multiplicity, build(d, space), tag)
+    """Decide existence of a design of the given type for C and D in the
+    space: the type is checked, then ``Query(space, c, d)`` decides it."""
+    design_type = DesignType.of(design_type)
+    return Query(space, c, d).decide(design_type)
 
 
 class CrosscheckReport(NamedTuple):
@@ -545,11 +583,9 @@ class CrosscheckReport(NamedTuple):
 def crosscheck(
     c: SubsetDescriptor, d: SubsetDescriptor, space: SpaceDescriptor
 ) -> CrosscheckReport:
-    """Evaluate the four-way non-existence equivalence for types 2 and 4."""
-    _require_valid(space, C=c, D=d)
-    m = _mask(_facts(c, space), _facts(d, space))
-    *_, no_type2, no_type4 = _plan(tuple(_RULES.items()), m)
-    return CrosscheckReport(no_type2, no_type4, _obstruction(c, d), not embeddable(c, d))
+    """Evaluate the four-way non-existence equivalence for types 2 and 4:
+    ``Query(space, c, d).crosscheck()``."""
+    return Query(space, c, d).crosscheck()
 
 
 def _obstruction(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:

@@ -28,7 +28,7 @@ import math
 from collections import defaultdict
 from typing import NamedTuple
 
-from .cardinal import _Validated, _exactly, parse_natural, parse_points
+from .cardinal import _OverDigitBudget, _Validated, _exactly, parse_natural, parse_points
 from .designs import DesignType
 
 # the most mask ANDs a walk may be bounded by, its probe bound times t: each
@@ -262,7 +262,9 @@ def all_k_subsets_instance(n: int, k: int, t: int) -> FiniteInstance:
 
 def parse_instance(text: str) -> FiniteInstance:
     """Parse the instance text format: a header line ``n, c_size, d_size``
-    followed by one block per line as comma-separated distinct indices."""
+    followed by one block per line as comma-separated distinct indices.  A
+    malformed line is quoted in the error; a numeral over the digit budget
+    is not, and the error gives ``parse_natural``'s words after its line."""
     lines = [
         (i + 1, line.strip())
         for i, line in enumerate(text.splitlines())
@@ -276,12 +278,16 @@ def parse_instance(text: str) -> FiniteInstance:
         raise ValueError(f"line {header_no}: header must be 'n, c_size, d_size'")
     try:
         n, c_size, d_size = (parse_natural(p) for p in parts)
+    except _OverDigitBudget as exc:
+        raise ValueError(f"line {header_no}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"line {header_no}: malformed header {header!r}") from exc
     blocks = []
     for line_no, line in lines[1:]:
         try:
             blocks.append(frozenset(parse_points(line)))
+        except _OverDigitBudget as exc:
+            raise ValueError(f"line {line_no}: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"line {line_no}: malformed block {line!r}") from exc
     return FiniteInstance(n=n, blocks=tuple(blocks), c_size=c_size, d_size=d_size)

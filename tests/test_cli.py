@@ -126,17 +126,18 @@ def all_3_subsets_of_7() -> str:
 
 class TestParseQuery:
     def test_basic(self):
-        q = parse_query(QUERY_C1_CASE2)
-        assert q.design_type == DesignType.TYPE1
-        assert q.c.size == Cardinal.finite(2) and q.c.contains_b
-        assert q.c.cosize == ALEPH0  # forced when size < card(X)
-        assert q.d.cosize == ALEPH0
+        space, c, d, design_type = parse_query(QUERY_C1_CASE2)
+        assert space == SpaceDescriptor(ALEPH0)
+        assert design_type == DesignType.TYPE1
+        assert c.size == Cardinal.finite(2) and c.contains_b
+        assert c.cosize == ALEPH0  # forced when size < card(X)
+        assert d.cosize == ALEPH0
 
     def test_b_alias_and_comments(self):
         text = "# query\nspace.size: aleph0\ntype: 3\nC.size: 1\nC.b: true\n" \
                "D.size: 4\nD.b: true\n"
-        q = parse_query(text)
-        assert q.design_type == DesignType.TYPE3 and q.c.contains_b
+        _, c, _, design_type = parse_query(text)
+        assert design_type == DesignType.TYPE3 and c.contains_b
 
     def test_errors_carry_context(self):
         with pytest.raises(QueryError, match="D.cosize is required"):
@@ -355,9 +356,10 @@ class TestVerifyCommand:
         # no decided witness has a block of the wrong shape, so a wrong one
         # is patched in: W of {b}, whose one block has one point where D has two
         b_only = SubsetDescriptor(Cardinal.finite(1), True, ALEPH0)
-        decide = cli.decide
+        decide = designs.Query.decide
         monkeypatch.setattr(
-            cli, "decide", lambda *args: decide(*args)._replace(witness=ClassW(b_only))
+            designs.Query, "decide",
+            lambda *args: decide(*args)._replace(witness=ClassW(b_only)),
         )
         path = write("q.txt", QUERY_T2_FINITE_C_AND_D)
         assert main(["verify", path, "fin:5", "--format", "record"]) == 1
@@ -522,6 +524,52 @@ def test_a_numeral_over_the_digit_budget_is_refused_in_its_own_words(where, digi
         err = f"error: {NUMERAL_OVER_BUDGET_ERROR}\n"
     with int_digits_limit(digits):
         assert run_main(argv) == (2, "", err)
+
+
+INSTANCE_7_2_3 = "7, 2, 3\n0,1,2\n"
+# (reader, the input file's text, the argv): every reader of a numeral from
+# outside the program; {n} is the numeral and {file} the written text
+OVER_BUDGET_READERS = [
+    ("space.size", QUERY_C1_CASE2.replace("space.size: aleph0", "space.size: {n}"),
+     ["decide", "{file}"]),
+    ("C.size", QUERY_C1_CASE2.replace("C.size: 2", "C.size: {n}"), ["decide", "{file}"]),
+    ("C.cosize", QUERY_C1_CASE2 + "C.cosize: {n}\n", ["decide", "{file}"]),
+    ("D.size", QUERY_C1_CASE2.replace("D.size: aleph0", "D.size: {n}"), ["decide", "{file}"]),
+    ("D.cosize", QUERY_C1_CASE2.replace("D.cosize: aleph0", "D.cosize: {n}"),
+     ["decide", "{file}"]),
+    ("type", QUERY_C1_CASE2.replace("type: 1", "type: {n}"), ["decide", "{file}"]),
+    ("instance-header", "{n}, 2, 3\n0,1,2\n", ["brute", "{file}"]),
+    ("instance-block", "7, 2, 3\n0,1,{n}\n", ["brute", "{file}"]),
+    ("fin-probe", QUERY_C1_CASE2, ["verify", "{file}", "fin:0,{n}"]),
+    ("cofin-probe", QUERY_C1_CASE2, ["verify", "{file}", "cofin:{n}"]),
+    ("--cutoff", QUERY_C1_CASE2, ["verify", "{file}", "fin:0", "--cutoff", "{n}"]),
+    ("--t", INSTANCE_7_2_3, ["brute", "{file}", "--t", "{n}"]),
+    ("--design-type", INSTANCE_7_2_3, ["brute", "{file}", "--design-type", "{n}"]),
+    ("--max-finite", "", ["crosscheck", "--max-finite", "{n}"]),
+    ("--grid-max-aleph", "", ["crosscheck", "--grid-max-aleph", "{n}"]),
+]
+
+
+@pytest.mark.parametrize("text, argv", [
+    pytest.param(text, argv, id=reader) for reader, text, argv in OVER_BUDGET_READERS
+])
+def test_every_reader_refuses_an_over_budget_numeral_without_echoing_it(text, argv, write):
+    # the type field, an instance line and the integer options once echoed
+    # the whole numeral, 5,000 bytes and more, in a malformed-value message
+    path = write("input.txt", text.format(n=NUMERAL_OVER_BUDGET))
+    code, out, err = run_main([arg.format(file=path, n=NUMERAL_OVER_BUDGET) for arg in argv])
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert len(last.encode()) <= 200 and NUMERAL_OVER_BUDGET_ERROR in last
+
+
+def test_decide_validates_its_query_once(write, monkeypatch):
+    validated, validate = [], designs.validate
+    monkeypatch.setattr(
+        designs, "validate", lambda *args: validated.append(args) or validate(*args)
+    )
+    assert run_main(["decide", write("q.txt", QUERY_C1_CASE2)])[0] == 0
+    assert [s.size for s, _ in validated] == [Cardinal.finite(2), ALEPH0]  # C, then D
 
 
 def test_a_query_field_of_640_digits_is_read(write):

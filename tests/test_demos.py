@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from fortdesign import designs
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -44,3 +46,13 @@ def test_readme_examples_print_their_comments(capsys):
             line.strip()[2:] for line in block.splitlines() if line.strip().startswith("# ")
         ]
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_the_walkthrough_validates_one_query_per_pair(monkeypatch, capsys):
+    validated, validate = [], designs.validate
+    monkeypatch.setattr(
+        designs, "validate", lambda *args: validated.append(args) or validate(*args)
+    )
+    runpy.run_path(str(ROOT / "demos" / "decide_walkthrough.py"), run_name="__main__")
+    assert capsys.readouterr().out.count("\n  space:") == 5
+    assert len(validated) == 10  # five (C, D) pairs, C and D once each

@@ -26,6 +26,7 @@ from fortdesign.designs import (
     DesignType,
     FamilyDescriptor,
     OddTail,
+    Query,
     Verdict,
     crosscheck,
     decide,
@@ -227,6 +228,7 @@ PUBLIC_ENTRIES = [
     decide_type3,
     decide_type4,
     crosscheck,
+    pytest.param(lambda c, d, space: Query(space, c, d), id="Query"),
 ]
 VALID = sd(F(3), True, ALEPH0)
 INVALID_INPUTS = [
@@ -840,6 +842,20 @@ def test_verdict_repr_is_pinned(design_type, c, d, space, expected):
 def test_decide_rejects_a_design_type_that_is_not_an_int(design_type):
     with pytest.raises(ValueError, match="^design type must be an int 1..4, got "):
         decide(design_type, VALID, VALID, X0)
+    # the type is checked before the descriptors, which are invalid here
+    with pytest.raises(ValueError, match="^design type must be an int 1..4, got "):
+        decide(design_type, None, None, None)
+
+
+def test_a_query_validates_c_and_d_once_for_every_type_and_its_crosscheck(monkeypatch):
+    validated = counted(monkeypatch, "validate")
+    c, d = sd(F(2), True, ALEPH0), sd(ALEPH0, True, ALEPH0)
+    query = Query(X0, c, d)
+    verdicts = [query.decide(t) for t in DesignType]
+    report = query.crosscheck()
+    assert validated == [(c, X0), (d, X0)]
+    assert verdicts == [decide(t, c, d, X0) for t in DesignType]
+    assert report == crosscheck(c, d, X0)
 
 
 def test_verdict_construction_guards():

@@ -7,13 +7,12 @@ import pickle
 import pytest
 
 from fortdesign.cardinal import ALEPH0, ALEPH1, Cardinal, LambdaValue, _Validated
-from fortdesign.cli import Query
 from fortdesign.concrete import (
     BlockCount, ConcreteSet, DesignCheckReport, OddTailBlock, PointMap, ProbeReport,
 )
 from fortdesign.descriptors import SpaceDescriptor, SubsetDescriptor
 from fortdesign.designs import (
-    ClassL, ClassW, CrosscheckReport, DesignType, OddTail, SweepReport, Verdict,
+    ClassL, ClassW, CrosscheckReport, OddTail, Query, SweepReport, Verdict,
 )
 from fortdesign.finitebrute import BruteOutcome, FiniteInstance
 
@@ -82,10 +81,9 @@ RECORDS = [
      "BruteOutcome(uniform=False, lambda_=None, first=(0,), first_count=1, second=(1,), "
      "second_count=2)",
      "second"),
-    (lambda: Query(SpaceDescriptor(ALEPH0), C, D, DesignType.TYPE2),
-     f"Query(space=SpaceDescriptor(size=Cardinal.aleph(0)), c={C_TEXT}, d={D_TEXT}, "
-     f"design_type=<DesignType.TYPE2: 2>)",
-     "design_type"),
+    (lambda: Query(SpaceDescriptor(ALEPH0), C, D),
+     f"Query(space=SpaceDescriptor(size=Cardinal.aleph(0)), c={C_TEXT}, d={D_TEXT})",
+     "d"),
 ]
 IDS = [text.partition("(")[0] for _, text, _ in RECORDS]
 
@@ -224,6 +222,10 @@ REPLACEMENTS = [
      OddTailBlock(5)),
     (INSTANCE, {"c_size": 3}, "sizes must satisfy 1 <= c_size <= d_size <= n",
      {"c_size": 2}, FiniteInstance(4, ((0, 1), (1, 2)), 2, 2)),
+    (Query(SpaceDescriptor(ALEPH0), C, D), {"d": SubsetDescriptor(F(3), True, F(5))},
+     "D: max(size, cosize) must equal card(X)=aleph0, got size=3, cosize=5",
+     {"c": SubsetDescriptor(F(1), False, ALEPH0)},
+     Query(SpaceDescriptor(ALEPH0), SubsetDescriptor(F(1), False, ALEPH0), D)),
     (INSTANCE, {"blocks": ((0, 4),)}, "block 0 leaves the ground set at 4",
      {"blocks": [[2, 3]]}, FiniteInstance(4, (frozenset({2, 3}),), 1, 2)),
 ]
