@@ -589,7 +589,8 @@ def crosscheck(
 
 
 def _obstruction(c: SubsetDescriptor, d: SubsetDescriptor) -> bool:
-    """The direct condition: C is larger than D, or infinite with b while D lacks b."""
+    """The direct condition: C is larger than D, or infinite with b while D lacks b.
+    ``sweep`` reads it inline, from each row's and column's fields."""
     return (c.size.infinite and c.contains_b and not d.contains_b) or c.size > d.size
 
 
@@ -633,8 +634,8 @@ class SweepReport(NamedTuple):
         return not self.violations
 
 
-# the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.068-0.082 s, median
-# 0.073 s or 0.7 us a case, in 30 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
+# the most cases a sweep runs: sweep(0, 78), 99,225 cases, took 0.048-0.120 s, median
+# 0.055 s or 0.55 us a case, in 30 fresh processes (2-vCPU Intel Xeon VM, Python 3.11.7)
 SWEEP_BUDGET = 10**5
 # (s, t): t weakens one of s's conditions, II to I or III to IV, so s implies t
 _IMPLIED_TYPES = ((1, 2), (1, 3), (2, 4), (3, 4))
@@ -699,7 +700,9 @@ def sweep(
     cases, the only bound on the ladder, counted before any space is built;
     a deciding row with an unknown case tag or witness kind raises it when
     its mask is planned.  ``inject_fault`` flips the obstruction statement
-    on a subset of cases so the harness can prove it detects violations.
+    on every seventh case so the harness can prove it detects violations;
+    it raises ``ValueError`` on a sweep of fewer than 7 cases, which it
+    could not fault.
 
     The work is split by what it reads.  A mask's plan (``_plan``), with
     the check of its rows' tags and witness kinds, is built once per rule
@@ -709,13 +712,18 @@ def sweep(
     column, as D, which also keeps D's witness problems by check name.
     Every check reads D and X alone, so it is made in D's column with one
     ``witness_violations`` call: a witness is checked, and its family
-    built, once per (check, D, X), and no verdict is built.  A case
-    composes ``_mask``'s atoms from its row's and column's reads, with no
-    call, runs only the checks that read C, and builds nothing unless one
-    of them finds a problem.  A violation's text is built from parts made
-    once per call: X's text at a space's first violation, a descriptor's
-    text when a violation first names it, and the crosscheck clause once
-    per tuple of the four statements.
+    built, once per (check, D, X), and no verdict is built.  Beyond a new
+    mask's plan and a column's first check, a case makes no call.  It
+    composes ``_mask``'s atoms from its row's and column's reads, and both
+    direct statements, ``_obstruction`` and ``not embeddable``, from
+    card(C) > card(D), its row's flag for an infinite C with b and its
+    column's flag for b in D; both flags are read from the descriptor's
+    own fields, never from an atom, so a fault in ``_facts`` or a table
+    shows as a disagreement.  A case runs only the checks that read C, and
+    builds nothing unless one of them finds a problem.  A violation's text
+    is built from parts made once per call: X's text at a space's first
+    violation, a descriptor's text when a violation first names it, and
+    the crosscheck clause once per tuple of the four statements.
     """
     global _plans
     if _exactly(int, max_aleph, "max_aleph") < 0:
@@ -728,6 +736,11 @@ def sweep(
     if planned > SWEEP_BUDGET:
         raise ValueError(
             f"a sweep of {planned} cases exceeds the budget of {SWEEP_BUDGET} cases"
+        )
+    if inject_fault and planned < 7:
+        raise ValueError(
+            "inject_fault flips every seventh case, so it needs at least 7 cases, "
+            f"got {planned}"
         )
     rules = tuple(_RULES.items())
     kept, plans = _plans
@@ -744,15 +757,22 @@ def sweep(
         space = SpaceDescriptor(Cardinal.aleph(i))
         x_text = None
         grid = descriptor_grid(space, max_finite, finite_sizes_only)
+        # per C: what the mask reads of it, and whether it is infinite with b
         rows = []
-        # per D: what the mask reads of it, and its witness problems by check
+        # per D: what the mask reads of it, whether it has b, and its witness
+        # problems by check
         columns = []
         for s in grid:
             as_c, as_d, size, size_plus_2, size_minus_b, cosize_minus_b = _facts(s, space)
-            rows.append((s, as_c, size, size_plus_2, size_minus_b, cosize_minus_b))
-            columns.append((s, as_d, size, size_minus_b, cosize_minus_b, {}))
-        for c, c_atoms, c_size, c_size_plus_2, c_size_minus_b, c_cosize_minus_b in rows:
-            for d, d_atoms, d_size, d_size_minus_b, d_cosize_minus_b, checked in columns:
+            rows.append((
+                s, as_c, size, size_plus_2, size_minus_b, cosize_minus_b,
+                s.size.infinite and s.contains_b,
+            ))
+            columns.append((s, as_d, size, size_minus_b, cosize_minus_b, s.contains_b, {}))
+        for (
+            c, c_atoms, c_size, c_size_plus_2, c_size_minus_b, c_cosize_minus_b, c_infinite_b
+        ) in rows:
+            for d, d_atoms, d_size, d_size_minus_b, d_cosize_minus_b, d_b, checked in columns:
                 cases += 1
                 # _mask's atoms, from the row's and the column's reads
                 m = c_atoms | d_atoms
@@ -772,10 +792,11 @@ def sweep(
                     plan = plans[m] = _plan(rules, m)
                 existing, checks, lattice, no_type2, no_type4 = plan
                 larger = existing and c_gt_d
-                obstruction = _obstruction(c, d)
+                # _obstruction and not embeddable, from the descriptors' fields
+                obstruction = (c_infinite_b and not d_b) or c_gt_d
                 if inject_fault and cases % 7 == 0:
                     obstruction = not obstruction
-                not_embeddable = not embeddable(c, d)
+                not_embeddable = c_gt_d or (c_infinite_b and not d_b)
                 clean = not (lattice or larger) and (
                     no_type2 == no_type4 == obstruction == not_embeddable
                 )

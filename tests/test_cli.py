@@ -630,7 +630,8 @@ class TestCrosscheckCommand:
         )
         # sweep refuses each before it builds a space or runs a case
         monkeypatch.setattr(designs, "SpaceDescriptor", None)
-        monkeypatch.setattr(designs, "_obstruction", None)
+        monkeypatch.setattr(designs, "descriptor_grid", None)
+        monkeypatch.setattr(designs, "_facts", None)
         for argv, message in [
             (["--grid-max-aleph", "1000000000000"],
              "a sweep of 5333333333449333333334173000000000729 cases exceeds the budget "
@@ -640,7 +641,9 @@ class TestCrosscheckCommand:
             assert run_main(["crosscheck", *argv]) == (2, "", f"error: {message}\n")
 
     def test_over_budget_is_refused_before_any_case(self, monkeypatch, capsys):
-        monkeypatch.setattr(designs, "_obstruction", None)  # any case would fail
+        # any grid built or case run would fail
+        monkeypatch.setattr(designs, "descriptor_grid", None)
+        monkeypatch.setattr(designs, "_facts", None)
         assert main(["crosscheck", "--max-finite", "100000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1125,12 +1128,15 @@ def crosscheck_options(draw):
 @given(crosscheck_options())
 @example((["crosscheck", "--max-finite", "1000", "--grid-max-aleph", "0"], 0, 1000, False,
           False))
+@example((["crosscheck", "--grid-max-aleph", "0", "--max-finite", "1", "--finite-sizes-only",
+           "--inject-fault"], 0, 1, True, True))
 def test_crosscheck_reads_any_options_without_a_traceback(options):
     argv, aleph, finite, finite_only, inject = options
     refused = finite < 1
     if not refused:
         cases = designs._sweep_cases(aleph, finite, finite_only)
-        refused = cases > designs.SWEEP_BUDGET
+        # an injected fault flips every seventh case, so it needs 7 cases
+        refused = cases > designs.SWEEP_BUDGET or (inject and cases < 7)
         assume(refused or cases <= SMALL_SWEEP)
     code, out, err = run_main(argv)
     assert code in (0, 1, 2)
@@ -1142,7 +1148,8 @@ def test_crosscheck_reads_any_options_without_a_traceback(options):
         assert err == "" and out.endswith(f" / {cases} cases\n")
         # the grid is consistent, so only injected faults are violations
         assert code == (1 if out.startswith("violation: ") else 0)
-        assert inject or code == 0
+        # an injected sweep that is not refused exits 1
+        assert code == (1 if inject else 0)
 
 
 def test_outputs_are_byte_identical_across_runs(write, capsys):

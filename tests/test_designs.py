@@ -15,6 +15,7 @@ from fortdesign.descriptors import (
     SubsetDescriptor,
     cosize_minus_b,
     descriptor_grid,
+    embeddable,
     size_minus_b,
 )
 from fortdesign.designs import (
@@ -341,7 +342,7 @@ def test_sweep_case_count_is_the_grid_closed_form():
 def no_case_runs(monkeypatch):
     """Any grid built or case run fails the test."""
     monkeypatch.setattr(designs, "descriptor_grid", None)
-    monkeypatch.setattr(designs, "_obstruction", None)
+    monkeypatch.setattr(designs, "_facts", None)
 
 
 @pytest.mark.parametrize("max_finite, finite_sizes_only, cases", [
@@ -381,6 +382,10 @@ def test_sweep_of_a_ladder_over_budget_is_refused_before_any_space(
     ((1.0, 2), "max_aleph must be int, got 1.0"),
     ((0, 2, 1), "finite_sizes_only must be bool, got 1"),
     ((0, 2, False, None), "inject_fault must be bool, got None"),
+    # this once passed with no fault injected: a fault flips every seventh
+    # case, and the one grid under 7 cases has 4
+    ((0, 1, True, True),
+     "inject_fault flips every seventh case, so it needs at least 7 cases, got 4"),
 ])
 def test_sweep_bad_arguments_are_refused_before_any_case(no_case_runs, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -794,6 +799,26 @@ def test_sweep_agrees_with_a_per_case_reference(monkeypatch, edge, inject_fault)
     expected = reference_sweep(1, 3, inject_fault)
     assert expected or not (inject_fault or edge)
     assert sweep(max_aleph=1, max_finite=3, inject_fault=inject_fault).violations == expected
+
+
+@pytest.mark.parametrize("finite_sizes_only", [False, True])
+def test_sweep_reads_the_direct_statements_as_their_functions(monkeypatch, finite_sizes_only):
+    # every mask plans no type, no lattice edge and neither type 2 nor type
+    # 4, so a case is clean only when both direct statements are true, and
+    # its clause names what each statement read inline gave
+    monkeypatch.setattr(designs, "_plans", ((), {}))
+    monkeypatch.setattr(designs, "_plan", lambda rules, m: ((), {}, (), True, True))
+    expected = []
+    for index in range(4):
+        space = SpaceDescriptor(Cardinal.aleph(index))
+        for c, d in itertools.product(descriptor_grid(space, 6, finite_sizes_only), repeat=2):
+            statements = (True, True, designs._obstruction(c, d), not embeddable(c, d))
+            expected += [
+                f"X={space.size} C={c} D={d}: {p}"
+                for p in designs._crosscheck_clause(statements)
+            ]
+    assert expected
+    assert sweep(3, 6, finite_sizes_only).violations == tuple(expected)
 
 
 def test_verdict_record_shape():
